@@ -7,7 +7,6 @@ from .gates import (
     GateStack,
     KlGateConfig,
     MagnitudeGateConfig,
-    TopicDistribution,
 )
 from .graph import Agent, Edge, NormalizedGraph, WeightConfig, normalize
 from .harness import Corpus, CorpusSpec, generate_corpus, run_scenario
@@ -45,7 +44,6 @@ __all__ = [
     "PropagationConfig",
     "Query",
     "ReputationState",
-    "TopicDistribution",
     "ValidationError",
     "WeightConfig",
     "build_domain_matrices",

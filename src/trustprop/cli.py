@@ -48,7 +48,7 @@ from .propagation import (
     centroids_from_agents,
     run,
 )
-from .retrieval import pipeline_search, precision_at_k, score_dot, score_mixed
+from .retrieval import STRATEGIES, precision_at_k, rank
 
 logger = logging.getLogger(__name__)
 
@@ -89,13 +89,14 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
 def _run_from_files(cfg, agents, edges):
     graph = normalize(agents, edges, weight_config(cfg))
     prop_cfg = propagation_config(cfg)
-    matrices = neg = None
-    if prop_cfg.mode == "discrete":
+    centroids = matrices = neg = None
+    if prop_cfg.mode == "discrete" or prop_cfg.gates.needs_distributions():
         _, centroids = centroids_from_agents(agents)
+    if prop_cfg.mode == "discrete":
         matrices = build_domain_matrices(graph, centroids, top_k=cfg["propagation.top_k"])
         if graph.n_neg_edges:
             neg = build_negative_matrices(graph, matrices)
-    return run(graph, prop_cfg, matrices=matrices, neg=neg)
+    return run(graph, prop_cfg, matrices=matrices, neg=neg, centroids=centroids)
 
 
 def cmd_propagate(args: argparse.Namespace) -> int:
@@ -129,18 +130,9 @@ def cmd_query(args: argparse.Namespace) -> int:
     lines = ["query_id,rank,agent_id,score"]
     summary = []
     for q in queries:
-        if strategy == "dot":
-            ranked = score_dot(state, q)
-        elif strategy == "cosine":
-            ranked = score_mixed(state, q, 0.0, "power")
-        elif strategy == "mixed":
-            ranked = score_mixed(state, q, beta_mix, variant)
-        elif strategy == "pipeline":
-            ranked = pipeline_search(state, agents, q)
-        else:
-            raise ValidationError(f"unknown strategy {strategy!r}")
-        for rank, (aid, score) in enumerate(ranked, start=1):
-            lines.append(f"{q.id},{rank},{aid},{score!r}")
+        ranked = rank(state, q, strategy, agents, beta_mix, variant)
+        for pos, (aid, score) in enumerate(ranked, start=1):
+            lines.append(f"{q.id},{pos},{aid},{score!r}")
         if q.expected_domains:
             strict = precision_at_k(ranked, agents, q.expected_domains, k, "strict")
             multi = precision_at_k(ranked, agents, q.expected_domains, k, "multilabel")
@@ -170,6 +162,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
         propagation_config(cfg),
         weight_config(cfg),
         strategy=cfg["retrieval.strategy"],
+        beta_mix=cfg["retrieval.beta_mix"],
+        variant=cfg["retrieval.variant"],
     )
     out = Path(args.out)
     rows = report.csv_rows()
@@ -217,7 +211,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
             prop_cfg = replace(base_prop, operator=OperatorKind.from_name(op_name))
             state = run(graph, prop_cfg)
             all_converged = all_converged and state.converged
-            rankings = rank_queries(state, corpus, cfg["retrieval.strategy"])
+            rankings = rank_queries(
+                state,
+                corpus,
+                cfg["retrieval.strategy"],
+                cfg["retrieval.beta_mix"],
+                cfg["retrieval.variant"],
+            )
             rows.append(
                 [
                     op_name,
@@ -259,8 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snapshot", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--agents", required=True)
-    p.add_argument("--strategy", default=None,
-                   choices=("dot", "cosine", "mixed", "pipeline"))
+    p.add_argument("--strategy", default=None, choices=STRATEGIES)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_query)
 

@@ -410,11 +410,22 @@ def snapshot_to_json(
 
 def snapshot_from_json(text: str) -> tuple[ReputationState, str, np.ndarray]:
     obj = json.loads(text)
-    agents = obj["agents"]
-    ids = tuple(rec["id"] for rec in agents)
-    vectors = np.asarray([rec["r"] for rec in agents], dtype=float)
+    if not isinstance(obj, dict):
+        raise ValidationError("snapshot must be a JSON object")
+    for key in ("dims", "agents"):
+        if key not in obj:
+            raise ValidationError(f"snapshot: missing field {key!r}")
     dims = obj["dims"]
     width_key = "E" if "E" in dims else "D"
+    if "N" not in dims or width_key not in dims:
+        raise ValidationError("snapshot dims need 'N' and a width 'E' or 'D'")
+    agents = obj["agents"]
+    for i, rec in enumerate(agents):
+        for key in ("id", "r"):
+            if key not in rec:
+                raise ValidationError(f"snapshot agent {i}: missing field {key!r}")
+    ids = tuple(rec["id"] for rec in agents)
+    vectors = np.asarray([rec["r"] for rec in agents], dtype=float)
     if vectors.shape != (dims["N"], dims[width_key]):
         raise ValidationError("snapshot dims disagree with agent rows")
     state = ReputationState(

@@ -1,142 +1,37 @@
 """Multiplicative gates that attenuate transfers by topical (mis)alignment.
 
-Each gate maps evidence about one edge to a factor in [0, 1]; enabled gates
-multiply together.  Because every factor is bounded by 1, gating can only
-shrink a transfer, so the contraction argument for the damped iteration is
-untouched.
+Each gate maps evidence about one edge i -> j, with sender reputation r and
+unit content e, to a factor in [0, 1]; enabled gates multiply together.
+Because every factor is bounded by 1, gating can only shrink a transfer, so
+the contraction argument for the damped iteration is untouched.
 
-The alignment gate has two forms: a softmax form comparing discrete topic
-distributions via KL divergence, and a cosine proxy exp(-lambda * (1 - cos^2))
-that works directly on embedding vectors and is the default in the continuous
-engine.
+- alignment (``kl``), cosine proxy: exp(-lambda * (1 - cos^2(r, e))), the
+  default; softmax form: exp(-lambda * KL(p_int || p_rep)) between the topic
+  distributions of the content and of the sender's reputation;
+- ``entropy``: exp(-strength * H(p_int)), so focused interactions pass more;
+- ``magnitude_ratio``: max(0, r . e) / ||r||, the share of the sender's
+  reputation aligned with the edge;
+- ``confidence``: an exogenous per-edge confidence passed through.
+
+A zero-reputation sender has nothing to misalign: the cosine and magnitude
+gates pass 1.0 for it.  Topic distributions are smoothed softmaxes over
+cosines to domain centroids, so they have full support and the KL and
+entropy terms are always finite.  Everything here works on all m edges of
+an iteration at once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from collections.abc import Mapping
 
 import numpy as np
 
 from .errors import ValidationError
 
-DIST_TOL = 1e-9
 SMOOTHING = 1e-6
 
 
-@dataclass(frozen=True)
-class TopicDistribution:
-    """A probability distribution over domain labels."""
-
-    probs: Mapping[str, float]
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(list(self.probs.values()), dtype=np.float64)
-        if vals.size == 0:
-            raise ValidationError("topic distribution is empty")
-        if (vals < 0).any():
-            raise ValidationError("topic distribution entries must be >= 0")
-        if abs(float(vals.sum()) - 1.0) > DIST_TOL:
-            raise ValidationError("topic distribution must sum to 1")
-
-    def as_array(self, domains: tuple[str, ...]) -> np.ndarray:
-        return np.asarray([self.probs.get(d, 0.0) for d in domains])
-
-
-def _as_dist(p, name: str) -> np.ndarray:
-    arr = np.asarray(p, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError(f"{name} must be a non-empty 1-d distribution")
-    if (arr < 0).any():
-        raise ValidationError(f"{name} entries must be >= 0")
-    if abs(float(arr.sum()) - 1.0) > DIST_TOL:
-        raise ValidationError(f"{name} must sum to 1")
-    return arr
-
-
-def entropy(p) -> float:
-    """Shannon entropy in nats, with 0 log 0 = 0."""
-    arr = _as_dist(p, "p")
-    nz = arr[arr > 0]
-    return float(-(nz * np.log(nz)).sum())
-
-
-def kl_divergence(p_int, p_rep) -> float:
-    """KL(p_int || p_rep) in nats; rejects unsmoothed zeros in the support."""
-    pi = _as_dist(p_int, "p_int")
-    pr = _as_dist(p_rep, "p_rep")
-    if pi.shape != pr.shape:
-        raise ValidationError("distributions must share support size")
-    mask = pi > 0
-    if (pr[mask] == 0).any():
-        raise ValidationError(
-            "p_rep has a zero where p_int has mass; smooth before comparing"
-        )
-    return float((pi[mask] * np.log(pi[mask] / pr[mask])).sum())
-
-
-# --- individual gates ---------------------------------------------------------
-
-
-def kl_gate_softmax(p_int, p_rep, lam: float = 1.0) -> float:
-    """exp(-lambda * KL(p_int || p_rep)): 1.0 at perfect agreement."""
-    if lam < 0:
-        raise ValidationError("lambda must be >= 0")
-    return math.exp(-lam * kl_divergence(p_int, p_rep))
-
-
-def kl_gate_cosine(r: np.ndarray, e: np.ndarray, lam: float = 1.0) -> float:
-    """Cosine proxy for the alignment gate: exp(-lambda * (1 - cos^2)).
-
-    A zero-reputation sender has nothing to misalign, so the gate passes 1.0.
-    """
-    if lam < 0:
-        raise ValidationError("lambda must be >= 0")
-    r = np.asarray(r, dtype=np.float64)
-    e = np.asarray(e, dtype=np.float64)
-    norm = float(np.linalg.norm(r))
-    if norm == 0.0:
-        return 1.0
-    c = float(np.clip(float(r @ e) / (norm * float(np.linalg.norm(e))), -1.0, 1.0))
-    return math.exp(-lam * (1.0 - c * c))
-
-
-def entropy_gate(p_int, strength: float = 1.0) -> float:
-    """exp(-strength * H(p_int)): sharply-focused interactions pass more."""
-    if strength < 0:
-        raise ValidationError("strength must be >= 0")
-    return math.exp(-strength * entropy(p_int))
-
-
-def magnitude_ratio_gate(r: np.ndarray, e: np.ndarray) -> float:
-    """Fraction of reputation magnitude aligned with the edge: max(0, R.e)/||R||."""
-    r = np.asarray(r, dtype=np.float64)
-    e = np.asarray(e, dtype=np.float64)
-    norm = float(np.linalg.norm(r))
-    if norm == 0.0:
-        return 1.0
-    return max(0.0, float(r @ e)) / norm
-
-
-def confidence_gate(confidence: float) -> float:
-    """Pass-through gate for an exogenous confidence score."""
-    c = float(confidence)
-    if not 0.0 <= c <= 1.0:
-        raise ValidationError("confidence must lie in [0, 1]")
-    return c
-
-
 # --- topic distributions from embeddings -------------------------------------
-
-
-def topic_distribution(
-    v: np.ndarray,
-    centroids: np.ndarray,
-    smoothing: float = SMOOTHING,
-) -> np.ndarray:
-    """Softmax over cosine similarities to domain centroids, smoothed."""
-    return topic_distribution_batch(np.asarray(v)[None, :], centroids, smoothing)[0]
 
 
 def topic_distribution_batch(
@@ -222,39 +117,6 @@ class GateStack:
         return self.entropy.enabled or (self.kl.enabled and self.kl.form == "softmax")
 
 
-def apply_stack(
-    stack: GateStack,
-    r: np.ndarray,
-    e: np.ndarray,
-    p_int=None,
-    p_rep=None,
-    confidence: float | None = None,
-) -> float:
-    """Product of all enabled gate values for one edge; 1.0 if none enabled.
-
-    Raises if an enabled gate is missing its required input.
-    """
-    value = 1.0
-    if stack.kl.enabled:
-        if stack.kl.form == "cosine_proxy":
-            value *= kl_gate_cosine(r, e, stack.kl.lam)
-        else:
-            if p_int is None or p_rep is None:
-                raise ValidationError("softmax kl gate requires p_int and p_rep")
-            value *= kl_gate_softmax(p_int, p_rep, stack.kl.lam)
-    if stack.entropy.enabled:
-        if p_int is None:
-            raise ValidationError("entropy gate requires p_int")
-        value *= entropy_gate(p_int, stack.entropy.strength)
-    if stack.magnitude_ratio.enabled:
-        value *= magnitude_ratio_gate(r, e)
-    if stack.confidence.enabled:
-        if confidence is None:
-            raise ValidationError("confidence gate requires a confidence value")
-        value *= confidence_gate(confidence)
-    return value
-
-
 def stack_batch(
     stack: GateStack,
     r: np.ndarray,
@@ -263,7 +125,12 @@ def stack_batch(
     p_int: np.ndarray | None = None,
     p_rep: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Vectorized apply_stack over m edges; r, e are (m, E)."""
+    """Product of all enabled gate factors for m edges; 1.0 where none is on.
+
+    ``r`` and ``e`` are (m, E) sender reputations and edge contents;
+    ``confidence`` is (m,) and ``p_int``/``p_rep`` are (m, D) topic
+    distributions.  Raises if an enabled gate is missing its input.
+    """
     m = r.shape[0]
     value = np.ones(m)
     if stack.kl.enabled:

@@ -15,6 +15,7 @@ per reporter the same way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
 
@@ -59,13 +60,16 @@ class Agent:
             raise ValidationError(f"unknown archetype {self.archetype!r}")
         if self.profile.ndim != 1:
             raise ValidationError("profile must be a vector")
-        if abs(float(np.linalg.norm(self.profile)) - 1.0) > UNIT_TOL:
+        # Written as "not <=" so that a NaN norm fails the check too.
+        if not abs(float(np.linalg.norm(self.profile)) - 1.0) <= UNIT_TOL:
             raise ValidationError(f"agent {self.id}: profile must be unit length")
         for name, vec in (("teleport", self.teleport), ("exogenous", self.exogenous)):
             if vec.shape != self.profile.shape:
                 raise ValidationError(
                     f"agent {self.id}: {name} dim {vec.shape} != profile {self.profile.shape}"
                 )
+            if not np.isfinite(vec).all():
+                raise ValidationError(f"agent {self.id}: {name} must be finite")
         self.secondary_domains = tuple(self.secondary_domains)
 
 
@@ -86,15 +90,15 @@ class Edge:
     def __post_init__(self) -> None:
         if self.kind not in EDGE_KINDS:
             raise ValidationError(f"unknown edge kind {self.kind!r}")
-        if self.base_weight <= 0:
-            raise ValidationError("base_weight must be > 0")
+        if not 0.0 < float(self.base_weight) < math.inf:
+            raise ValidationError("base_weight must be finite and > 0")
         if self.kind in ("labeled", "blind") and self.sender == self.receiver:
             raise ValidationError(f"self-edge not allowed: {self.sender}")
         if self.kind == "labeled":
             if self.content is None:
                 raise ValidationError("labeled edge requires a content embedding")
             self.content = np.asarray(self.content, dtype=np.float64)
-            if abs(float(np.linalg.norm(self.content)) - 1.0) > UNIT_TOL:
+            if not abs(float(np.linalg.norm(self.content)) - 1.0) <= UNIT_TOL:
                 raise ValidationError("labeled edge content must be unit length")
         elif self.content is not None:
             raise ValidationError(f"{self.kind} edge must not carry content")

@@ -16,18 +16,14 @@ anchors.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field, replace
 from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .gates import GateStack
-from .graph import Agent, Edge, NormalizedGraph, WeightConfig, normalize
+from .graph import Agent, Edge, WeightConfig, normalize
 from .propagation import (
-    DomainMatrices,
     PropagationConfig,
     ReputationState,
     build_domain_matrices,
@@ -36,7 +32,7 @@ from .propagation import (
     run,
     self_alignment,
 )
-from .retrieval import Query, RankedList, precision_at_k, score_dot, score_mixed
+from .retrieval import Query, RankedList, precision_at_k, rank
 from .vectorspace import (
     CenteringModel,
     build_centroids,
@@ -704,18 +700,13 @@ def rank_queries(
     corpus: Corpus,
     strategy: str = "dot",
     beta_mix: float = 0.5,
+    variant: str = "power",
 ) -> dict[str, RankedList]:
-    out: dict[str, RankedList] = {}
-    for q in corpus.queries:
-        if strategy == "dot":
-            out[q.id] = score_dot(state, q)
-        elif strategy == "cosine":
-            out[q.id] = score_mixed(state, q, 0.0, "power")
-        elif strategy == "mixed":
-            out[q.id] = score_mixed(state, q, beta_mix, "power")
-        else:
-            raise ValidationError(f"unknown scenario strategy {strategy!r}")
-    return out
+    """``retrieval.rank`` for every query of the corpus, keyed by query id."""
+    return {
+        q.id: rank(state, q, strategy, corpus.agents, beta_mix, variant)
+        for q in corpus.queries
+    }
 
 
 def mean_precision(
@@ -737,8 +728,14 @@ def run_scenario(
     prop_cfg: PropagationConfig = PropagationConfig(),
     weight_cfg: WeightConfig = WeightConfig(),
     strategy: str = "dot",
+    beta_mix: float = 0.5,
+    variant: str = "power",
 ) -> ScenarioReport:
-    """Propagate baseline and attacked corpora and compare retrieval quality."""
+    """Propagate baseline and attacked corpora and compare retrieval quality.
+
+    ``strategy``, ``beta_mix`` and ``variant`` choose the ranking, as in
+    ``retrieval.rank``.
+    """
     if scenario is not None and scenario not in INJECTORS:
         raise ValidationError(f"unknown scenario {scenario!r}")
     corpus = generate_corpus(spec)
@@ -749,8 +746,8 @@ def run_scenario(
     att_graph = normalize(attacked.agents, attacked.edges, weight_cfg)
     att_state = run(att_graph, prop_cfg)
 
-    base_rank = rank_queries(base_state, corpus, strategy)
-    att_rank = rank_queries(att_state, attacked, strategy)
+    base_rank = rank_queries(base_state, corpus, strategy, beta_mix, variant)
+    att_rank = rank_queries(att_state, attacked, strategy, beta_mix, variant)
     base_pct = magnitude_percentiles(base_state)
     att_pct = magnitude_percentiles(att_state)
     mal = corpus.malicious_ids()
@@ -878,53 +875,6 @@ def run_flag_scenario(
         converged_unflagged=unflagged_state.converged,
         converged_flagged=flagged_state.converged,
     )
-
-
-# --- density sweep ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DensityRow:
-    labeled_edges: int
-    blind_edges: int
-    p5_strict: float
-    p5_multilabel: float
-
-
-def density_sweep(
-    specs: Sequence[CorpusSpec],
-    prop_cfg: PropagationConfig = PropagationConfig(),
-    weight_cfg: WeightConfig = WeightConfig(),
-    strategy: str = "dot",
-) -> list[DensityRow]:
-    """Propagate each spec and record retrieval precision vs edge density."""
-    rows = []
-    for spec in specs:
-        corpus = generate_corpus(spec)
-        graph = normalize(corpus.agents, corpus.edges, weight_cfg)
-        state = run(graph, prop_cfg)
-        rankings = rank_queries(state, corpus, strategy)
-        rows.append(
-            DensityRow(
-                labeled_edges=spec.labeled_edges,
-                blind_edges=spec.blind_edges,
-                p5_strict=mean_precision(rankings, corpus, "strict"),
-                p5_multilabel=mean_precision(rankings, corpus, "multilabel"),
-            )
-        )
-    return rows
-
-
-def density_csv(rows: Sequence[DensityRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["labeled_edges", "blind_edges", "p5_strict", "p5_multilabel"])
-    for row in rows:
-        writer.writerow(
-            [row.labeled_edges, row.blind_edges, repr(row.p5_strict),
-             repr(row.p5_multilabel)]
-        )
-    return buf.getvalue()
 
 
 def format_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:

@@ -10,8 +10,9 @@ contracts with rate alpha and the iteration converges to a unique fixed
 point from any start.
 
 Discrete form (one row per agent, D domain buckets): per-domain transition
-matrices M_d drive a linear damped iteration per bucket; flag edges enter as
-a subtracted beta-scaled term, stable whenever alpha * (1 + beta) < 1.
+matrices M_d drive a linear damped iteration per bucket; flag edges enter
+through one flag matrix as a subtracted beta-scaled term in every bucket,
+stable whenever alpha * (1 + beta) < 1.
 
 The residual metric everywhere is the max over agents of the L2 change of
 that agent's row — stricter than averaging, so convergence claims hold for
@@ -89,13 +90,21 @@ class ReputationState:
         return self.vectors[self.agent_ids.index(agent_id)]
 
 
-def _max_row_change(new: np.ndarray, old: np.ndarray) -> float:
-    return float(np.linalg.norm(new - old, axis=1).max()) if new.size else 0.0
-
-
-def _check_finite(arr: np.ndarray) -> None:
-    if not np.isfinite(arr).all():
+def _advance(
+    state: ReputationState, new: np.ndarray
+) -> tuple[ReputationState, float]:
+    """The state after one step to ``new``, and that step's residual."""
+    if not np.isfinite(new).all():
         raise ValidationError("non-finite value during propagation; corrupt input?")
+    old = state.vectors
+    residual = float(np.linalg.norm(new - old, axis=1).max()) if new.size else 0.0
+    next_state = replace(
+        state,
+        vectors=new,
+        iterations=state.iterations + 1,
+        residuals=state.residuals + (residual,),
+    )
+    return next_state, residual
 
 
 # --- continuous engine --------------------------------------------------------
@@ -115,20 +124,6 @@ def init_state(
             raise ValidationError("discrete init requires domain matrices")
         vectors = matrices.teleport + matrices.exogenous
     return ReputationState(vectors=vectors.copy(), agent_ids=ids, mode=cfg.mode)
-
-
-def _edge_distributions(
-    graph: NormalizedGraph,
-    cfg: PropagationConfig,
-    centroids: np.ndarray | None,
-) -> np.ndarray | None:
-    if not cfg.gates.needs_distributions():
-        return None
-    if centroids is None:
-        raise ValidationError(
-            "enabled gates need topic distributions; supply domain centroids"
-        )
-    return topic_distribution_batch(graph.pos_content, centroids)
 
 
 def step_continuous(
@@ -161,12 +156,15 @@ def step_continuous(
                     ),
                     graph.pos_confidence,
                 )
-            p_int = _edge_distributions(graph, cfg, centroids)
-            p_rep = None
-            if cfg.gates.kl.enabled and cfg.gates.kl.form == "softmax":
+            p_int = p_rep = None
+            if cfg.gates.needs_distributions():
                 if centroids is None:
-                    raise ValidationError("softmax kl gate requires domain centroids")
-                p_rep = topic_distribution_batch(rows, centroids)
+                    raise ValidationError(
+                        "enabled gates need topic distributions; supply domain centroids"
+                    )
+                p_int = topic_distribution_batch(graph.pos_content, centroids)
+                if cfg.gates.kl.enabled and cfg.gates.kl.form == "softmax":
+                    p_rep = topic_distribution_batch(rows, centroids)
             coeff = coeff * stack_batch(
                 cfg.gates, rows, graph.pos_content, conf, p_int, p_rep
             )
@@ -179,15 +177,7 @@ def step_continuous(
     if cfg.normalize_each_iter:
         norms = np.linalg.norm(new, axis=1, keepdims=True)
         np.divide(new, norms, out=new, where=norms > 0)
-    _check_finite(new)
-    residual = _max_row_change(new, r)
-    next_state = replace(
-        state,
-        vectors=new,
-        iterations=state.iterations + 1,
-        residuals=state.residuals + (residual,),
-    )
-    return next_state, residual
+    return _advance(state, new)
 
 
 # --- discrete engine ----------------------------------------------------------
@@ -290,32 +280,46 @@ def build_domain_matrices(
 def build_negative_matrices(
     graph: NormalizedGraph,
     matrices: DomainMatrices,
-) -> tuple[sp.csr_matrix, ...]:
-    """Per-domain negative transitions from flag edges.
+) -> sp.csr_matrix:
+    """The (N, N) per-reporter normalized flag matrix.
 
-    Flags carry no content, so the same per-reporter normalized matrix is
-    applied in every domain: moderation evidence is not topic-specific.
+    Flags carry no content, so this one matrix is applied in every domain
+    bucket of ``matrices``: moderation evidence is not topic-specific, and
+    the flag matrix does not depend on the domain split.
     """
     n = graph.n_agents
-    m = sp.csr_matrix(
+    return sp.csr_matrix(
         (graph.neg_weight, (graph.neg_sender, graph.neg_receiver)),
         shape=(n, n),
         dtype=np.float64,
     )
-    return tuple(m for _ in range(matrices.n_domains))
 
 
-def _discrete_update(
-    r: np.ndarray,
+def step_discrete(
+    state: ReputationState,
     matrices: DomainMatrices,
     cfg: PropagationConfig,
-    neg: tuple[sp.csr_matrix, ...] | None,
-) -> np.ndarray:
+    neg: sp.csr_matrix | None = None,
+) -> tuple[ReputationState, float]:
+    """One damped update of all domain buckets.
+
+    With a flag matrix ``neg``, flag flow is subtracted at strength beta in
+    every bucket and the optional floor clamp keeps buckets non-negative.
+    With beta = 0 this reduces exactly to the positive-only step.
+    """
+    if state.mode != "discrete":
+        raise ValidationError("step_discrete requires a discrete state")
+    r = state.vectors
+    if neg is not None:
+        cfg.check_negative_stability()
+        if neg.shape != (r.shape[0], r.shape[0]):
+            raise ValidationError("flag matrix must be (N, N) over the state's agents")
+        flags = cfg.beta * (neg.T @ r)
     new = np.empty_like(r)
     for d, mat in enumerate(matrices.mats):
         flow = mat.T @ r[:, d]
         if neg is not None:
-            flow = flow - cfg.beta * (neg[d].T @ r[:, d])
+            flow = flow - flags[:, d]
         new[:, d] = cfg.alpha * flow
     if cfg.couple_c_with_damping:
         new += (1.0 - cfg.alpha) * (matrices.teleport + matrices.exogenous)
@@ -323,55 +327,7 @@ def _discrete_update(
         new += (1.0 - cfg.alpha) * matrices.teleport + matrices.exogenous
     if neg is not None and cfg.clamp_floor:
         np.maximum(new, 0.0, out=new)
-    return new
-
-
-def step_discrete(
-    state: ReputationState,
-    matrices: DomainMatrices,
-    cfg: PropagationConfig,
-) -> tuple[ReputationState, float]:
-    """One damped update of all domain buckets (positive edges only)."""
-    if state.mode != "discrete":
-        raise ValidationError("step_discrete requires a discrete state")
-    new = _discrete_update(state.vectors, matrices, cfg, neg=None)
-    _check_finite(new)
-    residual = _max_row_change(new, state.vectors)
-    next_state = replace(
-        state,
-        vectors=new,
-        iterations=state.iterations + 1,
-        residuals=state.residuals + (residual,),
-    )
-    return next_state, residual
-
-
-def step_negative(
-    state: ReputationState,
-    matrices: DomainMatrices,
-    neg: tuple[sp.csr_matrix, ...],
-    cfg: PropagationConfig,
-) -> tuple[ReputationState, float]:
-    """Damped update with flag edges subtracted at strength beta.
-
-    With beta = 0 this reduces exactly to step_discrete.  The optional floor
-    clamp keeps buckets non-negative.
-    """
-    if state.mode != "discrete":
-        raise ValidationError("step_negative requires a discrete state")
-    cfg.check_negative_stability()
-    if len(neg) != matrices.n_domains:
-        raise ValidationError("negative matrices must match domain count")
-    new = _discrete_update(state.vectors, matrices, cfg, neg=neg)
-    _check_finite(new)
-    residual = _max_row_change(new, state.vectors)
-    next_state = replace(
-        state,
-        vectors=new,
-        iterations=state.iterations + 1,
-        residuals=state.residuals + (residual,),
-    )
-    return next_state, residual
+    return _advance(state, new)
 
 
 # --- drivers ------------------------------------------------------------------
@@ -382,7 +338,7 @@ def run(
     cfg: PropagationConfig,
     initial: ReputationState | None = None,
     matrices: DomainMatrices | None = None,
-    neg: tuple[sp.csr_matrix, ...] | None = None,
+    neg: sp.csr_matrix | None = None,
     centroids: np.ndarray | None = None,
 ) -> ReputationState:
     """Iterate until the residual drops below epsilon or max_iters is hit.
@@ -402,10 +358,8 @@ def run(
     for _ in range(cfg.max_iters):
         if cfg.mode == "continuous":
             state, residual = step_continuous(state, graph, cfg, centroids)
-        elif neg is not None:
-            state, residual = step_negative(state, matrices, neg, cfg)
         else:
-            state, residual = step_discrete(state, matrices, cfg)
+            state, residual = step_discrete(state, matrices, cfg, neg)
         if residual < cfg.epsilon:
             state.converged = True
             break
@@ -423,7 +377,7 @@ def warm_start(
     graph: NormalizedGraph,
     cfg: PropagationConfig,
     matrices: DomainMatrices | None = None,
-    neg: tuple[sp.csr_matrix, ...] | None = None,
+    neg: sp.csr_matrix | None = None,
     centroids: np.ndarray | None = None,
 ) -> ReputationState:
     """Run against an updated graph, seeding from a previous converged state.

@@ -1,5 +1,7 @@
 """Query-time scoring: single-score strategies, BM25, rank fusion, pipeline.
 
+``rank`` is the one place a strategy name is turned into a ranking.
+
 Converged reputation vectors double as a retrieval index.  The direct dot
 product R[j].q mixes topical alignment with accumulated magnitude; the mixed
 strategies expose that trade-off explicitly; the pipeline fuses lexical and
@@ -214,6 +216,41 @@ def pipeline_search(
         aid: score * math.log1p(norm_by_id.get(aid, 0.0)) for aid, score in fused
     }
     return rank_scores(reranked)
+
+
+# --- dispatch -----------------------------------------------------------------
+
+
+STRATEGIES = ("dot", "cosine", "mixed", "pipeline")
+
+
+def rank(
+    state: ReputationState,
+    query: Query,
+    strategy: str = "dot",
+    agents: Sequence[Agent] | None = None,
+    beta_mix: float = 0.5,
+    variant: str = "power",
+) -> RankedList:
+    """Rank every agent for ``query`` with one of ``STRATEGIES``.
+
+    ``cosine`` is ``mixed`` at beta_mix = 0 with the power variant;
+    ``pipeline`` needs the agent records for its lexical and profile
+    channels.
+    """
+    if strategy == "dot":
+        return score_dot(state, query)
+    if strategy == "cosine":
+        return score_mixed(state, query, 0.0, "power")
+    if strategy == "mixed":
+        return score_mixed(state, query, beta_mix, variant)
+    if strategy == "pipeline":
+        if agents is None:
+            raise ValidationError("pipeline strategy requires agent records")
+        return pipeline_search(state, agents, query)
+    raise ValidationError(
+        f"unknown strategy {strategy!r}; choose from {', '.join(STRATEGIES)}"
+    )
 
 
 # --- evaluation ---------------------------------------------------------------

@@ -41,7 +41,6 @@ from trustprop.propagation import (
     run,
     self_alignment,
     step_discrete,
-    step_negative,
 )
 from trustprop.retrieval import rank_scores, rrf_merge, score_dot, score_mixed
 from trustprop.vectorspace import (
@@ -231,7 +230,7 @@ def test_a06_negative_edge_rate_and_beta_zero_reduction(spec):
 
     cfg0 = PropagationConfig(mode="discrete", beta=0.0)
     start = init_state(g, cfg0, mats)
-    stepped_neg, _ = step_negative(start, mats, neg, cfg0)
+    stepped_neg, _ = step_discrete(start, mats, cfg0, neg)
     stepped_pos, _ = step_discrete(start, mats, cfg0)
     assert np.array_equal(stepped_neg.vectors, stepped_pos.vectors)
     full_neg = run(g, cfg0, matrices=mats, neg=neg)

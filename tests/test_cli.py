@@ -176,6 +176,30 @@ def test_propagate_discrete_mode(workdir, tmp_path):
     assert state.vectors.shape[1] == 8  # one bucket per domain
 
 
+@pytest.mark.parametrize(
+    "gate_conf",
+    ["gates.entropy.enabled = true\n", "gates.kl.enabled = true\ngates.kl.form = softmax\n"],
+    ids=["entropy", "kl_softmax"],
+)
+def test_propagate_continuous_with_topic_distribution_gates(workdir, tmp_path, gate_conf):
+    # These gates need domain centroids, which the CLI derives from the agents.
+    conf = tmp_path / "gated.conf"
+    conf.write_text(SMALL_CONF + gate_conf)
+    agents, edges, _ = _corpus_args(workdir)
+    out = tmp_path / "prop"
+    code = main([
+        "propagate",
+        "--config", str(conf),
+        "--agents", str(agents),
+        "--edges", str(edges),
+        "--out", str(out),
+    ])
+    assert code == 0
+    state, _, _ = snapshot_from_json((out / "snapshot.json").read_text())
+    assert state.mode == "continuous"
+    assert state.converged
+
+
 # ---------------------------------------------------------------- query
 
 
@@ -231,6 +255,23 @@ def test_query_unknown_config_strategy_is_validation_error(workdir, snapshot, tm
     assert code == 1
 
 
+def test_query_rejects_snapshot_missing_fields(workdir, tmp_path, capsys):
+    agents, _, queries = _corpus_args(workdir)
+    bad = tmp_path / "snapshot.json"
+    bad.write_text('{"dims": {"N": 20, "E": 64}}\n')
+    code = main([
+        "query",
+        "--snapshot", str(bad),
+        "--queries", str(queries),
+        "--agents", str(agents),
+        "--out", str(tmp_path / "r.csv"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "missing field 'agents'" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------- attack
 
 
@@ -277,6 +318,15 @@ def test_bench_compares_operators_across_densities(workdir, tmp_path, capsys):
     assert table.splitlines()[0].split() == [
         "operator", "labeled_edges", "iterations", "p5_strict", "p5_multilabel"
     ]
+
+
+@pytest.mark.parametrize("verb", ["attack", "bench"])
+def test_attack_and_bench_accept_every_strategy(workdir, tmp_path, verb):
+    conf = tmp_path / "pipeline.conf"
+    conf.write_text(
+        SMALL_CONF + "retrieval.strategy = pipeline\nretrieval.variant = log_damped\n"
+    )
+    assert main([verb, "--config", str(conf), "--out", str(tmp_path / verb)]) == 0
 
 
 # ---------------------------------------------------------------- usage

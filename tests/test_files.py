@@ -1,5 +1,8 @@
 """Tests for config parsing, JSONL round trips, centering and snapshots."""
 
+import copy
+import json
+
 import numpy as np
 import pytest
 
@@ -243,9 +246,26 @@ def test_snapshot_records_mean_and_dims():
 
 def test_snapshot_rejects_inconsistent_dims():
     state = ReputationState(vectors=np.array([[1.0, 2.0]]), agent_ids=("a",))
+    good = json.loads(snapshot_to_json(state, "d1"))
     text = snapshot_to_json(state, "d1").replace('"N": 1', '"N": 2')
     with pytest.raises(ValidationError):
         snapshot_from_json(text)
+    # Missing fields are validation errors too, never a KeyError.
+    broken = [
+        lambda o: o.pop("dims"),
+        lambda o: o.pop("agents"),
+        lambda o: o["dims"].pop("N"),
+        lambda o: o["dims"].pop("E"),
+        lambda o: o["agents"][0].pop("id"),
+        lambda o: o["agents"][0].pop("r"),
+    ]
+    for breaks in broken:
+        obj = copy.deepcopy(good)
+        breaks(obj)
+        with pytest.raises(ValidationError):
+            snapshot_from_json(json.dumps(obj))
+    with pytest.raises(ValidationError):
+        snapshot_from_json("[]")
 
 
 def test_residuals_csv_layout():

@@ -48,6 +48,9 @@ def labeled(sender, receiver, base=1.0, content=E2, payment=False, confidence=No
 def test_agent_rejects_non_unit_profile():
     with pytest.raises(ValidationError):
         make_agent("a", profile=[2.0, 0.0])
+    for bad in ([np.nan, 0.0], [np.inf, 0.0]):
+        with pytest.raises(ValidationError):
+            make_agent("a", profile=bad)
 
 
 def test_agent_rejects_mismatched_prior_dims():
@@ -59,6 +62,14 @@ def test_agent_rejects_mismatched_prior_dims():
             teleport=np.zeros(3),
             exogenous=np.zeros(2),
         )
+    # Non-finite priors are rejected as well.
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError):
+            Agent(id="a", primary_domain="d", profile=E2,
+                  teleport=np.array([bad, 0.0]), exogenous=np.zeros(2))
+        with pytest.raises(ValidationError):
+            Agent(id="a", primary_domain="d", profile=E2,
+                  teleport=np.zeros(2), exogenous=np.array([0.0, bad]))
 
 
 def test_agent_rejects_unknown_archetype_and_empty_id():
@@ -74,6 +85,8 @@ def test_edge_kind_contracts():
         Edge(sender="a", receiver="b", kind="labeled")
     with pytest.raises(ValidationError):
         Edge(sender="a", receiver="b", kind="labeled", content=[3.0, 0.0])
+    with pytest.raises(ValidationError):
+        Edge(sender="a", receiver="b", kind="labeled", content=[np.nan, 0.0])
     with pytest.raises(ValidationError):
         Edge(sender="a", receiver="b", kind="blind", content=E2)
     with pytest.raises(ValidationError):
@@ -101,6 +114,12 @@ def test_edge_rejects_self_loops_and_bad_confidence():
         Edge(sender="a", receiver="a", kind="blind")
     with pytest.raises(ValidationError):
         labeled("a", "b", confidence=1.2)
+    with pytest.raises(ValidationError):
+        labeled("a", "b", confidence=np.nan)
+    # base_weight must be finite and positive
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            labeled("a", "b", base=bad)
 
 
 # ---------------------------------------------------------------- weights

@@ -23,10 +23,8 @@ from trustprop.harness import (
     SAME_SYBIL_TARGETS,
     VOTE_RING_EDGES,
     CorpusSpec,
-    DensityRow,
     FlagDefenseReport,
     apply_flag_defense,
-    density_csv,
     format_table,
     generate_corpus,
     magnitude_percentiles,
@@ -34,6 +32,7 @@ from trustprop.harness import (
     run_scenario,
 )
 from trustprop.propagation import ReputationState, steady_state_bound
+from trustprop.retrieval import pipeline_search, score_mixed
 
 from conftest import assert_within_steady_bound
 
@@ -289,6 +288,15 @@ def test_rank_queries_rejects_unknown_strategy(corpus, baseline):
         rank_queries(baseline, corpus, strategy="oracle")
 
 
+def test_rank_queries_passes_retrieval_settings_through(corpus, baseline):
+    got = rank_queries(baseline, corpus, "mixed", beta_mix=0.3, variant="log_damped")
+    for q in corpus.queries:
+        assert got[q.id] == score_mixed(baseline, q, 0.3, "log_damped")
+    piped = rank_queries(baseline, corpus, "pipeline")
+    q = corpus.queries[0]
+    assert piped[q.id] == pipeline_search(baseline, corpus.agents, q)
+
+
 def test_run_scenario_baseline_has_zero_deltas(spec):
     report = run_scenario(spec, None)
     assert report.scenario == "baseline"
@@ -322,15 +330,6 @@ def test_flag_defense_report_reduction_math():
     assert report.reduction("a49") == 0.0
     assert report.nonflagged_order("unflagged") == ["a00", "a01"]
     assert report.nonflagged_order("flagged") == ["a00", "a01"]
-
-
-def test_density_csv_layout():
-    rows = [DensityRow(70, 0, 0.94, 0.96), DensityRow(70, 612, 0.98, 1.0)]
-    text = density_csv(rows)
-    lines = text.strip().splitlines()
-    assert lines[0] == "labeled_edges,blind_edges,p5_strict,p5_multilabel"
-    assert lines[1].startswith("70,0,")
-    assert len(lines) == 3
 
 
 def test_format_table_aligns_columns():

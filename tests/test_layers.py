@@ -1,0 +1,56 @@
+"""Imports between trustprop modules only go down the layer order."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "trustprop"
+
+# vectorspace -> graph -> operators/gates -> propagation -> retrieval ->
+# harness -> files/cli.  A module may import modules at its own layer or
+# below; errors sits beneath everything, so any module may import it.
+# The package __init__ re-exports the public names and is not layered.
+LAYERS = {
+    "errors": 0,
+    "vectorspace": 1,
+    "graph": 2,
+    "operators": 3,
+    "gates": 3,
+    "propagation": 4,
+    "retrieval": 5,
+    "harness": 6,
+    "files": 7,
+    "cli": 7,
+}
+
+
+def _trustprop_imports(path):
+    """Names of the trustprop modules that a source file imports."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and node.module and node.module.startswith("trustprop"):
+                parts = node.module.split(".")[1:]
+            elif node.level == 1:
+                parts = node.module.split(".") if node.module else []
+            else:
+                continue
+            if parts:
+                yield parts[0]
+            else:  # from . import x
+                yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "trustprop" and len(parts) > 1:
+                    yield parts[1]
+
+
+def test_imports_go_down_the_layers():
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == set(LAYERS), "every trustprop module needs a layer"
+    upward = [
+        f"{module} imports {target}"
+        for module in sorted(modules)
+        for target in _trustprop_imports(PACKAGE / f"{module}.py")
+        if LAYERS[target] > LAYERS[module]
+    ]
+    assert upward == []

@@ -19,7 +19,6 @@ from trustprop.propagation import (
     steady_state_bound,
     step_continuous,
     step_discrete,
-    step_negative,
     warm_start,
 )
 
@@ -357,10 +356,10 @@ def test_clamp_floor_keeps_buckets_non_negative():
     g, mats, neg = _flag_fixture(extra_positive=False)
     cfg = PropagationConfig(mode="discrete")
     state = init_state(g, cfg, mats)
-    clamped, _ = step_negative(state, mats, neg, cfg)
+    clamped, _ = step_discrete(state, mats, cfg, neg)
     assert clamped.vectors[1, 0] == 0.0
     raw_cfg = PropagationConfig(mode="discrete", clamp_floor=False)
-    unclamped, _ = step_negative(state, mats, neg, raw_cfg)
+    unclamped, _ = step_discrete(state, mats, raw_cfg, neg)
     assert unclamped.vectors[1, 0] < 0.0
 
 
@@ -368,7 +367,7 @@ def test_beta_zero_reduces_to_plain_discrete_step_exactly():
     g, mats, neg = _flag_fixture()
     cfg = PropagationConfig(mode="discrete", beta=0.0)
     state = init_state(g, cfg, mats)
-    with_neg, _ = step_negative(state, mats, neg, cfg)
+    with_neg, _ = step_discrete(state, mats, cfg, neg)
     without, _ = step_discrete(state, mats, cfg)
     assert np.array_equal(with_neg.vectors, without.vectors)
 
@@ -391,14 +390,23 @@ def test_negative_run_converges_and_suppresses_target():
 
 
 def test_negative_matrices_replicate_across_domains():
+    # One (N, N) flag matrix, subtracted at strength beta in every bucket.
     rep = make_agent("rep")
     bad = make_agent("bad")
     g = normalize([rep, bad], [Edge(sender="rep", receiver="bad", kind="flag", severity=0.7)])
     mats = build_domain_matrices(g, np.eye(2), top_k=1)
     neg = build_negative_matrices(g, mats)
-    assert len(neg) == 2
-    assert (neg[0] != neg[1]).nnz == 0
-    assert neg[0][0, 1] == pytest.approx(1.0)  # per-reporter normalized
+    assert neg.shape == (2, 2)
+    assert neg[0, 1] == pytest.approx(1.0)  # per-reporter normalized
+    assert neg.nnz == 1
+    cfg = PropagationConfig(mode="discrete", clamp_floor=False)
+    state = init_state(g, cfg, mats)
+    state.vectors[:] = [[2.0, 3.0], [5.0, 7.0]]
+    with_neg, _ = step_discrete(state, mats, cfg, neg)
+    without, _ = step_discrete(state, mats, cfg)
+    removed = without.vectors - with_neg.vectors
+    expected = cfg.alpha * cfg.beta * np.array([[0.0, 0.0], [2.0, 3.0]])
+    np.testing.assert_allclose(removed, expected, atol=1e-15)
 
 
 # ----------------------------------------------------------------- warm start

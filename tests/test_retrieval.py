@@ -13,6 +13,7 @@ from trustprop.retrieval import (
     bm25_scores,
     pipeline_search,
     precision_at_k,
+    rank,
     rank_scores,
     rrf_merge,
     score_dot,
@@ -204,6 +205,23 @@ def test_pipeline_validates_inputs():
         pipeline_search(state, agents[:2], query(np.eye(3)[0], text="alpha"))
     with pytest.raises(ValidationError):
         pipeline_search(state, agents, query(np.zeros(3), text="alpha"))
+
+
+# ---------------------------------------------------------------- dispatch
+
+
+def test_rank_dispatches_each_strategy():
+    agents, state = _pipeline_fixture()
+    q = query(np.array([0.6, 0.8, 0.0]), text="beta")
+    assert rank(state, q) == score_dot(state, q)
+    assert rank(state, q, "cosine") == score_mixed(state, q, 0.0, "power")
+    mixed = rank(state, q, "mixed", beta_mix=0.3, variant="log_damped")
+    assert mixed == score_mixed(state, q, 0.3, "log_damped")
+    assert rank(state, q, "pipeline", agents) == pipeline_search(state, agents, q)
+    with pytest.raises(ValidationError):
+        rank(state, q, "pipeline")  # needs the agent records
+    with pytest.raises(ValidationError):
+        rank(state, q, "oracle", agents)
 
 
 # ---------------------------------------------------------------- precision
