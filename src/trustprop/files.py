@@ -28,7 +28,7 @@ from .graph import Agent, Edge, WeightConfig
 from .harness import CorpusSpec
 from .operators import OperatorKind
 from .propagation import PropagationConfig, ReputationState
-from .retrieval import Query
+from .retrieval import STRATEGIES, VARIANTS, Query
 from .vectorspace import center_and_normalize, fit_centering
 
 # --- flat config --------------------------------------------------------------
@@ -81,6 +81,12 @@ CONFIG_DEFAULTS: dict[str, tuple[type, Any]] = {
     "attack.flag_severity": (float, 0.95),
 }
 
+# Keys whose value must be one of a fixed set, checked when a config is read.
+CONFIG_CHOICES: dict[str, tuple[str, ...]] = {
+    "retrieval.strategy": STRATEGIES,
+    "retrieval.variant": VARIANTS,
+}
+
 
 def _coerce(key: str, raw: str) -> Any:
     typ, _ = CONFIG_DEFAULTS[key]
@@ -92,9 +98,15 @@ def _coerce(key: str, raw: str) -> Any:
             return False
         raise ValidationError(f"config key {key!r}: expected boolean, got {raw!r}")
     try:
-        return typ(raw)
+        value = typ(raw)
     except ValueError as exc:
         raise ValidationError(f"config key {key!r}: {exc}") from exc
+    choices = CONFIG_CHOICES.get(key)
+    if choices is not None and value not in choices:
+        raise ValidationError(
+            f"config key {key!r}: {value!r} is not one of {', '.join(choices)}"
+        )
+    return value
 
 
 def parse_config(text: str) -> dict[str, Any]:

@@ -90,6 +90,11 @@ class Edge:
     def __post_init__(self) -> None:
         if self.kind not in EDGE_KINDS:
             raise ValidationError(f"unknown edge kind {self.kind!r}")
+        _check_number("base_weight", self.base_weight)
+        if self.severity is not None:
+            _check_number("severity", self.severity)
+        if self.confidence is not None:
+            _check_number("confidence", self.confidence)
         if not 0.0 < float(self.base_weight) < math.inf:
             raise ValidationError("base_weight must be finite and > 0")
         if self.kind in ("labeled", "blind") and self.sender == self.receiver:
@@ -111,6 +116,16 @@ class Edge:
             raise ValidationError("severity only applies to flag edges")
         if self.confidence is not None and not 0.0 <= float(self.confidence) <= 1.0:
             raise ValidationError("confidence must lie in [0, 1]")
+
+
+# Python and NumPy reals; bool is an int subclass and is rejected on its own.
+_NUMBER_TYPES = (float, int, np.floating, np.integer)
+
+
+def _check_number(name: str, value: object) -> None:
+    """Reject what JSON can put where a number belongs: null, strings, booleans."""
+    if type(value) is bool or not isinstance(value, _NUMBER_TYPES):
+        raise ValidationError(f"{name} must be a number, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)

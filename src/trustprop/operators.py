@@ -122,11 +122,8 @@ def transfer_batch(
         g = kind.hybrid_gamma
         return g * _projection(r, e) + (1.0 - g) * _squared(r, e)
     # per_edge_select: squared gating on blind edges, projection on labeled
-    out = _projection(r, e)
     blind = np.asarray(blind, dtype=bool)
-    if blind.any():
-        out[blind] = _squared(r[blind], e[blind])
-    return out
+    return np.where(blind[:, None], _squared(r, e), _projection(r, e))
 
 
 def _projection(r: np.ndarray, e: np.ndarray) -> np.ndarray:

@@ -9,6 +9,14 @@ gates are bounded by 1 and each sender's weights sum to at most 1, the map
 contracts with rate alpha and the iteration converges to a unique fixed
 point from any start.
 
+A continuous step is gather -> transfer -> gate -> one CSR product: the
+sender rows R[i] are gathered per edge, ``transfer_batch`` maps them
+through the edge contents, the enabled gates rewrite the weights of a
+receiver-major (N, M) scatter matrix to w * gate, and one sparse product
+sums each receiver's in-edges.  The scatter matrix, the confidence vector
+and the edge topic distributions depend only on the edges, so ``run``
+builds them once per call.
+
 Discrete form (one row per agent, D domain buckets): per-domain transition
 matrices M_d drive a linear damped iteration per bucket; flag edges enter
 through one flag matrix as a subtracted beta-scaled term in every bucket,
@@ -126,49 +134,81 @@ def init_state(
     return ReputationState(vectors=vectors.copy(), agent_ids=ids, mode=cfg.mode)
 
 
-def step_continuous(
+@dataclass
+class _ContinuousPlan:
+    """Per-run constants of the continuous step; they depend only on the edges.
+
+    ``scatter`` is the receiver-major (N, M) CSR matrix whose row j holds the
+    weights of j's positive in-edges in ascending edge order; its
+    ``indices`` are the edge ids of its entries, so a gated step can rewrite
+    ``scatter.data`` to w * gate in place.
+    """
+
+    scatter: sp.csr_matrix
+    confidence: np.ndarray | None = None
+    p_int: np.ndarray | None = None
+    centroids: np.ndarray | None = None
+
+
+def _continuous_plan(
+    graph: NormalizedGraph,
+    cfg: PropagationConfig,
+    centroids: np.ndarray | None,
+) -> _ContinuousPlan:
+    n, m = graph.n_agents, graph.n_pos_edges
+    order = np.argsort(graph.pos_receiver, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(graph.pos_receiver, minlength=n), out=indptr[1:])
+    plan = _ContinuousPlan(
+        scatter=sp.csr_matrix((graph.pos_weight[order], order, indptr), shape=(n, m))
+    )
+    gates = cfg.gates
+    if gates.confidence.enabled:
+        plan.confidence = np.where(
+            np.isnan(graph.pos_confidence),
+            np.where(graph.pos_blind, gates.confidence.default_confidence, 1.0),
+            graph.pos_confidence,
+        )
+    if gates.needs_distributions() and m:
+        if centroids is None:
+            raise ValidationError(
+                "enabled gates need topic distributions; supply domain centroids"
+            )
+        plan.p_int = topic_distribution_batch(graph.pos_content, centroids)
+        plan.centroids = centroids
+    return plan
+
+
+def _step_continuous(
     state: ReputationState,
     graph: NormalizedGraph,
     cfg: PropagationConfig,
-    centroids: np.ndarray | None = None,
+    plan: _ContinuousPlan,
 ) -> tuple[ReputationState, float]:
-    """One synchronous update of every agent's row; returns (state, residual)."""
-    if state.mode != "continuous":
-        raise ValidationError("step_continuous requires a continuous state")
+    """Gather sender rows, transfer, gate the weights, then one CSR product.
+
+    Each row of ``scatter @ transferred`` sums w_e * x_e over the receiver's
+    in-edges in ascending edge order from 0.0, the same additions in the
+    same order as an edge-order scatter-add, so the result is bit-identical
+    to it.
+    """
     r = state.vectors
-    acc = np.zeros_like(r)
     if graph.n_pos_edges:
-        senders = graph.pos_sender
-        rows = r[senders]
+        rows = r[graph.pos_sender]
         transferred = transfer_batch(
             cfg.operator, rows, graph.pos_content, graph.pos_blind
         )
-        coeff = graph.pos_weight
         if cfg.gates.any_enabled:
-            conf = None
-            if cfg.gates.confidence.enabled:
-                conf = np.where(
-                    np.isnan(graph.pos_confidence),
-                    np.where(
-                        graph.pos_blind,
-                        cfg.gates.confidence.default_confidence,
-                        1.0,
-                    ),
-                    graph.pos_confidence,
-                )
-            p_int = p_rep = None
-            if cfg.gates.needs_distributions():
-                if centroids is None:
-                    raise ValidationError(
-                        "enabled gates need topic distributions; supply domain centroids"
-                    )
-                p_int = topic_distribution_batch(graph.pos_content, centroids)
-                if cfg.gates.kl.enabled and cfg.gates.kl.form == "softmax":
-                    p_rep = topic_distribution_batch(rows, centroids)
-            coeff = coeff * stack_batch(
-                cfg.gates, rows, graph.pos_content, conf, p_int, p_rep
+            p_rep = None
+            if cfg.gates.kl.enabled and cfg.gates.kl.form == "softmax":
+                p_rep = topic_distribution_batch(rows, plan.centroids)
+            gate = stack_batch(
+                cfg.gates, rows, graph.pos_content, plan.confidence, plan.p_int, p_rep
             )
-        np.add.at(acc, graph.pos_receiver, coeff[:, None] * transferred)
+            plan.scatter.data[:] = (graph.pos_weight * gate)[plan.scatter.indices]
+        acc = plan.scatter @ transferred
+    else:
+        acc = np.zeros_like(r)
     new = cfg.alpha * acc
     if cfg.couple_c_with_damping:
         new += (1.0 - cfg.alpha) * (graph.teleport + graph.exogenous)
@@ -178,6 +218,22 @@ def step_continuous(
         norms = np.linalg.norm(new, axis=1, keepdims=True)
         np.divide(new, norms, out=new, where=norms > 0)
     return _advance(state, new)
+
+
+def step_continuous(
+    state: ReputationState,
+    graph: NormalizedGraph,
+    cfg: PropagationConfig,
+    centroids: np.ndarray | None = None,
+) -> tuple[ReputationState, float]:
+    """One synchronous update of every agent's row; returns (state, residual).
+
+    Builds the per-run constants for this single step; ``run`` builds them
+    once and reuses them for every iteration.
+    """
+    if state.mode != "continuous":
+        raise ValidationError("step_continuous requires a continuous state")
+    return _step_continuous(state, graph, cfg, _continuous_plan(graph, cfg, centroids))
 
 
 # --- discrete engine ----------------------------------------------------------
@@ -355,9 +411,11 @@ def run(
     state = initial if initial is not None else init_state(graph, cfg, matrices)
     if state.mode != cfg.mode:
         raise ValidationError("initial state mode does not match config")
+    if cfg.mode == "continuous":
+        plan = _continuous_plan(graph, cfg, centroids)
     for _ in range(cfg.max_iters):
         if cfg.mode == "continuous":
-            state, residual = step_continuous(state, graph, cfg, centroids)
+            state, residual = _step_continuous(state, graph, cfg, plan)
         else:
             state, residual = step_discrete(state, matrices, cfg, neg)
         if residual < cfg.epsilon:

@@ -65,6 +65,9 @@ def score_dot(state: ReputationState, query: Query) -> RankedList:
     return rank_scores({aid: float(dots[i]) for i, aid in enumerate(state.agent_ids)})
 
 
+VARIANTS = ("power", "log_damped")
+
+
 def score_mixed(
     state: ReputationState,
     query: Query,
@@ -78,7 +81,7 @@ def score_mixed(
 
     Zero-magnitude agents score 0 under both variants.
     """
-    if variant not in ("power", "log_damped"):
+    if variant not in VARIANTS:
         raise ValidationError(f"unknown mixed variant {variant!r}")
     if beta_mix < 0:
         raise ValidationError("beta_mix must be >= 0")

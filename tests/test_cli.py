@@ -158,6 +158,26 @@ def test_propagate_missing_file_is_io_error(workdir, tmp_path):
     assert code == 3
 
 
+def test_propagate_null_base_weight_is_validation_error(workdir, tmp_path, capsys):
+    agents, edges, _ = _corpus_args(workdir)
+    lines = edges.read_text().splitlines()
+    record = json.loads(lines[0])
+    record["base_weight"] = None
+    bad = tmp_path / "edges.jsonl"
+    bad.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+    code = main([
+        "propagate",
+        "--agents", str(agents),
+        "--edges", str(bad),
+        "--out", str(tmp_path / "prop"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "base_weight must be a number" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "prop").exists()
+
+
 def test_propagate_discrete_mode(workdir, tmp_path):
     conf = tmp_path / "disc.conf"
     conf.write_text(SMALL_CONF + "propagation.mode = discrete\npropagation.top_k = 2\n")
@@ -298,6 +318,16 @@ def test_attack_rejects_unknown_scenario(workdir, tmp_path):
             "--out", str(tmp_path),
         ])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("verb", ["attack", "bench"])
+def test_attack_and_bench_reject_unknown_strategy_before_running(tmp_path, verb, capsys):
+    conf = tmp_path / "oracle.conf"
+    conf.write_text(SMALL_CONF + "retrieval.strategy = oracle\n")
+    out = tmp_path / verb
+    assert main([verb, "--config", str(conf), "--out", str(out)]) == 1
+    assert "retrieval.strategy" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- bench

@@ -62,6 +62,15 @@ def test_parse_config_rejects_bad_lines():
         parse_config("gates.kl.enabled = maybe")
 
 
+def test_parse_config_rejects_unknown_retrieval_choices():
+    with pytest.raises(ValidationError, match="retrieval.strategy"):
+        parse_config("retrieval.strategy = oracle")
+    with pytest.raises(ValidationError, match="retrieval.variant"):
+        parse_config("retrieval.variant = cubic")
+    cfg = parse_config("retrieval.strategy = pipeline\nretrieval.variant = log_damped")
+    assert (cfg["retrieval.strategy"], cfg["retrieval.variant"]) == ("pipeline", "log_damped")
+
+
 def test_load_config_none_gives_defaults(tmp_path):
     assert load_config(None) == parse_config("")
     p = tmp_path / "run.conf"

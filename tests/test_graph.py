@@ -122,6 +122,31 @@ def test_edge_rejects_self_loops_and_bad_confidence():
             labeled("a", "b", base=bad)
 
 
+@pytest.mark.parametrize("bad", [None, "1.5", True, False, np.bool_(True)])
+def test_edge_rejects_non_numeric_base_weight(bad):
+    with pytest.raises(ValidationError, match="base_weight must be a number"):
+        labeled("a", "b", base=bad)
+
+
+@pytest.mark.parametrize("bad", ["0.5", True, np.bool_(False)])
+def test_edge_rejects_non_numeric_severity_and_confidence(bad):
+    with pytest.raises(ValidationError, match="severity must be a number"):
+        Edge(sender="a", receiver="b", kind="flag", severity=bad)
+    with pytest.raises(ValidationError, match="confidence must be a number"):
+        labeled("a", "b", confidence=bad)
+
+
+def test_edge_keeps_numeric_values_unconverted():
+    edge = Edge(
+        sender="a", receiver="b", kind="labeled", base_weight=2, content=E2,
+        confidence=np.float64(0.5),
+    )
+    assert type(edge.base_weight) is int
+    assert type(edge.confidence) is np.float64
+    flag = Edge(sender="a", receiver="b", kind="flag", severity=1)
+    assert type(flag.severity) is int
+
+
 # ---------------------------------------------------------------- weights
 
 

@@ -2,10 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trustprop.errors import ValidationError
+from trustprop.gates import (
+    ConfidenceGateConfig,
+    EntropyGateConfig,
+    GateStack,
+    KlGateConfig,
+    MagnitudeGateConfig,
+    stack_batch,
+    topic_distribution_batch,
+)
 from trustprop.graph import Agent, Edge, normalize
-from trustprop.operators import OperatorKind
+from trustprop.operators import OperatorKind, transfer_batch
 from trustprop.propagation import (
     PropagationConfig,
     build_domain_matrices,
@@ -492,3 +503,187 @@ def test_centroids_from_agents_orders_by_first_appearance():
     mean = (u + w) / 2.0
     np.testing.assert_allclose(cents[0], mean / np.linalg.norm(mean), atol=1e-12)
     np.testing.assert_allclose(cents[1], v, atol=1e-12)
+
+
+# ------------------------------------------- continuous step vs edge-order scatter
+
+
+def _reference_transfer(kind, r, e, blind):
+    """transfer_batch, with hybrid per-edge selection written as a masked overwrite."""
+    if kind.variant == "hybrid" and kind.hybrid_mode == "per_edge_select":
+        out = transfer_batch(OperatorKind("projection"), r, e, blind)
+        if blind.any():
+            out[blind] = transfer_batch(SQUARED, r[blind], e[blind], blind[blind])
+        return out
+    return transfer_batch(kind, r, e, blind)
+
+
+def _reference_step(r, graph, cfg, centroids):
+    """One continuous step that scatters w * gate * f(R[i], e) with np.add.at."""
+    acc = np.zeros_like(r)
+    if graph.n_pos_edges:
+        rows = r[graph.pos_sender]
+        transferred = _reference_transfer(
+            cfg.operator, rows, graph.pos_content, graph.pos_blind
+        )
+        coeff = graph.pos_weight
+        gates = cfg.gates
+        if gates.any_enabled:
+            conf = np.where(
+                np.isnan(graph.pos_confidence),
+                np.where(graph.pos_blind, gates.confidence.default_confidence, 1.0),
+                graph.pos_confidence,
+            )
+            p_int = topic_distribution_batch(graph.pos_content, centroids)
+            p_rep = topic_distribution_batch(rows, centroids)
+            coeff = coeff * stack_batch(gates, rows, graph.pos_content, conf, p_int, p_rep)
+        np.add.at(acc, graph.pos_receiver, coeff[:, None] * transferred)
+    new = cfg.alpha * acc
+    if cfg.couple_c_with_damping:
+        new += (1.0 - cfg.alpha) * (graph.teleport + graph.exogenous)
+    else:
+        new += (1.0 - cfg.alpha) * graph.teleport + graph.exogenous
+    if cfg.normalize_each_iter:
+        norms = np.linalg.norm(new, axis=1, keepdims=True)
+        np.divide(new, norms, out=new, where=norms > 0)
+    return new
+
+
+def _reference_run(graph, cfg, centroids):
+    r = graph.teleport + graph.exogenous
+    residuals = []
+    for _ in range(cfg.max_iters):
+        new = _reference_step(r, graph, cfg, centroids)
+        residuals.append(float(np.linalg.norm(new - r, axis=1).max()))
+        r = new
+        if residuals[-1] < cfg.epsilon:
+            break
+    return r, tuple(residuals)
+
+
+_ALL_GATES = dict(
+    kl=KlGateConfig(enabled=True, form="softmax", lam=2.0),
+    entropy=EntropyGateConfig(enabled=True, strength=0.5),
+    magnitude_ratio=MagnitudeGateConfig(enabled=True),
+    confidence=ConfidenceGateConfig(enabled=True, default_confidence=0.3),
+)
+_OPERATORS = {
+    name: OperatorKind.from_name(name) for name in ("projection", "squared", "scalar", "relu")
+}
+_OPERATORS["hybrid_interpolate"] = OperatorKind.from_name("hybrid", 0.3, "interpolate")
+_OPERATORS["hybrid_select"] = OperatorKind.from_name("hybrid", None, "per_edge_select")
+_GATE_STACKS = {
+    "kl_cosine": GateStack(kl=KlGateConfig(enabled=True)),
+    "kl_softmax": GateStack(kl=_ALL_GATES["kl"]),
+    "entropy": GateStack(entropy=_ALL_GATES["entropy"]),
+    "magnitude": GateStack(magnitude_ratio=_ALL_GATES["magnitude_ratio"]),
+    "confidence": GateStack(confidence=_ALL_GATES["confidence"]),
+    "all_gates": GateStack(**_ALL_GATES),
+    "all_gates_kl_cosine": GateStack(**{**_ALL_GATES, "kl": KlGateConfig(enabled=True)}),
+}
+_SCATTER_CONFIGS = {
+    **{name: PropagationConfig(operator=op, max_iters=60) for name, op in _OPERATORS.items()},
+    **{name: PropagationConfig(gates=g, max_iters=60) for name, g in _GATE_STACKS.items()},
+    "hybrid_select_all_gates": PropagationConfig(
+        operator=_OPERATORS["hybrid_select"], gates=_GATE_STACKS["all_gates"], max_iters=60
+    ),
+    "normalized_coupled": PropagationConfig(
+        normalize_each_iter=True, couple_c_with_damping=True, max_iters=60
+    ),
+}
+
+# (sender, receiver offset, blind, base weight, payment, confidence)
+_EDGE = st.tuples(
+    st.integers(0, 5),
+    st.integers(0, 4),
+    st.booleans(),
+    st.sampled_from([0.5, 1.0, 3.0]),
+    st.booleans(),
+    st.sampled_from([None, 0.0, 0.4, 1.0]),
+)
+_GRAPH = st.tuples(
+    st.integers(1, 6),  # agents
+    st.integers(1, 4),  # embedding dim
+    st.integers(0, 2**32 - 1),  # seed for the vectors
+    st.lists(_EDGE, max_size=16),
+)
+# Three parallel a0->a1 edges, a sender with no positive out-edges (a2),
+# agents with no in-edges (a0, a3), a zero-reputation sender (a3), blind and
+# labeled edges with and without confidences.
+_MIXED = (
+    4, 3, 7,
+    [(0, 0, False, 1.0, False, None), (0, 0, True, 3.0, True, 0.4),
+     (0, 0, False, 0.5, False, 1.0), (1, 0, True, 1.0, False, None),
+     (3, 1, False, 1.0, True, 0.0)],
+)
+
+
+def _spec_graph(spec):
+    """(graph, centroids) for a drawn (n, dim, seed, edges) spec.
+
+    Receivers are taken as an offset from the sender, so no edge is a self-loop.
+    """
+    n, dim, seed, raw = spec
+    rng = np.random.default_rng(seed)
+
+    def unit():
+        v = rng.standard_normal(dim)
+        return v / np.linalg.norm(v)
+
+    agents = []
+    for i in range(n):
+        profile = unit()
+        exo = 0.0 if i % 3 == 0 else rng.uniform(0.0, 0.5)
+        tel = 0.0 if i == n - 1 and n > 2 else rng.uniform(0.05, 1.0)
+        agents.append(Agent(
+            id=f"a{i}", primary_domain="d", profile=profile,
+            teleport=tel * profile, exogenous=exo * unit(),
+        ))
+    edges = []
+    for sender, offset, blind, base, payment, conf in raw if n > 1 else []:
+        s = sender % n
+        r = (s + 1 + offset % (n - 1)) % n
+        edges.append(Edge(
+            sender=f"a{s}", receiver=f"a{r}", kind="blind" if blind else "labeled",
+            base_weight=base, content=None if blind else unit(), payment=payment,
+            confidence=conf,
+        ))
+    centroids = np.vstack([unit() for _ in range(3)])
+    return normalize(agents, edges), centroids
+
+
+@pytest.mark.parametrize("cfg", list(_SCATTER_CONFIGS.values()), ids=list(_SCATTER_CONFIGS))
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(spec=_GRAPH)
+@example(spec=(3, 2, 0, []))
+@example(spec=_MIXED)
+def test_continuous_step_equals_edge_order_scatter(cfg, spec):
+    graph, cents = _spec_graph(spec)
+    state = run(graph, cfg, centroids=cents)
+    vectors, residuals = _reference_run(graph, cfg, cents)
+    assert np.array_equal(state.vectors, vectors)
+    assert state.residuals == residuals
+    assert state.iterations == len(residuals)
+    start = init_state(graph, cfg)
+    for s in (start, state):
+        stepped, _ = step_continuous(s, graph, cfg, cents)
+        assert np.array_equal(stepped.vectors, _reference_step(s.vectors, graph, cfg, cents))
+
+
+@pytest.mark.parametrize("pattern", ["none", "some", "all"])
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 12), dim=st.integers(1, 5))
+def test_hybrid_per_edge_select_equals_masked_overwrite(pattern, seed, m, dim):
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal((m, dim))
+    e = rng.standard_normal((m, dim))
+    e /= np.linalg.norm(e, axis=1, keepdims=True)
+    blind = {
+        "none": np.zeros(m, dtype=bool),
+        "some": np.arange(m) % 2 == 1,
+        "all": np.ones(m, dtype=bool),
+    }[pattern]
+    kind = OperatorKind.from_name("hybrid")
+    assert np.array_equal(
+        transfer_batch(kind, r, e, blind), _reference_transfer(kind, r, e, blind)
+    )
