@@ -207,9 +207,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
         corpus = generate_corpus(spec)
         graph = normalize(corpus.agents, corpus.edges, weight_cfg)
+        centroids = None
+        if base_prop.gates.needs_distributions():
+            _, centroids = centroids_from_agents(corpus.agents)
         for op_name in sorted(OPERATOR_NAMES):
             prop_cfg = replace(base_prop, operator=OperatorKind.from_name(op_name))
-            state = run(graph, prop_cfg)
+            state = run(graph, prop_cfg, centroids=centroids)
             all_converged = all_converged and state.converged
             rankings = rank_queries(
                 state,

@@ -29,7 +29,7 @@ from .harness import CorpusSpec
 from .operators import OperatorKind
 from .propagation import PropagationConfig, ReputationState
 from .retrieval import STRATEGIES, VARIANTS, Query
-from .vectorspace import center_and_normalize, fit_centering
+from .vectorspace import center_and_normalize, fit_centering, row_norms
 
 # --- flat config --------------------------------------------------------------
 
@@ -371,28 +371,40 @@ def center_corpus(
         raise ValidationError("nothing to center: no embeddings in the input files")
     model = fit_centering(cloud)
 
-    def _recenter_scaled(v: np.ndarray) -> np.ndarray:
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            return v
-        return norm * center_and_normalize(model, v)
+    # Profiles, contents and query embeddings are all unit fields: center
+    # the whole cloud in one call, then hand each record its row.
+    unit = center_and_normalize(model, np.vstack(cloud))
+    n_agents, n_contents = len(agents), len(cloud) - len(agents) - len(queries)
+    profiles = unit[:n_agents]
+    contents = iter(unit[n_agents : n_agents + n_contents])
+    embeddings = unit[n_agents + n_contents :]
 
+    def _recenter_scaled(vectors: list[np.ndarray]) -> np.ndarray:
+        out = np.vstack(vectors) if vectors else np.zeros((0, model.dim))
+        norms = row_norms(out)
+        nonzero = norms != 0.0
+        out[nonzero] = norms[nonzero, None] * center_and_normalize(model, out[nonzero])
+        return out
+
+    teleports = _recenter_scaled([a.teleport for a in agents])
+    exogenous = _recenter_scaled([a.exogenous for a in agents])
+
+    # Agents usually outlive the edges, so each gets arrays of its own rather
+    # than views that keep the stacked matrices alive; with views, repeated
+    # recomputes reached a higher peak RSS.
     new_agents = [
         replace(
             a,
-            profile=center_and_normalize(model, a.profile),
-            teleport=_recenter_scaled(a.teleport),
-            exogenous=_recenter_scaled(a.exogenous),
+            profile=profiles[i].copy(),
+            teleport=teleports[i].copy(),
+            exogenous=exogenous[i].copy(),
         )
-        for a in agents
+        for i, a in enumerate(agents)
     ]
     new_edges = [
-        e if e.content is None else replace(e, content=center_and_normalize(model, e.content))
-        for e in edges
+        e if e.content is None else replace(e, content=next(contents)) for e in edges
     ]
-    new_queries = [
-        replace(q, embedding=center_and_normalize(model, q.embedding)) for q in queries
-    ]
+    new_queries = [replace(q, embedding=embeddings[i]) for i, q in enumerate(queries)]
     return new_agents, new_edges, new_queries, model.mean
 
 

@@ -11,6 +11,13 @@ Raw positive weights multiply base weight by payment, blind and same-owner
 factors, then each sender's outgoing weights are normalized to sum to one.
 Flag weights (severity x reporter reputation x verified factor) are normalized
 per reporter the same way.
+
+``normalize`` walks the edge records once, for id lookup, weights and
+validation; the blind proxies are then computed as arrays by
+``blind_proxies`` and written into the (M, E) content matrix a few thousand
+rows at a time, so the per-edge temporaries stay small.  Norms come from
+``vectorspace.row_norms``, so each proxy is bit-identical to the one a
+per-edge computation would give.
 """
 
 from __future__ import annotations
@@ -22,13 +29,16 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .vectorspace import DEGENERATE_NORM
+from .vectorspace import DEGENERATE_NORM, row_norms
 
 EDGE_KINDS = ("labeled", "blind", "flag")
 ARCHETYPES = ("hub", "active", "dormant", "malicious")
 
 # Tolerance for "this stored vector should be unit length".
 UNIT_TOL = 1e-6
+
+# Blind proxies computed per block in ``normalize``; bounds its temporaries.
+PROXY_CHUNK_ROWS = 4096
 
 
 @dataclass
@@ -91,6 +101,8 @@ class Edge:
         if self.kind not in EDGE_KINDS:
             raise ValidationError(f"unknown edge kind {self.kind!r}")
         _check_number("base_weight", self.base_weight)
+        _check_flag("payment", self.payment)
+        _check_flag("verified", self.verified)
         if self.severity is not None:
             _check_number("severity", self.severity)
         if self.confidence is not None:
@@ -103,6 +115,8 @@ class Edge:
             if self.content is None:
                 raise ValidationError("labeled edge requires a content embedding")
             self.content = np.asarray(self.content, dtype=np.float64)
+            if self.content.ndim != 1:
+                raise ValidationError("labeled edge content must be a vector")
             if not abs(float(np.linalg.norm(self.content)) - 1.0) <= UNIT_TOL:
                 raise ValidationError("labeled edge content must be unit length")
         elif self.content is not None:
@@ -126,6 +140,12 @@ def _check_number(name: str, value: object) -> None:
     """Reject what JSON can put where a number belongs: null, strings, booleans."""
     if type(value) is bool or not isinstance(value, _NUMBER_TYPES):
         raise ValidationError(f"{name} must be a number, got {type(value).__name__}")
+
+
+def _check_flag(name: str, value: object) -> None:
+    """Reject non-booleans, whose truth would count: the string "false" is true."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"{name} must be a boolean, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -174,17 +194,22 @@ def flag_weight(edge: Edge, reporter_reputation: float, cfg: WeightConfig) -> fl
     return w
 
 
-def blind_proxy(sender: Agent, receiver: Agent) -> np.ndarray:
-    """Stand-in direction for a contentless edge: normalized profile midpoint.
+def blind_proxies(
+    profiles: np.ndarray, senders: np.ndarray, receivers: np.ndarray
+) -> np.ndarray:
+    """Stand-in directions for contentless edges: normalized profile midpoints.
 
-    Falls back to the sender's profile if the two profiles cancel
-    (antipodal), so the proxy is always a unit vector.
+    ``profiles`` is (N, E); row k of the result is the proxy of the edge
+    ``senders[k] -> receivers[k]``.  A pair whose profiles cancel
+    (antipodal) falls back to the sender's profile, so every proxy is a
+    unit vector.
     """
-    mid = 0.5 * (sender.profile + receiver.profile)
-    norm = float(np.linalg.norm(mid))
-    if norm < DEGENERATE_NORM:
-        return sender.profile.copy()
-    return mid / norm
+    mid = 0.5 * (profiles[senders] + profiles[receivers])
+    norms = row_norms(mid)
+    ok = norms >= DEGENERATE_NORM
+    np.divide(mid, norms[:, None], out=mid, where=ok[:, None])
+    mid[~ok] = profiles[senders[~ok]]
+    return mid
 
 
 @dataclass
@@ -263,7 +288,7 @@ def normalize(
     pos_s: list[int] = []
     pos_r: list[int] = []
     pos_w: list[float] = []
-    pos_c: list[np.ndarray] = []
+    labeled_content: list[np.ndarray] = []
     pos_b: list[bool] = []
     pos_conf: list[float] = []
     neg_s: list[int] = []
@@ -291,29 +316,37 @@ def normalize(
             sender.owner_key is not None and sender.owner_key == receiver.owner_key
         )
         w = raw_weight(edge, cfg, same_owner)
-        if edge.kind == "blind":
-            content = blind_proxy(sender, receiver)
-        else:
+        if edge.kind == "labeled":
             content = np.asarray(edge.content, dtype=np.float64)
             if content.shape[0] != dim:
                 raise ValidationError("edge content dim does not match agents")
+            labeled_content.append(content)
         pos_s.append(si)
         pos_r.append(ri)
         pos_w.append(w)
-        pos_c.append(content)
         pos_b.append(edge.kind == "blind")
         pos_conf.append(float(edge.confidence) if edge.confidence is not None else np.nan)
 
     n = len(agents)
     pos_sender = np.asarray(pos_s, dtype=np.int64)
+    pos_receiver = np.asarray(pos_r, dtype=np.int64)
     pos_weight = np.asarray(pos_w, dtype=np.float64)
+    pos_blind = np.asarray(pos_b, dtype=bool)
     if pos_sender.size:
         row = np.zeros(n)
         np.add.at(row, pos_sender, pos_weight)
         pos_weight = pos_weight / row[pos_sender]
-        content_mat = np.vstack(pos_c)
-    else:
-        content_mat = np.zeros((0, dim))
+    content_mat = np.empty((pos_sender.size, dim))
+    if labeled_content:
+        content_mat[~pos_blind] = np.vstack(labeled_content)
+    blind_rows = np.flatnonzero(pos_blind)
+    if blind_rows.size:
+        profiles = np.vstack([a.profile for a in agents])
+        for start in range(0, blind_rows.size, PROXY_CHUNK_ROWS):
+            rows = blind_rows[start : start + PROXY_CHUNK_ROWS]
+            content_mat[rows] = blind_proxies(
+                profiles, pos_sender[rows], pos_receiver[rows]
+            )
     neg_sender = np.asarray(neg_s, dtype=np.int64)
     neg_weight = np.asarray(neg_w, dtype=np.float64)
     if neg_sender.size:
@@ -329,10 +362,10 @@ def normalize(
         index=index,
         dim=dim,
         pos_sender=pos_sender,
-        pos_receiver=np.asarray(pos_r, dtype=np.int64),
+        pos_receiver=pos_receiver,
         pos_weight=pos_weight,
         pos_content=content_mat,
-        pos_blind=np.asarray(pos_b, dtype=bool),
+        pos_blind=pos_blind,
         pos_confidence=np.asarray(pos_conf, dtype=np.float64),
         neg_sender=neg_sender,
         neg_receiver=np.asarray(neg_r, dtype=np.int64),

@@ -741,10 +741,15 @@ def run_scenario(
     corpus = generate_corpus(spec)
     attacked = INJECTORS[scenario](corpus) if scenario else corpus
 
-    base_graph = normalize(corpus.agents, corpus.edges, weight_cfg)
-    base_state = run(base_graph, prop_cfg)
-    att_graph = normalize(attacked.agents, attacked.edges, weight_cfg)
-    att_state = run(att_graph, prop_cfg)
+    def _run(c: Corpus):
+        graph = normalize(c.agents, c.edges, weight_cfg)
+        centroids = None
+        if prop_cfg.gates.needs_distributions():
+            _, centroids = centroids_from_agents(c.agents)
+        return graph, run(graph, prop_cfg, centroids=centroids)
+
+    base_graph, base_state = _run(corpus)
+    att_graph, att_state = _run(attacked)
 
     base_rank = rank_queries(base_state, corpus, strategy, beta_mix, variant)
     att_rank = rank_queries(att_state, attacked, strategy, beta_mix, variant)

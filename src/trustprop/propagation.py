@@ -20,7 +20,10 @@ builds them once per call.
 Discrete form (one row per agent, D domain buckets): per-domain transition
 matrices M_d drive a linear damped iteration per bucket; flag edges enter
 through one flag matrix as a subtracted beta-scaled term in every bucket,
-stable whenever alpha * (1 + beta) < 1.
+stable whenever alpha * (1 + beta) < 1.  ``build_domain_matrices`` splits
+all edges at once: one stable argsort of the (M, D) cosine matrix, shares
+summed column by column, and per domain the kept entries in ascending edge
+order, so each M_d is bit-identical to a per-edge split.
 
 The residual metric everywhere is the max over agents of the L2 change of
 that agent's row — stricter than averaging, so convergence claims hold for
@@ -293,31 +296,29 @@ def build_domain_matrices(
     if not 1 <= top_k <= n_domains:
         raise ValidationError("top_k must lie in [1, D]")
     n = graph.n_agents
-    rows: list[list[int]] = [[] for _ in range(n_domains)]
-    cols: list[list[int]] = [[] for _ in range(n_domains)]
-    data: list[list[float]] = [[] for _ in range(n_domains)]
-    if graph.n_pos_edges:
-        cnorms = np.linalg.norm(cents, axis=1)
-        cos = (graph.pos_content @ cents.T) / cnorms[None, :]  # contents are unit
-        for idx in range(graph.n_pos_edges):
-            sims = cos[idx]
-            order = np.argsort(-sims, kind="stable")[:top_k]
-            kept = [d for d in order if sims[d] > 0]
-            if not kept:
-                kept = [int(order[0])]
-                shares = [1.0]
-            else:
-                total = float(sum(sims[d] for d in kept))
-                shares = [float(sims[d]) / total for d in kept]
-            w = float(graph.pos_weight[idx])
-            for d, share in zip(kept, shares):
-                rows[d].append(int(graph.pos_sender[idx]))
-                cols[d].append(int(graph.pos_receiver[idx]))
-                data[d].append(w * share)
+    cos = (graph.pos_content @ cents.T) / np.linalg.norm(cents, axis=1)[None, :]
+    # A stable sort puts tied domains in index order (argpartition would
+    # not).  Positive similarities sort first, so the kept domains of an
+    # edge are a prefix of its order and the column-wise running total adds
+    # them in the same sequence as a per-edge sum.
+    order = np.argsort(-cos, axis=1, kind="stable")[:, :top_k]
+    sims = np.take_along_axis(cos, order, axis=1)
+    positive = sims > 0
+    total = np.zeros(graph.n_pos_edges)
+    for c in range(top_k):
+        total += np.where(positive[:, c], sims[:, c], 0.0)
+    # An edge with no positive similarity goes wholly to its argmax domain.
+    shares = np.divide(sims, total[:, None], out=np.ones_like(sims), where=positive)
+    kept = positive | (np.arange(top_k) == 0)
+    weighted = graph.pos_weight[:, None] * shares
     mats = []
     for d in range(n_domains):
+        # One entry per edge at most, in ascending edge order.
+        edge, col = np.nonzero((order == d) & kept)
         m = sp.csr_matrix(
-            (data[d], (rows[d], cols[d])), shape=(n, n), dtype=np.float64
+            (weighted[edge, col], (graph.pos_sender[edge], graph.pos_receiver[edge])),
+            shape=(n, n),
+            dtype=np.float64,
         )
         sums = np.asarray(m.sum(axis=1)).ravel()
         scale = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0)

@@ -4,6 +4,12 @@ Raw embedding corpora tend to occupy a narrow cone (all pairwise cosines high),
 which destroys topical discrimination downstream.  The remedy used throughout
 this package is simple mean centering fit once per corpus snapshot: subtract
 the corpus mean, then renormalize to unit length.
+
+Batch code takes row norms with ``row_norms``, not ``np.linalg.norm(x,
+axis=1)``: the axis form (like ``einsum``) sums the squares in a different
+order from the 1-D ``np.linalg.norm``, a BLAS dot product, and so differs in
+the last bit on some rows.  ``row_norms`` gives each row the 1-D result
+exactly, so a batched computation stays bit-identical to a per-vector one.
 """
 
 from __future__ import annotations
@@ -51,25 +57,39 @@ def fit_centering(corpus: Iterable[np.ndarray]) -> CenteringModel:
     return CenteringModel(mean=stacked.mean(axis=0), sample_count=len(vectors))
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """L2 norm of each row of a (K, E) matrix, equal bit for bit to a 1-D
+    ``np.linalg.norm`` of that row.
+
+    A stacked (1, E) @ (E, 1) product is the same dot product the 1-D norm
+    takes (on contiguous rows, hence the copy of a strided input);
+    ``np.linalg.norm(x, axis=1)`` sums in another order.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    return np.sqrt((x[:, None, :] @ x[:, :, None]).ravel())
+
+
 def center_and_normalize(model: CenteringModel, v: np.ndarray) -> np.ndarray:
     """Subtract the corpus mean and rescale to unit length.
 
-    Raises DegenerateVectorError if the centered vector has no direction left
-    (norm below 1e-12); silently emitting a zero would poison every cosine
-    computed from it downstream.
+    ``v`` is one vector of the model's dim or a (K, E) matrix, centered row
+    by row.  Raises DegenerateVectorError if a centered vector has no
+    direction left (norm below 1e-12); silently emitting a zero would poison
+    every cosine computed from it downstream.
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != model.mean.shape:
+    if v.shape[-1:] != model.mean.shape or v.ndim > 2:
         raise ValidationError(
             f"vector dim {v.shape} does not match centering model {model.mean.shape}"
         )
-    shifted = v - model.mean
-    norm = float(np.linalg.norm(shifted))
-    if norm < DEGENERATE_NORM:
+    shifted = np.atleast_2d(v) - model.mean
+    norms = row_norms(shifted)
+    if (norms < DEGENERATE_NORM).any():
         raise DegenerateVectorError(
             "vector is degenerate after centering (norm < 1e-12)"
         )
-    return shifted / norm
+    out = shifted / norms[:, None]
+    return out[0] if v.ndim == 1 else out
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

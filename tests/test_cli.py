@@ -178,6 +178,27 @@ def test_propagate_null_base_weight_is_validation_error(workdir, tmp_path, capsy
     assert not (tmp_path / "prop").exists()
 
 
+def test_propagate_string_payment_is_validation_error(workdir, tmp_path, capsys):
+    # "false" is a truthy string; it must not count as a paid edge.
+    agents, edges, _ = _corpus_args(workdir)
+    lines = edges.read_text().splitlines()
+    record = json.loads(lines[0])
+    record["payment"] = "false"
+    bad = tmp_path / "edges.jsonl"
+    bad.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+    code = main([
+        "propagate",
+        "--agents", str(agents),
+        "--edges", str(bad),
+        "--out", str(tmp_path / "prop"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "payment must be a boolean" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "prop").exists()
+
+
 def test_propagate_discrete_mode(workdir, tmp_path):
     conf = tmp_path / "disc.conf"
     conf.write_text(SMALL_CONF + "propagation.mode = discrete\npropagation.top_k = 2\n")
@@ -196,11 +217,14 @@ def test_propagate_discrete_mode(workdir, tmp_path):
     assert state.vectors.shape[1] == 8  # one bucket per domain
 
 
-@pytest.mark.parametrize(
+TOPIC_GATES = pytest.mark.parametrize(
     "gate_conf",
     ["gates.entropy.enabled = true\n", "gates.kl.enabled = true\ngates.kl.form = softmax\n"],
     ids=["entropy", "kl_softmax"],
 )
+
+
+@TOPIC_GATES
 def test_propagate_continuous_with_topic_distribution_gates(workdir, tmp_path, gate_conf):
     # These gates need domain centroids, which the CLI derives from the agents.
     conf = tmp_path / "gated.conf"
@@ -356,6 +380,15 @@ def test_attack_and_bench_accept_every_strategy(workdir, tmp_path, verb):
     conf.write_text(
         SMALL_CONF + "retrieval.strategy = pipeline\nretrieval.variant = log_damped\n"
     )
+    assert main([verb, "--config", str(conf), "--out", str(tmp_path / verb)]) == 0
+
+
+@TOPIC_GATES
+@pytest.mark.parametrize("verb", ["attack", "bench"])
+def test_attack_and_bench_with_topic_distribution_gates(tmp_path, verb, gate_conf):
+    # These gates need domain centroids, derived from each corpus's agents.
+    conf = tmp_path / "gated.conf"
+    conf.write_text(SMALL_CONF + gate_conf)
     assert main([verb, "--config", str(conf), "--out", str(tmp_path / verb)]) == 0
 
 

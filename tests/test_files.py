@@ -5,8 +5,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from trustprop.errors import ValidationError
+from trustprop.errors import DegenerateVectorError, ValidationError
 from trustprop.files import (
     CONFIG_DEFAULTS,
     agents_from_jsonl,
@@ -27,7 +29,9 @@ from trustprop.files import (
     weight_config,
 )
 from trustprop.propagation import PropagationConfig, ReputationState, run
-from trustprop.graph import normalize
+from trustprop.graph import Agent, Edge, normalize
+from trustprop.retrieval import Query
+from trustprop.vectorspace import DEGENERATE_NORM, fit_centering
 
 
 # ---------------------------------------------------------------- config
@@ -220,6 +224,93 @@ def test_center_corpus_preserves_prior_magnitudes(corpus):
 def test_center_corpus_requires_some_embeddings():
     with pytest.raises(ValidationError):
         center_corpus([], [])
+
+
+def _reference_center_corpus(agents, edges, queries):
+    """Per-record centering: one 1-D norm and one division per vector."""
+    cloud = [a.profile for a in agents]
+    cloud += [e.content for e in edges if e.content is not None]
+    cloud += [q.embedding for q in queries]
+    model = fit_centering(cloud)
+
+    def unit(v):
+        shifted = v - model.mean
+        norm = float(np.linalg.norm(shifted))
+        if norm < DEGENERATE_NORM:
+            raise DegenerateVectorError("degenerate")
+        return shifted / norm
+
+    def scaled(v):
+        norm = float(np.linalg.norm(v))
+        return v if norm == 0.0 else norm * unit(v)
+
+    return (
+        [(unit(a.profile), scaled(a.teleport), scaled(a.exogenous)) for a in agents],
+        [None if e.content is None else unit(e.content) for e in edges],
+        [unit(q.embedding) for q in queries],
+        model.mean,
+    )
+
+
+# (agents, dim, seed, per-agent (teleport scale, exogenous scale), edge kinds, queries)
+_CENTER_SPEC = st.tuples(
+    st.integers(0, 5),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.lists(
+        st.tuples(st.sampled_from([0.0, 0.2, 1.0]), st.sampled_from([0.0, 0.5])),
+        min_size=5, max_size=5,
+    ),
+    st.lists(st.sampled_from(["labeled", "blind", "flag"]), max_size=8),
+    st.integers(0, 3),
+)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(spec=_CENTER_SPEC)
+@example(spec=(3, 2, 4, [(0.0, 0.0)] * 5, [], 0))  # zero teleport and exogenous rows
+@example(spec=(1, 3, 5, [(1.0, 0.5)] * 5, [], 0))  # one vector: degenerate
+@example(spec=(0, 3, 6, [(1.0, 0.5)] * 5, ["labeled", "blind", "labeled"], 2))
+def test_center_corpus_equals_per_record_reference(spec):
+    n, dim, seed, priors, kinds, n_queries = spec
+    rng = np.random.default_rng(seed)
+
+    def unit():
+        v = rng.standard_normal(dim) + 1.0
+        return v / np.linalg.norm(v)
+
+    agents = [
+        Agent(id=f"a{i}", primary_domain="d", profile=unit(),
+              teleport=priors[i][0] * unit(), exogenous=priors[i][1] * unit())
+        for i in range(n)
+    ]
+    edges = [
+        Edge(sender="x", receiver="y", kind=kind,
+             content=unit() if kind == "labeled" else None,
+             severity=0.5 if kind == "flag" else None)
+        for kind in kinds
+    ]
+    queries = [Query(id=f"q{i}", text="", embedding=2.0 * unit()) for i in range(n_queries)]
+    if not agents and "labeled" not in kinds and not queries:
+        return  # nothing to center; covered by the test above
+    try:
+        expected = _reference_center_corpus(agents, edges, queries)
+    except DegenerateVectorError:
+        with pytest.raises(DegenerateVectorError):
+            center_corpus(agents, edges, queries)
+        return
+    new_agents, new_edges, new_queries, mean = center_corpus(agents, edges, queries)
+    ref_agents, ref_contents, ref_embeddings, ref_mean = expected
+    assert np.array_equal(mean, ref_mean)
+    for a, (profile, teleport, exogenous) in zip(new_agents, ref_agents, strict=True):
+        assert np.array_equal(a.profile, profile)
+        assert np.array_equal(a.teleport, teleport)
+        assert np.array_equal(a.exogenous, exogenous)
+    for e, content in zip(new_edges, ref_contents, strict=True):
+        assert (e.content is None) == (content is None)
+        assert content is None or np.array_equal(e.content, content)
+    for q, embedding in zip(new_queries, ref_embeddings, strict=True):
+        assert np.array_equal(q.embedding, embedding)
 
 
 # ---------------------------------------------------------------- snapshots

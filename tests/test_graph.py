@@ -2,17 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trustprop.errors import ValidationError
 from trustprop.graph import (
     Agent,
     Edge,
     WeightConfig,
-    blind_proxy,
+    blind_proxies,
     flag_weight,
     normalize,
     raw_weight,
 )
+from trustprop.vectorspace import DEGENERATE_NORM
 
 E2 = np.array([1.0, 0.0])
 
@@ -87,6 +90,9 @@ def test_edge_kind_contracts():
         Edge(sender="a", receiver="b", kind="labeled", content=[3.0, 0.0])
     with pytest.raises(ValidationError):
         Edge(sender="a", receiver="b", kind="labeled", content=[np.nan, 0.0])
+    with pytest.raises(ValidationError, match="must be a vector"):
+        # (2, 1) content has a unit Frobenius norm but is not a vector
+        Edge(sender="a", receiver="b", kind="labeled", content=[[1.0], [0.0]])
     with pytest.raises(ValidationError):
         Edge(sender="a", receiver="b", kind="blind", content=E2)
     with pytest.raises(ValidationError):
@@ -134,6 +140,21 @@ def test_edge_rejects_non_numeric_severity_and_confidence(bad):
         Edge(sender="a", receiver="b", kind="flag", severity=bad)
     with pytest.raises(ValidationError, match="confidence must be a number"):
         labeled("a", "b", confidence=bad)
+
+
+@pytest.mark.parametrize("bad", ["false", "true", 0, 1, 1.0, None])
+def test_edge_rejects_non_boolean_payment_and_verified(bad):
+    with pytest.raises(ValidationError, match="payment must be a boolean"):
+        labeled("a", "b", payment=bad)
+    with pytest.raises(ValidationError, match="verified must be a boolean"):
+        Edge(sender="a", receiver="b", kind="flag", severity=0.5, verified=bad)
+
+
+def test_edge_accepts_python_and_numpy_booleans():
+    for flag in (True, False, np.bool_(True), np.bool_(False)):
+        edge = labeled("a", "b", payment=flag)
+        assert raw_weight(edge, WeightConfig(), False) == (3.0 if flag else 1.0)
+        Edge(sender="a", receiver="b", kind="flag", severity=0.5, verified=flag)
 
 
 def test_edge_keeps_numeric_values_unconverted():
@@ -195,10 +216,16 @@ def test_weight_config_validation():
         WeightConfig(verified_flag_multiplier=0.9)
 
 
+def _proxy(a, b):
+    """blind_proxies on a 1-row input: the proxy of the edge a -> b."""
+    profiles = np.vstack([a.profile, b.profile])
+    return blind_proxies(profiles, np.array([0]), np.array([1]))[0]
+
+
 def test_blind_proxy_is_normalized_midpoint():
     a = make_agent("a", profile=[1.0, 0.0])
     b = make_agent("b", profile=[0.0, 1.0])
-    proxy = blind_proxy(a, b)
+    proxy = _proxy(a, b)
     expected = np.array([1.0, 1.0]) / np.sqrt(2.0)
     np.testing.assert_allclose(proxy, expected, atol=1e-12)
 
@@ -206,7 +233,7 @@ def test_blind_proxy_is_normalized_midpoint():
 def test_blind_proxy_antipodal_falls_back_to_sender():
     a = make_agent("a", profile=[1.0, 0.0])
     b = make_agent("b", profile=[-1.0, 0.0])
-    np.testing.assert_array_equal(blind_proxy(a, b), a.profile)
+    np.testing.assert_array_equal(_proxy(a, b), a.profile)
 
 
 # ---------------------------------------------------------------- normalize
@@ -315,3 +342,160 @@ def test_normalize_stacks_priors_in_agent_order():
     np.testing.assert_array_equal(g.teleport, np.vstack([a.teleport, b.teleport]))
     assert g.teleport.shape == (2, 2)
     assert g.index == {"a": 0, "b": 1}
+
+
+# ------------------------------------------------- batch vs per-edge reference
+
+
+def _reference_normalize(agents, edges, cfg, reps):
+    """The per-edge loop: one proxy and one content row per positive edge."""
+    index = {a.id: i for i, a in enumerate(agents)}
+    reps = reps or {}
+    pos, neg = [], []
+    for edge in edges:
+        si, ri = index[edge.sender], index[edge.receiver]
+        sender, receiver = agents[si], agents[ri]
+        if edge.kind == "flag":
+            w = flag_weight(edge, float(reps.get(edge.sender, 1.0)), cfg)
+            if w > 0.0:
+                neg.append((si, ri, w))
+            continue
+        same_owner = sender.owner_key is not None and sender.owner_key == receiver.owner_key
+        if edge.kind == "blind":
+            mid = 0.5 * (sender.profile + receiver.profile)
+            norm = float(np.linalg.norm(mid))
+            content = sender.profile.copy() if norm < DEGENERATE_NORM else mid / norm
+        else:
+            content = edge.content
+        conf = float(edge.confidence) if edge.confidence is not None else np.nan
+        pos.append((si, ri, raw_weight(edge, cfg, same_owner), content,
+                    edge.kind == "blind", conf))
+    dim = agents[0].profile.shape[0]
+
+    def normalized(senders, weights):
+        senders = np.asarray(senders, dtype=np.int64)
+        weights = np.asarray(weights, dtype=np.float64)
+        if senders.size:
+            row = np.zeros(len(agents))
+            np.add.at(row, senders, weights)
+            weights = weights / row[senders]
+        return senders, weights
+
+    pos_sender, pos_weight = normalized([p[0] for p in pos], [p[2] for p in pos])
+    neg_sender, neg_weight = normalized([n[0] for n in neg], [n[2] for n in neg])
+    return dict(
+        pos_sender=pos_sender,
+        pos_receiver=np.asarray([p[1] for p in pos], dtype=np.int64),
+        pos_weight=pos_weight,
+        pos_content=np.vstack([p[3] for p in pos]) if pos else np.zeros((0, dim)),
+        pos_blind=np.asarray([p[4] for p in pos], dtype=bool),
+        pos_confidence=np.asarray([p[5] for p in pos], dtype=np.float64),
+        neg_sender=neg_sender,
+        neg_receiver=np.asarray([n[1] for n in neg], dtype=np.int64),
+        neg_weight=neg_weight,
+        teleport=np.vstack([a.teleport for a in agents]),
+        exogenous=np.vstack([a.exogenous for a in agents]),
+    )
+
+
+_KINDS = ("labeled", "blind", "flag")
+# (sender, receiver offset, kind, base weight, payment, confidence, severity, verified)
+_EDGE = st.tuples(
+    st.integers(0, 5),
+    st.integers(0, 4),
+    st.sampled_from(_KINDS),
+    st.sampled_from([0.5, 1.0, 3.0]),
+    st.booleans(),
+    st.sampled_from([None, 0.0, 0.4, 1.0]),
+    st.sampled_from([0.0, 0.3, 1.0]),
+    st.booleans(),
+)
+_GRAPH = st.tuples(
+    st.integers(1, 6),  # agents
+    st.integers(1, 4),  # embedding dim
+    st.integers(0, 2**32 - 1),  # seed for the vectors
+    st.lists(st.sampled_from([None, "k0", "k1"]), min_size=6, max_size=6),  # owner keys
+    st.lists(st.booleans(), min_size=6, max_size=6),  # profile antipodal to the previous one
+    st.one_of(st.none(), st.lists(st.sampled_from([0.0, 0.5, 2.0]), min_size=6, max_size=6)),
+    st.lists(_EDGE, max_size=16),
+)
+
+
+def _records(spec, kinds=None):
+    """(agents, edges, reporter reputations) for a drawn spec.
+
+    ``kinds`` overrides every drawn positive edge kind (all-blind, all-labeled).
+    """
+    n, dim, seed, owners, antipodal, reps, raw = spec
+    rng = np.random.default_rng(seed)
+
+    def unit():
+        v = rng.standard_normal(dim)
+        return v / np.linalg.norm(v)
+
+    agents, profile = [], None
+    for i in range(n):
+        profile = -profile if i and antipodal[i] else unit()
+        agents.append(Agent(
+            id=f"a{i}", primary_domain="d", profile=profile,
+            teleport=rng.uniform(0.0, 1.0) * profile, exogenous=0.3 * unit(),
+            owner_key=owners[i],
+        ))
+    edges = []
+    for sender, offset, kind, base, payment, conf, severity, verified in raw if n > 1 else []:
+        s = sender % n
+        r = (s + 1 + offset % (n - 1)) % n
+        if kind == "flag":
+            edges.append(Edge(sender=f"a{s}", receiver=f"a{r}", kind="flag",
+                              base_weight=base, severity=severity, verified=verified))
+            continue
+        kind = kinds or kind
+        edges.append(Edge(
+            sender=f"a{s}", receiver=f"a{r}", kind=kind, base_weight=base,
+            content=unit() if kind == "labeled" else None, payment=payment,
+            confidence=conf,
+        ))
+    rep_map = None if reps is None else {f"a{i}": reps[i] for i in range(n)}
+    return agents, edges, rep_map
+
+
+# Antipodal neighbours a0/a1 and a2/a3 with blind edges between them, shared
+# owners, paid and confident edges, and flags from a zero-reputation reporter.
+_MIXED = (
+    4, 3, 5, ["k0", "k0", None, "k1"], [False, True, False, True, False, False],
+    [1.0, 0.0, 2.0, 0.5, 1.0, 1.0],
+    [(0, 0, "blind", 1.0, True, None, 0.0, False),
+     (1, 3, "blind", 3.0, False, 0.4, 0.0, False),
+     (2, 0, "blind", 1.0, False, None, 0.0, False),
+     (0, 1, "labeled", 0.5, True, 1.0, 0.0, False),
+     (1, 0, "flag", 1.0, False, None, 1.0, True),
+     (2, 1, "flag", 1.0, False, None, 0.3, False),
+     (0, 2, "labeled", 1.0, False, None, 0.0, False)],
+)
+
+
+@pytest.mark.parametrize("kinds", [None, "blind", "labeled"], ids=["mixed", "all_blind", "all_labeled"])
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(spec=_GRAPH)
+@example(spec=(3, 2, 0, [None] * 6, [False] * 6, None, []))
+@example(spec=_MIXED)
+def test_normalize_equals_per_edge_reference(kinds, spec):
+    agents, edges, reps = _records(spec, kinds)
+    cfg = WeightConfig()
+    graph = normalize(agents, edges, cfg, reps)
+    for name, expected in _reference_normalize(agents, edges, cfg, reps).items():
+        got = getattr(graph, name)
+        assert got.dtype == expected.dtype and got.shape == expected.shape, name
+        assert np.array_equal(got, expected, equal_nan=True), name
+
+
+def test_normalize_fills_blind_proxies_across_chunks(monkeypatch):
+    # More blind edges than one proxy block, interleaved with labeled ones.
+    monkeypatch.setattr("trustprop.graph.PROXY_CHUNK_ROWS", 3)
+    raw = [(i % 5, i % 4, "labeled" if i % 4 == 0 else "blind", 1.0, i % 3 == 0, None, 0.0, False)
+           for i in range(14)]
+    spec = (5, 3, 9, [None] * 6, [False, True, False, False, True, False], None, raw)
+    agents, edges, reps = _records(spec)
+    graph = normalize(agents, edges, WeightConfig(), reps)
+    expected = _reference_normalize(agents, edges, WeightConfig(), reps)["pos_content"]
+    assert np.array_equal(graph.pos_content, expected)

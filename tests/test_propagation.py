@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -687,3 +688,72 @@ def test_hybrid_per_edge_select_equals_masked_overwrite(pattern, seed, m, dim):
     assert np.array_equal(
         transfer_batch(kind, r, e, blind), _reference_transfer(kind, r, e, blind)
     )
+
+
+def _reference_domain_matrices(graph, cents, top_k):
+    """The per-edge split: argsort each edge's cosines, keep the positive top-k."""
+    n, n_domains = graph.n_agents, cents.shape[0]
+    rows = [[] for _ in range(n_domains)]
+    cols = [[] for _ in range(n_domains)]
+    data = [[] for _ in range(n_domains)]
+    if graph.n_pos_edges:
+        cos = (graph.pos_content @ cents.T) / np.linalg.norm(cents, axis=1)[None, :]
+        for idx in range(graph.n_pos_edges):
+            sims = cos[idx]
+            order = np.argsort(-sims, kind="stable")[:top_k]
+            kept = [d for d in order if sims[d] > 0]
+            if not kept:
+                kept, shares = [int(order[0])], [1.0]
+            else:
+                total = float(sum(sims[d] for d in kept))
+                shares = [float(sims[d]) / total for d in kept]
+            w = float(graph.pos_weight[idx])
+            for d, share in zip(kept, shares):
+                rows[d].append(int(graph.pos_sender[idx]))
+                cols[d].append(int(graph.pos_receiver[idx]))
+                data[d].append(w * share)
+    mats = []
+    for d in range(n_domains):
+        m = sp.csr_matrix((data[d], (rows[d], cols[d])), shape=(n, n), dtype=np.float64)
+        sums = np.asarray(m.sum(axis=1)).ravel()
+        scale = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0)
+        mats.append(sp.csr_matrix(sp.diags(scale) @ m))
+    return mats
+
+
+# (graph, centroid picks from a pool with negations and repeats, top_k draw, scale)
+_DOMAIN_SPEC = st.tuples(
+    _GRAPH,
+    st.lists(st.integers(0, 5), min_size=1, max_size=6),
+    st.integers(0, 5),
+    st.sampled_from([1.0, 2.5]),
+)
+
+
+def _centroid_pool(dim, seed):
+    """Two random directions, their negations and two axes: picking from the
+    pool gives exact cosine ties (repeats) and edges with no positive cosine."""
+    rng = np.random.default_rng([seed, 1])
+    u = rng.standard_normal((2, dim))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return np.vstack([u, -u, np.eye(dim)[[0, -1]]])
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(spec=_DOMAIN_SPEC)
+@example(spec=(_MIXED, [0, 1, 2, 3, 4, 5], 5, 1.0))  # top_k = D
+@example(spec=(_MIXED, [0, 0, 2, 4], 3, 2.5))  # tied pair, top_k = D
+@example(spec=(_MIXED, [2, 3], 0, 1.0))  # negated directions
+@example(spec=((3, 2, 0, []), [4, 5], 1, 1.0))  # zero edges
+def test_build_domain_matrices_equals_per_edge_reference(spec):
+    graph_spec, picks, k, scale = spec
+    graph, _ = _spec_graph(graph_spec)
+    cents = scale * _centroid_pool(graph.dim, graph_spec[2])[picks]
+    top_k = 1 + k % len(picks)
+    mats = build_domain_matrices(graph, cents, top_k=top_k)
+    expected = _reference_domain_matrices(graph, cents, top_k)
+    assert len(mats.mats) == len(expected)
+    for got, ref in zip(mats.mats, expected):
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name

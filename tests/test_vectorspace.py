@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from trustprop.errors import ValidationError
 from trustprop.vectorspace import (
     CENTROID_MAX_COSINE,
     CenteringModel,
@@ -13,6 +16,7 @@ from trustprop.vectorspace import (
     center_and_normalize,
     cosine,
     fit_centering,
+    row_norms,
     synthetic_embedding,
 )
 
@@ -66,6 +70,60 @@ def test_center_and_normalize_rejects_degenerate_result():
     model = CenteringModel(mean=np.array([1.0, 2.0]), sample_count=4)
     with pytest.raises(DegenerateVectorError):
         center_and_normalize(model, np.array([1.0, 2.0]))
+    # A matrix is rejected if any one of its rows degenerates.
+    with pytest.raises(DegenerateVectorError):
+        center_and_normalize(model, np.array([[3.0, 0.0], [1.0, 2.0]]))
+
+
+def test_center_and_normalize_rejects_mismatched_shapes():
+    model = CenteringModel(mean=np.array([1.0, 2.0]), sample_count=4)
+    for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((1, 2, 2)), np.float64(1.0)):
+        with pytest.raises(ValidationError):
+            center_and_normalize(model, bad)
+
+
+def _reference_center(model, v):
+    """Per-vector centering: shift, then divide by the 1-D norm."""
+    shifted = v - model.mean
+    return shifted / float(np.linalg.norm(shifted))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 30), dim=st.integers(1, 70))
+def test_center_and_normalize_matrix_equals_per_vector(seed, k, dim):
+    rng = np.random.default_rng(seed)
+    cloud = rng.standard_normal((k + 1, dim)) + 2.0
+    model = fit_centering(cloud)
+    batch = center_and_normalize(model, cloud[:k])
+    expected = np.array([_reference_center(model, v) for v in cloud[:k]])
+    assert batch.shape == (k, dim)
+    assert np.array_equal(batch, expected)
+    for v, row in zip(cloud[:k], expected):
+        assert np.array_equal(center_and_normalize(model, v), row)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(0, 40),
+    dim=st.integers(1, 70),
+    layout=st.sampled_from(["contiguous", "reversed", "fortran", "zero_rows"]),
+)
+@example(seed=0, k=0, dim=5, layout="contiguous")
+@example(seed=1, k=36000, dim=64, layout="contiguous")
+def test_row_norms_equal_per_row_norm(seed, k, dim, layout):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((k, dim)) * rng.uniform(1e-3, 1e3, (k, 1))
+    if layout == "reversed":
+        x = x[:, ::-1]
+    elif layout == "fortran":
+        x = np.asfortranarray(x)
+    elif layout == "zero_rows":
+        x[::3] = 0.0
+    expected = np.array([np.linalg.norm(v) for v in x], dtype=np.float64)
+    got = row_norms(x)
+    assert got.shape == (k,)
+    assert np.array_equal(got, expected)
 
 
 def test_fit_centering_validates_input():
