@@ -38,16 +38,12 @@ from .harness import (
     generate_corpus,
     mean_precision,
     rank_queries,
+    require_continuous,
     run_flag_scenario,
     run_scenario,
 )
 from .operators import OPERATOR_NAMES, OperatorKind
-from .propagation import (
-    build_domain_matrices,
-    build_negative_matrices,
-    centroids_from_agents,
-    run,
-)
+from .propagation import run
 from .retrieval import STRATEGIES, precision_at_k, rank
 
 logger = logging.getLogger(__name__)
@@ -86,19 +82,6 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_from_files(cfg, agents, edges):
-    graph = normalize(agents, edges, weight_config(cfg))
-    prop_cfg = propagation_config(cfg)
-    centroids = matrices = neg = None
-    if prop_cfg.mode == "discrete" or prop_cfg.gates.needs_distributions():
-        _, centroids = centroids_from_agents(agents)
-    if prop_cfg.mode == "discrete":
-        matrices = build_domain_matrices(graph, centroids, top_k=cfg["propagation.top_k"])
-        if graph.n_neg_edges:
-            neg = build_negative_matrices(graph, matrices)
-    return run(graph, prop_cfg, matrices=matrices, neg=neg, centroids=centroids)
-
-
 def cmd_propagate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     agents = agents_from_jsonl(Path(args.agents).read_text())
@@ -106,7 +89,7 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     mean = None
     if args.center:
         agents, edges, _, mean = center_corpus(agents, edges)
-    state = _run_from_files(cfg, agents, edges)
+    state = run(normalize(agents, edges, weight_config(cfg)), propagation_config(cfg))
     out = Path(args.out)
     _write(out / "snapshot.json", snapshot_to_json(state, config_digest(cfg), mean))
     _write(out / "residuals.csv", residuals_to_csv(state.residuals))
@@ -197,6 +180,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     base_spec = corpus_spec(cfg)
     weight_cfg = weight_config(cfg)
     base_prop = propagation_config(cfg)
+    require_continuous(base_prop)
     rows = []
     all_converged = True
     for labeled in BENCH_LABELED_COUNTS:
@@ -207,12 +191,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
         corpus = generate_corpus(spec)
         graph = normalize(corpus.agents, corpus.edges, weight_cfg)
-        centroids = None
-        if base_prop.gates.needs_distributions():
-            _, centroids = centroids_from_agents(corpus.agents)
         for op_name in sorted(OPERATOR_NAMES):
             prop_cfg = replace(base_prop, operator=OperatorKind.from_name(op_name))
-            state = run(graph, prop_cfg, centroids=centroids)
+            state = run(graph, prop_cfg)
             all_converged = all_converged and state.converged
             rankings = rank_queries(
                 state,

@@ -175,6 +175,7 @@ def propagation_config(cfg: Mapping[str, Any]) -> PropagationConfig:
         normalize_each_iter=cfg["propagation.normalize_each_iter"],
         clamp_floor=cfg["propagation.clamp_floor"],
         couple_c_with_damping=cfg["propagation.couple_c_with_damping"],
+        top_k=cfg["propagation.top_k"],
     )
 
 
@@ -248,7 +249,15 @@ def agents_to_jsonl(agents: Iterable[Agent]) -> str:
 
 
 def _records(text: str, what: str) -> Iterator[tuple[int, dict[str, Any]]]:
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    """(line number, record) per non-blank line, split lazily on "\n" only:
+    U+2028, U+2029 and U+0085 may appear raw inside JSON strings, and a
+    "\r" before the "\n" is JSON whitespace."""
+    start = lineno = 0
+    while start < len(text):
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        line = text[start:end]
+        start, lineno = end + 1, lineno + 1
         if not line.strip():
             continue
         try:

@@ -26,9 +26,6 @@ from .graph import Agent, Edge, WeightConfig, normalize
 from .propagation import (
     PropagationConfig,
     ReputationState,
-    build_domain_matrices,
-    build_negative_matrices,
-    centroids_from_agents,
     run,
     self_alignment,
 )
@@ -448,10 +445,15 @@ LAUNDER_FORWARD = 10
 VOTE_RING_SIZE = 5
 VOTE_RING_EDGES = 75
 HEAVY_BASE_WEIGHT = 3.0
+FLAG_DEFENSE_TOP_K = 2
+
+
+def _attack_domain(corpus: Corpus) -> str:
+    return MALICIOUS_DOMAIN if MALICIOUS_DOMAIN in corpus.spec.domains else corpus.spec.domains[0]
 
 
 def _finance_actives(corpus: Corpus) -> list[Agent]:
-    domain = MALICIOUS_DOMAIN if MALICIOUS_DOMAIN in corpus.spec.domains else corpus.spec.domains[0]
+    domain = _attack_domain(corpus)
     return [
         a
         for a in corpus.agents
@@ -459,8 +461,24 @@ def _finance_actives(corpus: Corpus) -> list[Agent]:
     ]
 
 
-def _attack_domain(corpus: Corpus) -> str:
-    return MALICIOUS_DOMAIN if MALICIOUS_DOMAIN in corpus.spec.domains else corpus.spec.domains[0]
+def _malicious_pair(corpus: Corpus) -> tuple[str, str]:
+    mal = corpus.malicious_ids()
+    if len(mal) < 2:
+        raise ValidationError("corpus has no malicious pair")
+    return mal[0], mal[1]
+
+
+def _heavy_edge(
+    corpus: Corpus, rng: np.random.Generator, sender: str, receiver: str, domain: str
+) -> Edge:
+    """A heavy labeled edge whose content is on ``domain``'s topic."""
+    return Edge(
+        sender=sender,
+        receiver=receiver,
+        kind="labeled",
+        base_weight=HEAVY_BASE_WEIGHT,
+        content=corpus.embed_content(rng, domain),
+    )
 
 
 def inject_cross_domain_sybil(corpus: Corpus) -> Corpus:
@@ -470,10 +488,7 @@ def inject_cross_domain_sybil(corpus: Corpus) -> Corpus:
     the five hubs outside the pair's domain (112 new outgoing edges total).
     """
     rng = _stream(corpus.spec.seed, 101)
-    mal = corpus.malicious_ids()
-    if len(mal) < 2:
-        raise ValidationError("corpus has no malicious pair")
-    m1, m2 = mal[0], mal[1]
+    m1, m2 = _malicious_pair(corpus)
     domain = _attack_domain(corpus)
     hubs = [
         a.id
@@ -485,15 +500,7 @@ def inject_cross_domain_sybil(corpus: Corpus) -> Corpus:
     added: list[Edge] = []
     for k in range(CROSS_SYBIL_MUTUAL):
         s, r = (m1, m2) if k % 2 == 0 else (m2, m1)
-        added.append(
-            Edge(
-                sender=s,
-                receiver=r,
-                kind="labeled",
-                base_weight=HEAVY_BASE_WEIGHT,
-                content=corpus.embed_content(rng, domain),
-            )
-        )
+        added.append(_heavy_edge(corpus, rng, s, r, domain))
     for k in range(CROSS_SYBIL_SPAM):
         s = m1 if k % 2 == 0 else m2
         added.append(
@@ -505,10 +512,7 @@ def inject_cross_domain_sybil(corpus: Corpus) -> Corpus:
 def inject_same_domain_sybil(corpus: Corpus) -> Corpus:
     """Mutual-boost ring on the pair plus blind spam at same-domain targets."""
     rng = _stream(corpus.spec.seed, 102)
-    mal = corpus.malicious_ids()
-    if len(mal) < 2:
-        raise ValidationError("corpus has no malicious pair")
-    m1, m2 = mal[0], mal[1]
+    m1, m2 = _malicious_pair(corpus)
     domain = _attack_domain(corpus)
     targets = [a.id for a in _finance_actives(corpus)][:SAME_SYBIL_TARGETS]
     if not targets:
@@ -516,15 +520,7 @@ def inject_same_domain_sybil(corpus: Corpus) -> Corpus:
     added: list[Edge] = []
     for k in range(SAME_SYBIL_MUTUAL):
         s, r = (m1, m2) if k % 2 == 0 else (m2, m1)
-        added.append(
-            Edge(
-                sender=s,
-                receiver=r,
-                kind="labeled",
-                base_weight=HEAVY_BASE_WEIGHT,
-                content=corpus.embed_content(rng, domain),
-            )
-        )
+        added.append(_heavy_edge(corpus, rng, s, r, domain))
     for t_idx, target in enumerate(targets):
         for k in range(SAME_SYBIL_SPAM_PER_TARGET):
             s = m1 if (t_idx + k) % 2 == 0 else m2
@@ -550,25 +546,9 @@ def inject_laundering(corpus: Corpus) -> Corpus:
     domain = _attack_domain(corpus)
     added: list[Edge] = []
     for _ in range(LAUNDER_PUMP):
-        added.append(
-            Edge(
-                sender=source,
-                receiver=intermediary.id,
-                kind="labeled",
-                base_weight=HEAVY_BASE_WEIGHT,
-                content=corpus.embed_content(rng, domain),
-            )
-        )
+        added.append(_heavy_edge(corpus, rng, source, intermediary.id, domain))
     for _ in range(LAUNDER_FORWARD):
-        added.append(
-            Edge(
-                sender=intermediary.id,
-                receiver=hub.id,
-                kind="labeled",
-                base_weight=HEAVY_BASE_WEIGHT,
-                content=corpus.embed_content(rng, hub.primary_domain),
-            )
-        )
+        added.append(_heavy_edge(corpus, rng, intermediary.id, hub.id, hub.primary_domain))
     return replace(corpus, edges=corpus.edges + added)
 
 
@@ -586,15 +566,7 @@ def inject_vote_ring(corpus: Corpus) -> Corpus:
     added: list[Edge] = []
     for k in range(VOTE_RING_EDGES):
         i = k % len(ring)
-        added.append(
-            Edge(
-                sender=ring[i],
-                receiver=ring[(i + 1) % len(ring)],
-                kind="labeled",
-                base_weight=HEAVY_BASE_WEIGHT,
-                content=corpus.embed_content(rng, domain),
-            )
-        )
+        added.append(_heavy_edge(corpus, rng, ring[i], ring[(i + 1) % len(ring)], domain))
     return replace(corpus, edges=corpus.edges + added)
 
 
@@ -722,6 +694,19 @@ def mean_precision(
     return float(np.mean(vals)) if vals else 0.0
 
 
+def require_continuous(prop_cfg: PropagationConfig) -> None:
+    """Reject discrete mode before a corpus is generated for ranking.
+
+    Corpus queries are E-dimensional and a discrete state holds D domain
+    buckets per agent, so its rows cannot be ranked against them.
+    """
+    if prop_cfg.mode != "continuous":
+        raise ValidationError(
+            "attack and bench rank E-dimensional queries; "
+            "they need propagation.mode = continuous"
+        )
+
+
 def run_scenario(
     spec: CorpusSpec,
     scenario: str | None,
@@ -738,18 +723,13 @@ def run_scenario(
     """
     if scenario is not None and scenario not in INJECTORS:
         raise ValidationError(f"unknown scenario {scenario!r}")
+    require_continuous(prop_cfg)
     corpus = generate_corpus(spec)
     attacked = INJECTORS[scenario](corpus) if scenario else corpus
-
-    def _run(c: Corpus):
-        graph = normalize(c.agents, c.edges, weight_cfg)
-        centroids = None
-        if prop_cfg.gates.needs_distributions():
-            _, centroids = centroids_from_agents(c.agents)
-        return graph, run(graph, prop_cfg, centroids=centroids)
-
-    base_graph, base_state = _run(corpus)
-    att_graph, att_state = _run(attacked)
+    base_graph = normalize(corpus.agents, corpus.edges, weight_cfg)
+    att_graph = normalize(attacked.agents, attacked.edges, weight_cfg)
+    base_state = run(base_graph, prop_cfg)
+    att_state = run(att_graph, prop_cfg)
 
     base_rank = rank_queries(base_state, corpus, strategy, beta_mix, variant)
     att_rank = rank_queries(att_state, attacked, strategy, beta_mix, variant)
@@ -827,9 +807,8 @@ def run_flag_scenario(
     prop_cfg: PropagationConfig = PropagationConfig(),
     weight_cfg: WeightConfig = WeightConfig(),
     scenario: str = "same_domain_sybil",
-    top_k: int = 2,
 ) -> FlagDefenseReport:
-    """Flag-defense experiment on the discrete engine.
+    """Flag-defense experiment on the discrete engine, split top-2 by domain.
 
     Reporters are the three highest-magnitude non-malicious agents of the
     *pre-attack* converged state; their reputations weight the flag edges.
@@ -837,17 +816,12 @@ def run_flag_scenario(
     """
     corpus = generate_corpus(spec)
     attacked = INJECTORS[scenario](corpus) if scenario else corpus
-    cfg = replace(prop_cfg, mode="discrete")
-    _, centroids = centroids_from_agents(corpus.agents)
+    cfg = replace(prop_cfg, mode="discrete", top_k=FLAG_DEFENSE_TOP_K)
 
-    def _discrete_run(c: Corpus, reps=None, with_neg=False):
-        graph = normalize(c.agents, c.edges, weight_cfg, reps)
-        mats = build_domain_matrices(graph, centroids, top_k=top_k)
-        neg = build_negative_matrices(graph, mats) if with_neg else None
-        state = run(graph, cfg, matrices=mats, neg=neg)
-        return graph, state
+    def _discrete_run(c: Corpus, reps=None) -> ReputationState:
+        return run(normalize(c.agents, c.edges, weight_cfg, reps), cfg)
 
-    _, base_state = _discrete_run(corpus)
+    base_state = _discrete_run(corpus)
     mags = base_state.magnitudes()
     mal = set(corpus.malicious_ids())
     order = sorted(
@@ -859,9 +833,9 @@ def run_flag_scenario(
     ][:3]
     reporter_reps = {r: float(mags[base_state.agent_ids.index(r)]) for r in reporters}
 
-    _, unflagged_state = _discrete_run(attacked)
+    unflagged_state = _discrete_run(attacked)
     flagged_corpus = apply_flag_defense(attacked, reporters, severity)
-    _, flagged_state = _discrete_run(flagged_corpus, reps=reporter_reps, with_neg=True)
+    flagged_state = _discrete_run(flagged_corpus, reps=reporter_reps)
 
     ids = unflagged_state.agent_ids
     return FlagDefenseReport(

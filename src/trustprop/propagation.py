@@ -25,6 +25,15 @@ all edges at once: one stable argsort of the (M, D) cosine matrix, shares
 summed column by column, and per domain the kept entries in ascending edge
 order, so each M_d is bit-identical to a per-edge split.
 
+A graph and a config are all ``run`` and ``warm_start`` need: every input
+the config calls for that the caller leaves out is built from the graph.
+Centroids are the normalized mean profiles per primary domain of the
+graph's agents (``centroids_from_agents``), built for discrete mode and for
+the entropy and softmax-KL gates; discrete mode splits the edges with
+``cfg.top_k`` and, when the graph has flag edges, adds the flag matrix.
+Given inputs are used as they are, and a caller that passes its own domain
+matrices also decides whether there is a flag matrix.
+
 The residual metric everywhere is the max over agents of the L2 change of
 that agent's row — stricter than averaging, so convergence claims hold for
 every agent individually.
@@ -61,6 +70,7 @@ class PropagationConfig:
     normalize_each_iter: bool = False
     clamp_floor: bool = True
     couple_c_with_damping: bool = False
+    top_k: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
@@ -73,6 +83,8 @@ class PropagationConfig:
             raise ValidationError("beta must be >= 0")
         if self.mode not in MODES:
             raise ValidationError(f"unknown mode {self.mode!r}")
+        if self.top_k < 1:
+            raise ValidationError("top_k must be >= 1")
 
     def check_negative_stability(self) -> None:
         """Negative-edge runs require alpha * (1 + beta) < 1."""
@@ -173,10 +185,6 @@ def _continuous_plan(
             graph.pos_confidence,
         )
     if gates.needs_distributions() and m:
-        if centroids is None:
-            raise ValidationError(
-                "enabled gates need topic distributions; supply domain centroids"
-            )
         plan.p_int = topic_distribution_batch(graph.pos_content, centroids)
         plan.centroids = centroids
     return plan
@@ -231,11 +239,13 @@ def step_continuous(
 ) -> tuple[ReputationState, float]:
     """One synchronous update of every agent's row; returns (state, residual).
 
-    Builds the per-run constants for this single step; ``run`` builds them
-    once and reuses them for every iteration.
+    Builds the per-run constants for this single step, and the centroids if
+    the gates need them and none are given, as ``run`` does; ``run`` builds
+    the constants once and reuses them for every iteration.
     """
-    if state.mode != "continuous":
-        raise ValidationError("step_continuous requires a continuous state")
+    if state.mode != "continuous" or cfg.mode != "continuous":
+        raise ValidationError("step_continuous requires a continuous state and config")
+    _, _, centroids = _engine_inputs(graph, cfg, centroids=centroids)
     return _step_continuous(state, graph, cfg, _continuous_plan(graph, cfg, centroids))
 
 
@@ -390,6 +400,26 @@ def step_discrete(
 # --- drivers ------------------------------------------------------------------
 
 
+def _engine_inputs(
+    graph: NormalizedGraph,
+    cfg: PropagationConfig,
+    matrices: DomainMatrices | None = None,
+    neg: sp.csr_matrix | None = None,
+    centroids: np.ndarray | None = None,
+) -> tuple[DomainMatrices | None, sp.csr_matrix | None, np.ndarray | None]:
+    """(matrices, neg, centroids): the given ones, and what cfg needs from the graph."""
+    discrete = cfg.mode == "discrete"
+    if centroids is None and (
+        matrices is None if discrete else cfg.gates.needs_distributions()
+    ):
+        _, centroids = centroids_from_agents(graph.agents)
+    if discrete and matrices is None:
+        matrices = build_domain_matrices(graph, centroids, top_k=cfg.top_k)
+        if neg is None and graph.n_neg_edges:
+            neg = build_negative_matrices(graph, matrices)
+    return matrices, neg, centroids
+
+
 def run(
     graph: NormalizedGraph,
     cfg: PropagationConfig,
@@ -400,11 +430,15 @@ def run(
 ) -> ReputationState:
     """Iterate until the residual drops below epsilon or max_iters is hit.
 
+    Inputs the config needs that the caller leaves out are built from the
+    graph as the module docstring says: centroids, domain matrices with
+    ``cfg.top_k`` and the flag matrix.  ``matrices`` without ``neg`` runs
+    positive edges only.
+
     Non-convergence is reported through state.converged rather than raised,
     so callers can decide how loudly to fail.
     """
-    if cfg.mode == "discrete" and matrices is None:
-        raise ValidationError("discrete mode requires domain matrices")
+    matrices, neg, centroids = _engine_inputs(graph, cfg, matrices, neg, centroids)
     if neg is not None:
         if cfg.mode != "discrete":
             raise ValidationError("negative edges run in discrete mode only")
@@ -443,9 +477,11 @@ def warm_start(
 
     Agents present in both keep their rows; new agents start at T + C.  After
     small edge churn this typically converges in a handful of iterations.
+    Missing inputs are built from the updated graph, as in ``run``.
     """
     if previous.mode != cfg.mode:
         raise ValidationError("previous state mode does not match config")
+    matrices, neg, centroids = _engine_inputs(graph, cfg, matrices, neg, centroids)
     base = init_state(graph, cfg, matrices)
     width = base.vectors.shape[1]
     if previous.vectors.shape[1] != width:

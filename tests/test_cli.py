@@ -354,6 +354,24 @@ def test_attack_and_bench_reject_unknown_strategy_before_running(tmp_path, verb,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["attack", "bench"])
+def test_attack_and_bench_reject_discrete_mode_before_running(
+    tmp_path, verb, capsys, monkeypatch
+):
+    # Discrete states hold domain buckets; the corpus queries are E-dimensional.
+    def no_corpus(spec):
+        raise AssertionError("corpus generated")
+
+    monkeypatch.setattr("trustprop.harness.generate_corpus", no_corpus)
+    monkeypatch.setattr("trustprop.cli.generate_corpus", no_corpus)
+    conf = tmp_path / "discrete.conf"
+    conf.write_text(SMALL_CONF + "propagation.mode = discrete\n")
+    out = tmp_path / verb
+    assert main([verb, "--config", str(conf), "--out", str(out)]) == 1
+    assert "propagation.mode = continuous" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- bench
 
 

@@ -143,6 +143,15 @@ def test_agents_jsonl_round_trip(corpus):
         assert np.array_equal(a.profile, b.profile)
         assert np.array_equal(a.teleport, b.teleport)
         assert np.array_equal(a.exogenous, b.exogenous)
+    # JSON allows U+2028, U+2029 and U+0085 raw inside strings, so only "\n"
+    # ends a line; "\r\n" line ends and blank lines are accepted too.
+    records = [json.loads(line) for line in text.splitlines()]
+    records[0]["description"] = "ends\u2028a\u2029line\x85here"
+    lines = [json.dumps(r, ensure_ascii=False) for r in records]
+    raw = "\n" + lines[0] + "\r\n\r\n  \n" + "\r\n".join(lines[1:]) + "\r\n\n"
+    back = agents_from_jsonl(raw)
+    assert [b.id for b in back] == [a.id for a in agents]
+    assert back[0].description == "ends\u2028a\u2029line\x85here"
 
 
 def test_edges_jsonl_round_trip(corpus):
@@ -191,6 +200,9 @@ def test_jsonl_rejects_malformed_input():
         agents_from_jsonl('{"id": "a"}\n')  # missing fields
     with pytest.raises(ValidationError):
         edges_from_jsonl('{"sender": "a"}\n')
+    # Line numbers count every "\n", blank lines included.
+    with pytest.raises(ValidationError, match="queries line 3: invalid json"):
+        queries_from_jsonl('{"id": "q", "text": "t", "embedding": [1.0]}\r\n\n{"id": \n')
 
 
 # ---------------------------------------------------------------- centering

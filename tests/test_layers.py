@@ -54,3 +54,29 @@ def test_imports_go_down_the_layers():
         if LAYERS[target] > LAYERS[module]
     ]
     assert upward == []
+
+
+ENGINE_INPUT_BUILDERS = {"build_domain_matrices", "build_negative_matrices", "centroids_from_agents"}
+
+
+def _called_names(path):
+    """Names of the functions and methods that a source file calls."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                yield node.func.id
+            elif isinstance(node.func, ast.Attribute):
+                yield node.func.attr
+
+
+def test_only_propagation_builds_engine_inputs():
+    # run() builds the domain matrices, flag matrix and centroids its config
+    # needs, so no other module decides how to build them.
+    builders = [
+        f"{path.stem} calls {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "propagation"
+        for name in _called_names(path)
+        if name in ENGINE_INPUT_BUILDERS
+    ]
+    assert builders == []

@@ -1,5 +1,7 @@
 """Tests for the damped fixed-point engines (continuous and discrete)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -187,6 +189,8 @@ def test_step_continuous_requires_matching_mode():
     state = init_state(g, cfg, mats)
     with pytest.raises(ValidationError):
         step_continuous(state, g, PropagationConfig())
+    with pytest.raises(ValidationError):
+        step_continuous(init_state(g, PropagationConfig()), g, cfg)
 
 
 def test_run_reports_non_convergence_instead_of_raising(graph):
@@ -342,11 +346,6 @@ def test_discrete_engine_matches_scalar_oracle(seed):
     assert state.converged
     oracle = _scalar_pagerank_oracle(n, links, 0.85)
     np.testing.assert_allclose(state.vectors[:, 0], oracle, atol=1e-8)
-
-
-def test_discrete_run_requires_matrices(graph):
-    with pytest.raises(ValidationError):
-        run(graph, PropagationConfig(mode="discrete"))
 
 
 # ----------------------------------------------------------------- negative
@@ -757,3 +756,101 @@ def test_build_domain_matrices_equals_per_edge_reference(spec):
         for name in ("data", "indices", "indptr"):
             a, b = getattr(got, name), getattr(ref, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+# ------------------------------------------------ inputs built by the engine
+
+# (sender, receiver offset, kind, base weight or flag severity)
+_KIND_EDGE = st.tuples(
+    st.integers(0, 5),
+    st.integers(0, 4),
+    st.sampled_from(["labeled", "blind", "flag"]),
+    st.sampled_from([0.5, 1.0, 3.0]),
+)
+_DOMAIN_GRAPH = st.tuples(
+    st.integers(2, 6),  # agents
+    st.integers(1, 3),  # primary domains
+    st.integers(2, 4),  # embedding dim
+    st.integers(0, 2**32 - 1),  # seed for the vectors
+    st.lists(_KIND_EDGE, max_size=16),
+)
+
+
+def _domain_graph_records(spec, flags):
+    """Agents over several primary domains, and edges with or without flags."""
+    n, n_domains, dim, seed, raw = spec
+    rng = np.random.default_rng(seed)
+
+    def unit():
+        v = rng.standard_normal(dim)
+        return v / np.linalg.norm(v)
+
+    agents = []
+    for i in range(n):
+        profile = unit()
+        agents.append(Agent(
+            id=f"a{i}", primary_domain=f"d{i % n_domains}", profile=profile,
+            teleport=rng.uniform(0.05, 1.0) * profile,
+            exogenous=(0.0 if i % 3 == 0 else rng.uniform(0.0, 0.5)) * unit(),
+        ))
+    edges = []
+    for sender, offset, kind, weight in raw:
+        s = sender % n
+        ids = dict(sender=f"a{s}", receiver=f"a{(s + 1 + offset % (n - 1)) % n}")
+        if kind == "flag":
+            if flags:
+                edges.append(Edge(**ids, kind="flag", severity=weight / 3.0))
+        else:
+            edges.append(Edge(
+                **ids, kind=kind, base_weight=weight,
+                content=unit() if kind == "labeled" else None,
+            ))
+    return agents, edges
+
+
+_BUILT_INPUT_CASES = {
+    "discrete_top1": (PropagationConfig(mode="discrete", max_iters=60), True),
+    "discrete_top1_no_flags": (PropagationConfig(mode="discrete", max_iters=60), False),
+    "discrete_topD": (PropagationConfig(mode="discrete", max_iters=60, top_k=3), True),
+    "discrete_topD_no_flags": (PropagationConfig(mode="discrete", max_iters=60, top_k=3), False),
+    "entropy": (PropagationConfig(gates=_GATE_STACKS["entropy"], max_iters=60), True),
+    "kl_softmax": (PropagationConfig(gates=_GATE_STACKS["kl_softmax"], max_iters=60), True),
+}
+
+
+def _same_run(a, b):
+    assert np.array_equal(a.vectors, b.vectors)
+    assert a.iterations == b.iterations
+    assert a.residuals == b.residuals
+
+
+@pytest.mark.parametrize(
+    "cfg,flags", list(_BUILT_INPUT_CASES.values()), ids=list(_BUILT_INPUT_CASES)
+)
+@settings(max_examples=15, derandomize=True, deadline=None, database=None)
+@given(spec=_DOMAIN_GRAPH)
+@example(spec=(4, 2, 3, 1, []))
+@example(spec=(5, 3, 2, 2, [(0, 0, "flag", 3.0), (1, 1, "labeled", 1.0),
+                            (2, 0, "blind", 0.5), (0, 0, "labeled", 3.0)]))
+def test_run_builds_the_inputs_its_config_needs(cfg, flags, spec):
+    agents, edges = _domain_graph_records(spec, flags)
+    graph = normalize(agents, edges)
+    # Built by hand: centroids, top-k domain matrices, a flag matrix if flagged.
+    _, cents = centroids_from_agents(agents)
+    inputs = dict(centroids=cents)
+    if cfg.mode == "discrete":
+        cfg = replace(cfg, top_k=min(cfg.top_k, len(cents)))
+        mats = build_domain_matrices(graph, cents, top_k=cfg.top_k)
+        neg = build_negative_matrices(graph, mats) if graph.n_neg_edges else None
+        inputs.update(matrices=mats, neg=neg)
+    state = run(graph, cfg)
+    _same_run(state, run(graph, cfg, **inputs))
+    early = run(graph, replace(cfg, max_iters=2), **inputs)
+    _same_run(warm_start(early, graph, cfg), warm_start(early, graph, cfg, **inputs))
+    if cfg.mode == "continuous":
+        for s in (early, state):
+            _same_run(step_continuous(s, graph, cfg)[0], step_continuous(s, graph, cfg, cents)[0])
+    else:
+        # Given matrices and no flag matrix, the run ignores the flag edges.
+        positive = normalize(agents, [e for e in edges if e.kind != "flag"])
+        _same_run(run(graph, cfg, matrices=mats), run(positive, cfg))
