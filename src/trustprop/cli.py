@@ -45,6 +45,7 @@ from .harness import (
 from .operators import OPERATOR_NAMES, OperatorKind
 from .propagation import run
 from .retrieval import STRATEGIES, precision_at_k, rank
+from .vectorspace import CenteringModel, center_and_normalize
 
 logger = logging.getLogger(__name__)
 
@@ -102,10 +103,17 @@ def cmd_propagate(args: argparse.Namespace) -> int:
 
 def cmd_query(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    state, _, _ = snapshot_from_json(Path(args.snapshot).read_text())
+    state, _, mean = snapshot_from_json(Path(args.snapshot).read_text())
     queries = queries_from_jsonl(Path(args.queries).read_text())
     agents = agents_from_jsonl(Path(args.agents).read_text())
     strategy = args.strategy or cfg["retrieval.strategy"]
+    if mean.size:
+        # Move queries (and the pipeline's profiles) into the space that
+        # `propagate --center` fitted and propagated in.
+        model = CenteringModel(mean=mean, sample_count=0)
+        queries = [replace(q, embedding=center_and_normalize(model, q.embedding)) for q in queries]
+        if strategy == "pipeline":
+            agents = [replace(a, profile=center_and_normalize(model, a.profile)) for a in agents]
     beta_mix = cfg["retrieval.beta_mix"]
     variant = cfg["retrieval.variant"]
     k = cfg["retrieval.k"]

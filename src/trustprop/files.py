@@ -458,18 +458,29 @@ def snapshot_from_json(text: str) -> tuple[ReputationState, str, np.ndarray]:
             if key not in rec:
                 raise ValidationError(f"snapshot agent {i}: missing field {key!r}")
     ids = tuple(rec["id"] for rec in agents)
+    if not all(isinstance(aid, str) for aid in ids):
+        raise ValidationError("snapshot: agent ids must be strings")
+    if len(set(ids)) != len(ids):
+        dup = next(aid for i, aid in enumerate(ids) if aid in ids[:i])
+        raise ValidationError(f"snapshot: duplicate agent id {dup!r}")
     vectors = np.asarray([rec["r"] for rec in agents], dtype=float)
     if vectors.shape != (dims["N"], dims[width_key]):
         raise ValidationError("snapshot dims disagree with agent rows")
+    mean = np.asarray(obj.get("mean", []), dtype=float)
+    residuals = np.asarray(obj.get("residuals", []), dtype=float)
+    # json.loads reads NaN and Infinity tokens, and 1e999 as inf.
+    for name, values in (("agent rows", vectors), ("mean", mean), ("residuals", residuals)):
+        if not np.isfinite(values).all():
+            raise ValidationError(f"snapshot: {name} must be finite")
     state = ReputationState(
         vectors=vectors,
         agent_ids=ids,
         mode=obj.get("mode", "continuous"),
         iterations=obj.get("iterations", 0),
-        residuals=tuple(obj.get("residuals", ())),
+        residuals=tuple(residuals.tolist()),
         converged=obj.get("converged", False),
     )
-    return state, obj.get("config_digest", ""), np.asarray(obj.get("mean", []), dtype=float)
+    return state, obj.get("config_digest", ""), mean
 
 
 def residuals_to_csv(residuals: Sequence[float]) -> str:

@@ -34,11 +34,7 @@ SMOOTHING = 1e-6
 # --- topic distributions from embeddings -------------------------------------
 
 
-def topic_distribution_batch(
-    vs: np.ndarray,
-    centroids: np.ndarray,
-    smoothing: float = SMOOTHING,
-) -> np.ndarray:
+def topic_distribution_batch(vs: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """(m, E) vectors -> (m, D) smoothed softmax-over-cosine distributions."""
     vs = np.asarray(vs, dtype=np.float64)
     cents = np.asarray(centroids, dtype=np.float64)
@@ -49,9 +45,7 @@ def topic_distribution_batch(
     cos = np.where(norms > 0, cos, 0.0)  # zero vector -> uniform
     z = np.exp(cos - cos.max(axis=1, keepdims=True))
     p = z / z.sum(axis=1, keepdims=True)
-    if smoothing > 0:
-        p = (p + smoothing) / (1.0 + p.shape[1] * smoothing)
-    return p
+    return (p + SMOOTHING) / (1.0 + p.shape[1] * SMOOTHING)
 
 
 # --- gate stack ---------------------------------------------------------------

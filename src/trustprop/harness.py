@@ -29,7 +29,7 @@ from .propagation import (
     run,
     self_alignment,
 )
-from .retrieval import Query, RankedList, precision_at_k, rank
+from .retrieval import Query, RankedList, precision_at_k, rank, rank_scores, ranked
 from .vectorspace import (
     CenteringModel,
     build_centroids,
@@ -657,14 +657,9 @@ class ScenarioReport:
 
 def magnitude_percentiles(state: ReputationState) -> dict[str, float]:
     """Percentile of each agent in the descending ||R|| order (1st = top)."""
-    mags = state.magnitudes()
-    order = sorted(
-        range(len(state.agent_ids)), key=lambda i: (-mags[i], state.agent_ids[i])
-    )
+    order = ranked(state.agent_ids, state.magnitudes())
     n = len(order)
-    return {
-        state.agent_ids[i]: 100.0 * (pos + 1) / n for pos, i in enumerate(order)
-    }
+    return {aid: 100.0 * (pos + 1) / n for pos, (aid, _) in enumerate(order)}
 
 
 def rank_queries(
@@ -781,8 +776,7 @@ class FlagDefenseReport:
         mags = (
             self.magnitudes_unflagged if which == "unflagged" else self.magnitudes_flagged
         )
-        others = [a for a in mags if a not in self.flagged]
-        return sorted(others, key=lambda a: (-mags[a], a))
+        return [a for a, _ in rank_scores(mags) if a not in self.flagged]
 
     def csv_rows(self) -> list[list[str]]:
         rows = [
@@ -822,16 +816,10 @@ def run_flag_scenario(
         return run(normalize(c.agents, c.edges, weight_cfg, reps), cfg)
 
     base_state = _discrete_run(corpus)
-    mags = base_state.magnitudes()
     mal = set(corpus.malicious_ids())
-    order = sorted(
-        range(len(base_state.agent_ids)),
-        key=lambda i: (-mags[i], base_state.agent_ids[i]),
-    )
-    reporters = [
-        base_state.agent_ids[i] for i in order if base_state.agent_ids[i] not in mal
-    ][:3]
-    reporter_reps = {r: float(mags[base_state.agent_ids.index(r)]) for r in reporters}
+    by_magnitude = ranked(base_state.agent_ids, base_state.magnitudes())
+    reporter_reps = dict([(aid, m) for aid, m in by_magnitude if aid not in mal][:3])
+    reporters = list(reporter_reps)
 
     unflagged_state = _discrete_run(attacked)
     flagged_corpus = apply_flag_defense(attacked, reporters, severity)
@@ -843,12 +831,8 @@ def run_flag_scenario(
         severity=severity,
         reporters=tuple(reporters),
         flagged=tuple(sorted(mal)),
-        magnitudes_unflagged={
-            aid: float(m) for aid, m in zip(ids, unflagged_state.magnitudes())
-        },
-        magnitudes_flagged={
-            aid: float(m) for aid, m in zip(ids, flagged_state.magnitudes())
-        },
+        magnitudes_unflagged=dict(zip(ids, unflagged_state.magnitudes().tolist())),
+        magnitudes_flagged=dict(zip(ids, flagged_state.magnitudes().tolist())),
         iterations_unflagged=unflagged_state.iterations,
         iterations_flagged=flagged_state.iterations,
         converged_unflagged=unflagged_state.converged,

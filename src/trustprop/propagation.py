@@ -256,15 +256,10 @@ def step_continuous(
 class DomainMatrices:
     """Per-domain row-stochastic transitions plus domain-projected priors."""
 
-    domains: tuple[str, ...]
     centroids: np.ndarray  # (D, E)
     mats: tuple[sp.csr_matrix, ...]  # each (N, N)
     teleport: np.ndarray  # (N, D)
     exogenous: np.ndarray  # (N, D)
-
-    @property
-    def n_domains(self) -> int:
-        return len(self.domains)
 
 
 def project_to_domains(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -334,9 +329,7 @@ def build_domain_matrices(
         scale = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0)
         m = sp.diags(scale) @ m
         mats.append(sp.csr_matrix(m))
-    domains = tuple(f"d{d}" for d in range(n_domains))
     return DomainMatrices(
-        domains=domains,
         centroids=cents,
         mats=tuple(mats),
         teleport=project_to_domains(graph.teleport, cents),

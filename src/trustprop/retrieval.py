@@ -8,8 +8,10 @@ strategies expose that trade-off explicitly; the pipeline fuses lexical and
 embedding channels with reciprocal-rank fusion and reranks by log-damped
 magnitude.
 
-All rankings break ties by descending score then ascending agent id, so
-every ranked list is a deterministic function of its inputs.
+``ranked`` is the one ordering function for every ranked list, here and in
+the harness: score descending, then id ascending with ids compared as
+Python strings (``"a10"`` before ``"a9"``, ``"a"`` before ``"a\\x00"``).
+So each list is a deterministic function of its inputs.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 from .errors import ValidationError
 from .graph import Agent
 from .propagation import ReputationState
+from .vectorspace import row_norms
 
 RRF_K = 60
 BM25_K1 = 1.2
@@ -45,14 +48,29 @@ class Query:
             self, "embedding", np.asarray(self.embedding, dtype=np.float64)
         )
         object.__setattr__(self, "expected_domains", frozenset(self.expected_domains))
+        if not np.isfinite(self.embedding).all():
+            raise ValidationError(f"query {self.id}: embedding must be finite")
 
 
 RankedList = list[tuple[str, float]]
 
 
+def ranked(ids: Sequence[str], scores: Sequence[float] | np.ndarray) -> RankedList:
+    """(id, score) pairs by score descending, then id ascending; scores
+    come out as Python floats.
+
+    The ids go in an object array so that ties compare them as Python
+    strings; a NumPy ``U`` array ignores trailing NULs.
+    """
+    ids = np.asarray(ids, dtype=object)
+    scores = np.asarray(scores, dtype=np.float64)
+    order = np.lexsort((ids, -scores))
+    return list(zip(ids[order].tolist(), scores[order].tolist()))
+
+
 def rank_scores(scores: Mapping[str, float]) -> RankedList:
-    """Sort id->score into a ranked list (score desc, id asc on ties)."""
-    return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    """``ranked`` over the items of an id->score mapping."""
+    return ranked(list(scores), list(scores.values()))
 
 
 # --- single-score strategies --------------------------------------------------
@@ -60,9 +78,7 @@ def rank_scores(scores: Mapping[str, float]) -> RankedList:
 
 def score_dot(state: ReputationState, query: Query) -> RankedList:
     """Rank by R[j] . q — magnitude and direction in one number."""
-    q = _query_vector(state, query)
-    dots = state.vectors @ q
-    return rank_scores({aid: float(dots[i]) for i, aid in enumerate(state.agent_ids)})
+    return ranked(state.agent_ids, state.vectors @ _query_vector(state, query))
 
 
 VARIANTS = ("power", "log_damped")
@@ -94,8 +110,7 @@ def score_mixed(
             factor = np.where(norms > 0, norms**beta_mix, 0.0)
     else:
         factor = 1.0 + beta_mix * np.log1p(norms)
-    scores = np.where(norms > 0, cos * factor, 0.0)
-    return rank_scores({aid: float(scores[i]) for i, aid in enumerate(state.agent_ids)})
+    return ranked(state.agent_ids, np.where(norms > 0, cos * factor, 0.0))
 
 
 def _query_vector(state: ReputationState, query: Query) -> np.ndarray:
@@ -178,7 +193,6 @@ def pipeline_search(
     state: ReputationState,
     agents: Sequence[Agent],
     query: Query,
-    k: int = RRF_K,
 ) -> RankedList:
     """Three-channel retrieval with rank fusion and magnitude rerank.
 
@@ -196,29 +210,21 @@ def pipeline_search(
     if qn == 0.0:
         raise ValidationError("query embedding is zero")
 
-    channels: list[RankedList] = []
-    descriptions = {aid: by_id[aid].description for aid in state.agent_ids}
-    channels.append(bm25_scores(descriptions, query.text))
-
-    profile_scores = {}
-    for aid in state.agent_ids:
-        p = by_id[aid].profile
-        profile_scores[aid] = float(p @ q) / (float(np.linalg.norm(p)) * qn)
-    channels.append(rank_scores(profile_scores))
-
+    ids = state.agent_ids
+    # The stacked (1, E) @ (E, 1) products equal the per-profile dot
+    # products bit for bit; a plain P @ q does not.
+    profiles = np.array([by_id[aid].profile for aid in ids]).reshape(len(ids), q.size)
+    profile_cos = (profiles[:, None, :] @ q[:, None]).ravel() / (row_norms(profiles) * qn)
     norms = np.linalg.norm(state.vectors, axis=1)
     dots = state.vectors @ q
     cos = np.divide(dots, norms * qn, out=np.zeros_like(dots), where=norms > 0)
-    channels.append(
-        rank_scores({aid: float(cos[i]) for i, aid in enumerate(state.agent_ids)})
-    )
-
-    fused = rrf_merge(channels, k=k)
-    norm_by_id = {aid: float(norms[i]) for i, aid in enumerate(state.agent_ids)}
-    reranked = {
-        aid: score * math.log1p(norm_by_id.get(aid, 0.0)) for aid, score in fused
-    }
-    return rank_scores(reranked)
+    descriptions = {aid: by_id[aid].description for aid in ids}
+    fused = dict(rrf_merge(
+        [bm25_scores(descriptions, query.text), ranked(ids, profile_cos), ranked(ids, cos)]
+    ))
+    # math.log1p, not np.log1p: the two differ in the last bit on some inputs.
+    reranked = [fused[aid] * math.log1p(n) for aid, n in zip(ids, norms.tolist())]
+    return ranked(ids, reranked)
 
 
 # --- dispatch -----------------------------------------------------------------

@@ -5,8 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from trustprop.cli import main
-from trustprop.files import snapshot_from_json
+from trustprop.files import agents_from_jsonl, queries_from_jsonl, snapshot_from_json
+from trustprop.retrieval import pipeline_search
+from trustprop.vectorspace import CenteringModel, center_and_normalize
 
 SMALL_CONF = """
 corpus.n_agents = 20
@@ -314,6 +318,125 @@ def test_query_rejects_snapshot_missing_fields(workdir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "missing field 'agents'" in err
     assert "Traceback" not in err
+
+
+def _query_exit_and_err(workdir, tmp_path, capsys, snapshot_path, queries_path):
+    agents, _, _ = _corpus_args(workdir)
+    code = main([
+        "query",
+        "--snapshot", str(snapshot_path),
+        "--queries", str(queries_path),
+        "--agents", str(agents),
+        "--out", str(tmp_path / "r.csv"),
+    ])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_query_rejects_non_finite_snapshot(workdir, snapshot, tmp_path, capsys, token):
+    obj = json.loads(snapshot.read_text())
+    text = json.dumps(obj).replace(repr(obj["agents"][3]["r"][5]), token, 1)
+    bad = tmp_path / "snapshot.json"
+    bad.write_text(text)
+    _, _, queries = _corpus_args(workdir)
+    code, err = _query_exit_and_err(workdir, tmp_path, capsys, bad, queries)
+    assert code == 1
+    assert "agent rows must be finite" in err
+    assert "Traceback" not in err
+
+
+def test_query_rejects_duplicate_snapshot_ids(workdir, snapshot, tmp_path, capsys):
+    # Before this was rejected, a renamed row listed one agent twice and
+    # dropped another from every ranking.
+    obj = json.loads(snapshot.read_text())
+    obj["agents"][1]["id"] = obj["agents"][0]["id"]
+    bad = tmp_path / "snapshot.json"
+    bad.write_text(json.dumps(obj))
+    _, _, queries = _corpus_args(workdir)
+    code, err = _query_exit_and_err(workdir, tmp_path, capsys, bad, queries)
+    assert code == 1
+    assert "duplicate agent id" in err
+
+
+def test_query_rejects_nan_query_embedding(workdir, snapshot, tmp_path, capsys):
+    _, _, queries = _corpus_args(workdir)
+    lines = queries.read_text().splitlines()
+    rec = json.loads(lines[0])
+    rec["embedding"][0] = float("nan")
+    bad = tmp_path / "queries.jsonl"
+    bad.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
+    code, err = _query_exit_and_err(workdir, tmp_path, capsys, snapshot, bad)
+    assert code == 1
+    assert "embedding must be finite" in err
+
+
+def _skew(root, src, offset):
+    """Copy corpus files, pushing every embedding toward one offset: the
+    narrow cone of a raw embedding model that ``--center`` undoes."""
+    def unit(v):
+        v = np.asarray(v) + offset
+        return (v / np.linalg.norm(v)).tolist()
+
+    def scaled(v):
+        n = np.linalg.norm(v)
+        return (n * np.asarray(unit(np.asarray(v) / n))).tolist() if n else v
+
+    fields = {
+        "agents.jsonl": {"profile": unit, "teleport": scaled, "exogenous": scaled},
+        "edges.jsonl": {"content": unit},
+        "queries.jsonl": {"embedding": unit},
+    }
+    root.mkdir()
+    for name, fns in fields.items():
+        recs = [json.loads(line) for line in (src / name).read_text().splitlines()]
+        for rec in recs:
+            for field, fn in fns.items():
+                if field in rec:
+                    rec[field] = fn(rec[field])
+        (root / name).write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+    return root / "agents.jsonl", root / "edges.jsonl", root / "queries.jsonl"
+
+
+CENTERED_P5_FLOOR = 0.7
+
+
+def test_query_centers_with_the_snapshot_mean(workdir, tmp_path, capsys):
+    offset = 3.0 * np.random.default_rng(7).normal(size=64) / 8.0
+    agents, edges, queries = _skew(tmp_path / "skewed", workdir / "corpus", offset)
+    out = tmp_path / "prop"
+    assert main([
+        "propagate", "--config", str(workdir / "small.conf"), "--agents", str(agents),
+        "--edges", str(edges), "--center", "--out", str(out),
+    ]) == 0
+    capsys.readouterr()
+    for strategy in ("dot", "cosine", "mixed", "pipeline"):
+        assert main([
+            "query", "--config", str(workdir / "small.conf"),
+            "--snapshot", str(out / "snapshot.json"), "--queries", str(queries),
+            "--agents", str(agents), "--strategy", strategy,
+            "--out", str(tmp_path / f"{strategy}.csv"),
+        ]) == 0
+        mean_line = capsys.readouterr().out.splitlines()[-1]
+        strict = float(mean_line.split("strict=")[1].split()[0])
+        # Raw skewed queries against the centered state reached 0.25-0.30.
+        if strategy != "pipeline":
+            assert strict >= CENTERED_P5_FLOOR, (strategy, mean_line)
+
+    # The pipeline sees centered profiles as well as centered queries.
+    state, _, mean = snapshot_from_json((out / "snapshot.json").read_text())
+    model = CenteringModel(mean=mean, sample_count=0)
+    centered = [
+        replace(a, profile=center_and_normalize(model, a.profile))
+        for a in agents_from_jsonl(agents.read_text())
+    ]
+    q = queries_from_jsonl(queries.read_text())[0]
+    q = replace(q, embedding=center_and_normalize(model, q.embedding))
+    want = [
+        f"{q.id},{pos},{aid},{score!r}"
+        for pos, (aid, score) in enumerate(pipeline_search(state, centered, q), start=1)
+    ]
+    got = (tmp_path / "pipeline.csv").read_text().splitlines()[1 : 1 + len(want)]
+    assert got == want
 
 
 # ---------------------------------------------------------------- attack

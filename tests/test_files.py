@@ -380,6 +380,37 @@ def test_snapshot_rejects_inconsistent_dims():
         snapshot_from_json("[]")
 
 
+_SNAPSHOT = (
+    '{"dims": {"N": 2, "E": 2}, "mean": [0.5, 0.5], '
+    '"agents": [{"id": "a", "r": [1.0, 0.0]}, {"id": "b", "r": [0.0, 1.0]}], '
+    '"residuals": [0.5, 0.25]}'
+)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("[1.0, 0.0]", "[NaN, 0.0]"),
+        ("[0.0, 1.0]", "[0.0, Infinity]"),
+        ("[1.0, 0.0]", "[1e999, 0.0]"),
+        ("[0.5, 0.5]", "[0.5, -Infinity]"),
+        ("[0.5, 0.25]", "[0.5, NaN]"),
+    ],
+    ids=["nan_row", "inf_row", "overflow_row", "inf_mean", "nan_residual"],
+)
+def test_snapshot_rejects_non_finite_values(old, new):
+    snapshot_from_json(_SNAPSHOT)  # the unbroken snapshot loads
+    with pytest.raises(ValidationError, match="must be finite"):
+        snapshot_from_json(_SNAPSHOT.replace(old, new, 1))
+
+
+def test_snapshot_rejects_duplicate_and_non_string_ids():
+    with pytest.raises(ValidationError, match="duplicate agent id 'a'"):
+        snapshot_from_json(_SNAPSHOT.replace('"id": "b"', '"id": "a"'))
+    with pytest.raises(ValidationError, match="ids must be strings"):
+        snapshot_from_json(_SNAPSHOT.replace('"id": "b"', '"id": 7'))
+
+
 def test_residuals_csv_layout():
     text = residuals_to_csv([0.5, 0.25])
     assert text == "iteration,residual\n1,0.5\n2,0.25\n"

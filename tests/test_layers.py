@@ -80,3 +80,32 @@ def test_only_propagation_builds_engine_inputs():
         if name in ENGINE_INPUT_BUILDERS
     ]
     assert builders == []
+
+
+def _negated_sort_keys(path):
+    """Line numbers of ``sorted(..., key=lambda ...: (-x, ...))`` calls."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            continue
+        if node.func.id == "sorted":
+            for kw in node.keywords:
+                body = kw.value.body if isinstance(kw.value, ast.Lambda) else None
+                if (
+                    kw.arg == "key"
+                    and isinstance(body, ast.Tuple)
+                    and body.elts
+                    and isinstance(body.elts[0], ast.UnaryOp)
+                    and isinstance(body.elts[0].op, ast.USub)
+                ):
+                    yield node.lineno
+
+
+def test_score_orderings_go_through_ranked():
+    # "score descending, id ascending" has one implementation,
+    # retrieval.ranked; a sorted() keyed on a negated score is a second one.
+    copies = [
+        f"{path.stem}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _negated_sort_keys(path)
+    ]
+    assert copies == []

@@ -1,20 +1,28 @@
 """Tests for retrieval scoring, BM25, rank fusion, and precision@k."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trustprop.errors import ValidationError
 from trustprop.graph import Agent
+from trustprop.harness import magnitude_percentiles
 from trustprop.propagation import ReputationState
 from trustprop.retrieval import (
+    BM25_B,
+    BM25_K1,
+    RRF_K,
     Query,
     bm25_scores,
     pipeline_search,
     precision_at_k,
     rank,
     rank_scores,
+    ranked,
     rrf_merge,
     score_dot,
     score_mixed,
@@ -54,6 +62,22 @@ def query(embedding, text="q", qid="q0", expected=()):
 def test_rank_scores_sorts_desc_then_id_asc():
     ranked = rank_scores({"b": 1.0, "a": 1.0, "c": 2.0})
     assert [aid for aid, _ in ranked] == ["c", "a", "b"]
+
+
+def test_ranked_orders_ids_as_python_strings():
+    ids = ["a9", "a10", "a\x00", "a", "b"]
+    got = ranked(ids, np.array([1.0, 1.0, 0.0, -0.0, 2.0]))
+    assert got == [("b", 2.0), ("a10", 1.0), ("a9", 1.0), ("a", -0.0), ("a\x00", 0.0)]
+    assert all(type(score) is float for _, score in got)
+    assert ranked([], np.array([])) == []
+    empty = make_state(np.zeros((0, 2)), [])
+    assert pipeline_search(empty, [], query(np.array([1.0, 0.0]), text="alpha")) == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_query_rejects_non_finite_embedding(bad):
+    with pytest.raises(ValidationError, match="must be finite"):
+        query(np.array([1.0, bad]))
 
 
 def test_score_dot_values_and_order():
@@ -270,3 +294,196 @@ def test_precision_validates_inputs():
         precision_at_k(ranked, agents, {"med"}, k=5, mode="lenient")
     with pytest.raises(ValidationError):
         precision_at_k([("ghost", 1.0)], agents, {"med"}, k=5)
+
+
+# ---------------------------------------------------------------- one ordering
+#
+# The orderings below are the per-function sorts that ``ranked`` replaced,
+# kept verbatim so the test pins every ranked list to them bit for bit.
+
+
+def _old_rank_scores(scores):
+    return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def _old_score_dot(state, q):
+    dots = state.vectors @ q.embedding
+    return _old_rank_scores({aid: float(dots[i]) for i, aid in enumerate(state.agent_ids)})
+
+
+def _old_score_mixed(state, q, beta_mix, variant):
+    norms = np.linalg.norm(state.vectors, axis=1)
+    dots = state.vectors @ q.embedding
+    cos = np.divide(dots, norms, out=np.zeros_like(dots), where=norms > 0)
+    if variant == "power":
+        with np.errstate(divide="ignore"):
+            factor = np.where(norms > 0, norms**beta_mix, 0.0)
+    else:
+        factor = 1.0 + beta_mix * np.log1p(norms)
+    scores = np.where(norms > 0, cos * factor, 0.0)
+    return _old_rank_scores({aid: float(scores[i]) for i, aid in enumerate(state.agent_ids)})
+
+
+def _old_bm25_scores(descriptions, query_text):
+    terms = tokenize(query_text)
+    docs = {aid: tokenize(text) for aid, text in descriptions.items()}
+    n_docs = len(docs)
+    avgdl = sum(len(toks) for toks in docs.values()) / n_docs
+    df = Counter()
+    for toks in docs.values():
+        seen = set(toks)
+        for t in set(terms):
+            if t in seen:
+                df[t] += 1
+    idf = {
+        t: math.log(1.0 + (n_docs - df[t] + 0.5) / (df[t] + 0.5))
+        for t in set(terms)
+        if df[t] > 0
+    }
+    scores = {}
+    for aid, toks in docs.items():
+        if not toks:
+            continue
+        tf = Counter(toks)
+        s = 0.0
+        overlap = False
+        for t in terms:
+            if t not in idf or tf[t] == 0:
+                continue
+            overlap = True
+            freq = tf[t]
+            denom = freq + BM25_K1 * (1.0 - BM25_B + BM25_B * len(toks) / avgdl)
+            s += idf[t] * freq * (BM25_K1 + 1.0) / denom
+        if overlap:
+            scores[aid] = s
+    return _old_rank_scores(scores)
+
+
+def _old_rrf_merge(lists, k):
+    scores = {}
+    for ranked_list in lists:
+        for pos, (aid, _) in enumerate(ranked_list, start=1):
+            scores[aid] = scores.get(aid, 0.0) + 1.0 / (k + pos)
+    return _old_rank_scores(scores)
+
+
+def _old_pipeline_search(state, agents, q):
+    by_id = {a.id: a for a in agents}
+    qv = q.embedding
+    qn = float(np.linalg.norm(qv))
+    descriptions = {aid: by_id[aid].description for aid in state.agent_ids}
+    channels = [_old_bm25_scores(descriptions, q.text)]
+    profile_scores = {}
+    for aid in state.agent_ids:
+        p = by_id[aid].profile
+        profile_scores[aid] = float(p @ qv) / (float(np.linalg.norm(p)) * qn)
+    channels.append(_old_rank_scores(profile_scores))
+    norms = np.linalg.norm(state.vectors, axis=1)
+    dots = state.vectors @ qv
+    cos = np.divide(dots, norms * qn, out=np.zeros_like(dots), where=norms > 0)
+    channels.append(
+        _old_rank_scores({aid: float(cos[i]) for i, aid in enumerate(state.agent_ids)})
+    )
+    fused = _old_rrf_merge(channels, RRF_K)
+    norm_by_id = {aid: float(norms[i]) for i, aid in enumerate(state.agent_ids)}
+    return _old_rank_scores(
+        {aid: score * math.log1p(norm_by_id.get(aid, 0.0)) for aid, score in fused}
+    )
+
+
+def _old_magnitude_percentiles(state):
+    mags = state.magnitudes()
+    order = sorted(
+        range(len(state.agent_ids)), key=lambda i: (-mags[i], state.agent_ids[i])
+    )
+    n = len(order)
+    return {state.agent_ids[i]: 100.0 * (pos + 1) / n for pos, i in enumerate(order)}
+
+
+# String order differs from numeric order ("10" < "9", "a10" < "a9"), and a
+# NumPy "U" array would treat "a", "a\x00" and "a\x00\x00" as equal.
+_IDS = ("a", "a\x00", "a\x00\x00", "b", "B", "9", "10", "a9", "a10", "\u00e9")
+# Few distinct values, so scores tie and rows come out zero often.
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 2.0]),
+    st.floats(-4.0, 4.0).map(lambda x: round(x, 3)),
+)
+# "zeta" is in no description, so some queries overlap none of them.
+_WORDS = ("alpha", "beta", "gamma", "delta")
+
+
+@st.composite
+def _retrieval_case(draw):
+    ids = draw(st.lists(st.sampled_from(_IDS), min_size=1, max_size=8, unique=True))
+    # Short rows tie often; 64-wide rows are where a batched product or
+    # norm would round differently from the per-row one.
+    dim = draw(st.one_of(st.integers(1, 4), st.just(64)))
+    if dim == 64:
+        vec = st.integers(0, 2**32 - 1).map(lambda s: np.random.default_rng(s).normal(size=64))
+    else:
+        vec = st.lists(_VALUES, min_size=dim, max_size=dim).map(np.array)
+    state = make_state([draw(vec) for _ in ids], ids)
+    # Agents share profiles, so profile cosines tie too.
+    pool = [p if np.linalg.norm(p) > 0 else np.eye(dim)[0]
+            for p in draw(st.lists(vec, min_size=1, max_size=3))]
+    agents = []
+    for aid in ids:
+        profile = draw(st.sampled_from(pool))
+        words = draw(st.lists(st.sampled_from(_WORDS), max_size=4))
+        agents.append(make_agent(aid, profile, description=" ".join(words)))
+    text = draw(st.lists(st.sampled_from(_WORDS + ("zeta",)), min_size=1, max_size=4))
+    q = query(draw(vec), text=" ".join(text))
+    # RRF inputs: up to three ranked lists, each a prefix of a permutation.
+    prefix = st.permutations(ids).flatmap(
+        lambda p: st.integers(0, len(p)).map(lambda k: [(aid, 0.0) for aid in p[:k]])
+    )
+    lists = draw(st.lists(prefix, max_size=3))
+    scores = dict(zip(ids, draw(st.lists(_VALUES, min_size=len(ids), max_size=len(ids)))))
+    return state, agents, q, lists, scores
+
+
+def _same(got, want):
+    assert got == want
+    assert repr(got) == repr(want)  # Python floats on both sides, zeros signed alike
+
+
+_TIED_IDS = ["10", "9", "a\x00", "a"]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    case=_retrieval_case(),
+    beta_mix=st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+    k=st.integers(1, 100),
+)
+@example(
+    case=(
+        make_state([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [-0.0, 0.0]], _TIED_IDS),
+        [make_agent(aid, [1.0, 0.0], description="alpha") for aid in _TIED_IDS],
+        query(np.array([1.0, 0.0]), text="zeta"),
+        [[("9", 0.0), ("10", 0.0)], [("10", 0.0)]],
+        {"10": 0.0, "9": -0.0, "a\x00": 1.0, "a": 1.0},
+    ),
+    beta_mix=0.5,
+    k=60,
+)
+def test_ranked_lists_match_the_per_function_sorts(case, beta_mix, k):
+    state, agents, q, lists, scores = case
+    _same(score_dot(state, q), _old_score_dot(state, q))
+    _same(rank(state, q, "cosine"), _old_score_mixed(state, q, 0.0, "power"))
+    for variant in ("power", "log_damped"):
+        _same(
+            score_mixed(state, q, beta_mix, variant),
+            _old_score_mixed(state, q, beta_mix, variant),
+        )
+    descriptions = {a.id: a.description for a in agents}
+    _same(bm25_scores(descriptions, q.text), _old_bm25_scores(descriptions, q.text))
+    _same(rrf_merge(lists, k), _old_rrf_merge(lists, k))
+    _same(rank_scores(scores), _old_rank_scores(scores))
+    pct = magnitude_percentiles(state)
+    _same(list(pct.items()), list(_old_magnitude_percentiles(state).items()))
+    if np.linalg.norm(q.embedding) > 0:
+        _same(pipeline_search(state, agents, q), _old_pipeline_search(state, agents, q))
+    else:
+        with pytest.raises(ValidationError, match="query embedding is zero"):
+            pipeline_search(state, agents, q)
