@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from collections.abc import Mapping
 from dataclasses import replace
 from pathlib import Path
+from typing import Any
 
 from .errors import ValidationError
 from .files import (
@@ -19,7 +21,6 @@ from .files import (
     agents_to_jsonl,
     center_corpus,
     config_digest,
-    corpus_spec,
     edges_from_jsonl,
     edges_to_jsonl,
     load_config,
@@ -34,6 +35,7 @@ from .files import (
 from .graph import normalize
 from .harness import (
     INJECTORS,
+    CorpusSpec,
     format_table,
     generate_corpus,
     mean_precision,
@@ -67,6 +69,35 @@ class _Parser(argparse.ArgumentParser):
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
+
+
+def corpus_spec(cfg: Mapping[str, Any]) -> CorpusSpec:
+    n = cfg["corpus.n_agents"]
+    hubs = cfg["corpus.hubs"]
+    dormant = cfg["corpus.dormant"]
+    malicious = cfg["corpus.malicious"]
+    active = n - hubs - dormant - malicious
+    if active < 0:
+        raise ValidationError("corpus archetype counts exceed corpus.n_agents")
+    return CorpusSpec(
+        seed=cfg["corpus.seed"],
+        n_agents=n,
+        archetype_counts={
+            "hub": hubs,
+            "active": active,
+            "dormant": dormant,
+            "malicious": malicious,
+        },
+        cross_domain_specialists=cfg["corpus.specialists"],
+        labeled_edges=cfg["corpus.labeled_edges"],
+        payment_edges=cfg["corpus.payment_edges"],
+        blind_edges=cfg["corpus.blind_edges"],
+        n_queries=cfg["corpus.n_queries"],
+        cross_domain_queries=cfg["corpus.cross_domain_queries"],
+        embedding_dim=cfg["corpus.embedding_dim"],
+        exogenous_scale=cfg["corpus.exogenous_scale"],
+        anisotropy=cfg["corpus.anisotropy"],
+    )
 
 
 def cmd_gen_corpus(args: argparse.Namespace) -> int:

@@ -25,7 +25,6 @@ from .gates import (
     MagnitudeGateConfig,
 )
 from .graph import Agent, Edge, WeightConfig
-from .harness import CorpusSpec
 from .operators import OperatorKind
 from .propagation import PropagationConfig, ReputationState
 from .retrieval import STRATEGIES, VARIANTS, Query
@@ -185,35 +184,6 @@ def weight_config(cfg: Mapping[str, Any]) -> WeightConfig:
         blind_discount=cfg["weights.blind_discount"],
         same_owner_discount=cfg["weights.same_owner_discount"],
         verified_flag_multiplier=cfg["weights.verified_flag_multiplier"],
-    )
-
-
-def corpus_spec(cfg: Mapping[str, Any]) -> CorpusSpec:
-    n = cfg["corpus.n_agents"]
-    hubs = cfg["corpus.hubs"]
-    dormant = cfg["corpus.dormant"]
-    malicious = cfg["corpus.malicious"]
-    active = n - hubs - dormant - malicious
-    if active < 0:
-        raise ValidationError("corpus archetype counts exceed corpus.n_agents")
-    return CorpusSpec(
-        seed=cfg["corpus.seed"],
-        n_agents=n,
-        archetype_counts={
-            "hub": hubs,
-            "active": active,
-            "dormant": dormant,
-            "malicious": malicious,
-        },
-        cross_domain_specialists=cfg["corpus.specialists"],
-        labeled_edges=cfg["corpus.labeled_edges"],
-        payment_edges=cfg["corpus.payment_edges"],
-        blind_edges=cfg["corpus.blind_edges"],
-        n_queries=cfg["corpus.n_queries"],
-        cross_domain_queries=cfg["corpus.cross_domain_queries"],
-        embedding_dim=cfg["corpus.embedding_dim"],
-        exogenous_scale=cfg["corpus.exogenous_scale"],
-        anisotropy=cfg["corpus.anisotropy"],
     )
 
 

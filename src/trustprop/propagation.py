@@ -9,13 +9,18 @@ gates are bounded by 1 and each sender's weights sum to at most 1, the map
 contracts with rate alpha and the iteration converges to a unique fixed
 point from any start.
 
-A continuous step is gather -> transfer -> gate -> one CSR product: the
-sender rows R[i] are gathered per edge, ``transfer_batch`` maps them
-through the edge contents, the enabled gates rewrite the weights of a
-receiver-major (N, M) scatter matrix to w * gate, and one sparse product
-sums each receiver's in-edges.  The scatter matrix, the confidence vector
-and the edge topic distributions depend only on the edges, so ``run``
-builds them once per call.
+A continuous step runs over blocks of consecutive receivers with about
+``BLOCK_EDGES`` in-edges each, so one block's working set stays in cache.
+Per block it is gather -> transfer -> gate -> one CSR product: the sender
+rows R[i] are gathered per edge, ``transfer_batch`` maps them through the
+edge contents, the enabled gates rewrite the block's scatter matrix
+weights to w * gate, and one sparse product sums each receiver's in-edges
+in ascending edge order.  No block splits a receiver's in-edges and every
+other operation works row by row, so the result is bit-identical to one
+edge-order scatter-add over the whole graph.  The blocks, the confidence
+vector and the edge topic distributions depend only on the edges, so
+``run`` builds them once per call; a gated step rewrites the block
+weights, so a plan is never shared between runs.
 
 Discrete form (one row per agent, D domain buckets): per-domain transition
 matrices M_d drive a linear damped iteration per bucket; flag edges enter
@@ -56,6 +61,10 @@ from .operators import OperatorKind, transfer_batch
 logger = logging.getLogger(__name__)
 
 MODES = ("continuous", "discrete")
+
+# In-edges per receiver block of the continuous step: a block's gathered,
+# transferred and gated rows (~1 MB at E = 64) stay in a 4 MiB L2.
+BLOCK_EDGES = 2048
 
 
 @dataclass(frozen=True)
@@ -130,6 +139,18 @@ def _advance(
     return next_state, residual
 
 
+def _check_state(
+    state: ReputationState, shape: tuple[int, int], ids: tuple[str, ...] | None = None
+) -> None:
+    """Reject a state whose shape, or agents in order, are not the graph's."""
+    if state.vectors.shape != shape:
+        raise ValidationError(
+            f"state vectors are {state.vectors.shape}; the graph needs {shape}"
+        )
+    if ids is not None and tuple(state.agent_ids) != ids:
+        raise ValidationError("state agent ids are not the graph's agents in order")
+
+
 # --- continuous engine --------------------------------------------------------
 
 
@@ -150,16 +171,39 @@ def init_state(
 
 
 @dataclass
+class _Block:
+    """Receivers ``lo:hi`` and their in-edges, slices of the plan's edge arrays.
+
+    ``scatter`` is the (hi - lo, edges) CSR matrix whose row j - lo holds the
+    weights of receiver j's in-edges in ascending edge order, and whose
+    column k is the block's k-th edge; a gated step rewrites its ``data``
+    to w * gate in place.
+    """
+
+    lo: int
+    hi: int
+    edges: slice
+    scatter: sp.csr_matrix
+
+
+@dataclass
 class _ContinuousPlan:
     """Per-run constants of the continuous step; they depend only on the edges.
 
-    ``scatter`` is the receiver-major (N, M) CSR matrix whose row j holds the
-    weights of j's positive in-edges in ascending edge order; its
-    ``indices`` are the edge ids of its entries, so a gated step can rewrite
-    ``scatter.data`` to w * gate in place.
+    The edge arrays are in receiver-major order (``order``, a stable argsort
+    of the receivers, so each receiver's in-edges stay in ascending edge
+    order), cut into blocks of consecutive receivers with about
+    ``BLOCK_EDGES`` in-edges each; a receiver with more has a block of its
+    own.  ``p_int`` is computed over the contents in edge order and then
+    permuted, so its rows are those an edge-order step would use.
     """
 
-    scatter: sp.csr_matrix
+    order: np.ndarray
+    sender: np.ndarray
+    content: np.ndarray
+    blind: np.ndarray
+    weight: np.ndarray
+    blocks: list[_Block]
     confidence: np.ndarray | None = None
     p_int: np.ndarray | None = None
     centroids: np.ndarray | None = None
@@ -175,17 +219,36 @@ def _continuous_plan(
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(graph.pos_receiver, minlength=n), out=indptr[1:])
     plan = _ContinuousPlan(
-        scatter=sp.csr_matrix((graph.pos_weight[order], order, indptr), shape=(n, m))
+        order=order,
+        sender=graph.pos_sender[order],
+        content=graph.pos_content[order],
+        blind=graph.pos_blind[order],
+        weight=graph.pos_weight[order],
+        blocks=[],
     )
+    lo = 0
+    while lo < n:
+        a = int(indptr[lo])
+        # The last receiver whose in-edges end within BLOCK_EDGES of a, and
+        # at least one receiver, so no receiver's in-edges are split.
+        hi = max(lo + 1, int(np.searchsorted(indptr, a + BLOCK_EDGES, side="right")) - 1)
+        b = int(indptr[hi])
+        if b > a:
+            scatter = sp.csr_matrix(
+                (plan.weight[a:b].copy(), np.arange(b - a), indptr[lo : hi + 1] - a),
+                shape=(hi - lo, b - a),
+            )
+            plan.blocks.append(_Block(lo, hi, slice(a, b), scatter))
+        lo = hi
     gates = cfg.gates
     if gates.confidence.enabled:
         plan.confidence = np.where(
             np.isnan(graph.pos_confidence),
             np.where(graph.pos_blind, gates.confidence.default_confidence, 1.0),
             graph.pos_confidence,
-        )
+        )[order]
     if gates.needs_distributions() and m:
-        plan.p_int = topic_distribution_batch(graph.pos_content, centroids)
+        plan.p_int = topic_distribution_batch(graph.pos_content, centroids)[order]
         plan.centroids = centroids
     return plan
 
@@ -196,30 +259,32 @@ def _step_continuous(
     cfg: PropagationConfig,
     plan: _ContinuousPlan,
 ) -> tuple[ReputationState, float]:
-    """Gather sender rows, transfer, gate the weights, then one CSR product.
+    """Per receiver block: gather sender rows, transfer, gate, one CSR product.
 
-    Each row of ``scatter @ transferred`` sums w_e * x_e over the receiver's
-    in-edges in ascending edge order from 0.0, the same additions in the
-    same order as an edge-order scatter-add, so the result is bit-identical
-    to it.
+    Each row of a block's ``scatter @ transferred`` sums w_e * x_e over the
+    receiver's in-edges in ascending edge order from 0.0, the same additions
+    in the same order as an edge-order scatter-add, and every other step
+    works row by row, so the result is bit-identical to it.  The softmax-KL
+    ``p_rep`` is the exception: it goes through a GEMM whose rows may round
+    differently with the matrix shape, so it is computed over all sender
+    rows in edge order and then permuted, as ``p_int`` is.
     """
     r = state.vectors
-    if graph.n_pos_edges:
-        rows = r[graph.pos_sender]
-        transferred = transfer_batch(
-            cfg.operator, rows, graph.pos_content, graph.pos_blind
-        )
-        if cfg.gates.any_enabled:
-            p_rep = None
-            if cfg.gates.kl.enabled and cfg.gates.kl.form == "softmax":
-                p_rep = topic_distribution_batch(rows, plan.centroids)
-            gate = stack_batch(
-                cfg.gates, rows, graph.pos_content, plan.confidence, plan.p_int, p_rep
-            )
-            plan.scatter.data[:] = (graph.pos_weight * gate)[plan.scatter.indices]
-        acc = plan.scatter @ transferred
-    else:
-        acc = np.zeros_like(r)
+    gates = cfg.gates
+    p_rep = None
+    if gates.kl.enabled and gates.kl.form == "softmax" and plan.blocks:
+        p_rep = topic_distribution_batch(r[graph.pos_sender], plan.centroids)[plan.order]
+    acc = np.zeros_like(r)
+    for blk in plan.blocks:
+        e = blk.edges
+        rows = r[plan.sender[e]]
+        content = plan.content[e]
+        transferred = transfer_batch(cfg.operator, rows, content, plan.blind[e])
+        if gates.any_enabled:
+            per_edge = (None if a is None else a[e] for a in (plan.confidence, plan.p_int, p_rep))
+            gate = stack_batch(gates, rows, content, *per_edge)
+            np.multiply(plan.weight[e], gate, out=blk.scatter.data)
+        acc[blk.lo : blk.hi] = blk.scatter @ transferred
     new = cfg.alpha * acc
     if cfg.couple_c_with_damping:
         new += (1.0 - cfg.alpha) * (graph.teleport + graph.exogenous)
@@ -245,6 +310,7 @@ def step_continuous(
     """
     if state.mode != "continuous" or cfg.mode != "continuous":
         raise ValidationError("step_continuous requires a continuous state and config")
+    _check_state(state, (graph.n_agents, graph.dim), tuple(a.id for a in graph.agents))
     _, _, centroids = _engine_inputs(graph, cfg, centroids=centroids)
     return _step_continuous(state, graph, cfg, _continuous_plan(graph, cfg, centroids))
 
@@ -369,6 +435,7 @@ def step_discrete(
     """
     if state.mode != "discrete":
         raise ValidationError("step_discrete requires a discrete state")
+    _check_state(state, matrices.teleport.shape)
     r = state.vectors
     if neg is not None:
         cfg.check_negative_stability()
@@ -426,7 +493,8 @@ def run(
     Inputs the config needs that the caller leaves out are built from the
     graph as the module docstring says: centroids, domain matrices with
     ``cfg.top_k`` and the flag matrix.  ``matrices`` without ``neg`` runs
-    positive edges only.
+    positive edges only.  An ``initial`` state must hold the graph's agents
+    in order, one row each of the mode's width.
 
     Non-convergence is reported through state.converged rather than raised,
     so callers can decide how loudly to fail.
@@ -439,6 +507,9 @@ def run(
     state = initial if initial is not None else init_state(graph, cfg, matrices)
     if state.mode != cfg.mode:
         raise ValidationError("initial state mode does not match config")
+    if initial is not None:
+        width = graph.dim if cfg.mode == "continuous" else matrices.teleport.shape[1]
+        _check_state(state, (graph.n_agents, width), tuple(a.id for a in graph.agents))
     if cfg.mode == "continuous":
         plan = _continuous_plan(graph, cfg, centroids)
     for _ in range(cfg.max_iters):

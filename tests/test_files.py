@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from trustprop.cli import corpus_spec
 from trustprop.errors import DegenerateVectorError, ValidationError
 from trustprop.files import (
     CONFIG_DEFAULTS,
@@ -15,7 +16,6 @@ from trustprop.files import (
     agents_to_jsonl,
     center_corpus,
     config_digest,
-    corpus_spec,
     edges_from_jsonl,
     edges_to_jsonl,
     load_config,

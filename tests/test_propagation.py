@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from trustprop import propagation
 from trustprop.errors import ValidationError
 from trustprop.gates import (
     ConfidenceGateConfig,
@@ -191,6 +192,46 @@ def test_step_continuous_requires_matching_mode():
         step_continuous(state, g, PropagationConfig())
     with pytest.raises(ValidationError):
         step_continuous(init_state(g, PropagationConfig()), g, cfg)
+
+
+def _foreign_state(state, case):
+    """``state`` altered so that it no longer belongs to its graph."""
+    v, ids = state.vectors, state.agent_ids
+    if case == "row_too_few":
+        return replace(state, vectors=v[:-1], agent_ids=ids[:-1])
+    if case == "row_too_many":
+        return replace(state, vectors=np.vstack([v, v[:1]]), agent_ids=ids + ("extra",))
+    if case == "width_8":
+        return replace(state, vectors=np.zeros((len(ids), 8)))
+    return replace(state, vectors=v[::-1].copy(), agent_ids=ids[::-1])
+
+
+_FOREIGN_CASES = [
+    (case, entry)
+    for case in ("row_too_few", "row_too_many", "width_8", "reversed")
+    for entry in ("run_continuous", "step_continuous", "run_discrete", "step_discrete")
+    # A discrete step sees domain matrices, not the graph's agent ids.
+    if (case, entry) != ("reversed", "step_discrete")
+]
+
+
+@pytest.mark.parametrize("case,entry", _FOREIGN_CASES)
+def test_state_that_does_not_belong_to_the_graph_is_rejected(case, entry):
+    agents = [make_agent(a) for a in "abc"]
+    g = normalize(agents, [labeled("a", "b"), labeled("b", "c"), labeled("c", "a")])
+    if entry.endswith("continuous"):
+        cfg, inputs = PropagationConfig(), {}
+    else:
+        cfg = PropagationConfig(mode="discrete")
+        inputs = {"matrices": build_domain_matrices(g, np.array([EX]))}
+    state = _foreign_state(init_state(g, cfg, **inputs), case)
+    with pytest.raises(ValidationError):
+        if entry.startswith("run"):
+            run(g, cfg, initial=state, **inputs)
+        elif entry == "step_continuous":
+            step_continuous(state, g, cfg)
+        else:
+            step_discrete(state, inputs["matrices"], cfg)
 
 
 def test_run_reports_non_convergence_instead_of_raising(graph):
@@ -616,6 +657,19 @@ _MIXED = (
      (0, 0, False, 0.5, False, 1.0), (1, 0, True, 1.0, False, None),
      (3, 1, False, 1.0, True, 0.0)],
 )
+# A hub (a3) with ten in-edges, interleaved in edge order with the edges
+# into a1 and a5; a0, a2 and a4 have no in-edges.  With blocks of a few
+# edges the hub spans several nominal blocks, and empty receivers sit
+# before, between and after the others.
+_HUB = (
+    6, 3, 11,
+    [(0, 2, False, 1.0, False, None), (1, 1, True, 3.0, True, 0.4),
+     (4, 2, False, 1.0, False, None), (2, 0, False, 0.5, False, 1.0),
+     (4, 4, True, 1.0, False, None), (5, 3, False, 3.0, True, None),
+     (3, 1, False, 1.0, False, 0.0), (0, 2, True, 0.5, False, None),
+     (1, 1, False, 1.0, True, 1.0), (2, 0, True, 1.0, False, 0.4),
+     (5, 3, False, 0.5, False, None), (4, 4, False, 3.0, False, None)],
+)
 
 
 def _spec_graph(spec):
@@ -657,6 +711,7 @@ def _spec_graph(spec):
 @given(spec=_GRAPH)
 @example(spec=(3, 2, 0, []))
 @example(spec=_MIXED)
+@example(spec=_HUB)
 def test_continuous_step_equals_edge_order_scatter(cfg, spec):
     graph, cents = _spec_graph(spec)
     state = run(graph, cfg, centroids=cents)
@@ -668,6 +723,55 @@ def test_continuous_step_equals_edge_order_scatter(cfg, spec):
     for s in (start, state):
         stepped, _ = step_continuous(s, graph, cfg, cents)
         assert np.array_equal(stepped.vectors, _reference_step(s.vectors, graph, cfg, cents))
+
+
+@pytest.mark.parametrize("block_edges", [1, 2, 3, 7])
+@pytest.mark.parametrize("cfg", list(_SCATTER_CONFIGS.values()), ids=list(_SCATTER_CONFIGS))
+def test_continuous_step_equals_edge_order_scatter_in_small_blocks(cfg, block_edges, monkeypatch):
+    # The same property with receiver blocks of a few edges, so hubs outgrow
+    # a block and blocks end next to receivers with and without in-edges.
+    monkeypatch.setattr(propagation, "BLOCK_EDGES", block_edges)
+    test_continuous_step_equals_edge_order_scatter(cfg)
+
+
+def _many_edges_spec(n_edges, seed=5):
+    """A _spec_graph spec with 40 agents, half of all edges into a0."""
+    n = 40
+    rng = np.random.default_rng([seed, 3])
+    senders = rng.integers(1, n, n_edges)
+    to_hub = rng.random(n_edges) < 0.5
+    offsets = np.where(to_hub, n - 1 - senders, rng.integers(0, n - 1, n_edges))
+    confidences = [None, 0.0, 0.4, 1.0]
+    raw = [
+        (int(s), int(o), bool(rng.random() < 0.6), float(rng.choice([0.5, 1.0, 3.0])),
+         bool(rng.random() < 0.2), confidences[int(rng.integers(4))])
+        for s, o in zip(senders, offsets)
+    ]
+    return (n, 8, seed, raw)
+
+
+@pytest.mark.parametrize("name", ["projection", "hybrid_select", "all_gates"])
+def test_run_with_several_default_blocks_equals_edge_order_scatter(name):
+    # More than two default blocks, and a hub with more than BLOCK_EDGES
+    # in-edges, which gets a block of its own.
+    graph, cents = _spec_graph(_many_edges_spec(2 * propagation.BLOCK_EDGES + 1500))
+    assert graph.n_pos_edges > 2 * propagation.BLOCK_EDGES
+    assert np.bincount(graph.pos_receiver).max() > propagation.BLOCK_EDGES
+    cfg = _SCATTER_CONFIGS[name]
+    state = run(graph, cfg, centroids=cents)
+    vectors, residuals = _reference_run(graph, cfg, cents)
+    assert np.array_equal(state.vectors, vectors)
+    assert state.residuals == residuals
+
+
+def test_gated_and_ungated_runs_on_one_graph_do_not_share_a_plan():
+    # A gated step rewrites the block weights in place; a plan kept from
+    # one run to the next would carry them into the following run.
+    graph, cents = _spec_graph(_many_edges_spec(2 * propagation.BLOCK_EDGES + 1500))
+    gated, plain = _SCATTER_CONFIGS["all_gates"], _SCATTER_CONFIGS["projection"]
+    for cfg in (gated, plain, plain, gated):
+        fresh, _ = _reference_run(graph, cfg, cents)
+        assert np.array_equal(run(graph, cfg, centroids=cents).vectors, fresh)
 
 
 @pytest.mark.parametrize("pattern", ["none", "some", "all"])
