@@ -3,18 +3,23 @@
 All floats are serialized as their shortest round-trip decimal (what
 ``repr`` produces), so write → read → write is byte-stable and loaded
 arrays are bit-identical to the originals.
+
+Every JSON text is parsed by ``_loads``: orjson, with ``json.loads`` for the
+text orjson rejects.  Snapshots are written as ``json.dumps(obj, indent=2)``
+would write them, with the agent rows encoded by the C encoder.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import replace
 from pathlib import Path
-from typing import Any
+from typing import Any, TypeVar
 
 import numpy as np
+import orjson
 
 from .errors import ValidationError
 from .gates import (
@@ -189,6 +194,8 @@ def weight_config(cfg: Mapping[str, Any]) -> WeightConfig:
 
 # --- JSONL corpora ------------------------------------------------------------
 
+_T = TypeVar("_T")
+
 
 def _vec(arr: np.ndarray) -> list[float]:
     return [float(x) for x in arr]
@@ -218,6 +225,31 @@ def agents_to_jsonl(agents: Iterable[Agent]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _loads(text: str, where: str) -> Any:
+    """Parse one JSON text as ``json.loads`` would; ``where`` prefixes errors.
+
+    orjson parses to the same values, floats bit for bit, and rejects what
+    it does not take: NaN and Infinity tokens, literals that overflow to
+    inf such as 1e999, lone surrogates.  ``json.loads`` then reads that
+    text, so it is accepted or rejected as ``json.loads`` decides, and its
+    message is the one in the error.  One difference remains: orjson
+    returns an integer literal outside the 64-bit range as a float, where
+    ``json.loads`` gives an int.  Every numeric field goes through
+    ``float()`` or a range check, so no record or state changes.  orjson
+    has no nesting limit; a nested line that orjson rejects can still hit
+    the recursion limit of ``json.loads``, which is an error here too.
+    """
+    try:
+        return orjson.loads(text)
+    except orjson.JSONDecodeError:
+        pass
+    try:
+        return json.loads(text)
+    # ValueError: json.JSONDecodeError, or an int of more than 4300 digits.
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"{where}: invalid json ({exc})") from exc
+
+
 def _records(text: str, what: str) -> Iterator[tuple[int, dict[str, Any]]]:
     """(line number, record) per non-blank line, split lazily on "\n" only:
     U+2028, U+2029 and U+0085 may appear raw inside JSON strings, and a
@@ -228,34 +260,46 @@ def _records(text: str, what: str) -> Iterator[tuple[int, dict[str, Any]]]:
         end = len(text) if end < 0 else end
         line = text[start:end]
         start, lineno = end + 1, lineno + 1
-        if not line.strip():
+        if not line or line.isspace():
             continue
+        rec = _loads(line, f"{what} line {lineno}")
+        if not isinstance(rec, dict):
+            raise ValidationError(
+                f"{what} line {lineno}: expected a JSON object, got {type(rec).__name__}"
+            )
+        yield lineno, rec
+
+
+def _read(text: str, what: str, build: Callable[[dict[str, Any]], _T]) -> list[_T]:
+    """``build`` over the records of ``text``; its errors name the line."""
+    out = []
+    for lineno, rec in _records(text, what):
         try:
-            yield lineno, json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{what} line {lineno}: invalid json ({exc})") from exc
+            out.append(build(rec))
+        except KeyError as exc:
+            raise ValidationError(f"{what} line {lineno}: missing field {exc}") from exc
+        # ValidationError is a ValueError; TypeError is, say, an unhashable domain.
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{what} line {lineno}: {exc}") from exc
+    return out
+
+
+def _agent(rec: dict[str, Any]) -> Agent:
+    return Agent(
+        id=rec["id"],
+        primary_domain=rec["primary_domain"],
+        secondary_domains=rec.get("secondary_domains", ()),
+        profile=np.asarray(rec["profile"], dtype=float),
+        teleport=np.asarray(rec["teleport"], dtype=float),
+        exogenous=np.asarray(rec["exogenous"], dtype=float),
+        archetype=rec.get("archetype", "active"),
+        owner_key=rec.get("owner_key"),
+        description=rec.get("description", ""),
+    )
 
 
 def agents_from_jsonl(text: str) -> list[Agent]:
-    agents = []
-    for lineno, rec in _records(text, "agents"):
-        try:
-            agents.append(
-                Agent(
-                    id=rec["id"],
-                    primary_domain=rec["primary_domain"],
-                    secondary_domains=tuple(rec.get("secondary_domains", ())),
-                    profile=np.asarray(rec["profile"], dtype=float),
-                    teleport=np.asarray(rec["teleport"], dtype=float),
-                    exogenous=np.asarray(rec["exogenous"], dtype=float),
-                    archetype=rec.get("archetype", "active"),
-                    owner_key=rec.get("owner_key"),
-                    description=rec.get("description", ""),
-                )
-            )
-        except KeyError as exc:
-            raise ValidationError(f"agents line {lineno}: missing field {exc}") from exc
-    return agents
+    return _read(text, "agents", _agent)
 
 
 def edges_to_jsonl(edges: Iterable[Edge]) -> str:
@@ -279,28 +323,24 @@ def edges_to_jsonl(edges: Iterable[Edge]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _edge(rec: dict[str, Any]) -> Edge:
+    content = rec.get("content")
+    kind = rec["kind"]
+    return Edge(
+        sender=rec["sender"],
+        receiver=rec["receiver"],
+        kind=kind,
+        base_weight=rec.get("base_weight", 1.0),
+        content=None if content is None else np.asarray(content, dtype=float),
+        payment=rec.get("payment", False),
+        verified=rec.get("verified", False),
+        severity=rec.get("severity") if kind == "flag" else None,
+        confidence=rec.get("confidence"),
+    )
+
+
 def edges_from_jsonl(text: str) -> list[Edge]:
-    edges = []
-    for lineno, rec in _records(text, "edges"):
-        content = rec.get("content")
-        try:
-            kind = rec["kind"]
-            edges.append(
-                Edge(
-                    sender=rec["sender"],
-                    receiver=rec["receiver"],
-                    kind=kind,
-                    base_weight=rec.get("base_weight", 1.0),
-                    content=None if content is None else np.asarray(content, dtype=float),
-                    payment=rec.get("payment", False),
-                    verified=rec.get("verified", False),
-                    severity=rec.get("severity") if kind == "flag" else None,
-                    confidence=rec.get("confidence"),
-                )
-            )
-        except KeyError as exc:
-            raise ValidationError(f"edges line {lineno}: missing field {exc}") from exc
-    return edges
+    return _read(text, "edges", _edge)
 
 
 def queries_to_jsonl(queries: Iterable[Query]) -> str:
@@ -316,21 +356,17 @@ def queries_to_jsonl(queries: Iterable[Query]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _query(rec: dict[str, Any]) -> Query:
+    return Query(
+        id=rec["id"],
+        text=rec["text"],
+        embedding=np.asarray(rec["embedding"], dtype=float),
+        expected_domains=frozenset(rec.get("expected_domains", ())),
+    )
+
+
 def queries_from_jsonl(text: str) -> list[Query]:
-    queries = []
-    for lineno, rec in _records(text, "queries"):
-        try:
-            queries.append(
-                Query(
-                    id=rec["id"],
-                    text=rec["text"],
-                    embedding=np.asarray(rec["embedding"], dtype=float),
-                    expected_domains=frozenset(rec.get("expected_domains", ())),
-                )
-            )
-        except KeyError as exc:
-            raise ValidationError(f"queries line {lineno}: missing field {exc}") from exc
-    return queries
+    return _read(text, "queries", _query)
 
 
 def center_corpus(
@@ -390,40 +426,71 @@ def center_corpus(
 # --- snapshots ----------------------------------------------------------------
 
 
+# The C encoder with these separators writes a list of floats as
+# ``json.dumps(indent=2)`` writes an agent's "r" row, three levels deep.
+_encode_row = json.JSONEncoder(separators=(",\n" + " " * 8, ": ")).encode
+
+
+def _agents_json(ids: Sequence[str], rows: list[list[float]]) -> str:
+    """The snapshot's "agents" array as ``json.dumps(indent=2)`` writes it."""
+    if not ids:
+        return "[]"
+    items = [
+        '    {\n      "id": ' + json.dumps(aid) + ',\n      "r": '
+        + ("[\n        " + _encode_row(row)[1:-1] + "\n      ]" if row else "[]")
+        + "\n    }"
+        for aid, row in zip(ids, rows, strict=True)
+    ]
+    return "[\n" + ",\n".join(items) + "\n  ]"
+
+
 def snapshot_to_json(
     state: ReputationState, digest: str, mean: np.ndarray | None = None
 ) -> str:
+    """``json.dumps(obj, indent=2)`` of the state, byte for byte, plus "\n"."""
     n, width = state.vectors.shape
     width_key = "E" if state.mode == "continuous" else "D"
-    obj = {
+    head = {
         "dims": {"N": n, width_key: width},
         "mean": _vec(mean) if mean is not None else [],
-        "agents": [
-            {"id": aid, "r": _vec(state.vectors[i])}
-            for i, aid in enumerate(state.agent_ids)
-        ],
+    }
+    tail = {
         "config_digest": digest,
         "mode": state.mode,
         "iterations": state.iterations,
         "converged": state.converged,
         "residuals": list(state.residuals),
     }
-    return json.dumps(obj, indent=2) + "\n"
+    rows = np.asarray(state.vectors, dtype=float).tolist()
+    # head ends "\n}" and tail starts "{": the agents array goes between.
+    return (
+        json.dumps(head, indent=2)[:-2]
+        + ',\n  "agents": '
+        + _agents_json(state.agent_ids, rows)
+        + ","
+        + json.dumps(tail, indent=2)[1:]
+        + "\n"
+    )
 
 
 def snapshot_from_json(text: str) -> tuple[ReputationState, str, np.ndarray]:
-    obj = json.loads(text)
+    obj = _loads(text, "snapshot")
     if not isinstance(obj, dict):
         raise ValidationError("snapshot must be a JSON object")
     for key in ("dims", "agents"):
         if key not in obj:
             raise ValidationError(f"snapshot: missing field {key!r}")
-    dims = obj["dims"]
+    dims, agents = obj["dims"], obj["agents"]
+    if not isinstance(dims, dict):
+        raise ValidationError("snapshot dims must be a JSON object")
     width_key = "E" if "E" in dims else "D"
     if "N" not in dims or width_key not in dims:
         raise ValidationError("snapshot dims need 'N' and a width 'E' or 'D'")
-    agents = obj["agents"]
+    if not isinstance(agents, list):
+        raise ValidationError("snapshot agents must be a JSON array")
     for i, rec in enumerate(agents):
+        if not isinstance(rec, dict):
+            raise ValidationError(f"snapshot agent {i}: must be a JSON object")
         for key in ("id", "r"):
             if key not in rec:
                 raise ValidationError(f"snapshot agent {i}: missing field {key!r}")
@@ -438,7 +505,7 @@ def snapshot_from_json(text: str) -> tuple[ReputationState, str, np.ndarray]:
         raise ValidationError("snapshot dims disagree with agent rows")
     mean = np.asarray(obj.get("mean", []), dtype=float)
     residuals = np.asarray(obj.get("residuals", []), dtype=float)
-    # json.loads reads NaN and Infinity tokens, and 1e999 as inf.
+    # _loads reads NaN and Infinity tokens, and 1e999 as inf.
     for name, values in (("agent rows", vectors), ("mean", mean), ("residuals", residuals)):
         if not np.isfinite(values).all():
             raise ValidationError(f"snapshot: {name} must be finite")

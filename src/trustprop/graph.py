@@ -64,8 +64,22 @@ class Agent:
         self.profile = np.asarray(self.profile, dtype=np.float64)
         self.teleport = np.asarray(self.teleport, dtype=np.float64)
         self.exogenous = np.asarray(self.exogenous, dtype=np.float64)
+        _check_text("id", self.id)
         if not self.id:
             raise ValidationError("agent id must be non-empty")
+        _check_text("primary_domain", self.primary_domain)
+        _check_text("description", self.description)
+        if self.owner_key is not None:
+            _check_text("owner_key", self.owner_key)
+        # tuple() of a bare string would split it into one-letter domains.
+        if not isinstance(self.secondary_domains, (list, tuple)):
+            raise ValidationError(
+                "secondary_domains must be a list of strings, "
+                f"got {type(self.secondary_domains).__name__}"
+            )
+        for domain in self.secondary_domains:
+            _check_text("secondary_domains entry", domain)
+        self.secondary_domains = tuple(self.secondary_domains)
         if self.archetype not in ARCHETYPES:
             raise ValidationError(f"unknown archetype {self.archetype!r}")
         if self.profile.ndim != 1:
@@ -80,7 +94,6 @@ class Agent:
                 )
             if not np.isfinite(vec).all():
                 raise ValidationError(f"agent {self.id}: {name} must be finite")
-        self.secondary_domains = tuple(self.secondary_domains)
 
 
 @dataclass
@@ -98,6 +111,8 @@ class Edge:
     confidence: float | None = None
 
     def __post_init__(self) -> None:
+        _check_text("sender", self.sender)
+        _check_text("receiver", self.receiver)
         if self.kind not in EDGE_KINDS:
             raise ValidationError(f"unknown edge kind {self.kind!r}")
         _check_number("base_weight", self.base_weight)
@@ -140,6 +155,12 @@ def _check_number(name: str, value: object) -> None:
     """Reject what JSON can put where a number belongs: null, strings, booleans."""
     if type(value) is bool or not isinstance(value, _NUMBER_TYPES):
         raise ValidationError(f"{name} must be a number, got {type(value).__name__}")
+
+
+def _check_text(name: str, value: object) -> None:
+    """Reject non-strings, which JSON can put in any field: a list id is unhashable."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{name} must be a string, got {type(value).__name__}")
 
 
 def _check_flag(name: str, value: object) -> None:

@@ -326,6 +326,7 @@ class DomainMatrices:
     mats: tuple[sp.csr_matrix, ...]  # each (N, N)
     teleport: np.ndarray  # (N, D)
     exogenous: np.ndarray  # (N, D)
+    agent_ids: tuple[str, ...]  # the graph's agents, in row order
 
 
 def project_to_domains(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -400,6 +401,7 @@ def build_domain_matrices(
         mats=tuple(mats),
         teleport=project_to_domains(graph.teleport, cents),
         exogenous=project_to_domains(graph.exogenous, cents),
+        agent_ids=tuple(a.id for a in graph.agents),
     )
 
 
@@ -435,7 +437,7 @@ def step_discrete(
     """
     if state.mode != "discrete":
         raise ValidationError("step_discrete requires a discrete state")
-    _check_state(state, matrices.teleport.shape)
+    _check_state(state, matrices.teleport.shape, matrices.agent_ids)
     r = state.vectors
     if neg is not None:
         cfg.check_negative_stability()

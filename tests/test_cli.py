@@ -203,6 +203,49 @@ def test_propagate_string_payment_is_validation_error(workdir, tmp_path, capsys)
     assert not (tmp_path / "prop").exists()
 
 
+_DEEP = "[" * 5000 + "]" * 5000
+
+
+@pytest.mark.parametrize(
+    "which, line, fields, message",
+    [
+        ("agents", "[1]", None, "agents line 21: expected a JSON object, got list"),
+        ("edges", "[1]", None, "edges line 61: expected a JSON object, got list"),
+        ("agents", _DEEP, None, "agents line 21: expected a JSON object, got list"),
+        ("edges", "[" * 5000 + "NaN" + "]" * 5000, None, "edges line 61: invalid json"),
+        ("agents", None, {"id": ["a00"]}, "agents line 1: id must be a string, got list"),
+        ("agents", None, {"secondary_domains": "abc"},
+         "agents line 1: secondary_domains must be a list of strings"),
+        ("edges", None, {"sender": 5}, "edges line 1: sender must be a string, got int"),
+    ],
+    ids=["agents_list", "edges_list", "agents_deep", "edges_deep_nan",
+         "list_id", "string_domains", "int_sender"],
+)
+def test_propagate_rejects_malformed_jsonl_lines(
+    workdir, tmp_path, capsys, which, line, fields, message
+):
+    # Either append ``line`` to the file or overwrite ``fields`` of its first record.
+    paths = dict(zip(("agents", "edges"), _corpus_args(workdir)))
+    lines = paths[which].read_text().splitlines()
+    if fields is None:
+        lines.append(line)
+    else:
+        lines[0] = json.dumps({**json.loads(lines[0]), **fields})
+    paths[which] = tmp_path / f"{which}.jsonl"
+    paths[which].write_text("\n".join(lines) + "\n")
+    code = main([
+        "propagate",
+        "--agents", str(paths["agents"]),
+        "--edges", str(paths["edges"]),
+        "--out", str(tmp_path / "prop"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "prop").exists()
+
+
 def test_propagate_discrete_mode(workdir, tmp_path):
     conf = tmp_path / "disc.conf"
     conf.write_text(SMALL_CONF + "propagation.mode = discrete\npropagation.top_k = 2\n")
@@ -342,6 +385,28 @@ def test_query_rejects_non_finite_snapshot(workdir, snapshot, tmp_path, capsys, 
     code, err = _query_exit_and_err(workdir, tmp_path, capsys, bad, queries)
     assert code == 1
     assert "agent rows must be finite" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_DEEP, "snapshot must be a JSON object"),
+        ('{"dims": ' + _DEEP + ', "agents": []}', "snapshot dims must be a JSON object"),
+        ('{"dims": 5, "agents": []}', "snapshot dims must be a JSON object"),
+        ('{"dims": {"N": 1, "E": 1}, "agents": 3}', "snapshot agents must be a JSON array"),
+        ('{"dims": {"N": 1, "E": 1}, "agents": [' + _DEEP + "]}", "snapshot agent 0: must be"),
+        ('{"dims": ' + "[" * 5000 + "NaN" + "]" * 5000 + "}", "snapshot: invalid json"),
+    ],
+    ids=["deep_list", "deep_dims", "int_dims", "int_agents", "deep_agent", "deep_nan"],
+)
+def test_query_rejects_malformed_snapshot_structure(workdir, tmp_path, capsys, text, message):
+    bad = tmp_path / "snapshot.json"
+    bad.write_text(text)
+    _, _, queries = _corpus_args(workdir)
+    code, err = _query_exit_and_err(workdir, tmp_path, capsys, bad, queries)
+    assert code == 1
+    assert message in err
     assert "Traceback" not in err
 
 

@@ -2,6 +2,8 @@
 
 import copy
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from trustprop.cli import corpus_spec
 from trustprop.errors import DegenerateVectorError, ValidationError
 from trustprop.files import (
     CONFIG_DEFAULTS,
+    _loads,
     agents_from_jsonl,
     agents_to_jsonl,
     center_corpus,
@@ -205,6 +208,190 @@ def test_jsonl_rejects_malformed_input():
         queries_from_jsonl('{"id": "q", "text": "t", "embedding": [1.0]}\r\n\n{"id": \n')
 
 
+_AGENT = {
+    "id": "a", "primary_domain": "d", "secondary_domains": ["e"],
+    "profile": [1.0, 0.0], "teleport": [0.5, 0.0], "exogenous": [0.0, 0.0],
+    "owner_key": "k", "description": "x",
+}
+_EDGE = {"sender": "a", "receiver": "b", "kind": "labeled", "content": [0.0, 1.0]}
+_DEEP = "[" * 5000 + "]" * 5000
+
+
+@pytest.mark.parametrize(
+    "read, good, line, message",
+    [
+        (agents_from_jsonl, _AGENT, "[1]", "agents line 2: expected a JSON object, got list"),
+        (edges_from_jsonl, _EDGE, "[1]", "edges line 2: expected a JSON object, got list"),
+        (queries_from_jsonl, None, '"q"', "queries line 2: expected a JSON object, got str"),
+        (agents_from_jsonl, _AGENT, _DEEP, "agents line 2: expected a JSON object, got list"),
+        (edges_from_jsonl, _EDGE, _DEEP, "edges line 2: expected a JSON object, got list"),
+        # Rejected by orjson for the NaN, then too deep for json.loads.
+        (
+            edges_from_jsonl, _EDGE, "[" * 5000 + "NaN" + "]" * 5000,
+            "edges line 2: invalid json (maximum recursion depth exceeded",
+        ),
+    ],
+    ids=["agents_list", "edges_list", "queries_str", "agents_deep", "edges_deep", "deep_nan"],
+)
+def test_jsonl_line_that_is_not_an_object_is_rejected(read, good, line, message):
+    first = json.dumps(good or {"id": "q", "text": "t", "embedding": [1.0]})
+    assert len(read(first + "\n")) == 1
+    with pytest.raises(ValidationError) as info:
+        read(first + "\n" + line + "\n")
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("id", ["x"], "id must be a string, got list"),
+        ("id", 7, "id must be a string, got int"),
+        ("primary_domain", 3, "primary_domain must be a string, got int"),
+        ("secondary_domains", "abc", "secondary_domains must be a list of strings, got str"),
+        ("secondary_domains", 5, "secondary_domains must be a list of strings, got int"),
+        ("secondary_domains", ["e", ["f"]], "secondary_domains entry must be a string, got list"),
+        ("description", None, "description must be a string, got NoneType"),
+        ("owner_key", 1, "owner_key must be a string, got int"),
+    ],
+)
+def test_agent_string_fields_must_be_strings(field, value, message):
+    rec = dict(_AGENT, **{field: value})
+    with pytest.raises(ValidationError, match=f"^agents line 1: {message}$"):
+        agents_from_jsonl(json.dumps(rec) + "\n")
+
+
+@pytest.mark.parametrize("field", ["sender", "receiver"])
+@pytest.mark.parametrize("value", [["b"], 2, None])
+def test_edge_endpoints_must_be_strings(field, value):
+    rec = dict(_EDGE, **{field: value})
+    message = f"^edges line 1: {field} must be a string, got {type(value).__name__}$"
+    with pytest.raises(ValidationError, match=message):
+        edges_from_jsonl(json.dumps(rec) + "\n")
+
+
+def test_records_check_string_fields_outside_jsonl_too():
+    with pytest.raises(ValidationError, match="secondary_domains must be a list"):
+        Agent(id="a", primary_domain="d", secondary_domains="abc",
+              profile=[1.0], teleport=[0.0], exogenous=[0.0])
+    with pytest.raises(ValidationError, match="sender must be a string"):
+        Edge(sender=("a",), receiver="b", kind="blind")
+
+
+# ---------------------------------------------------------------- json reader
+
+
+def _same(a, b):
+    """Equal in value and type at every level; floats bit for bit, keys in order."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
+def _reference_loads(text, where):
+    """``json.loads``'s value, or its error as the reader reports it."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        return ValidationError(f"{where}: invalid json ({exc})")
+
+
+def _assert_reads_as_json_loads(text):
+    expected = _reference_loads(text, "here")
+    if isinstance(expected, ValidationError):
+        with pytest.raises(ValidationError) as info:
+            _loads(text, "here")
+        assert str(info.value) == str(expected)
+    else:
+        assert _same(_loads(text, "here"), expected)
+
+
+# Lone surrogates (category Cs) included: orjson leaves them to json.
+_STRINGS = st.text(
+    st.characters()
+    | st.characters(categories=["Cs"])
+    | st.sampled_from("\u2028\u2029\x85\"\\\x00é")
+)
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**63), 2**63)
+    | st.floats()
+    | st.sampled_from([-0.0, 5e-324, 2.2250738585072009e-308, 1.7976931348623157e308])
+    | _STRINGS,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(_STRINGS, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(value=_JSON_VALUES, ensure_ascii=st.booleans(), indent=st.sampled_from([None, 2]))
+def test_reader_equals_json_loads(value, ensure_ascii, indent):
+    # NaN and infinities are written as bare tokens, which orjson leaves to json.
+    _assert_reads_as_json_loads(json.dumps(value, ensure_ascii=ensure_ascii, indent=indent))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(bits=st.integers(0, 2**64 - 1), digits=st.integers(1, 25))
+def test_reader_parses_floats_bit_for_bit(bits, digits):
+    x = struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+    _assert_reads_as_json_loads(repr(x) if math.isfinite(x) else "1e999")
+    _assert_reads_as_json_loads(f"{x:.{digits}e}" if math.isfinite(x) else "-1e999")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "NaN",
+        "[Infinity, -Infinity]",
+        '{"r": [1e999, -1e999, 1E400]}',
+        "1.7976931348623159e308",
+        '"\\udc00"',
+        '{"id": "\\ud800x"}',
+        '"\udc00"',
+        pytest.param("1" * 5000, id="5000_digits"),
+        "\ufeff{}",
+        '{"a": 1, "a": 2}',
+        '{"a": 1} x',
+        "[1, 2]]",
+        '"tab\there"',
+        '"a\x01b"',
+        '{"a": 1}\r',
+        "",
+        " ",
+        "[1,]",
+        "01",
+        "1.",
+        "-0",
+        "-0.0",
+        "1e-400",
+        "0.1000000000000000055511151231257827021181583404541015625",
+        "9223372036854775807",
+        "-9223372036854775808",
+        "18446744073709551615",
+        '"\u2028\u2029\x85"',
+        '"\\u0000"',
+        '"\\ud83d\\ude00"',
+        '"\ud83d\ude00"',
+        "0." + "0" * 48 + "1e400",
+        "123456789012345678901234567890e-10",
+    ],
+)
+def test_reader_adversarial_lines_match_json_loads(text):
+    _assert_reads_as_json_loads(text)
+
+
+def test_reader_reads_integers_beyond_64_bits_as_floats():
+    # The one known difference from json.loads, which gives an int.
+    assert _loads("18446744073709551616", "") == 2.0**64
+    assert type(_loads("-9223372036854775809", "")) is float
+
+
 # ---------------------------------------------------------------- centering
 
 
@@ -343,6 +530,60 @@ def test_snapshot_round_trip_is_bit_exact(corpus, graph):
     assert mean.size == 0
     # serializing the deserialized state reproduces the bytes
     assert snapshot_to_json(back, got_digest) == text
+
+
+def _reference_snapshot(state, digest, mean=None):
+    """The snapshot as one ``json.dumps(indent=2)`` of the whole object."""
+    n, width = state.vectors.shape
+    obj = {
+        "dims": {"N": n, "E" if state.mode == "continuous" else "D": width},
+        "mean": [float(x) for x in mean] if mean is not None else [],
+        "agents": [
+            {"id": aid, "r": [float(x) for x in state.vectors[i]]}
+            for i, aid in enumerate(state.agent_ids)
+        ],
+        "config_digest": digest,
+        "mode": state.mode,
+        "iterations": state.iterations,
+        "converged": state.converged,
+        "residuals": list(state.residuals),
+    }
+    return json.dumps(obj, indent=2) + "\n"
+
+
+_SNAPSHOT_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1e-30, 1e30, 1.7976931348623157e308, 0.1, 1.0]
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(
+    shape=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    values=st.lists(_SNAPSHOT_FLOATS, min_size=16, max_size=16),
+    ids=st.lists(st.text(max_size=6), min_size=4, max_size=4, unique=True),
+    with_mean=st.booleans(),
+    residuals=st.lists(_SNAPSHOT_FLOATS, max_size=3),
+    mode=st.sampled_from(["continuous", "discrete"]),
+    digest=st.text(max_size=8),
+)
+@example(shape=(0, 0), values=[0.0] * 16, ids=["a", "b", "c", "d"], with_mean=False,
+         residuals=[], mode="continuous", digest="")
+@example(shape=(2, 0), values=[0.0] * 16, ids=['q"\\', "\n\u2028é", "c", "d"], with_mean=True,
+         residuals=[0.5], mode="discrete", digest='"agents": []')
+def test_snapshot_writer_equals_json_dumps_indent_2(
+    shape, values, ids, with_mean, residuals, mode, digest
+):
+    n, width = shape
+    state = ReputationState(
+        vectors=np.array(values[: n * width], dtype=float).reshape(n, width),
+        agent_ids=tuple(ids[:n]),
+        mode=mode,
+        iterations=len(residuals),
+        residuals=tuple(residuals),
+        converged=bool(residuals),
+    )
+    mean = np.array(values[-width:] if width else [], dtype=float) if with_mean else None
+    assert snapshot_to_json(state, digest, mean) == _reference_snapshot(state, digest, mean)
 
 
 def test_snapshot_records_mean_and_dims():

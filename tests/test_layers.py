@@ -109,3 +109,38 @@ def test_score_orderings_go_through_ranked():
         for line in _negated_sort_keys(path)
     ]
     assert copies == []
+
+
+def _json_parses(path):
+    """(function, line) of each ``json``/``orjson`` ``loads`` or ``load`` call."""
+    tree = ast.parse(path.read_text())
+    owner = {}
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                owner[node] = func.name  # walk reaches inner functions last
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("loads", "load")
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("json", "orjson")
+        ):
+            yield owner.get(node, "<module>"), node.lineno
+        if isinstance(node, ast.ImportFrom) and node.module in ("json", "orjson"):
+            if any(alias.name in ("loads", "load") for alias in node.names):
+                yield "<import>", node.lineno
+
+
+def test_json_is_parsed_by_one_reader():
+    # files._loads tries orjson and falls back to json.loads for what orjson
+    # rejects; a second parser would skip that fallback or the error wrapping.
+    parses = [
+        f"{path.stem}.{func}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for func, line in _json_parses(path)
+        if (path.stem, func) != ("files", "_loads")
+    ]
+    assert parses == []
+    assert sorted(func for func, _ in _json_parses(PACKAGE / "files.py")) == ["_loads", "_loads"]

@@ -210,8 +210,6 @@ _FOREIGN_CASES = [
     (case, entry)
     for case in ("row_too_few", "row_too_many", "width_8", "reversed")
     for entry in ("run_continuous", "step_continuous", "run_discrete", "step_discrete")
-    # A discrete step sees domain matrices, not the graph's agent ids.
-    if (case, entry) != ("reversed", "step_discrete")
 ]
 
 
