@@ -21,6 +21,7 @@ from .files import (
     agents_to_jsonl,
     center_corpus,
     config_digest,
+    config_section,
     edges_from_jsonl,
     edges_to_jsonl,
     load_config,
@@ -72,31 +73,14 @@ def _write(path: Path, text: str) -> None:
 
 
 def corpus_spec(cfg: Mapping[str, Any]) -> CorpusSpec:
-    n = cfg["corpus.n_agents"]
-    hubs = cfg["corpus.hubs"]
-    dormant = cfg["corpus.dormant"]
-    malicious = cfg["corpus.malicious"]
-    active = n - hubs - dormant - malicious
-    if active < 0:
+    spec = config_section(cfg, "corpus")
+    counts = {"hub": spec.pop("hubs"), "active": 0}
+    counts.update(dormant=spec.pop("dormant"), malicious=spec.pop("malicious"))
+    counts["active"] = spec["n_agents"] - sum(counts.values())
+    if counts["active"] < 0:
         raise ValidationError("corpus archetype counts exceed corpus.n_agents")
     return CorpusSpec(
-        seed=cfg["corpus.seed"],
-        n_agents=n,
-        archetype_counts={
-            "hub": hubs,
-            "active": active,
-            "dormant": dormant,
-            "malicious": malicious,
-        },
-        cross_domain_specialists=cfg["corpus.specialists"],
-        labeled_edges=cfg["corpus.labeled_edges"],
-        payment_edges=cfg["corpus.payment_edges"],
-        blind_edges=cfg["corpus.blind_edges"],
-        n_queries=cfg["corpus.n_queries"],
-        cross_domain_queries=cfg["corpus.cross_domain_queries"],
-        embedding_dim=cfg["corpus.embedding_dim"],
-        exogenous_scale=cfg["corpus.exogenous_scale"],
-        anisotropy=cfg["corpus.anisotropy"],
+        archetype_counts=counts, cross_domain_specialists=spec.pop("specialists"), **spec
     )
 
 
@@ -152,13 +136,16 @@ def cmd_query(args: argparse.Namespace) -> int:
     lines = ["query_id,rank,agent_id,score"]
     summary = []
     for q in queries:
-        ranked = rank(state, q, strategy, agents, beta_mix, variant)
+        try:  # name the query that does not fit the snapshot or the agents
+            ranked = rank(state, q, strategy, agents, beta_mix, variant)
+            if q.expected_domains:
+                strict = precision_at_k(ranked, agents, q.expected_domains, k, "strict")
+                multi = precision_at_k(ranked, agents, q.expected_domains, k, "multilabel")
+                summary.append((q.id, strict, multi))
+        except ValidationError as exc:
+            raise ValidationError(f"query {q.id}: {exc}") from exc
         for pos, (aid, score) in enumerate(ranked, start=1):
             lines.append(f"{q.id},{pos},{aid},{score!r}")
-        if q.expected_domains:
-            strict = precision_at_k(ranked, agents, q.expected_domains, k, "strict")
-            multi = precision_at_k(ranked, agents, q.expected_domains, k, "multilabel")
-            summary.append((q.id, strict, multi))
     _write(Path(args.out), "\n".join(lines) + "\n")
     if summary:
         print(f"precision@{k} ({strategy})")

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from dataclasses import replace
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from dataclasses import MISSING, replace
 from pathlib import Path
-from typing import Any, TypeVar
+from typing import Any
 
 import numpy as np
 import orjson
@@ -29,10 +29,23 @@ from .gates import (
     KlGateConfig,
     MagnitudeGateConfig,
 )
-from .graph import Agent, Edge, WeightConfig
+from .graph import (
+    AGENT_FIELDS,
+    ANY,
+    EDGE_FIELDS,
+    Agent,
+    Edge,
+    BOOLEAN,
+    INTEGER,
+    STRING,
+    VECTOR,
+    Field,
+    WeightConfig,
+    one_of,
+)
 from .operators import OperatorKind
-from .propagation import PropagationConfig, ReputationState
-from .retrieval import STRATEGIES, VARIANTS, Query
+from .propagation import MODES, PropagationConfig, ReputationState
+from .retrieval import QUERY_FIELDS, STRATEGIES, VARIANTS, Query
 from .vectorspace import center_and_normalize, fit_centering, row_norms
 
 # --- flat config --------------------------------------------------------------
@@ -142,87 +155,59 @@ def config_digest(cfg: Mapping[str, Any]) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def config_section(cfg: Mapping[str, Any], prefix: str) -> dict[str, Any]:
+    """The keys under ``prefix.``, named without it: one config record's fields."""
+    start = len(prefix) + 1
+    return {key[start:]: value for key, value in cfg.items() if key[:start] == prefix + "."}
+
+
 def propagation_config(cfg: Mapping[str, Any]) -> PropagationConfig:
-    op_name = cfg["propagation.operator"]
-    if op_name == "hybrid":
-        operator = OperatorKind(
-            "hybrid",
-            hybrid_gamma=cfg["propagation.hybrid_gamma"],
-            hybrid_mode=cfg["propagation.hybrid_mode"],
-        )
-    else:
-        operator = OperatorKind.from_name(op_name)
+    prop = config_section(cfg, "propagation")
+    names = ("operator", "hybrid_gamma", "hybrid_mode")
+    operator = OperatorKind.from_name(*(prop.pop(name) for name in names))
     gates = GateStack(
         kl=KlGateConfig(
-            enabled=cfg["gates.kl.enabled"],
-            lam=cfg["gates.kl.lambda"],
-            form=cfg["gates.kl.form"],
+            enabled=cfg["gates.kl.enabled"], lam=cfg["gates.kl.lambda"], form=cfg["gates.kl.form"]
         ),
-        entropy=EntropyGateConfig(
-            enabled=cfg["gates.entropy.enabled"],
-            strength=cfg["gates.entropy.strength"],
-        ),
-        magnitude_ratio=MagnitudeGateConfig(enabled=cfg["gates.magnitude.enabled"]),
+        entropy=EntropyGateConfig(**config_section(cfg, "gates.entropy")),
+        magnitude_ratio=MagnitudeGateConfig(**config_section(cfg, "gates.magnitude")),
         confidence=ConfidenceGateConfig(
             enabled=cfg["gates.confidence.enabled"],
             default_confidence=cfg["gates.confidence.default"],
         ),
     )
-    return PropagationConfig(
-        alpha=cfg["propagation.alpha"],
-        epsilon=cfg["propagation.epsilon"],
-        max_iters=cfg["propagation.max_iters"],
-        beta=cfg["propagation.beta"],
-        mode=cfg["propagation.mode"],
-        operator=operator,
-        gates=gates,
-        normalize_each_iter=cfg["propagation.normalize_each_iter"],
-        clamp_floor=cfg["propagation.clamp_floor"],
-        couple_c_with_damping=cfg["propagation.couple_c_with_damping"],
-        top_k=cfg["propagation.top_k"],
-    )
+    return PropagationConfig(**prop, operator=operator, gates=gates)
 
 
 def weight_config(cfg: Mapping[str, Any]) -> WeightConfig:
-    return WeightConfig(
-        payment_multiplier=cfg["weights.payment_multiplier"],
-        blind_discount=cfg["weights.blind_discount"],
-        same_owner_discount=cfg["weights.same_owner_discount"],
-        verified_flag_multiplier=cfg["weights.verified_flag_multiplier"],
-    )
+    return WeightConfig(**config_section(cfg, "weights"))
 
 
 # --- JSONL corpora ------------------------------------------------------------
 
-_T = TypeVar("_T")
+def _jsonl(records: Iterable[Any], table: tuple[Field, ...]) -> str:
+    """A JSON line per record: each field its ``write`` rule keeps, in table order."""
+    lines = []
+    for record in records:
+        obj = {f.key: getattr(record, f.key) for f in table if f.write is None or f.write(record)}
+        lines.append(json.dumps(obj, separators=(", ", ": "), default=_json_default))
+    return "\n".join(lines) + "\n"
 
 
-def _vec(arr: np.ndarray) -> list[float]:
-    return [float(x) for x in arr]
-
-
-def _dump_line(record: dict[str, Any]) -> str:
-    return json.dumps(record, separators=(", ", ": "))
+def _json_default(value: np.ndarray | frozenset[str]) -> list[Any]:
+    return value.tolist() if isinstance(value, np.ndarray) else sorted(value)
 
 
 def agents_to_jsonl(agents: Iterable[Agent]) -> str:
-    lines = []
-    for a in agents:
-        record: dict[str, Any] = {
-            "id": a.id,
-            "primary_domain": a.primary_domain,
-            "secondary_domains": list(a.secondary_domains),
-            "profile": _vec(a.profile),
-            "teleport": _vec(a.teleport),
-            "exogenous": _vec(a.exogenous),
-            "archetype": a.archetype,
-        }
-        if a.owner_key is not None:
-            record["owner_key"] = a.owner_key
-        if a.description:
-            record["description"] = a.description
-        lines.append(_dump_line(record))
-    return "\n".join(lines) + "\n"
+    return _jsonl(agents, AGENT_FIELDS)
+
+
+def edges_to_jsonl(edges: Iterable[Edge]) -> str:
+    return _jsonl(edges, EDGE_FIELDS)
+
+
+def queries_to_jsonl(queries: Iterable[Query]) -> str:
+    return _jsonl(queries, QUERY_FIELDS)
 
 
 def _loads(text: str, where: str) -> Any:
@@ -270,103 +255,40 @@ def _records(text: str, what: str) -> Iterator[tuple[int, dict[str, Any]]]:
         yield lineno, rec
 
 
-def _read(text: str, what: str, build: Callable[[dict[str, Any]], _T]) -> list[_T]:
-    """``build`` over the records of ``text``; its errors name the line."""
-    out = []
+def _read(text: str, what: str, cls: type, table: tuple[Field, ...]) -> Iterator[tuple[int, Any]]:
+    """(line number, record) per record of ``text``, errors naming the line.  The
+    keys are ``cls``'s arguments, so the dataclass fills in defaults and checks
+    types; only a record with a key missing or outside the table costs more."""
     for lineno, rec in _records(text, what):
         try:
-            out.append(build(rec))
-        except KeyError as exc:
-            raise ValidationError(f"{what} line {lineno}: missing field {exc}") from exc
-        # ValidationError is a ValueError; TypeError is, say, an unhashable domain.
-        except (TypeError, ValueError) as exc:
+            try:
+                record = cls(**rec)
+            except TypeError:
+                missing = [f.key for f in table if f.default is MISSING and f.key not in rec]
+                if missing:
+                    raise ValidationError(f"missing field {missing[0]!r}") from None
+                record = cls(**{f.key: rec[f.key] for f in table if f.key in rec})
+        # ValidationError is a ValueError; TypeError is a safety net, and an
+        # integer beyond the float range fails float() in the record's rules.
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{what} line {lineno}: {exc}") from exc
-    return out
-
-
-def _agent(rec: dict[str, Any]) -> Agent:
-    return Agent(
-        id=rec["id"],
-        primary_domain=rec["primary_domain"],
-        secondary_domains=rec.get("secondary_domains", ()),
-        profile=np.asarray(rec["profile"], dtype=float),
-        teleport=np.asarray(rec["teleport"], dtype=float),
-        exogenous=np.asarray(rec["exogenous"], dtype=float),
-        archetype=rec.get("archetype", "active"),
-        owner_key=rec.get("owner_key"),
-        description=rec.get("description", ""),
-    )
+        yield lineno, record
 
 
 def agents_from_jsonl(text: str) -> list[Agent]:
-    return _read(text, "agents", _agent)
-
-
-def edges_to_jsonl(edges: Iterable[Edge]) -> str:
-    lines = []
-    for e in edges:
-        record: dict[str, Any] = {
-            "sender": e.sender,
-            "receiver": e.receiver,
-            "kind": e.kind,
-            "base_weight": e.base_weight,
-        }
-        if e.content is not None:
-            record["content"] = _vec(e.content)
-        record["payment"] = e.payment
-        if e.kind == "flag":
-            record["verified"] = e.verified
-            record["severity"] = e.severity
-        if e.confidence is not None:
-            record["confidence"] = e.confidence
-        lines.append(_dump_line(record))
-    return "\n".join(lines) + "\n"
-
-
-def _edge(rec: dict[str, Any]) -> Edge:
-    content = rec.get("content")
-    kind = rec["kind"]
-    return Edge(
-        sender=rec["sender"],
-        receiver=rec["receiver"],
-        kind=kind,
-        base_weight=rec.get("base_weight", 1.0),
-        content=None if content is None else np.asarray(content, dtype=float),
-        payment=rec.get("payment", False),
-        verified=rec.get("verified", False),
-        severity=rec.get("severity") if kind == "flag" else None,
-        confidence=rec.get("confidence"),
-    )
+    agents: dict[str, Agent] = {}
+    for lineno, agent in _read(text, "agents", Agent, AGENT_FIELDS):
+        if agents.setdefault(agent.id, agent) is not agent:
+            raise ValidationError(f"agents line {lineno}: duplicate agent id {agent.id!r}")
+    return list(agents.values())
 
 
 def edges_from_jsonl(text: str) -> list[Edge]:
-    return _read(text, "edges", _edge)
-
-
-def queries_to_jsonl(queries: Iterable[Query]) -> str:
-    lines = []
-    for q in queries:
-        record = {
-            "id": q.id,
-            "text": q.text,
-            "embedding": _vec(q.embedding),
-            "expected_domains": sorted(q.expected_domains),
-        }
-        lines.append(_dump_line(record))
-    return "\n".join(lines) + "\n"
-
-
-def _query(rec: dict[str, Any]) -> Query:
-    return Query(
-        id=rec["id"],
-        text=rec["text"],
-        embedding=np.asarray(rec["embedding"], dtype=float),
-        expected_domains=frozenset(rec.get("expected_domains", ())),
-    )
+    return [edge for _, edge in _read(text, "edges", Edge, EDGE_FIELDS)]
 
 
 def queries_from_jsonl(text: str) -> list[Query]:
-    return _read(text, "queries", _query)
+    return [query for _, query in _read(text, "queries", Query, QUERY_FIELDS)]
 
 
 def center_corpus(
@@ -452,7 +374,7 @@ def snapshot_to_json(
     width_key = "E" if state.mode == "continuous" else "D"
     head = {
         "dims": {"N": n, width_key: width},
-        "mean": _vec(mean) if mean is not None else [],
+        "mean": np.asarray(mean, dtype=float).tolist() if mean is not None else [],
     }
     tail = {
         "config_digest": digest,
@@ -473,14 +395,42 @@ def snapshot_to_json(
     )
 
 
+# A snapshot's fields in written order, and an agent entry's.  ANY marks what is
+# checked by hand below: "dims", "agents", and the ids, as a column.
+SNAPSHOT_FIELDS = (
+    Field("dims", ANY),
+    Field("mean", VECTOR, ()),
+    Field("agents", ANY),
+    Field("config_digest", STRING, ""),
+    Field("mode", one_of(*MODES), ReputationState.mode),
+    Field("iterations", INTEGER, ReputationState.iterations),
+    Field("converged", BOOLEAN, ReputationState.converged),
+    Field("residuals", VECTOR, ReputationState.residuals),
+)
+SNAPSHOT_AGENT_FIELDS = (Field("id", ANY), Field("r", VECTOR))
+
+
+def _fields(obj: Any, table: tuple[Field, ...], where: str) -> dict[str, Any]:
+    """Each of the table's fields of the JSON object ``obj``, type-checked."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where}: must be a JSON object")
+    out = {}
+    for key, (check, _), default, _ in table:
+        if key not in obj and default is MISSING:
+            raise ValidationError(f"{where}: missing field {key!r}")
+        try:
+            out[key] = check(key, obj.get(key, default))
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}") from exc
+    return out
+
+
 def snapshot_from_json(text: str) -> tuple[ReputationState, str, np.ndarray]:
     obj = _loads(text, "snapshot")
     if not isinstance(obj, dict):
         raise ValidationError("snapshot must be a JSON object")
-    for key in ("dims", "agents"):
-        if key not in obj:
-            raise ValidationError(f"snapshot: missing field {key!r}")
-    dims, agents = obj["dims"], obj["agents"]
+    fields = _fields(obj, SNAPSHOT_FIELDS, "snapshot")
+    dims, agents, mean = fields["dims"], fields["agents"], fields["mean"]
     if not isinstance(dims, dict):
         raise ValidationError("snapshot dims must be a JSON object")
     width_key = "E" if "E" in dims else "D"
@@ -488,36 +438,37 @@ def snapshot_from_json(text: str) -> tuple[ReputationState, str, np.ndarray]:
         raise ValidationError("snapshot dims need 'N' and a width 'E' or 'D'")
     if not isinstance(agents, list):
         raise ValidationError("snapshot agents must be a JSON array")
-    for i, rec in enumerate(agents):
-        if not isinstance(rec, dict):
-            raise ValidationError(f"snapshot agent {i}: must be a JSON object")
-        for key in ("id", "r"):
-            if key not in rec:
-                raise ValidationError(f"snapshot agent {i}: missing field {key!r}")
-    ids = tuple(rec["id"] for rec in agents)
+    entries = [
+        _fields(rec, SNAPSHOT_AGENT_FIELDS, f"snapshot agent {i}") for i, rec in enumerate(agents)
+    ]
+    ids = tuple(entry["id"] for entry in entries)
     if not all(isinstance(aid, str) for aid in ids):
         raise ValidationError("snapshot: agent ids must be strings")
     if len(set(ids)) != len(ids):
         dup = next(aid for i, aid in enumerate(ids) if aid in ids[:i])
         raise ValidationError(f"snapshot: duplicate agent id {dup!r}")
-    vectors = np.asarray([rec["r"] for rec in agents], dtype=float)
-    if vectors.shape != (dims["N"], dims[width_key]):
+    try:
+        vectors = np.array([entry["r"] for entry in entries])
+    except ValueError:  # rows of different lengths
+        vectors = None
+    if vectors is None or vectors.shape != (dims["N"], dims[width_key]):
         raise ValidationError("snapshot dims disagree with agent rows")
-    mean = np.asarray(obj.get("mean", []), dtype=float)
-    residuals = np.asarray(obj.get("residuals", []), dtype=float)
     # _loads reads NaN and Infinity tokens, and 1e999 as inf.
-    for name, values in (("agent rows", vectors), ("mean", mean), ("residuals", residuals)):
-        if not np.isfinite(values).all():
+    for name, v in (("agent rows", vectors), ("mean", mean), ("residuals", fields["residuals"])):
+        if not np.isfinite(v).all():
             raise ValidationError(f"snapshot: {name} must be finite")
+    # Queries are centered with the mean, in the space of a continuous state.
+    if fields["mode"] == "continuous" and mean.size and mean.shape != (vectors.shape[1],):
+        raise ValidationError("snapshot: mean dim does not match the agent rows")
     state = ReputationState(
         vectors=vectors,
         agent_ids=ids,
-        mode=obj.get("mode", "continuous"),
-        iterations=obj.get("iterations", 0),
-        residuals=tuple(residuals.tolist()),
-        converged=obj.get("converged", False),
+        mode=fields["mode"],
+        iterations=fields["iterations"],
+        residuals=tuple(fields["residuals"].tolist()),
+        converged=fields["converged"],
     )
-    return state, obj.get("config_digest", ""), mean
+    return state, fields["config_digest"], mean
 
 
 def residuals_to_csv(residuals: Sequence[float]) -> str:

@@ -22,9 +22,12 @@ per-edge computation would give.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
+from dataclasses import MISSING, dataclass, field
+from operator import countOf
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -39,6 +42,125 @@ UNIT_TOL = 1e-6
 
 # Blind proxies computed per block in ``normalize``; bounds its temporaries.
 PROXY_CHUNK_ROWS = 4096
+
+
+# --- field tables -------------------------------------------------------------
+# Each record kind has one table of Fields, in the order files write them: the
+# record's __post_init__ checks its types, and files reads and writes JSONL by it.
+
+
+class FieldType(NamedTuple):
+    """``check(name, value)`` returns the value, converted where the record stores
+    another form, or raises ValidationError; values of a type in ``passes`` skip it."""
+
+    check: Callable[[str, Any], Any]
+    passes: frozenset[type] = frozenset()
+
+
+class Field(NamedTuple):
+    key: str
+    type: FieldType
+    default: Any = MISSING  # MISSING: required
+    write: Callable[[Any], bool] | None = None  # given the record; None: always
+
+
+class FieldTable(tuple):
+    # (key, check, passes) per field: plain tuples unpack twice as fast as Fields.
+    checks: tuple[tuple[str, Callable[[str, Any], Any], frozenset[type]], ...]
+
+
+def field_table(cls: type, *fields: Field) -> FieldTable:
+    """``fields`` with each default taken from the dataclass ``cls``."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    table = FieldTable(f._replace(default=defaults[f.key]) for f in fields)
+    table.checks = tuple((f.key, *f.type) for f in table)
+    return table
+
+
+def check_fields(record: Any, table: FieldTable) -> None:
+    """Check each field's type, storing the value its check converted."""
+    # getattr, not vars(): a record whose __dict__ is read gets slower attributes.
+    for key, check, passes in table.checks:
+        value = getattr(record, key)
+        if type(value) not in passes:
+            checked = check(key, value)
+            if checked is not value:
+                object.__setattr__(record, key, checked)
+
+
+def _instance_of(what: str, types: tuple[type, ...]) -> Callable[[str, Any], Any]:
+    # bool is an int subclass, but true is not a number; "false" is no boolean.
+    def check(name: str, value: Any) -> Any:
+        if isinstance(value, types) and (type(value) is not bool or bool in types):
+            return value
+        raise ValidationError(f"{name} must be {what}, got {type(value).__name__}")
+
+    return check
+
+
+_NUMBERS = (float, int, np.floating, np.integer)
+
+
+def _vector(name: str, value: Any) -> np.ndarray:
+    """A 1-D float64 array, from a numeric array or a list of numbers, which
+    np.asarray alone would take with "0.5", true or null entries.  A list's
+    entry types are counted in C, and listed only if one is not a float."""
+    if isinstance(value, (list, tuple)):
+        if countOf(map(type, value), float) != len(value):
+            for t in dict.fromkeys(map(type, value)):  # in list order, for a stable message
+                if t is bool or not issubclass(t, _NUMBERS):
+                    raise ValidationError(f"{name} must be a vector of numbers, not {t.__name__}")
+        try:
+            return np.fromiter(value, np.float64, len(value))
+        except OverflowError as exc:  # an integer beyond the float range
+            raise ValidationError(f"{name}: {exc}") from exc
+    if not isinstance(value, np.ndarray) or value.dtype.kind not in "fiu" or value.ndim != 1:
+        raise ValidationError(f"{name} must be a vector of numbers, got {type(value).__name__}")
+    return np.asarray(value, dtype=np.float64)
+
+
+STRING = FieldType(_instance_of("a string", (str,)), frozenset({str}))
+NUMBER = FieldType(_instance_of("a number", _NUMBERS), frozenset({float}))
+INTEGER = FieldType(_instance_of("an integer", (int, np.integer)), frozenset({int}))
+BOOLEAN = FieldType(_instance_of("a boolean", (bool, np.bool_)), frozenset({bool}))
+VECTOR = FieldType(_vector)
+ANY = FieldType(lambda name, value: value)  # for a part checked by hand
+
+
+def strings(into: type) -> FieldType:
+    """A list of strings, stored as ``into``: tuple("abc") splits a string."""
+
+    def check(name: str, value: Any) -> Any:
+        if not isinstance(value, (list, tuple, into)):
+            raise ValidationError(
+                f"{name} must be a list of strings, got {type(value).__name__}"
+            )
+        for entry in value:
+            STRING.check(f"{name} entry", entry)
+        return value if type(value) is into else into(value)
+
+    return FieldType(check)
+
+
+def one_of(*choices: str) -> FieldType:
+    def check(name: str, value: Any) -> str:
+        if isinstance(value, str) and value in choices:
+            return value
+        # A list by its type: the repr of a deeply nested one fails.
+        got = repr(value) if isinstance(value, str) else type(value).__name__
+        raise ValidationError(f"{name} must be one of {', '.join(choices)}, got {got}")
+
+    return FieldType(check)
+
+
+def optional(inner: FieldType) -> FieldType:
+    def check(name: str, value: Any) -> Any:
+        return None if value is None else inner.check(name, value)
+
+    return FieldType(check, inner.passes | {type(None)})
+
+
+# --- records ------------------------------------------------------------------
 
 
 @dataclass
@@ -61,29 +183,9 @@ class Agent:
     description: str = ""
 
     def __post_init__(self) -> None:
-        self.profile = np.asarray(self.profile, dtype=np.float64)
-        self.teleport = np.asarray(self.teleport, dtype=np.float64)
-        self.exogenous = np.asarray(self.exogenous, dtype=np.float64)
-        _check_text("id", self.id)
+        check_fields(self, AGENT_FIELDS)
         if not self.id:
             raise ValidationError("agent id must be non-empty")
-        _check_text("primary_domain", self.primary_domain)
-        _check_text("description", self.description)
-        if self.owner_key is not None:
-            _check_text("owner_key", self.owner_key)
-        # tuple() of a bare string would split it into one-letter domains.
-        if not isinstance(self.secondary_domains, (list, tuple)):
-            raise ValidationError(
-                "secondary_domains must be a list of strings, "
-                f"got {type(self.secondary_domains).__name__}"
-            )
-        for domain in self.secondary_domains:
-            _check_text("secondary_domains entry", domain)
-        self.secondary_domains = tuple(self.secondary_domains)
-        if self.archetype not in ARCHETYPES:
-            raise ValidationError(f"unknown archetype {self.archetype!r}")
-        if self.profile.ndim != 1:
-            raise ValidationError("profile must be a vector")
         # Written as "not <=" so that a NaN norm fails the check too.
         if not abs(float(np.linalg.norm(self.profile)) - 1.0) <= UNIT_TOL:
             raise ValidationError(f"agent {self.id}: profile must be unit length")
@@ -94,6 +196,20 @@ class Agent:
                 )
             if not np.isfinite(vec).all():
                 raise ValidationError(f"agent {self.id}: {name} must be finite")
+
+
+AGENT_FIELDS = field_table(
+    Agent,
+    Field("id", STRING),
+    Field("primary_domain", STRING),
+    Field("secondary_domains", strings(tuple)),
+    Field("profile", VECTOR),
+    Field("teleport", VECTOR),
+    Field("exogenous", VECTOR),
+    Field("archetype", one_of(*ARCHETYPES)),
+    Field("owner_key", optional(STRING), write=lambda a: a.owner_key is not None),
+    Field("description", STRING, write=lambda a: a.description != ""),
+)
 
 
 @dataclass
@@ -111,17 +227,7 @@ class Edge:
     confidence: float | None = None
 
     def __post_init__(self) -> None:
-        _check_text("sender", self.sender)
-        _check_text("receiver", self.receiver)
-        if self.kind not in EDGE_KINDS:
-            raise ValidationError(f"unknown edge kind {self.kind!r}")
-        _check_number("base_weight", self.base_weight)
-        _check_flag("payment", self.payment)
-        _check_flag("verified", self.verified)
-        if self.severity is not None:
-            _check_number("severity", self.severity)
-        if self.confidence is not None:
-            _check_number("confidence", self.confidence)
+        check_fields(self, EDGE_FIELDS)
         if not 0.0 < float(self.base_weight) < math.inf:
             raise ValidationError("base_weight must be finite and > 0")
         if self.kind in ("labeled", "blind") and self.sender == self.receiver:
@@ -129,9 +235,6 @@ class Edge:
         if self.kind == "labeled":
             if self.content is None:
                 raise ValidationError("labeled edge requires a content embedding")
-            self.content = np.asarray(self.content, dtype=np.float64)
-            if self.content.ndim != 1:
-                raise ValidationError("labeled edge content must be a vector")
             if not abs(float(np.linalg.norm(self.content)) - 1.0) <= UNIT_TOL:
                 raise ValidationError("labeled edge content must be unit length")
         elif self.content is not None:
@@ -147,26 +250,18 @@ class Edge:
             raise ValidationError("confidence must lie in [0, 1]")
 
 
-# Python and NumPy reals; bool is an int subclass and is rejected on its own.
-_NUMBER_TYPES = (float, int, np.floating, np.integer)
-
-
-def _check_number(name: str, value: object) -> None:
-    """Reject what JSON can put where a number belongs: null, strings, booleans."""
-    if type(value) is bool or not isinstance(value, _NUMBER_TYPES):
-        raise ValidationError(f"{name} must be a number, got {type(value).__name__}")
-
-
-def _check_text(name: str, value: object) -> None:
-    """Reject non-strings, which JSON can put in any field: a list id is unhashable."""
-    if not isinstance(value, str):
-        raise ValidationError(f"{name} must be a string, got {type(value).__name__}")
-
-
-def _check_flag(name: str, value: object) -> None:
-    """Reject non-booleans, whose truth would count: the string "false" is true."""
-    if not isinstance(value, (bool, np.bool_)):
-        raise ValidationError(f"{name} must be a boolean, got {type(value).__name__}")
+EDGE_FIELDS = field_table(
+    Edge,
+    Field("sender", STRING),
+    Field("receiver", STRING),
+    Field("kind", one_of(*EDGE_KINDS)),
+    Field("base_weight", NUMBER),
+    Field("content", optional(VECTOR), write=lambda e: e.content is not None),
+    Field("payment", BOOLEAN),
+    Field("verified", BOOLEAN, write=lambda e: e.kind == "flag"),
+    Field("severity", optional(NUMBER), write=lambda e: e.kind == "flag"),
+    Field("confidence", optional(NUMBER), write=lambda e: e.confidence is not None),
+)
 
 
 @dataclass(frozen=True)
@@ -270,16 +365,6 @@ class NormalizedGraph:
     def n_neg_edges(self) -> int:
         return int(self.neg_sender.size)
 
-    def pos_row_sums(self) -> np.ndarray:
-        sums = np.zeros(self.n_agents)
-        np.add.at(sums, self.pos_sender, self.pos_weight)
-        return sums
-
-    def neg_row_sums(self) -> np.ndarray:
-        sums = np.zeros(self.n_agents)
-        np.add.at(sums, self.neg_sender, self.neg_weight)
-        return sums
-
 
 def normalize(
     agents: Sequence[Agent],
@@ -338,10 +423,9 @@ def normalize(
         )
         w = raw_weight(edge, cfg, same_owner)
         if edge.kind == "labeled":
-            content = np.asarray(edge.content, dtype=np.float64)
-            if content.shape[0] != dim:
-                raise ValidationError("edge content dim does not match agents")
-            labeled_content.append(content)
+            if edge.content.shape[0] != dim:
+                raise ValidationError(f"edge {edge.sender} -> {edge.receiver}: wrong content dim")
+            labeled_content.append(edge.content)
         pos_s.append(si)
         pos_r.append(ri)
         pos_w.append(w)

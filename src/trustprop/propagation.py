@@ -118,9 +118,6 @@ class ReputationState:
     def magnitudes(self) -> np.ndarray:
         return np.linalg.norm(self.vectors, axis=1)
 
-    def row(self, agent_id: str) -> np.ndarray:
-        return self.vectors[self.agent_ids.index(agent_id)]
-
 
 def _advance(
     state: ReputationState, new: np.ndarray

@@ -25,7 +25,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Agent
+from .graph import STRING, VECTOR, Agent, Field, check_fields, field_table, strings
 from .propagation import ReputationState
 from .vectorspace import row_norms
 
@@ -44,12 +44,18 @@ class Query:
     expected_domains: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "embedding", np.asarray(self.embedding, dtype=np.float64)
-        )
-        object.__setattr__(self, "expected_domains", frozenset(self.expected_domains))
+        check_fields(self, QUERY_FIELDS)
         if not np.isfinite(self.embedding).all():
             raise ValidationError(f"query {self.id}: embedding must be finite")
+
+
+QUERY_FIELDS = field_table(
+    Query,
+    Field("id", STRING),
+    Field("text", STRING),
+    Field("embedding", VECTOR),
+    Field("expected_domains", strings(frozenset)),
+)
 
 
 RankedList = list[tuple[str, float]]

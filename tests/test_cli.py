@@ -1,9 +1,14 @@
 """End-to-end tests for the command-line front end (in-process)."""
 
+import contextlib
+import io
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dataclasses import replace
 
@@ -246,6 +251,44 @@ def test_propagate_rejects_malformed_jsonl_lines(
     assert not (tmp_path / "prop").exists()
 
 
+@pytest.mark.parametrize(
+    "which, field, value, message",
+    [
+        ("agents", "profile", lambda rec: [repr(x) for x in rec["profile"]],
+         "agents line {line}: profile must be a vector of numbers, not str"),
+        ("agents", "teleport", lambda rec: [x > 0 for x in rec["teleport"]],
+         "agents line {line}: teleport must be a vector of numbers, not bool"),
+        ("edges", "content", lambda rec: [repr(x) for x in rec["content"]],
+         "edges line {line}: content must be a vector of numbers, not str"),
+        ("edges", "base_weight", lambda rec: 10**400,
+         "edges line {line}: int too large to convert to float"),
+        ("edges", "content", lambda rec: [1.0],
+         "edge {sender} -> {receiver}: wrong content dim"),
+        ("agents", "id", lambda rec: "a00", "agents line {line}: duplicate agent id 'a00'"),
+    ],
+    ids=["profile_strs", "teleport_bools", "content_strs", "huge_base_weight", "content_dim",
+         "duplicate_id"],
+)
+def test_propagate_rejects_mistyped_fields(
+    workdir, tmp_path, capsys, which, field, value, message
+):
+    # Change the last record with ``field``: a duplicated id comes after the original.
+    paths = dict(zip(("agents", "edges"), _corpus_args(workdir)))
+    records = [json.loads(line) for line in paths[which].read_text().splitlines()]
+    i = max(i for i, rec in enumerate(records) if field in rec)
+    records[i][field] = value(records[i])
+    paths[which] = tmp_path / f"{which}.jsonl"
+    paths[which].write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    code = main([
+        "propagate", "--agents", str(paths["agents"]), "--edges", str(paths["edges"]),
+        "--out", str(tmp_path / "prop"),
+    ])
+    assert code == 1
+    expected = message.format(line=i + 1, **records[i])
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not (tmp_path / "prop").exists()
+
+
 def test_propagate_discrete_mode(workdir, tmp_path):
     conf = tmp_path / "disc.conf"
     conf.write_text(SMALL_CONF + "propagation.mode = discrete\npropagation.top_k = 2\n")
@@ -435,6 +478,63 @@ def test_query_rejects_nan_query_embedding(workdir, snapshot, tmp_path, capsys):
     assert "embedding must be finite" in err
 
 
+def _set(**fields):
+    return lambda obj: obj.update(fields)
+
+
+@pytest.mark.parametrize(
+    "which, change, strategy, message",
+    [
+        ("queries", _set(embedding="1"), "dot",
+         "queries line 1: embedding must be a vector of numbers, got str"),
+        ("queries", _set(text=["x"]), "pipeline",
+         "queries line 1: text must be a string, got list"),
+        ("queries", _set(text=5), "pipeline", "queries line 1: text must be a string, got int"),
+        ("queries", _set(expected_domains="abc"), "dot",
+         "queries line 1: expected_domains must be a list of strings, got str"),
+        ("queries", _set(expected_domains=[1]), "dot",
+         "queries line 1: expected_domains entry must be a string, got int"),
+        ("queries", _set(embedding=[1.0]), "dot",
+         "query q00: query dim 1 does not match state width 64"),
+        ("snapshot", _set(residuals={"a": 1}), "dot",
+         "snapshot: residuals must be a vector of numbers, got dict"),
+        ("snapshot", _set(mode="bogus"), "dot",
+         "snapshot: mode must be one of continuous, discrete, got 'bogus'"),
+        ("snapshot", _set(iterations="many"), "dot",
+         "snapshot: iterations must be an integer, got str"),
+        ("snapshot", _set(converged="no"), "dot",
+         "snapshot: converged must be a boolean, got str"),
+        ("snapshot", _set(config_digest=5), "dot",
+         "snapshot: config_digest must be a string, got int"),
+        ("snapshot", _set(mean=[0.5]), "dot", "snapshot: mean dim does not match the agent rows"),
+        ("snapshot", lambda obj: obj["agents"][0].update(r=[True] * 64), "dot",
+         "snapshot agent 0: r must be a vector of numbers, not bool"),
+    ],
+    ids=["embedding_str", "text_list", "text_int", "domains_str", "domains_int", "query_dim",
+         "residuals_dict", "mode_bogus", "iterations_str", "converged_str", "digest_int",
+         "mean_dim", "row_bools"],
+)
+def test_query_rejects_mistyped_fields(
+    workdir, snapshot, tmp_path, capsys, which, change, strategy, message
+):
+    # The snapshot as one object, or the first line of the queries.
+    paths = {"snapshot": snapshot, "queries": _corpus_args(workdir)[2]}
+    text = paths[which].read_text()
+    lines = [text] if which == "snapshot" else text.splitlines()
+    obj = json.loads(lines[0])
+    change(obj)
+    lines[0] = json.dumps(obj)
+    paths[which] = tmp_path / which
+    paths[which].write_text("\n".join(lines) + "\n")
+    code = main([
+        "query", "--snapshot", str(paths["snapshot"]), "--queries", str(paths["queries"]),
+        "--agents", str(_corpus_args(workdir)[0]), "--strategy", strategy,
+        "--out", str(tmp_path / "r.csv"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _skew(root, src, offset):
     """Copy corpus files, pushing every embedding toward one offset: the
     narrow cone of a raw embedding model that ``--center`` undoes."""
@@ -608,3 +708,107 @@ def test_usage_errors_exit_1():
     with pytest.raises(SystemExit) as exc:
         main(["propagate"])  # missing required arguments
     assert exc.value.code == 1
+
+
+# ---------------------------------------------------------------- fuzz
+
+# One value of each JSON type, and the awkward ones: an integer no float can
+# hold, a numeric string, lists of each kind.
+_JSON_VALUES = [None, True, False, 0, -1, 2.5, 10**400, "", "x", "0.5", [], ["x"], [1.0], {},
+                {"a": 1}]
+_ENTRY_VALUES = ["0.5", True, False, None, [1.0]]
+_NON_FINITE = [float("nan"), float("inf"), float("-inf"), "@1e999"]
+_NEST_DEPTHS = [3, 200, 2000]
+
+
+def _dumps(obj):
+    """json.dumps, with "@1e999" written as the literal and "@nestN" as N nested lists."""
+    text = json.dumps(obj).replace('"@1e999"', "1e999")
+    return re.sub(r'"@nest(\d+)"', lambda m: "[" * int(m[1]) + "]" * int(m[1]), text)
+
+
+def _mutate(data, obj, ids):
+    """Apply one drawn mutation to the JSON object ``obj`` in place; returns
+    "truncate" when the caller should cut the line's text instead."""
+    op = data.draw(st.sampled_from(["drop", "swap", "entry", "non_finite", "nest", "dup_id",
+                                    "truncate"]))
+    if op == "truncate":
+        return op
+    parent, key = obj, data.draw(st.sampled_from(sorted(obj)))
+    if isinstance(parent[key], dict) and parent[key] and data.draw(st.booleans()):
+        parent, key = parent[key], data.draw(st.sampled_from(sorted(parent[key])))
+    elif key == "agents" and parent[key]:  # a snapshot's agent entry
+        entry = data.draw(st.sampled_from(parent[key]))
+        parent, key = entry, data.draw(st.sampled_from(sorted(entry)))
+    value = parent[key]
+    if op == "drop":
+        del parent[key]
+    elif op == "swap":
+        parent[key] = data.draw(st.sampled_from(_JSON_VALUES))
+    elif op in ("entry", "non_finite") and isinstance(value, list) and value:
+        pool = _ENTRY_VALUES if op == "entry" else _NON_FINITE
+        value[data.draw(st.integers(0, len(value) - 1))] = data.draw(st.sampled_from(pool))
+    elif op == "non_finite":
+        parent[key] = data.draw(st.sampled_from(_NON_FINITE))
+    elif op == "nest":
+        parent[key] = f"@nest{data.draw(st.sampled_from(_NEST_DEPTHS))}"
+    elif op == "dup_id":
+        id_key = "id" if "id" in parent else "sender"
+        parent[id_key] = data.draw(st.sampled_from(ids))
+    return op
+
+
+# An exit-1 message names where the input is wrong: a line of a JSONL file,
+# the snapshot, or, for a rule across files, the query, edge or agent by id.
+_WHERE = re.compile(
+    r"^error: ((agents|edges|queries) line \d+: |snapshot|query \S+: |edge .+ -> .+: "
+    r"|edge references unknown agent ')"
+)
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_never_shows_a_traceback(workdir, snapshot, data):
+    files = dict(zip(("agents", "edges", "queries"), _corpus_args(workdir)))
+    texts = {name: path.read_text() for name, path in files.items()}
+    texts["snapshot"] = snapshot.read_text()
+    target = data.draw(st.sampled_from(["agents", "edges", "queries", "snapshot"]))
+    if target == "snapshot":
+        obj = json.loads(texts[target])
+        ids = [entry["id"] for entry in obj["agents"]]
+        op = _mutate(data, obj, ids)
+        text = _dumps(obj)
+    else:
+        lines = texts[target].splitlines()
+        records = [json.loads(line) for line in lines]
+        ids = [rec.get("id", rec.get("sender")) for rec in records]
+        i = data.draw(st.integers(0, len(lines) - 1))
+        op = _mutate(data, records[i], ids)
+        lines[i] = _dumps(records[i])
+        if op == "truncate":
+            lines[i] = lines[i][: data.draw(st.integers(0, len(lines[i]) - 1))]
+        text = "\n".join(lines) + "\n"
+    if target == "snapshot" and op == "truncate":
+        text = text[: data.draw(st.integers(0, len(text) - 1))]
+    fuzz = workdir / "fuzz"
+    fuzz.mkdir(exist_ok=True)
+    paths = {name: fuzz / f"{name}.json" for name in texts}
+    for name, path in paths.items():
+        path.write_text(text if name == target else texts[name])
+    runs = []
+    if target in ("agents", "edges"):
+        runs.append(["propagate", "--agents", str(paths["agents"]), "--edges",
+                     str(paths["edges"]), "--out", str(fuzz / "prop")])
+    if target != "edges":
+        strategy = data.draw(st.sampled_from(["dot", "cosine", "mixed", "pipeline"]))
+        runs.append(["query", "--snapshot", str(paths["snapshot"]), "--queries",
+                     str(paths["queries"]), "--agents", str(paths["agents"]),
+                     "--strategy", strategy, "--out", str(fuzz / "r.csv")])
+    for argv in runs:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert _WHERE.match(err.getvalue()), err.getvalue()

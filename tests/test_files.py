@@ -1,6 +1,7 @@
 """Tests for config parsing, JSONL round trips, centering and snapshots."""
 
 import copy
+import dataclasses
 import json
 import math
 import struct
@@ -14,6 +15,8 @@ from trustprop.cli import corpus_spec
 from trustprop.errors import DegenerateVectorError, ValidationError
 from trustprop.files import (
     CONFIG_DEFAULTS,
+    SNAPSHOT_AGENT_FIELDS,
+    SNAPSHOT_FIELDS,
     _loads,
     agents_from_jsonl,
     agents_to_jsonl,
@@ -32,8 +35,8 @@ from trustprop.files import (
     weight_config,
 )
 from trustprop.propagation import PropagationConfig, ReputationState, run
-from trustprop.graph import Agent, Edge, normalize
-from trustprop.retrieval import Query
+from trustprop.graph import AGENT_FIELDS, EDGE_FIELDS, Agent, Edge, normalize
+from trustprop.retrieval import QUERY_FIELDS, Query
 from trustprop.vectorspace import DEGENERATE_NORM, fit_centering
 
 
@@ -133,6 +136,11 @@ def _sample_records(corpus):
 
 def test_agents_jsonl_round_trip(corpus):
     agents, _, _ = _sample_records(corpus)
+    full = dataclasses.replace(  # every field away from its default
+        agents[0], id="full", secondary_domains=("e", "f"), archetype="hub", owner_key="k",
+        description="every field set",
+    )
+    agents = list(agents) + [full]
     text = agents_to_jsonl(agents)
     back = agents_from_jsonl(text)
     assert len(back) == len(agents)
@@ -165,10 +173,17 @@ def test_edges_jsonl_round_trip(corpus):
         kind="flag",
         severity=0.9,
         verified=True,
+        base_weight=0.5,
+        payment=True,
+        confidence=0.75,
     )
-    text = edges_to_jsonl(list(edges) + [flag])
+    labeled = next(e for e in edges if e.kind == "labeled")
+    full = dataclasses.replace(labeled, base_weight=2.5, payment=True, confidence=0.25)
+    edges = list(edges) + [full, flag]
+    text = edges_to_jsonl(edges)
     back = edges_from_jsonl(text)
-    for a, b in zip(list(edges) + [flag], back):
+    assert len(back) == len(edges)
+    for a, b in zip(edges, back):
         assert (a.sender, a.receiver, a.kind) == (b.sender, b.receiver, b.kind)
         assert a.base_weight == b.base_weight
         assert a.payment == b.payment
@@ -183,12 +198,32 @@ def test_edges_jsonl_round_trip(corpus):
 
 def test_queries_jsonl_round_trip(corpus):
     _, _, queries = _sample_records(corpus)
+    full = Query(id="full", text="t", embedding=queries[0].embedding,
+                 expected_domains=frozenset({"b", "a"}))
+    queries = list(queries) + [full]
     back = queries_from_jsonl(queries_to_jsonl(queries))
+    assert len(back) == len(queries)
     for a, b in zip(queries, back):
         assert a.id == b.id
         assert a.text == b.text
         assert a.expected_domains == b.expected_domains
         assert np.array_equal(a.embedding, b.embedding)
+
+
+@pytest.mark.parametrize(
+    "record, table", [(Agent, AGENT_FIELDS), (Edge, EDGE_FIELDS), (Query, QUERY_FIELDS)]
+)
+def test_field_tables_list_exactly_the_dataclass_fields(record, table):
+    fields = dataclasses.fields(record)
+    assert sorted(f.key for f in table) == sorted(f.name for f in fields)
+    assert {f.key: f.default for f in table} == {f.name: f.default for f in fields}
+
+
+def test_snapshot_field_tables_list_exactly_the_written_keys():
+    state = ReputationState(vectors=np.array([[1.0, 2.0]]), agent_ids=("a",))
+    obj = json.loads(snapshot_to_json(state, "d", np.array([0.5, 0.5])))
+    assert list(obj) == [f.key for f in SNAPSHOT_FIELDS]
+    assert list(obj["agents"][0]) == [f.key for f in SNAPSHOT_AGENT_FIELDS]
 
 
 def test_jsonl_serialization_is_byte_stable(corpus):
@@ -258,6 +293,45 @@ def test_agent_string_fields_must_be_strings(field, value, message):
     rec = dict(_AGENT, **{field: value})
     with pytest.raises(ValidationError, match=f"^agents line 1: {message}$"):
         agents_from_jsonl(json.dumps(rec) + "\n")
+
+
+_QUERY = {"id": "q", "text": "t", "embedding": [1.0], "expected_domains": ["d"]}
+
+
+@pytest.mark.parametrize(
+    "read, what, good, fields, message",
+    [
+        (queries_from_jsonl, "queries", _QUERY, {"embedding": "1"},
+         "embedding must be a vector of numbers, got str"),
+        (queries_from_jsonl, "queries", _QUERY, {"text": ["x"]},
+         "text must be a string, got list"),
+        (queries_from_jsonl, "queries", _QUERY, {"text": 5}, "text must be a string, got int"),
+        (queries_from_jsonl, "queries", _QUERY, {"expected_domains": "abc"},
+         "expected_domains must be a list of strings, got str"),
+        (queries_from_jsonl, "queries", _QUERY, {"expected_domains": [1]},
+         "expected_domains entry must be a string, got int"),
+        (agents_from_jsonl, "agents", _AGENT, {"profile": ["1.0", "0.0"]},
+         "profile must be a vector of numbers, not str"),
+        (agents_from_jsonl, "agents", _AGENT, {"teleport": [True, False]},
+         "teleport must be a vector of numbers, not bool"),
+        (agents_from_jsonl, "agents", _AGENT, {"id": "b", "exogenous": [0.0, None]},
+         "exogenous must be a vector of numbers, not NoneType"),
+        (edges_from_jsonl, "edges", _EDGE, {"content": ["0.0", "1.0"]},
+         "content must be a vector of numbers, not str"),
+        (edges_from_jsonl, "edges", _EDGE, {"base_weight": 10**400},
+         "int too large to convert to float"),
+        (agents_from_jsonl, "agents", _AGENT, {}, "duplicate agent id 'a'"),
+    ],
+    ids=["query_embedding_str", "query_text_list", "query_text_int", "query_domains_str",
+         "query_domains_int", "profile_strs", "teleport_bools", "exogenous_null",
+         "content_strs", "huge_base_weight", "duplicate_agent_id"],
+)
+def test_jsonl_field_types_are_checked(read, what, good, fields, message):
+    first = json.dumps(good) + "\n"
+    assert len(read(first)) == 1
+    with pytest.raises(ValidationError) as info:
+        read(first + json.dumps({**good, **fields}) + "\n")
+    assert str(info.value) == f"{what} line 2: {message}"
 
 
 @pytest.mark.parametrize("field", ["sender", "receiver"])
@@ -650,6 +724,29 @@ def test_snapshot_rejects_duplicate_and_non_string_ids():
         snapshot_from_json(_SNAPSHOT.replace('"id": "b"', '"id": "a"'))
     with pytest.raises(ValidationError, match="ids must be strings"):
         snapshot_from_json(_SNAPSHOT.replace('"id": "b"', '"id": 7'))
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"residuals": {"a": 1}}, "snapshot: residuals must be a vector of numbers, got dict"),
+        ({"mode": "bogus"}, "snapshot: mode must be one of continuous, discrete, got 'bogus'"),
+        ({"iterations": "many"}, "snapshot: iterations must be an integer, got str"),
+        ({"converged": "no"}, "snapshot: converged must be a boolean, got str"),
+        ({"config_digest": 5}, "snapshot: config_digest must be a string, got int"),
+        ({"agents": [{"id": "a", "r": [True, False]}, {"id": "b", "r": [0.0, 1.0]}]},
+         "snapshot agent 0: r must be a vector of numbers, not bool"),
+        ({"agents": [{"id": "a", "r": [1.0, 0.0]}, {"id": "b", "r": [0.0]}]},
+         "snapshot dims disagree with agent rows"),
+        ({"mean": [0.5]}, "snapshot: mean dim does not match the agent rows"),
+    ],
+    ids=["residuals_dict", "mode_bogus", "iterations_str", "converged_str", "digest_int",
+         "row_bools", "ragged_rows", "mean_dim"],
+)
+def test_snapshot_fields_are_type_checked(fields, message):
+    with pytest.raises(ValidationError) as info:
+        snapshot_from_json(json.dumps({**json.loads(_SNAPSHOT), **fields}))
+    assert str(info.value) == message
 
 
 def test_residuals_csv_layout():

@@ -482,12 +482,15 @@ def test_warm_start_new_dangling_agent_settles_fast():
     second = warm_start(first, g2, cfg)
     assert second.converged
     assert second.iterations <= 5
+    def row(state, aid):
+        return state.vectors[state.agent_ids.index(aid)]
+
     np.testing.assert_allclose(
-        second.row("zz-new"), 0.15 * extra.teleport + extra.exogenous, atol=1e-12
+        row(second, "zz-new"), 0.15 * extra.teleport + extra.exogenous, atol=1e-12
     )
     # a dangling newcomer cannot disturb anyone else's fixed point
     for aid in first.agent_ids:
-        np.testing.assert_allclose(second.row(aid), first.row(aid), atol=1e-9)
+        np.testing.assert_allclose(row(second, aid), row(first, aid), atol=1e-9)
 
 
 def test_warm_start_rejects_mode_and_width_mismatch():
