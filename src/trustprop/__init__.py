@@ -8,7 +8,7 @@ from .gates import (
     KlGateConfig,
     MagnitudeGateConfig,
 )
-from .graph import Agent, Edge, NormalizedGraph, WeightConfig, normalize
+from .graph import Agent, AgentTable, Edge, EdgeTable, NormalizedGraph, WeightConfig, normalize
 from .harness import Corpus, CorpusSpec, generate_corpus, run_scenario
 from .operators import OperatorKind, transfer, verify_lipschitz
 from .propagation import (
@@ -28,6 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Agent",
+    "AgentTable",
     "CenteringModel",
     "ConfidenceGateConfig",
     "Corpus",
@@ -35,6 +36,7 @@ __all__ = [
     "DegenerateVectorError",
     "DomainMatrices",
     "Edge",
+    "EdgeTable",
     "EntropyGateConfig",
     "GateStack",
     "KlGateConfig",

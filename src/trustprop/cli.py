@@ -127,8 +127,8 @@ def cmd_query(args: argparse.Namespace) -> int:
         # `propagate --center` fitted and propagated in.
         model = CenteringModel(mean=mean, sample_count=0)
         queries = [replace(q, embedding=center_and_normalize(model, q.embedding)) for q in queries]
-        if strategy == "pipeline":
-            agents = [replace(a, profile=center_and_normalize(model, a.profile)) for a in agents]
+        if strategy == "pipeline" and len(agents):  # each row as a 1-D call gives it
+            agents = replace(agents, profile=center_and_normalize(model, agents.profile))
     beta_mix = cfg["retrieval.beta_mix"]
     variant = cfg["retrieval.variant"]
     k = cfg["retrieval.k"]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import repeat
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import MISSING, replace
 from pathlib import Path
@@ -34,7 +35,9 @@ from .graph import (
     ANY,
     EDGE_FIELDS,
     Agent,
+    AgentTable,
     Edge,
+    EdgeTable,
     BOOLEAN,
     INTEGER,
     STRING,
@@ -46,7 +49,7 @@ from .graph import (
 from .operators import OperatorKind
 from .propagation import MODES, PropagationConfig, ReputationState
 from .retrieval import QUERY_FIELDS, STRATEGIES, VARIANTS, Query
-from .vectorspace import center_and_normalize, fit_centering, row_norms
+from .vectorspace import CenteringModel, center_and_normalize, row_norms
 
 # --- flat config --------------------------------------------------------------
 
@@ -255,92 +258,164 @@ def _records(text: str, what: str) -> Iterator[tuple[int, dict[str, Any]]]:
         yield lineno, rec
 
 
-def _read(text: str, what: str, cls: type, table: tuple[Field, ...]) -> Iterator[tuple[int, Any]]:
-    """(line number, record) per record of ``text``, errors naming the line.  The
-    keys are ``cls``'s arguments, so the dataclass fills in defaults and checks
-    types; only a record with a key missing or outside the table costs more."""
-    for lineno, rec in _records(text, what):
+def _record(rec: dict[str, Any], what: str, lineno: int, cls: type, table: tuple[Field, ...]) -> Any:
+    """The record of one JSONL line, errors naming the line.  The keys are
+    ``cls``'s arguments, so the dataclass fills in defaults and checks types;
+    only a record with a key missing or outside the table costs more."""
+    try:
         try:
-            try:
-                record = cls(**rec)
-            except TypeError:
-                missing = [f.key for f in table if f.default is MISSING and f.key not in rec]
-                if missing:
-                    raise ValidationError(f"missing field {missing[0]!r}") from None
-                record = cls(**{f.key: rec[f.key] for f in table if f.key in rec})
-        # ValidationError is a ValueError; TypeError is a safety net, and an
-        # integer beyond the float range fails float() in the record's rules.
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"{what} line {lineno}: {exc}") from exc
-        yield lineno, record
+            return cls(**rec)
+        except TypeError:
+            missing = [f.key for f in table if f.default is MISSING and f.key not in rec]
+            if missing:
+                raise ValidationError(f"missing field {missing[0]!r}") from None
+            return cls(**{f.key: rec[f.key] for f in table if f.key in rec})
+    # ValidationError is a ValueError; TypeError is a safety net, and an
+    # integer beyond the float range fails float() in the record's rules.
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} line {lineno}: {exc}") from exc
 
 
-def agents_from_jsonl(text: str) -> list[Agent]:
-    agents: dict[str, Agent] = {}
-    for lineno, agent in _read(text, "agents", Agent, AGENT_FIELDS):
-        if agents.setdefault(agent.id, agent) is not agent:
-            raise ValidationError(f"agents line {lineno}: duplicate agent id {agent.id!r}")
-    return list(agents.values())
+def _first_repeat(ids: list[str], seen: set[str]) -> int:
+    """Index of the first id already in ``seen`` or earlier in ``ids``, else
+    ``len(ids)``; the ids before it are added to ``seen``."""
+    if seen.isdisjoint(ids) and len(set(ids)) == len(ids):
+        seen.update(ids)
+        return len(ids)
+    for i, aid in enumerate(ids):
+        if aid in seen:
+            return i
+        seen.add(aid)
+    return len(ids)
 
 
-def edges_from_jsonl(text: str) -> list[Edge]:
-    return [edge for _, edge in _read(text, "edges", Edge, EDGE_FIELDS)]
+# Lines a table reader holds before checking them and stacking their vectors.
+READ_BLOCK_ROWS = 4096
+
+
+def _read_table(text: str, what: str, table: type, unique_ids: bool = False) -> Any:
+    """The ``AgentTable`` or ``EdgeTable`` of a JSONL text.
+
+    Lines are parsed one at a time.  Every ``READ_BLOCK_ROWS`` lines, each
+    field becomes a column, the table's rules check the columns whole, and
+    the vectors become float blocks, so the parsed lines are never all held.
+    The error is the first bad line's: that line is built as its record,
+    whose checks give the message.  A line that only a rule across lines
+    rejects (a duplicate id, a vector dim other than the first line's) gets
+    that rule's message.
+    """
+    fields = table.record_fields
+    recs: list[dict[str, Any]] = []
+    linenos: list[int] = []
+    blocks: list[Any] = []
+    seen: set[str] = set()
+    dim = failure = error = None
+
+    def flush() -> tuple[int, dict[str, Any], str | None] | None:
+        """Check the held lines; (line number, line, message) of the first bad one."""
+        nonlocal dim
+        columns = {
+            f.key: list(map(dict.get, recs, repeat(f.key), repeat(f.default))) for f in fields
+        }
+        block, dim, across = table.checked(columns, dim)
+        n = len(block)
+        failure = (linenos[n], recs[n], across) if n < len(recs) else None
+        if unique_ids:
+            # A repeated id is rejected before a dim across lines, at the same
+            # row too: records were read before normalize checked their dims.
+            ids = columns["id"][: n + 1 if across else n]
+            first = _first_repeat(ids, seen)
+            if first < len(ids):
+                lineno = linenos[first]
+                message = f"{what} line {lineno}: duplicate agent id {ids[first]!r}"
+                failure = lineno, recs[first], message
+        blocks.append(block)
+        recs.clear()
+        linenos.clear()
+        return failure
+
+    try:
+        for lineno, rec in _records(text, what):
+            recs.append(rec)
+            linenos.append(lineno)
+            if len(recs) == READ_BLOCK_ROWS and (failure := flush()):
+                break
+    except ValidationError as exc:  # not a JSON object: a line before it may fail first
+        error = exc
+    failure = failure or flush()
+    if failure is not None:
+        lineno, rec, message = failure
+        _record(rec, what, lineno, table.record_type, fields)
+        raise ValidationError(message)
+    if error is not None:
+        raise error
+    return table.concat(blocks)
+
+
+def agents_from_jsonl(text: str) -> AgentTable:
+    return _read_table(text, "agents", AgentTable, unique_ids=True)
+
+
+def edges_from_jsonl(text: str) -> EdgeTable:
+    return _read_table(text, "edges", EdgeTable)
 
 
 def queries_from_jsonl(text: str) -> list[Query]:
-    return [query for _, query in _read(text, "queries", Query, QUERY_FIELDS)]
+    return [
+        _record(rec, "queries", lineno, Query, QUERY_FIELDS)
+        for lineno, rec in _records(text, "queries")
+    ]
 
 
 def center_corpus(
-    agents: Sequence[Agent], edges: Sequence[Edge], queries: Sequence[Query] = ()
-) -> tuple[list[Agent], list[Edge], list[Query], np.ndarray]:
+    agents: AgentTable | Sequence[Agent],
+    edges: EdgeTable | Sequence[Edge],
+    queries: Sequence[Query] = (),
+) -> tuple[AgentTable, EdgeTable, list[Query], np.ndarray]:
     """Fit a mean over every embedding in the files and re-center them all.
 
     Unit-norm fields (profiles, contents, query embeddings) are centered
     and renormalized; magnitude-carrying fields (teleport, exogenous) keep
     their norms but take the direction of their centered selves.
-    Returns the transformed records plus the fitted mean.
+    Returns the transformed tables and queries plus the fitted mean.
     """
-    cloud = [a.profile for a in agents]
-    cloud += [e.content for e in edges if e.content is not None]
-    cloud += [q.embedding for q in queries]
+    agents, edges = AgentTable.of(agents), EdgeTable.of(edges)
+    parts = [agents.profile, edges.contents] + [q.embedding[None, :] for q in queries]
+    cloud = [part for part in parts if len(part)]
     if not cloud:
         raise ValidationError("nothing to center: no embeddings in the input files")
-    model = fit_centering(cloud)
-
+    width = cloud[0].shape[1:]
+    for part in cloud:
+        if part.shape[1:] != width:
+            raise ValidationError(
+                f"dimension mismatch in centering corpus: {part.shape[1:]} != {width}"
+            )
     # Profiles, contents and query embeddings are all unit fields: center
-    # the whole cloud in one call, then hand each record its row.
-    unit = center_and_normalize(model, np.vstack(cloud))
-    n_agents, n_contents = len(agents), len(cloud) - len(agents) - len(queries)
-    profiles = unit[:n_agents]
-    contents = iter(unit[n_agents : n_agents + n_contents])
-    embeddings = unit[n_agents + n_contents :]
+    # the whole cloud in one call.
+    stacked = np.vstack(cloud)
+    model = CenteringModel(mean=stacked.mean(axis=0), sample_count=len(stacked))
+    unit = center_and_normalize(model, stacked)
+    n_agents, n_contents = len(agents), len(edges.contents)
 
-    def _recenter_scaled(vectors: list[np.ndarray]) -> np.ndarray:
-        out = np.vstack(vectors) if vectors else np.zeros((0, model.dim))
+    def recenter_scaled(vectors: np.ndarray) -> np.ndarray:
+        out = vectors.copy()
         norms = row_norms(out)
         nonzero = norms != 0.0
-        out[nonzero] = norms[nonzero, None] * center_and_normalize(model, out[nonzero])
+        if nonzero.any():
+            out[nonzero] = norms[nonzero, None] * center_and_normalize(model, out[nonzero])
         return out
 
-    teleports = _recenter_scaled([a.teleport for a in agents])
-    exogenous = _recenter_scaled([a.exogenous for a in agents])
-
-    # Agents usually outlive the edges, so each gets arrays of its own rather
-    # than views that keep the stacked matrices alive; with views, repeated
-    # recomputes reached a higher peak RSS.
-    new_agents = [
-        replace(
-            a,
-            profile=profiles[i].copy(),
-            teleport=teleports[i].copy(),
-            exogenous=exogenous[i].copy(),
-        )
-        for i, a in enumerate(agents)
-    ]
-    new_edges = [
-        e if e.content is None else replace(e, content=next(contents)) for e in edges
-    ]
+    # Agents usually outlive the edges, so the profiles get an array of their
+    # own rather than a view that keeps the centered contents alive; with
+    # views, repeated recomputes reached a higher peak RSS.
+    new_agents = replace(
+        agents,
+        profile=unit[:n_agents].copy(),
+        teleport=recenter_scaled(agents.teleport),
+        exogenous=recenter_scaled(agents.exogenous),
+    )
+    new_edges = replace(edges, contents=unit[n_agents : n_agents + n_contents])
+    embeddings = unit[n_agents + n_contents :]
     new_queries = [replace(q, embedding=embeddings[i]) for i, q in enumerate(queries)]
     return new_agents, new_edges, new_queries, model.mean
 
@@ -396,7 +471,7 @@ def snapshot_to_json(
 
 
 # A snapshot's fields in written order, and an agent entry's.  ANY marks what is
-# checked by hand below: "dims", "agents", and the ids, as a column.
+# checked below: "dims", "agents", and the ids, as a column.
 SNAPSHOT_FIELDS = (
     Field("dims", ANY),
     Field("mean", VECTOR, ()),
@@ -415,7 +490,7 @@ def _fields(obj: Any, table: tuple[Field, ...], where: str) -> dict[str, Any]:
     if not isinstance(obj, dict):
         raise ValidationError(f"{where}: must be a JSON object")
     out = {}
-    for key, (check, _), default, _ in table:
+    for key, (check, *_), default, _ in table:
         if key not in obj and default is MISSING:
             raise ValidationError(f"{where}: missing field {key!r}")
         try:
@@ -441,17 +516,19 @@ def snapshot_from_json(text: str) -> tuple[ReputationState, str, np.ndarray]:
     entries = [
         _fields(rec, SNAPSHOT_AGENT_FIELDS, f"snapshot agent {i}") for i, rec in enumerate(agents)
     ]
-    ids = tuple(entry["id"] for entry in entries)
-    if not all(isinstance(aid, str) for aid in ids):
+    ids, n_strings = STRING.column("id", [entry["id"] for entry in entries])
+    if n_strings < len(entries):
         raise ValidationError("snapshot: agent ids must be strings")
+    ids = tuple(ids)
     if len(set(ids)) != len(ids):
         dup = next(aid for i, aid in enumerate(ids) if aid in ids[:i])
         raise ValidationError(f"snapshot: duplicate agent id {dup!r}")
-    try:
-        vectors = np.array([entry["r"] for entry in entries])
-    except ValueError:  # rows of different lengths
+    width = dims[width_key]
+    try:  # (N, width) rows, also for N = 0
+        vectors = np.array([entry["r"] for entry in entries]) if entries else np.zeros((0, width))
+    except (TypeError, ValueError, OverflowError):  # rows of different lengths, a bad width
         vectors = None
-    if vectors is None or vectors.shape != (dims["N"], dims[width_key]):
+    if vectors is None or vectors.shape != (dims["N"], width):
         raise ValidationError("snapshot dims disagree with agent rows")
     # _loads reads NaN and Infinity tokens, and 1e999 as inf.
     for name, v in (("agent rows", vectors), ("mean", mean), ("residuals", fields["residuals"])):

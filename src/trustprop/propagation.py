@@ -55,7 +55,7 @@ import scipy.sparse as sp
 
 from .errors import ValidationError
 from .gates import GateStack, stack_batch, topic_distribution_batch
-from .graph import Agent, NormalizedGraph
+from .graph import Agent, AgentTable, NormalizedGraph
 from .operators import OperatorKind, transfer_batch
 
 logger = logging.getLogger(__name__)
@@ -157,7 +157,7 @@ def init_state(
     matrices: DomainMatrices | None = None,
 ) -> ReputationState:
     """R0 = T + C (projected onto domain buckets in discrete mode)."""
-    ids = tuple(a.id for a in graph.agents)
+    ids = graph.agents.ids
     if cfg.mode == "continuous":
         vectors = graph.teleport + graph.exogenous
     else:
@@ -307,7 +307,7 @@ def step_continuous(
     """
     if state.mode != "continuous" or cfg.mode != "continuous":
         raise ValidationError("step_continuous requires a continuous state and config")
-    _check_state(state, (graph.n_agents, graph.dim), tuple(a.id for a in graph.agents))
+    _check_state(state, (graph.n_agents, graph.dim), graph.agents.ids)
     _, _, centroids = _engine_inputs(graph, cfg, centroids=centroids)
     return _step_continuous(state, graph, cfg, _continuous_plan(graph, cfg, centroids))
 
@@ -398,7 +398,7 @@ def build_domain_matrices(
         mats=tuple(mats),
         teleport=project_to_domains(graph.teleport, cents),
         exogenous=project_to_domains(graph.exogenous, cents),
-        agent_ids=tuple(a.id for a in graph.agents),
+        agent_ids=graph.agents.ids,
     )
 
 
@@ -508,7 +508,7 @@ def run(
         raise ValidationError("initial state mode does not match config")
     if initial is not None:
         width = graph.dim if cfg.mode == "continuous" else matrices.teleport.shape[1]
-        _check_state(state, (graph.n_agents, width), tuple(a.id for a in graph.agents))
+        _check_state(state, (graph.n_agents, width), graph.agents.ids)
     if cfg.mode == "continuous":
         plan = _continuous_plan(graph, cfg, centroids)
     for _ in range(cfg.max_iters):
@@ -587,38 +587,39 @@ def self_alignment(state: ReputationState, graph: NormalizedGraph) -> dict[str, 
     if state.mode != "continuous":
         raise ValidationError("self_alignment applies to continuous states")
     out: dict[str, float] = {}
-    for i, agent in enumerate(graph.agents):
+    for i, aid in enumerate(graph.agents.ids):
         r = state.vectors[i]
         t = graph.teleport[i]
         rn = float(np.linalg.norm(r))
         tn = float(np.linalg.norm(t))
         if rn == 0.0 or tn == 0.0:
             continue
-        out[agent.id] = float(np.clip(float(r @ t) / (rn * tn), -1.0, 1.0))
+        out[aid] = float(np.clip(float(r @ t) / (rn * tn), -1.0, 1.0))
     return out
 
 
-def centroids_from_agents(agents: Sequence[Agent]) -> tuple[tuple[str, ...], np.ndarray]:
+def centroids_from_agents(
+    agents: AgentTable | Sequence[Agent],
+) -> tuple[tuple[str, ...], np.ndarray]:
     """Domain centroids as normalized mean profiles per primary domain.
 
     Derived purely from agent records so any serialized corpus reproduces
     the same taxonomy; domains are ordered by first appearance.
     """
-    order: list[str] = []
-    groups: dict[str, list[np.ndarray]] = {}
-    for agent in agents:
-        if agent.primary_domain not in groups:
-            order.append(agent.primary_domain)
-            groups[agent.primary_domain] = []
-        groups[agent.primary_domain].append(agent.profile)
+    agents = AgentTable.of(agents)
+    codes: dict[str, int] = {}
+    group = np.fromiter(
+        (codes.setdefault(d, len(codes)) for d in agents.primary_domains), np.intp, len(agents)
+    )
+    order = tuple(codes)
     cents = []
-    for label in order:
-        mean = np.mean(groups[label], axis=0)
+    for k, label in enumerate(order):
+        mean = agents.profile[group == k].mean(axis=0)
         norm = float(np.linalg.norm(mean))
         if norm < 1e-12:
             raise ValidationError(f"domain {label!r} has a degenerate mean profile")
         cents.append(mean / norm)
-    return tuple(order), np.vstack(cents)
+    return order, np.vstack(cents)
 
 
 def residual_ratios(residuals: Sequence[float], skip: int = 1) -> list[float]:

@@ -5,12 +5,14 @@ import dataclasses
 import json
 import math
 import struct
+import unittest.mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import trustprop.files
 from trustprop.cli import corpus_spec
 from trustprop.errors import DegenerateVectorError, ValidationError
 from trustprop.files import (
@@ -35,7 +37,7 @@ from trustprop.files import (
     weight_config,
 )
 from trustprop.propagation import PropagationConfig, ReputationState, run
-from trustprop.graph import AGENT_FIELDS, EDGE_FIELDS, Agent, Edge, normalize
+from trustprop.graph import AGENT_FIELDS, EDGE_FIELDS, EDGE_KINDS, Agent, Edge, normalize
 from trustprop.retrieval import QUERY_FIELDS, Query
 from trustprop.vectorspace import DEGENERATE_NORM, fit_centering
 
@@ -349,6 +351,222 @@ def test_records_check_string_fields_outside_jsonl_too():
               profile=[1.0], teleport=[0.0], exogenous=[0.0])
     with pytest.raises(ValidationError, match="sender must be a string"):
         Edge(sender=("a",), receiver="b", kind="blind")
+
+
+# ---------------------------------------------------------------- table readers
+
+
+def _reference_read(text, what):
+    """The per-line reader: each line's ``Agent(**rec)``/``Edge(**rec)``, a
+    repeated agent id rejected at its line, and a profile or content whose dim
+    is not the first one's rejected with the message ``normalize`` gave."""
+    cls, fields = (Agent, AGENT_FIELDS) if what == "agents" else (Edge, EDGE_FIELDS)
+    records, ids, dim = [], set(), None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        prefix = f"{what} line {lineno}: "
+        try:
+            rec = json.loads(line)
+        except ValueError as exc:
+            return f"{prefix}invalid json ({exc})"
+        if not isinstance(rec, dict):
+            return f"{prefix}expected a JSON object, got {type(rec).__name__}"
+        missing = [f.key for f in fields if f.default is dataclasses.MISSING and f.key not in rec]
+        if missing:
+            return f"{prefix}missing field {missing[0]!r}"
+        try:
+            record = cls(**{f.key: rec[f.key] for f in fields if f.key in rec})
+        except (TypeError, ValueError, OverflowError) as exc:
+            return f"{prefix}{exc}"
+        if what == "agents":
+            if record.id in ids:
+                return f"{prefix}duplicate agent id {record.id!r}"
+            ids.add(record.id)
+            dim = record.profile.shape if dim is None else dim
+            if record.profile.shape != dim:
+                return "inconsistent embedding dims across agents"
+        elif record.content is not None:
+            dim = record.content.shape if dim is None else dim
+            if record.content.shape != dim:
+                return f"edge {record.sender} -> {record.receiver}: wrong content dim"
+        records.append(record)
+    return records
+
+
+def _bits(value):
+    """A field value to compare: floats (and vectors) as their bit patterns."""
+    if isinstance(value, np.ndarray):
+        return ("vector", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, (float, int)) and not isinstance(value, bool):
+        return ("number", struct.pack("<d", float(value)))
+    return (type(value).__name__, value)
+
+
+def _unit(rng, dim):
+    v = rng.standard_normal(dim) + 0.1
+    return (v / np.linalg.norm(v)).tolist()
+
+
+def _good_lines(what, n, dim, seed):
+    rng = np.random.default_rng(seed)
+    if what == "agents":
+        return [
+            {"id": f"a{i}", "primary_domain": "d", "secondary_domains": ["e"] * (i % 2),
+             "profile": _unit(rng, dim), "teleport": [0.5 * x for x in _unit(rng, dim)],
+             "exogenous": [0.0] * dim, "archetype": ("hub", "active")[i % 2],
+             **({"owner_key": "k"} if i % 3 == 0 else {}), "description": f"agent {i}"}
+            for i in range(n)
+        ]
+    lines = []
+    for i in range(n):
+        kind = ("labeled", "labeled", "blind", "flag")[i % 4]
+        rec = {"sender": f"a{i}", "receiver": f"a{i + 1}", "kind": kind, "base_weight": 1.5}
+        if kind == "labeled":
+            rec["content"] = _unit(rng, dim)
+        rec["payment"] = i % 2 == 0
+        if kind == "flag":
+            rec.update(verified=True, severity=0.25)
+        if i % 4 == 1:
+            rec["confidence"] = 0.5
+        lines.append(rec)
+    return lines
+
+
+def _set(value):
+    def mutate(rec, key):
+        rec[key] = value
+    return mutate
+
+
+def _vector_entry(value):
+    def mutate(rec, key):
+        vec = rec.get(key)
+        if isinstance(vec, list) and vec:
+            rec[key] = [value] + vec[1:]
+    return mutate
+
+
+def _scale(factor):
+    def mutate(rec, key):
+        if isinstance(rec.get(key), list):
+            rec[key] = [factor * x if type(x) is float else x for x in rec[key]]
+    return mutate
+
+
+def _ragged(rec, key):
+    if isinstance(rec.get(key), list):
+        rec[key] = rec[key][:-1]
+
+
+# Field mutations, drawn for the key a line op names: vector keys take the
+# vector ones, other keys the scalar ones.
+_SCALAR_MUTATIONS = [
+    _set(7), _set(["x"]), _set(None), _set(True), _set(2), _set(10**400), _set(float("inf")),
+    _set(float("nan")), _set(0.0), _set(-1.0), _set(1.5), _set("1.0"), _set(""),
+    _set("bogus"), _set("abc"),
+]
+_VECTOR_MUTATIONS = [
+    _vector_entry("0.5"), _vector_entry(True), _vector_entry(None), _vector_entry([1.0]),
+    _vector_entry(0), _vector_entry(float("nan")), _vector_entry(float("inf")),
+    _vector_entry(10**400), _scale(2.0), _scale(1), _scale(0.0), _ragged, _set("1.0"),
+    _set(None), _set(1.0),
+]
+_VECTOR_KEYS = ("profile", "teleport", "exogenous", "content")
+_AGENT_KEYS = [f.key for f in AGENT_FIELDS]
+_EDGE_KEYS = [f.key for f in EDGE_FIELDS]
+
+
+def _mutate(rec, previous, op, key, mutation, kind):
+    """``rec`` after one line op; ``previous`` is the line before it, if any."""
+    if op == "field":
+        mutations = _VECTOR_MUTATIONS if key in _VECTOR_KEYS else _SCALAR_MUTATIONS
+        mutations[mutation % len(mutations)](rec, key)
+    elif op == "drop":
+        rec.pop(key, None)
+    elif op == "unknown":
+        rec["extra"] = [1, {"x": None}]
+    elif op == "duplicate" and previous:
+        rec.update({k: previous[k] for k in ("id", "sender") if k in rec and k in previous})
+    elif op == "self_edge" and "sender" in rec:
+        rec["receiver"] = rec["sender"]
+    elif op == "relabel" and "kind" in rec:
+        rec["kind"] = kind
+    elif op == "redim":  # every vector one entry longer, still valid on its own
+        for name in ("profile", "teleport", "exogenous", "content"):
+            if isinstance(rec.get(name), list):
+                rec[name] = rec[name] + [0.0]
+    return rec
+
+
+# (line, op, field mutation, key, kind): the line, mutation and key are taken
+# modulo the number of lines, mutations and keys.
+_LINE_OPS = st.tuples(
+    st.integers(0, 6),
+    st.sampled_from(["field", "field", "field", "field", "drop", "unknown", "duplicate",
+                     "self_edge", "relabel", "redim", "blank", "not_object", "invalid"]),
+    st.integers(0, 15),
+    st.integers(0, 8),
+    st.sampled_from(EDGE_KINDS),
+)
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+@given(
+    what=st.sampled_from(["agents", "edges"]),
+    n=st.integers(1, 7),
+    dim=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    ops=st.lists(_LINE_OPS, max_size=3),
+    block_rows=st.sampled_from([1, 2, 3, 4096]),
+)
+@example(what="agents", n=0, dim=2, seed=0, ops=[], block_rows=4096)
+@example(what="edges", n=0, dim=2, seed=0, ops=[], block_rows=4096)
+# A repeated id on the line whose dims differ from the first line's.
+@example(what="agents", n=3, dim=2, seed=0, block_rows=2,
+         ops=[(2, "duplicate", 0, 0, "flag"), (2, "redim", 0, 0, "flag")])
+# A content dim other than the first content's, in a later block.
+@example(what="edges", n=7, dim=3, seed=1, block_rows=2, ops=[(5, "redim", 0, 0, "flag")])
+# Edge rules the draws reach rarely: a content that is not unit length, a flag
+# without severity or with one out of range, a base weight beyond the floats.
+@example(what="edges", n=4, dim=2, seed=2, block_rows=3, ops=[(1, "field", 8, 4, "flag")])
+@example(what="edges", n=4, dim=2, seed=2, block_rows=3, ops=[(3, "drop", 0, 7, "flag")])
+@example(what="edges", n=4, dim=2, seed=2, block_rows=3, ops=[(3, "field", 10, 7, "flag")])
+@example(what="edges", n=4, dim=2, seed=2, block_rows=3, ops=[(2, "field", 5, 3, "flag")])
+def test_table_readers_equal_the_per_line_reference(what, n, dim, seed, ops, block_rows):
+    keys = _AGENT_KEYS if what == "agents" else _EDGE_KEYS
+    recs = _good_lines(what, n, dim, seed)
+    lines = [json.dumps(rec) for rec in recs]
+    for line, op, mutation, key_index, kind in ops:
+        if not lines:
+            break
+        i = line % len(lines)
+        if op == "blank":
+            lines[i] = " \r"
+        elif op == "not_object":
+            lines[i] = "[1]"
+        elif op == "invalid":
+            lines[i] = lines[i][:-1]
+        else:
+            previous = recs[i - 1] if i else None
+            recs[i] = _mutate(dict(recs[i]), previous, op, keys[key_index % len(keys)],
+                              mutation, kind)
+            lines[i] = json.dumps(recs[i])
+    text = "\n".join(lines) + "\n"
+    expected = _reference_read(text, what)
+    read = agents_from_jsonl if what == "agents" else edges_from_jsonl
+    with unittest.mock.patch.object(trustprop.files, "READ_BLOCK_ROWS", block_rows):
+        if isinstance(expected, str):
+            with pytest.raises(ValidationError) as info:
+                read(text)
+            assert str(info.value) == expected
+            return
+        table = read(text)
+    assert len(table) == len(expected)
+    for got, ref in zip(table, expected):
+        assert type(got) is type(ref)
+        for key in keys:
+            assert _bits(getattr(got, key)) == _bits(getattr(ref, key)), key
 
 
 # ---------------------------------------------------------------- json reader
@@ -669,6 +887,19 @@ def test_snapshot_records_mean_and_dims():
     back, _, mean = snapshot_from_json(text)
     assert np.array_equal(mean, [0.5, 0.5])
     assert back.mode == "discrete"
+
+
+@pytest.mark.parametrize(
+    "vectors, ids",
+    [(np.zeros((0, 3)), ()), (np.zeros((2, 0)), ("a", "b")), (np.zeros((0, 0)), ())],
+    ids=["no_agents", "width_0", "both"],
+)
+def test_snapshot_of_an_empty_state_reads_back(vectors, ids):
+    state = ReputationState(vectors=vectors, agent_ids=ids)
+    text = snapshot_to_json(state, "d")
+    back, _, mean = snapshot_from_json(text)
+    assert back.vectors.shape == vectors.shape and back.agent_ids == ids
+    assert snapshot_to_json(back, "d", mean) == text
 
 
 def test_snapshot_rejects_inconsistent_dims():

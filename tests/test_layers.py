@@ -144,3 +144,67 @@ def test_json_is_parsed_by_one_reader():
     ]
     assert parses == []
     assert sorted(func for func, _ in _json_parses(PACKAGE / "files.py")) == ["_loads", "_loads"]
+
+
+def _enclosing_functions(tree):
+    """Each node of ``tree`` mapped to the name of the innermost function around it."""
+    owner = {}
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                owner[node] = func.name  # walk reaches inner functions last
+    return owner
+
+
+def _loops(tree):
+    """(loop node, the expression it iterates) for every for loop and comprehension."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            yield node, node.iter
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            for gen in node.generators:
+                yield node, gen.iter
+
+
+def test_files_builds_no_agent_or_edge_records():
+    # The readers and center_corpus work on tables.  Records are built by the
+    # tables' row accessor (in graph), and in files only by _record: the
+    # queries reader and the rebuild of the line a table reader rejects.
+    tree = ast.parse((PACKAGE / "files.py").read_text())
+    owner = _enclosing_functions(tree)
+    built = [
+        f"{owner.get(node, '<module>')}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("Agent", "Edge", "cls")
+        and owner.get(node) != "_record"
+    ]
+    assert built == []
+    # No replace() per record, except on queries, which have no table.
+    per_record = [
+        f"{owner.get(loop, '<module>')}:{call.lineno}"
+        for loop, iterated in _loops(tree)
+        if not (isinstance(iterated, ast.Name) and iterated.id == "queries")
+        and not (isinstance(iterated, ast.Call) and any(
+            isinstance(arg, ast.Name) and arg.id == "queries" for arg in iterated.args
+        ))
+        for call in ast.walk(loop)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        and call.func.id == "replace"
+    ]
+    assert per_record == []
+
+
+def test_propagation_does_not_iterate_graph_agents():
+    # graph.agents is a table: propagation reads its columns (.ids, .profile).
+    tree = ast.parse((PACKAGE / "propagation.py").read_text())
+    iterated = []
+    for node, expr in _loops(tree):
+        columns = {id(sub.value) for sub in ast.walk(expr) if isinstance(sub, ast.Attribute)}
+        iterated += [
+            node.lineno
+            for sub in ast.walk(expr)
+            if isinstance(sub, ast.Attribute) and sub.attr == "agents" and id(sub) not in columns
+        ]
+    assert iterated == []
