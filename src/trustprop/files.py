@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from itertools import repeat
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import MISSING, replace
@@ -101,11 +102,13 @@ CONFIG_DEFAULTS: dict[str, tuple[type, Any]] = {
     "attack.flag_severity": (float, 0.95),
 }
 
-# Keys whose value must be one of a fixed set, checked when a config is read.
+# Keys whose value must be one of a fixed set, or at least a bound, checked
+# when a config is read; every float must also be finite.
 CONFIG_CHOICES: dict[str, tuple[str, ...]] = {
     "retrieval.strategy": STRATEGIES,
     "retrieval.variant": VARIANTS,
 }
+CONFIG_MINIMUMS: dict[str, float] = {"retrieval.k": 1, "retrieval.beta_mix": 0.0}
 
 
 def _coerce(key: str, raw: str) -> Any:
@@ -121,11 +124,15 @@ def _coerce(key: str, raw: str) -> Any:
         value = typ(raw)
     except ValueError as exc:
         raise ValidationError(f"config key {key!r}: {exc}") from exc
+    if typ is float and not math.isfinite(value):
+        raise ValidationError(f"config key {key!r}: must be finite, got {raw!r}")
     choices = CONFIG_CHOICES.get(key)
     if choices is not None and value not in choices:
         raise ValidationError(
             f"config key {key!r}: {value!r} is not one of {', '.join(choices)}"
         )
+    if key in CONFIG_MINIMUMS and not value >= CONFIG_MINIMUMS[key]:
+        raise ValidationError(f"config key {key!r}: must be >= {CONFIG_MINIMUMS[key]}, got {raw!r}")
     return value
 
 
@@ -304,7 +311,7 @@ def _read_table(text: str, what: str, table: type, unique_ids: bool = False) -> 
     rejects (a duplicate id, a vector dim other than the first line's) gets
     that rule's message.
     """
-    fields = table.record_fields
+    fields = table.fields
     recs: list[dict[str, Any]] = []
     linenos: list[int] = []
     blocks: list[Any] = []
@@ -345,7 +352,7 @@ def _read_table(text: str, what: str, table: type, unique_ids: bool = False) -> 
     failure = failure or flush()
     if failure is not None:
         lineno, rec, message = failure
-        _record(rec, what, lineno, table.record_type, fields)
+        _record(rec, what, lineno, fields.record, fields)
         raise ValidationError(message)
     if error is not None:
         raise error
@@ -380,7 +387,7 @@ def center_corpus(
     Returns the transformed tables and queries plus the fitted mean.
     """
     agents, edges = AgentTable.of(agents), EdgeTable.of(edges)
-    parts = [agents.profile, edges.contents] + [q.embedding[None, :] for q in queries]
+    parts = [agents.profile, edges.content.rows] + [q.embedding[None, :] for q in queries]
     cloud = [part for part in parts if len(part)]
     if not cloud:
         raise ValidationError("nothing to center: no embeddings in the input files")
@@ -395,7 +402,7 @@ def center_corpus(
     stacked = np.vstack(cloud)
     model = CenteringModel(mean=stacked.mean(axis=0), sample_count=len(stacked))
     unit = center_and_normalize(model, stacked)
-    n_agents, n_contents = len(agents), len(edges.contents)
+    n_agents, n_contents = len(agents), len(edges.content.rows)
 
     def recenter_scaled(vectors: np.ndarray) -> np.ndarray:
         out = vectors.copy()
@@ -414,7 +421,8 @@ def center_corpus(
         teleport=recenter_scaled(agents.teleport),
         exogenous=recenter_scaled(agents.exogenous),
     )
-    new_edges = replace(edges, contents=unit[n_agents : n_agents + n_contents])
+    contents = unit[n_agents : n_agents + n_contents]
+    new_edges = replace(edges, content=edges.content._replace(rows=contents))
     embeddings = unit[n_agents + n_contents :]
     new_queries = [replace(q, embedding=embeddings[i]) for i, q in enumerate(queries)]
     return new_agents, new_edges, new_queries, model.mean
@@ -511,6 +519,10 @@ def snapshot_from_json(text: str) -> tuple[ReputationState, str, np.ndarray]:
     width_key = "E" if "E" in dims else "D"
     if "N" not in dims or width_key not in dims:
         raise ValidationError("snapshot dims need 'N' and a width 'E' or 'D'")
+    sizes = _fields(dims, (Field("N", INTEGER), Field(width_key, INTEGER)), "snapshot dims")
+    n, width = sizes.values()
+    if n < 0 or width < 0:
+        raise ValidationError("snapshot dims must be >= 0")
     if not isinstance(agents, list):
         raise ValidationError("snapshot agents must be a JSON array")
     entries = [
@@ -523,12 +535,11 @@ def snapshot_from_json(text: str) -> tuple[ReputationState, str, np.ndarray]:
     if len(set(ids)) != len(ids):
         dup = next(aid for i, aid in enumerate(ids) if aid in ids[:i])
         raise ValidationError(f"snapshot: duplicate agent id {dup!r}")
-    width = dims[width_key]
     try:  # (N, width) rows, also for N = 0
         vectors = np.array([entry["r"] for entry in entries]) if entries else np.zeros((0, width))
     except (TypeError, ValueError, OverflowError):  # rows of different lengths, a bad width
         vectors = None
-    if vectors is None or vectors.shape != (dims["N"], width):
+    if vectors is None or vectors.shape != (n, width):
         raise ValidationError("snapshot dims disagree with agent rows")
     # _loads reads NaN and Infinity tokens, and 1e999 as inf.
     for name, v in (("agent rows", vectors), ("mean", mean), ("residuals", fields["residuals"])):

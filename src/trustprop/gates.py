@@ -60,7 +60,7 @@ class KlGateConfig:
     def __post_init__(self) -> None:
         if self.form not in ("cosine_proxy", "softmax"):
             raise ValidationError(f"unknown kl gate form {self.form!r}")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValidationError("lambda must be >= 0")
 
 
@@ -70,7 +70,7 @@ class EntropyGateConfig:
     strength: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.strength < 0:
+        if not self.strength >= 0:
             raise ValidationError("strength must be >= 0")
 
 

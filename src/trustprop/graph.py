@@ -14,9 +14,12 @@ per reporter the same way.
 
 Records are one object per agent or edge; tables (``AgentTable``,
 ``EdgeTable``) hold the same fields as columns, one row per record, and are
-what the JSONL readers, ``center_corpus`` and ``normalize`` work on.  A
-table is a read-only sequence of its records: ``table[i]`` builds row i's
-record.  ``AgentTable.of`` and ``EdgeTable.of`` turn record lists into tables.
+what the JSONL readers, ``center_corpus``, ``normalize`` and retrieval work
+on.  Both tables are derived from the records' field tables: each column is
+named by its field's key (``agents.profile``, ``edges.sender``) and takes
+the column form of the field's type.  A table is a read-only sequence of
+its records: ``table[i]`` builds row i's record.  ``AgentTable.of`` and
+``EdgeTable.of`` turn record lists into tables.
 
 ``normalize`` computes ids, weights and validation as array expressions in
 edge order; the blind proxies are computed by ``blind_proxies`` and written
@@ -30,9 +33,8 @@ from __future__ import annotations
 import dataclasses
 import math
 import operator
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import MISSING, dataclass, field
-from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import countOf
 from typing import Any, ClassVar, NamedTuple
@@ -44,7 +46,6 @@ from .vectorspace import DEGENERATE_NORM, row_norms
 
 EDGE_KINDS = ("labeled", "blind", "flag")
 LABELED, BLIND, FLAG = range(3)  # an EdgeTable's kind codes, indices into EDGE_KINDS
-_KIND_CODES = {kind: code for code, kind in enumerate(EDGE_KINDS)}
 ARCHETYPES = ("hub", "active", "dormant", "malicious")
 
 # Tolerance for "this stored vector should be unit length".
@@ -63,11 +64,18 @@ class FieldType(NamedTuple):
     """``check(name, value)`` returns the value, converted where the record stores
     another form, or raises ValidationError; values of a type in ``passes`` skip it.
     ``fast(values)`` is True when a whole column is valid, tested at C speed; it
-    defaults to every value's type being in ``passes``."""
+    defaults to every value's type being in ``passes``.
+
+    In a table, ``pack(values)`` turns checked values into the field's column and
+    ``item(column, i)`` gives row i's value back.  ``vector`` marks a field of
+    vectors, whose dim is the table's."""
 
     check: Callable[[str, Any], Any]
     passes: frozenset[type] = frozenset()
     fast: Callable[[list], bool] | None = None
+    pack: Callable[[Sequence], Any] = tuple
+    item: Callable[[Any, int], Any] = operator.getitem
+    vector: bool = False
 
     def column(self, name: str, values: list) -> tuple[list, int]:
         """The column form of ``check``: the values it takes, up to the first it
@@ -94,6 +102,7 @@ class Field(NamedTuple):
 
 
 class FieldTable(tuple):
+    record: type  # the dataclass whose fields these are
     # (key, check, passes) per field: plain tuples unpack twice as fast as Fields.
     checks: tuple[tuple[str, Callable[[str, Any], Any], frozenset[type]], ...]
 
@@ -102,6 +111,7 @@ def field_table(cls: type, *fields: Field) -> FieldTable:
     """``fields`` with each default taken from the dataclass ``cls``."""
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     table = FieldTable(f._replace(default=defaults[f.key]) for f in fields)
+    table.record = cls
     table.checks = tuple((f.key, f.type.check, f.type.passes) for f in table)
     return table
 
@@ -159,11 +169,78 @@ def _vector(name: str, value: Any) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
 
 
+def _present(values: Sequence) -> np.ndarray:
+    # A comprehension and bytes beat fromiter over map(operator.is_not, ...).
+    return np.frombuffer(bytes([v is not None for v in values]), bool)
+
+
+def _floats(values: Sequence) -> np.ndarray:
+    """Numbers as float64; an int beyond the float range becomes NaN, which
+    every range rule on numbers rejects."""
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        floats = np.empty(len(values))
+        for i, value in enumerate(values):
+            try:
+                floats[i] = value
+            except OverflowError:
+                floats[i] = np.nan
+        return floats
+
+
+def _bools(values: Sequence) -> np.ndarray:
+    try:  # bytes() reads Python bools at C speed; numpy's bools it rejects
+        return np.frombuffer(bytes(values), bool)
+    except TypeError:
+        return np.array(values, dtype=bool)
+
+
+def _optional_floats(values: Sequence) -> np.ndarray:
+    present = _present(values)
+    floats = np.full(len(values), np.nan)
+    floats[present] = _floats([v for v in values if v is not None])
+    return floats
+
+
+def _float_or_none(column: np.ndarray, i: int) -> float | None:
+    return None if np.isnan(column[i]) else float(column[i])
+
+
+def _matrix(vectors: Sequence) -> np.ndarray:
+    """Vectors of one length (lists or arrays) as an (N, length) float64 matrix;
+    vectors of different lengths raise ValueError."""
+    width = len(vectors[0]) if vectors else 0
+    return np.array(vectors, dtype=np.float64).reshape(len(vectors), width)
+
+
+class VectorRows(NamedTuple):
+    """An optional vector column: the vectors present, stacked in row order,
+    and which rows hold one."""
+
+    rows: np.ndarray  # (L, E)
+    present: np.ndarray  # (N,) bool
+
+
+def _vector_rows(values: Sequence) -> VectorRows:
+    return VectorRows(_matrix([v for v in values if v is not None]), _present(values))
+
+
+def _vector_row(column: VectorRows, i: int) -> np.ndarray | None:
+    return column.rows[np.count_nonzero(column.present[:i])] if column.present[i] else None
+
+
 STRING = FieldType(_instance_of("a string", (str,)), frozenset({str}))
-NUMBER = FieldType(_instance_of("a number", _NUMBERS), frozenset({float}))
+NUMBER = FieldType(
+    _instance_of("a number", _NUMBERS), frozenset({float}),
+    pack=_floats, item=lambda column, i: float(column[i]),
+)
 INTEGER = FieldType(_instance_of("an integer", (int, np.integer)), frozenset({int}))
-BOOLEAN = FieldType(_instance_of("a boolean", (bool, np.bool_)), frozenset({bool}))
-VECTOR = FieldType(_vector, fast=_lists_of(float))
+BOOLEAN = FieldType(
+    _instance_of("a boolean", (bool, np.bool_)), frozenset({bool}),
+    pack=_bools, item=lambda column, i: bool(column[i]),
+)
+VECTOR = FieldType(_vector, fast=_lists_of(float), pack=_matrix, vector=True)
 ANY = FieldType(lambda name, value: value)  # for a part checked by hand
 
 
@@ -179,10 +256,18 @@ def strings(into: type) -> FieldType:
             STRING.check(f"{name} entry", entry)
         return value if type(value) is into else into(value)
 
-    return FieldType(check, fast=_lists_of(str))
+    def pack(values: Sequence) -> tuple:
+        if countOf(map(type, values), into) != len(values):  # lists read from JSON
+            values = map(into, values)
+        return tuple(values)
+
+    return FieldType(check, fast=_lists_of(str), pack=pack)
 
 
 def one_of(*choices: str) -> FieldType:
+    """One of ``choices``; as a column, int8 indices into them."""
+    codes = {choice: code for code, choice in enumerate(choices)}
+
     def check(name: str, value: Any) -> str:
         if isinstance(value, str) and value in choices:
             return value
@@ -193,17 +278,30 @@ def one_of(*choices: str) -> FieldType:
     def fast(values: list) -> bool:
         return countOf(map(type, values), str) == len(values) and set(values) <= set(choices)
 
-    return FieldType(check, fast=fast)
+    def pack(values: Sequence) -> np.ndarray:
+        return np.frombuffer(bytes(map(codes.__getitem__, values)), np.int8)
+
+    return FieldType(check, fast=fast, pack=pack, item=lambda column, i: choices[column[i]])
 
 
 def optional(inner: FieldType) -> FieldType:
+    """``inner`` or None.  As a column: NaN for a missing number, a
+    ``VectorRows`` for vectors, and None as it is in a tuple column."""
+
     def check(name: str, value: Any) -> Any:
         return None if value is None else inner.check(name, value)
 
     def fast(values: list) -> bool:
         return inner.fast([v for v in values if v is not None])
 
-    return FieldType(check, inner.passes | {type(None)}, None if inner.fast is None else fast)
+    if inner is NUMBER:
+        pack, item = _optional_floats, _float_or_none
+    elif inner is VECTOR:
+        pack, item = _vector_rows, _vector_row
+    else:
+        pack, item = inner.pack, inner.item
+    fast_or_none = None if inner.fast is None else fast
+    return FieldType(check, inner.passes | {type(None)}, fast_or_none, pack, item, inner.vector)
 
 
 # --- records ------------------------------------------------------------------
@@ -316,49 +414,15 @@ EDGE_FIELDS = field_table(
 # whole columns; ``of`` converts records, whose rules have already run.
 
 
-def _row(cls: type, **values: Any) -> Any:
-    """A record from a table row; the table's checks have run, so __post_init__ does not."""
-    record = object.__new__(cls)
-    vars(record).update(values)
-    return record
-
-
 def _first(bad: np.ndarray) -> int:
     """Index of the first True in ``bad``, or its length when there is none."""
     return int(bad.argmax()) if bad.any() else len(bad)
 
 
-def _present(values: list) -> np.ndarray:
-    return np.fromiter(map(operator.is_not, values, repeat(None)), bool, len(values))
-
-
-def _floats(values: list) -> tuple[np.ndarray, np.ndarray]:
-    """Numbers (None for NaN) as float64, and where float() overflows (an int
-    beyond the float range, which fails the record's rules)."""
-    try:
-        present = _present(values)
-        floats = np.full(len(values), np.nan)
-        floats[present] = list(compress(values, present))
-        return floats, np.zeros(len(values), bool)
-    except OverflowError:
-        floats, bad = np.full(len(values), np.nan), np.zeros(len(values), bool)
-        for i, value in enumerate(values):
-            try:
-                floats[i] = np.nan if value is None else float(value)
-            except OverflowError:
-                bad[i] = True
-        return floats, bad
-
-
-def _stack(vectors: list, dim: int | None) -> np.ndarray:
-    """Equal-length vectors (lists or arrays) as an (N, dim) float64 matrix."""
-    return np.array(vectors, dtype=np.float64).reshape(len(vectors), dim or 0)
-
-
 def _checked_columns(
     fields: FieldTable, columns: Mapping[str, list]
 ) -> tuple[dict[str, list], int]:
-    """Each field's column form over its raw values, up to the first row any
+    """Each field's checked values over its raw values, up to the first row any
     field rejects, and the number of rows before it."""
     n = len(columns[fields[0].key])
     checked = {}
@@ -367,243 +431,141 @@ def _checked_columns(
     return {key: values[:n] for key, values in checked.items()}, n
 
 
-def _concat(cls: type, blocks: Sequence[Any]) -> Any:
-    """Tables of class ``cls``, one after the other."""
-    if len(blocks) == 1:
-        return blocks[0]
-    columns = {}
-    for f in dataclasses.fields(blocks[0]):
-        parts = [getattr(b, f.name) for b in blocks]
-        if isinstance(parts[0], tuple):
-            columns[f.name] = tuple(chain.from_iterable(parts))
-        else:  # a matrix whose width is unknown (0) while it has no rows
-            parts = [p for p in parts if len(p)] or parts[:1]
-            columns[f.name] = np.concatenate(parts)
-    return cls(**columns)
+def _join(parts: Sequence[Any]) -> Any:
+    """Columns of one field, one after the other."""
+    if isinstance(parts[0], VectorRows):
+        return VectorRows(*map(_join, zip(*parts)))
+    if isinstance(parts[0], tuple):
+        return tuple(chain.from_iterable(parts))
+    # a matrix whose width is unknown (0) while it has no rows
+    return np.concatenate([p for p in parts if len(p)] or parts[:1])
 
 
-@dataclass(frozen=True, eq=False)
-class AgentTable(Sequence[Agent]):
-    """Agents as columns, one row per agent; ``table[i]`` is row i's Agent."""
+class Table(Sequence):
+    """Records as columns, one row per record: a subclass declares its field
+    table (``class T(Table, fields=...)``) and has one column per field, named
+    by the field's key, in the form of the field's type.  ``table[i]`` builds
+    row i's record without re-running its checks: the table's checks ran.
 
-    ids: tuple[str, ...]
-    primary_domains: tuple[str, ...]
-    secondary_domains: tuple[tuple[str, ...], ...]
-    profile: np.ndarray  # (N, E)
-    teleport: np.ndarray  # (N, E)
-    exogenous: np.ndarray  # (N, E)
-    archetypes: tuple[str, ...]
-    owner_keys: tuple[str | None, ...]
-    descriptions: tuple[str, ...]
+    A subclass gives the two rules that are not per field: ``dim_message(values,
+    row)``, the message for the first row with a vector of another dim than the
+    first row's, and ``broken(values)``, which rows break a record rule, as
+    array expressions over the columns and the checked ``values`` they hold."""
 
-    record_type: ClassVar[type] = Agent
-    record_fields: ClassVar[FieldTable] = AGENT_FIELDS
-    concat = classmethod(_concat)
+    fields: ClassVar[FieldTable]
+
+    def __init_subclass__(cls, fields: FieldTable, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.fields = fields
+        cls.__annotations__ = dict.fromkeys((f.key for f in fields), "Any")
+        dataclass(frozen=True, eq=False)(cls)
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(getattr(self, self.fields[0].key))
 
-    def __iter__(self) -> Iterator[Agent]:
-        return map(self.__getitem__, range(len(self.ids)))
-
-    def __getitem__(self, i: int) -> Agent:
+    def __getitem__(self, i: int) -> Any:
         if isinstance(i, slice):
-            return [self[j] for j in range(len(self.ids))[i]]
-        i = range(len(self.ids))[i]
-        return _row(
-            Agent, id=self.ids[i], primary_domain=self.primary_domains[i],
-            profile=self.profile[i], teleport=self.teleport[i], exogenous=self.exogenous[i],
-            secondary_domains=self.secondary_domains[i], archetype=self.archetypes[i],
-            owner_key=self.owner_keys[i], description=self.descriptions[i],
-        )
-
-    @property
-    def dim(self) -> int:
-        return int(self.profile.shape[1])
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        record = object.__new__(self.fields.record)
+        vars(record).update((f.key, f.type.item(getattr(self, f.key), i)) for f in self.fields)
+        return record
 
     @classmethod
-    def of(cls, agents: AgentTable | Iterable[Agent]) -> AgentTable:
-        """The table of ``agents``, which is ``agents`` itself if it is one."""
-        if isinstance(agents, AgentTable):
-            return agents
-        agents = list(agents)
-
-        def column(key: str) -> tuple:
-            return tuple(map(operator.attrgetter(key), agents))
-
-        dim = agents[0].profile.shape[0] if agents else 0
-        try:  # teleport and exogenous have their profile's dim
-            profile = _stack(column("profile"), dim)
-        except ValueError:
-            raise ValidationError("inconsistent embedding dims across agents") from None
-        return cls(
-            ids=column("id"), primary_domains=column("primary_domain"),
-            secondary_domains=column("secondary_domains"), profile=profile,
-            teleport=_stack(column("teleport"), dim), exogenous=_stack(column("exogenous"), dim),
-            archetypes=column("archetype"), owner_keys=column("owner_key"),
-            descriptions=column("description"),
-        )
+    def _packed(cls, values: Mapping[str, Sequence]) -> Any:
+        return cls(**{f.key: f.type.pack(values[f.key]) for f in cls.fields})
 
     @classmethod
-    def checked(
-        cls, columns: Mapping[str, list], dim: int | None
-    ) -> tuple[AgentTable, int | None, str | None]:
-        """The rows of raw ``columns`` before the first that breaks a rule, the
-        profile dim, and the message for that row if only a rule across records
-        (a profile dim other than ``dim``, or the first row's) breaks there.
-
-        Each record rule of ``Agent`` is applied to whole columns."""
-        values, n = _checked_columns(AGENT_FIELDS, columns)
-        vectors = [values[key] for key in ("profile", "teleport", "exogenous")]
-        lens = np.array([list(map(len, v)) for v in vectors], dtype=np.intp).reshape(3, n)
-        if dim is None and n:
-            dim = int(lens[0, 0])
-        # A teleport or exogenous of another dim than its profile breaks the
-        # record; a profile of another dim than the first breaks normalize.
-        n_dims = _first((lens != dim).any(axis=0))
-        profile, teleport, exogenous = (_stack(v[:n_dims], dim) for v in vectors)
-        ids = values["id"][:n_dims]
-        bad = ~np.fromiter(map(bool, ids), bool, n_dims)  # an empty id
-        # Written as "not <=" so that a NaN norm fails the check too.
-        bad |= ~(np.abs(row_norms(profile) - 1.0) <= UNIT_TOL)
-        bad |= ~(np.isfinite(teleport).all(axis=1) & np.isfinite(exogenous).all(axis=1))
-        n_ok = _first(bad)
-        table = cls(
-            ids=tuple(ids[:n_ok]), primary_domains=tuple(values["primary_domain"][:n_ok]),
-            secondary_domains=tuple(map(tuple, values["secondary_domains"][:n_ok])),
-            profile=profile[:n_ok], teleport=teleport[:n_ok], exogenous=exogenous[:n_ok],
-            archetypes=tuple(values["archetype"][:n_ok]),
-            owner_keys=tuple(values["owner_key"][:n_ok]),
-            descriptions=tuple(values["description"][:n_ok]),
-        )
-        across = n_ok == n_dims < n
-        return table, dim, "inconsistent embedding dims across agents" if across else None
-
-
-@dataclass(frozen=True, eq=False)
-class EdgeTable(Sequence[Edge]):
-    """Edges as columns, one row per edge; ``table[i]`` is row i's Edge."""
-
-    senders: tuple[str, ...]
-    receivers: tuple[str, ...]
-    kinds: np.ndarray  # int8 codes: LABELED, BLIND, FLAG
-    base_weights: np.ndarray
-    payment: np.ndarray  # bool
-    verified: np.ndarray  # bool
-    severity: np.ndarray  # NaN where absent
-    confidence: np.ndarray  # NaN where absent
-    contents: np.ndarray  # (L, E): the labeled edges' contents, in edge order
-
-    record_type: ClassVar[type] = Edge
-    record_fields: ClassVar[FieldTable] = EDGE_FIELDS
-    concat = classmethod(_concat)
-
-    def __len__(self) -> int:
-        return len(self.senders)
-
-    def __iter__(self) -> Iterator[Edge]:
-        return map(self.__getitem__, range(len(self.senders)))
-
-    @cached_property
-    def _content_row(self) -> np.ndarray:
-        return np.cumsum(self.kinds == LABELED) - 1
-
-    def __getitem__(self, i: int) -> Edge:
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self.senders))[i]]
-        i = range(len(self.senders))[i]
-        kind = int(self.kinds[i])
-        severity, confidence = self.severity[i], self.confidence[i]
-        return _row(
-            Edge, sender=self.senders[i], receiver=self.receivers[i], kind=EDGE_KINDS[kind],
-            base_weight=float(self.base_weights[i]),
-            content=self.contents[self._content_row[i]] if kind == LABELED else None,
-            payment=bool(self.payment[i]), verified=bool(self.verified[i]),
-            severity=None if np.isnan(severity) else float(severity),
-            confidence=None if np.isnan(confidence) else float(confidence),
-        )
-
-    @property
-    def dim(self) -> int:
-        return int(self.contents.shape[1])
+    def _dim_break(
+        cls, values: Mapping[str, Sequence], dim: int | None
+    ) -> tuple[int, int | None]:
+        """The first row with a vector of another dim than ``dim`` (None: the
+        first vector's), or the row count; and that dim."""
+        bad = np.zeros(len(values[cls.fields[0].key]), bool)
+        for f in cls.fields:
+            if f.type.vector:
+                present = _present(values[f.key])
+                lens = np.fromiter(map(len, compress(values[f.key], present)), np.intp)
+                if dim is None and lens.size:
+                    dim = int(lens[0])
+                bad[present] |= lens != dim
+        return _first(bad), dim
 
     @classmethod
-    def of(cls, edges: EdgeTable | Iterable[Edge]) -> EdgeTable:
-        """The table of ``edges``, which is ``edges`` itself if it is one."""
-        if isinstance(edges, EdgeTable):
-            return edges
-        edges = list(edges)
-
-        def column(key: str) -> list:
-            return list(map(operator.attrgetter(key), edges))
-
-        with_content = [e for e in edges if e.content is not None]
-        dim = with_content[0].content.shape[0] if with_content else 0
+    def of(cls, records: Any) -> Any:
+        """The table of ``records``, which is ``records`` itself if it is one."""
+        if isinstance(records, cls):
+            return records
+        records = list(records)
+        values = {f.key: list(map(operator.attrgetter(f.key), records)) for f in cls.fields}
         try:
-            contents = _stack([e.content for e in with_content], dim)
-        except ValueError:  # contents of different dims
-            e = next(e for e in with_content if e.content.shape != (dim,))
-            raise ValidationError(f"edge {e.sender} -> {e.receiver}: wrong content dim") from None
-        return cls(
-            senders=tuple(column("sender")), receivers=tuple(column("receiver")),
-            kinds=np.fromiter(map(_KIND_CODES.__getitem__, column("kind")), np.int8, len(edges)),
-            base_weights=np.array(column("base_weight"), dtype=np.float64),
-            payment=np.array(column("payment"), dtype=bool),
-            verified=np.array(column("verified"), dtype=bool),
-            severity=_floats(column("severity"))[0],
-            confidence=_floats(column("confidence"))[0],
-            contents=contents,
-        )
+            return cls._packed(values)
+        except ValueError:  # vectors of different dims
+            row, _ = cls._dim_break(values, None)
+            raise ValidationError(cls.dim_message(values, row)) from None
 
     @classmethod
     def checked(
         cls, columns: Mapping[str, list], dim: int | None
-    ) -> tuple[EdgeTable, int | None, str | None]:
+    ) -> tuple[Any, int | None, str | None]:
         """The rows of raw ``columns`` before the first that breaks a rule, the
-        content dim, and the message for that row if only a rule across records
-        (a content dim other than ``dim``, or the first content's) breaks there.
+        vector dim, and the message for that row if only the dim rule across
+        records (a vector dim other than ``dim``, or the first row's) breaks there."""
+        values, n = _checked_columns(cls.fields, columns)
+        n_dims, dim = cls._dim_break(values, dim)
+        table = cls._packed({key: column[:n_dims] for key, column in values.items()})
+        n_ok = _first(table.broken(values))
+        if n_ok < n_dims:
+            table = cls._packed({key: column[:n_ok] for key, column in values.items()})
+        return table, dim, cls.dim_message(values, n_ok) if n_ok == n_dims < n else None
 
-        Each record rule of ``Edge`` is applied to whole columns."""
-        values, n = _checked_columns(EDGE_FIELDS, columns)
-        content = values["content"]
-        has_content = _present(content)
-        rows = np.flatnonzero(has_content)
-        lens = np.fromiter(map(len, compress(content, has_content)), np.intp, rows.size)
-        if dim is None and rows.size:
-            dim = int(lens[0])
-        n_dims = int(rows[lens != dim][0]) if (lens != dim).any() else n
-        has_content = has_content[:n_dims]
-        contents = _stack(list(compress(content, has_content)), dim)
-        kinds = np.fromiter(map(_KIND_CODES.__getitem__, values["kind"][:n_dims]), np.int8, n_dims)
-        senders, receivers = values["sender"][:n_dims], values["receiver"][:n_dims]
-        base_weights, bad = _floats(values["base_weight"][:n_dims])
-        severity, bad_severity = _floats(values["severity"][:n_dims])
-        confidence, bad_confidence = _floats(values["confidence"][:n_dims])
-        flag, labeled = kinds == FLAG, kinds == LABELED
-        bad |= bad_severity | bad_confidence
-        bad |= ~((0.0 < base_weights) & (base_weights < math.inf))
-        bad |= ~flag & np.fromiter(map(operator.eq, senders, receivers), bool, n_dims)
-        bad |= has_content != labeled
-        bad[has_content] |= ~(np.abs(row_norms(contents) - 1.0) <= UNIT_TOL)
-        has_severity = _present(values["severity"][:n_dims])
+    @classmethod
+    def concat(cls, blocks: Sequence[Any]) -> Any:
+        """Tables of this class, one after the other."""
+        if len(blocks) == 1:
+            return blocks[0]
+        return cls(**{f.key: _join([getattr(b, f.key) for b in blocks]) for f in cls.fields})
+
+
+class AgentTable(Table, fields=AGENT_FIELDS):
+    """Agents as columns: ``profile``, ``teleport`` and ``exogenous`` are
+    (N, E) matrices, ``archetype`` int8 indices into ARCHETYPES."""
+
+    @staticmethod
+    def dim_message(values: Mapping[str, Sequence], row: int) -> str:
+        return "inconsistent embedding dims across agents"
+
+    def broken(self, values: Mapping[str, Sequence]) -> np.ndarray:
+        bad = ~np.fromiter(map(bool, self.id), bool, len(self))  # an empty id
+        # Written as "not <=" so that a NaN norm fails the check too.
+        bad |= ~(np.abs(row_norms(self.profile) - 1.0) <= UNIT_TOL)
+        bad |= ~(np.isfinite(self.teleport).all(axis=1) & np.isfinite(self.exogenous).all(axis=1))
+        return bad
+
+
+class EdgeTable(Table, fields=EDGE_FIELDS):
+    """Edges as columns: ``kind`` holds the codes LABELED, BLIND and FLAG,
+    ``severity`` and ``confidence`` NaN where absent, and ``content`` the
+    labeled edges' (L, E) contents with their rows."""
+
+    @staticmethod
+    def dim_message(values: Mapping[str, Sequence], row: int) -> str:
+        return f"edge {values['sender'][row]} -> {values['receiver'][row]}: wrong content dim"
+
+    def broken(self, values: Mapping[str, Sequence]) -> np.ndarray:
+        n, content = len(self), self.content
+        flag = self.kind == FLAG
+        bad = ~((0.0 < self.base_weight) & (self.base_weight < math.inf))
+        bad |= ~flag & np.fromiter(map(operator.eq, self.sender, self.receiver), bool, n)
+        bad |= content.present != (self.kind == LABELED)
+        bad[content.present] |= ~(np.abs(row_norms(content.rows) - 1.0) <= UNIT_TOL)
+        has_severity = _present(values["severity"][:n])
         bad |= has_severity != flag
-        bad |= has_severity & ~((0.0 <= severity) & (severity <= 1.0))
-        bad |= _present(values["confidence"][:n_dims]) & ~(
-            (0.0 <= confidence) & (confidence <= 1.0)
+        bad |= has_severity & ~((0.0 <= self.severity) & (self.severity <= 1.0))
+        bad |= _present(values["confidence"][:n]) & ~(
+            (0.0 <= self.confidence) & (self.confidence <= 1.0)
         )
-        n_ok = _first(bad)
-        table = cls(
-            senders=tuple(senders[:n_ok]), receivers=tuple(receivers[:n_ok]),
-            kinds=kinds[:n_ok], base_weights=base_weights[:n_ok],
-            payment=np.array(values["payment"][:n_ok], dtype=bool),
-            verified=np.array(values["verified"][:n_ok], dtype=bool),
-            severity=severity[:n_ok], confidence=confidence[:n_ok],
-            contents=contents[: int(has_content[:n_ok].sum())],
-        )
-        if n_ok == n_dims < n:
-            sender, receiver = values["sender"][n_ok], values["receiver"][n_ok]
-            return table, dim, f"edge {sender} -> {receiver}: wrong content dim"
-        return table, dim, None
+        return bad
 
 
 @dataclass(frozen=True)
@@ -616,14 +578,18 @@ class WeightConfig:
     verified_flag_multiplier: float = 6.0
 
     def __post_init__(self) -> None:
-        if self.payment_multiplier < 1.0:
+        # Bounds are written "not (in range)" so that NaN fails them too.
+        if not self.payment_multiplier >= 1.0:
             raise ValidationError("payment_multiplier must be >= 1")
         if not 0.0 < self.blind_discount <= 1.0:
             raise ValidationError("blind_discount must lie in (0, 1]")
         if not 0.0 < self.same_owner_discount <= 1.0:
             raise ValidationError("same_owner_discount must lie in (0, 1]")
-        if self.verified_flag_multiplier < 1.0:
+        if not self.verified_flag_multiplier >= 1.0:
             raise ValidationError("verified_flag_multiplier must be >= 1")
+        for name in ("payment_multiplier", "verified_flag_multiplier"):
+            if getattr(self, name) == math.inf:
+                raise ValidationError(f"{name} must be finite")
 
 
 def raw_weight(edge: Edge, cfg: WeightConfig, same_owner: bool) -> float:
@@ -735,32 +701,34 @@ def normalize(
     n, m = len(agents), len(edges)
     if not n:
         raise ValidationError("graph requires at least one agent")
-    index = dict(zip(agents.ids, range(n)))
+    index = dict(zip(agents.id, range(n)))
     if len(index) != n:
         seen: set[str] = set()
-        dup = next(aid for aid in agents.ids if aid in seen or seen.add(aid))
+        dup = next(aid for aid in agents.id if aid in seen or seen.add(aid))
         raise ValidationError(f"duplicate agent id {dup!r}")
-    dim = agents.dim
-    senders = np.fromiter(map(index.get, edges.senders, repeat(-1)), np.int64, m)
-    receivers = np.fromiter(map(index.get, edges.receivers, repeat(-1)), np.int64, m)
-    kinds = edges.kinds
+    dim = agents.profile.shape[1]
+    senders = np.fromiter(map(index.get, edges.sender, repeat(-1)), np.int64, m)
+    receivers = np.fromiter(map(index.get, edges.receiver, repeat(-1)), np.int64, m)
+    kinds, contents = edges.kind, edges.content.rows
     flag, pos = kinds == FLAG, kinds != FLAG
     reps = reporter_reputations or {}
-    rep = np.array([float(reps.get(s, 1.0)) for s in compress(edges.senders, flag)])
+    rep = np.array([float(reps.get(s, 1.0)) for s in compress(edges.sender, flag)])
 
     # Reject the first edge that a per-edge pass would reject, for its reason.
     unknown = (senders < 0) | (receivers < 0)
     bad_rep = np.zeros(m, bool)
     bad_rep[flag] = rep < 0
-    wrong_dim = kinds == LABELED if edges.contents.size and edges.dim != dim else np.zeros(m, bool)
+    wrong_dim = np.zeros(m, bool)
+    if contents.size and contents.shape[1] != dim:
+        wrong_dim = kinds == LABELED
     k = _first(unknown | bad_rep | wrong_dim)
     if k < m:
         if unknown[k]:
-            aid = edges.senders[k] if senders[k] < 0 else edges.receivers[k]
+            aid = edges.sender[k] if senders[k] < 0 else edges.receiver[k]
             raise ValidationError(f"edge references unknown agent {aid!r}")
         if bad_rep[k]:
             raise ValidationError("reporter reputation must be >= 0")
-        raise ValidationError(f"edge {edges.senders[k]} -> {edges.receivers[k]}: wrong content dim")
+        raise ValidationError(f"edge {edges.sender[k]} -> {edges.receiver[k]}: wrong content dim")
 
     # Flags: severity x reporter reputation, x the verified multiplier.
     flag_w = edges.severity[flag] * rep
@@ -773,21 +741,21 @@ def normalize(
     owner_codes: dict[str, int] = {}
     owner = np.fromiter(
         (-1 if key is None else owner_codes.setdefault(key, len(owner_codes))
-         for key in agents.owner_keys),
+         for key in agents.owner_key),
         np.int64, n,
     )
     pos_sender, pos_receiver = senders[pos], receivers[pos]
     pos_blind = kinds[pos] == BLIND
     same_owner = (owner[pos_sender] >= 0) & (owner[pos_sender] == owner[pos_receiver])
-    pos_weight = edges.base_weights[pos]
+    pos_weight = edges.base_weight[pos]
     pos_weight[edges.payment[pos]] *= cfg.payment_multiplier
     pos_weight[pos_blind] *= cfg.blind_discount
     pos_weight[same_owner] *= cfg.same_owner_discount
     pos_weight = _row_normalized(pos_sender, pos_weight, n)
 
     content_mat = np.empty((pos_sender.size, dim))
-    if edges.contents.size:
-        content_mat[~pos_blind] = edges.contents
+    if contents.size:
+        content_mat[~pos_blind] = contents
     blind_rows = np.flatnonzero(pos_blind)
     for start in range(0, blind_rows.size, PROXY_CHUNK_ROWS):
         rows = blind_rows[start : start + PROXY_CHUNK_ROWS]

@@ -16,7 +16,7 @@ anchors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
@@ -612,10 +612,10 @@ class ScenarioReport:
     p5_strict_attacked: float
     p5_multilabel_baseline: float
     p5_multilabel_attacked: float
-    malicious_percentile_baseline: dict[str, float]
-    malicious_percentile_attacked: dict[str, float]
     mean_alignment_baseline: float
     mean_alignment_attacked: float
+    malicious_percentile_baseline: dict[str, float]
+    malicious_percentile_attacked: dict[str, float]
 
     @property
     def p5_strict_delta(self) -> float:
@@ -626,32 +626,15 @@ class ScenarioReport:
         return self.p5_multilabel_attacked - self.p5_multilabel_baseline
 
     def csv_rows(self) -> list[list[str]]:
-        rows = [
-            ["scenario", self.scenario],
-            ["seed", str(self.seed)],
-            ["edges_baseline", str(self.edges_baseline)],
-            ["edges_attacked", str(self.edges_attacked)],
-            ["iterations_baseline", str(self.iterations_baseline)],
-            ["iterations_attacked", str(self.iterations_attacked)],
-            ["converged_baseline", str(self.converged_baseline)],
-            ["converged_attacked", str(self.converged_attacked)],
-            ["p5_strict_baseline", repr(self.p5_strict_baseline)],
-            ["p5_strict_attacked", repr(self.p5_strict_attacked)],
-            ["p5_multilabel_baseline", repr(self.p5_multilabel_baseline)],
-            ["p5_multilabel_attacked", repr(self.p5_multilabel_attacked)],
-            ["mean_alignment_baseline", repr(self.mean_alignment_baseline)],
-            ["mean_alignment_attacked", repr(self.mean_alignment_attacked)],
-        ]
-        for aid in sorted(self.malicious_percentile_baseline):
-            rows.append(
-                [f"malicious_percentile_baseline_{aid}",
-                 repr(self.malicious_percentile_baseline[aid])]
-            )
-        for aid in sorted(self.malicious_percentile_attacked):
-            rows.append(
-                [f"malicious_percentile_attacked_{aid}",
-                 repr(self.malicious_percentile_attacked[aid])]
-            )
+        """A (name, value) row per field, in field order; floats by repr, and
+        one row per agent of a per-agent dict, in id order."""
+        rows = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, dict):
+                rows += [[f"{f.name}_{aid}", repr(value[aid])] for aid in sorted(value)]
+            else:
+                rows.append([f.name, repr(value) if isinstance(value, float) else str(value)])
         return rows
 
 

@@ -82,13 +82,14 @@ class PropagationConfig:
     top_k: int = 1
 
     def __post_init__(self) -> None:
+        # Bounds are written "not (in range)" so that NaN fails them too.
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must lie in (0, 1)")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValidationError("epsilon must be > 0")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ValidationError("beta must be >= 0")
         if self.mode not in MODES:
             raise ValidationError(f"unknown mode {self.mode!r}")
@@ -157,7 +158,7 @@ def init_state(
     matrices: DomainMatrices | None = None,
 ) -> ReputationState:
     """R0 = T + C (projected onto domain buckets in discrete mode)."""
-    ids = graph.agents.ids
+    ids = graph.agents.id
     if cfg.mode == "continuous":
         vectors = graph.teleport + graph.exogenous
     else:
@@ -307,7 +308,7 @@ def step_continuous(
     """
     if state.mode != "continuous" or cfg.mode != "continuous":
         raise ValidationError("step_continuous requires a continuous state and config")
-    _check_state(state, (graph.n_agents, graph.dim), graph.agents.ids)
+    _check_state(state, (graph.n_agents, graph.dim), graph.agents.id)
     _, _, centroids = _engine_inputs(graph, cfg, centroids=centroids)
     return _step_continuous(state, graph, cfg, _continuous_plan(graph, cfg, centroids))
 
@@ -398,7 +399,7 @@ def build_domain_matrices(
         mats=tuple(mats),
         teleport=project_to_domains(graph.teleport, cents),
         exogenous=project_to_domains(graph.exogenous, cents),
-        agent_ids=graph.agents.ids,
+        agent_ids=graph.agents.id,
     )
 
 
@@ -508,7 +509,7 @@ def run(
         raise ValidationError("initial state mode does not match config")
     if initial is not None:
         width = graph.dim if cfg.mode == "continuous" else matrices.teleport.shape[1]
-        _check_state(state, (graph.n_agents, width), graph.agents.ids)
+        _check_state(state, (graph.n_agents, width), graph.agents.id)
     if cfg.mode == "continuous":
         plan = _continuous_plan(graph, cfg, centroids)
     for _ in range(cfg.max_iters):
@@ -587,7 +588,7 @@ def self_alignment(state: ReputationState, graph: NormalizedGraph) -> dict[str, 
     if state.mode != "continuous":
         raise ValidationError("self_alignment applies to continuous states")
     out: dict[str, float] = {}
-    for i, aid in enumerate(graph.agents.ids):
+    for i, aid in enumerate(graph.agents.id):
         r = state.vectors[i]
         t = graph.teleport[i]
         rn = float(np.linalg.norm(r))
@@ -609,7 +610,7 @@ def centroids_from_agents(
     agents = AgentTable.of(agents)
     codes: dict[str, int] = {}
     group = np.fromiter(
-        (codes.setdefault(d, len(codes)) for d in agents.primary_domains), np.intp, len(agents)
+        (codes.setdefault(d, len(codes)) for d in agents.primary_domain), np.intp, len(agents)
     )
     order = tuple(codes)
     cents = []

@@ -25,7 +25,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .graph import STRING, VECTOR, Agent, Field, check_fields, field_table, strings
+from .graph import STRING, VECTOR, Agent, AgentTable, Field, check_fields, field_table, strings
 from .propagation import ReputationState
 from .vectorspace import row_norms
 
@@ -197,7 +197,7 @@ def rrf_merge(lists: Sequence[RankedList], k: int = RRF_K) -> RankedList:
 
 def pipeline_search(
     state: ReputationState,
-    agents: Sequence[Agent],
+    agents: AgentTable | Sequence[Agent],
     query: Query,
 ) -> RankedList:
     """Three-channel retrieval with rank fusion and magnitude rerank.
@@ -207,8 +207,9 @@ def pipeline_search(
     Fused ranks are reweighted by ln(1 + ||R[j]||), so unknown agents cannot
     win on lexical overlap alone.
     """
-    by_id = {a.id: a for a in agents}
-    missing = [aid for aid in state.agent_ids if aid not in by_id]
+    agents = AgentTable.of(agents)
+    row = dict(zip(agents.id, range(len(agents))))
+    missing = [aid for aid in state.agent_ids if aid not in row]
     if missing:
         raise ValidationError(f"agents missing for state ids: {missing[:3]}")
     q = _query_vector(state, query)
@@ -217,14 +218,15 @@ def pipeline_search(
         raise ValidationError("query embedding is zero")
 
     ids = state.agent_ids
+    rows = list(map(row.__getitem__, ids))
     # The stacked (1, E) @ (E, 1) products equal the per-profile dot
     # products bit for bit; a plain P @ q does not.
-    profiles = np.array([by_id[aid].profile for aid in ids]).reshape(len(ids), q.size)
+    profiles = agents.profile[rows].reshape(len(ids), q.size)
     profile_cos = (profiles[:, None, :] @ q[:, None]).ravel() / (row_norms(profiles) * qn)
     norms = np.linalg.norm(state.vectors, axis=1)
     dots = state.vectors @ q
     cos = np.divide(dots, norms * qn, out=np.zeros_like(dots), where=norms > 0)
-    descriptions = {aid: by_id[aid].description for aid in ids}
+    descriptions = dict(zip(ids, map(agents.description.__getitem__, rows)))
     fused = dict(rrf_merge(
         [bm25_scores(descriptions, query.text), ranked(ids, profile_cos), ranked(ids, cos)]
     ))
@@ -243,7 +245,7 @@ def rank(
     state: ReputationState,
     query: Query,
     strategy: str = "dot",
-    agents: Sequence[Agent] | None = None,
+    agents: AgentTable | Sequence[Agent] | None = None,
     beta_mix: float = 0.5,
     variant: str = "power",
 ) -> RankedList:
@@ -273,7 +275,7 @@ def rank(
 
 def precision_at_k(
     ranked: RankedList,
-    agents: Sequence[Agent],
+    agents: AgentTable | Sequence[Agent],
     expected_domains: frozenset[str] | set[str],
     k: int = 5,
     mode: str = "strict",
@@ -289,16 +291,17 @@ def precision_at_k(
         raise ValidationError("k must be positive")
     if not expected_domains:
         raise ValidationError("expected_domains is empty")
-    by_id = {a.id: a for a in agents}
+    agents = AgentTable.of(agents)
+    row = dict(zip(agents.id, range(len(agents))))
     hits = 0
     for aid, _ in ranked[:k]:
-        agent = by_id.get(aid)
-        if agent is None:
+        i = row.get(aid)
+        if i is None:
             raise ValidationError(f"ranked agent {aid!r} not in agents")
-        if agent.primary_domain in expected_domains:
+        if agents.primary_domain[i] in expected_domains:
             hits += 1
         elif mode == "multilabel" and any(
-            d in expected_domains for d in agent.secondary_domains
+            d in expected_domains for d in agents.secondary_domains[i]
         ):
             hits += 1
     return hits / k

@@ -87,6 +87,30 @@ def test_gen_corpus_rejects_unknown_config_key(tmp_path):
     assert main(["gen-corpus", "--config", str(conf), "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "propagation.epsilon = nan",
+        "propagation.beta = nan",
+        "gates.kl.lambda = nan",
+        "gates.entropy.strength = inf",
+        "weights.payment_multiplier = nan",
+        "weights.payment_multiplier = inf",
+        "weights.verified_flag_multiplier = -inf",
+        "retrieval.beta_mix = nan",
+        "retrieval.beta_mix = -0.5",
+        "retrieval.k = 0",
+    ],
+)
+def test_config_rejects_non_finite_and_out_of_range_values(tmp_path, capsys, line):
+    conf = tmp_path / "bad.conf"
+    conf.write_text(line + "\n")
+    assert main(["gen-corpus", "--config", str(conf), "--out", str(tmp_path)]) == 1
+    key = line.partition(" =")[0]
+    assert f"error: config key {key!r}: must be " in capsys.readouterr().err
+    assert not (tmp_path / "agents.jsonl").exists()
+
+
 # ---------------------------------------------------------------- propagate
 
 

@@ -970,9 +970,15 @@ def test_snapshot_rejects_duplicate_and_non_string_ids():
         ({"agents": [{"id": "a", "r": [1.0, 0.0]}, {"id": "b", "r": [0.0]}]},
          "snapshot dims disagree with agent rows"),
         ({"mean": [0.5]}, "snapshot: mean dim does not match the agent rows"),
+        ({"dims": {"N": True, "E": 2}, "agents": [{"id": "a", "r": [1.0, 0.0]}]},
+         "snapshot dims: N must be an integer, got bool"),
+        ({"dims": {"N": 2.0, "E": 2}}, "snapshot dims: N must be an integer, got float"),
+        ({"dims": {"N": 2, "E": 2.0}}, "snapshot dims: E must be an integer, got float"),
+        ({"dims": {"N": 0, "D": -1}, "agents": [], "mean": []}, "snapshot dims must be >= 0"),
     ],
     ids=["residuals_dict", "mode_bogus", "iterations_str", "converged_str", "digest_int",
-         "row_bools", "ragged_rows", "mean_dim"],
+         "row_bools", "ragged_rows", "mean_dim", "n_bool", "n_float", "width_float",
+         "width_negative"],
 )
 def test_snapshot_fields_are_type_checked(fields, message):
     with pytest.raises(ValidationError) as info:

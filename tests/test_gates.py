@@ -193,6 +193,10 @@ def test_gate_configs_validate():
         KlGateConfig(enabled=True, form="mystery")
     with pytest.raises(ValidationError):
         EntropyGateConfig(enabled=True, strength=-0.5)
+    with pytest.raises(ValidationError, match="lambda"):
+        KlGateConfig(enabled=True, lam=math.nan)
+    with pytest.raises(ValidationError, match="strength"):
+        EntropyGateConfig(enabled=True, strength=math.nan)
     with pytest.raises(ValidationError):
         ConfidenceGateConfig(enabled=True, default_confidence=2.0)
 

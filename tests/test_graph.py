@@ -7,8 +7,13 @@ from hypothesis import strategies as st
 
 from trustprop.errors import ValidationError
 from trustprop.graph import (
+    ARCHETYPES,
+    EDGE_KINDS,
     Agent,
+    AgentTable,
     Edge,
+    EdgeTable,
+    VectorRows,
     WeightConfig,
     blind_proxies,
     flag_weight,
@@ -214,6 +219,10 @@ def test_weight_config_validation():
         WeightConfig(same_owner_discount=1.5)
     with pytest.raises(ValidationError):
         WeightConfig(verified_flag_multiplier=0.9)
+    for name in ("payment_multiplier", "verified_flag_multiplier"):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match=name):
+                WeightConfig(**{name: bad})
 
 
 def _proxy(a, b):
@@ -500,3 +509,85 @@ def test_normalize_fills_blind_proxies_across_chunks(monkeypatch):
     graph = normalize(agents, edges, WeightConfig(), reps)
     expected = _reference_normalize(agents, edges, WeightConfig(), reps)["pos_content"]
     assert np.array_equal(graph.pos_content, expected)
+
+
+# ---------------------------------------------------------------- tables
+
+
+def _same_value(got, want):
+    """Equal values of equal types; arrays and floats bit for bit."""
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    elif isinstance(want, VectorRows):
+        for a, b in zip(got, want):
+            _same_value(a, b)
+    elif isinstance(want, float):
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    else:
+        assert got == want
+
+
+_TEXT = st.text(alphabet="ab\u00e9", max_size=3)
+# -0.0, subnormals and huge values, so that a float is compared bit for bit.
+_FLOAT = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324])
+_UNIT_FLOAT = st.floats(0.0, 1.0) | st.just(-0.0)
+
+
+def _vectors(dim, elements):
+    return st.lists(elements, min_size=dim, max_size=dim).map(np.array)
+
+
+def _units(dim):
+    nonzero = _vectors(dim, st.floats(-1.0, 1.0)).filter(lambda v: np.linalg.norm(v) > 0.1)
+    return nonzero.map(lambda v: v / np.linalg.norm(v))
+
+
+@st.composite
+def _table_records(draw):
+    dim = draw(st.integers(1, 3))
+    agents = [
+        Agent(
+            id=draw(_TEXT.filter(bool)), primary_domain=draw(_TEXT),
+            profile=draw(_units(dim)), teleport=draw(_vectors(dim, _FLOAT)),
+            exogenous=draw(_vectors(dim, _FLOAT)),
+            secondary_domains=tuple(draw(st.lists(_TEXT, max_size=2))),
+            archetype=draw(st.sampled_from(ARCHETYPES)),
+            owner_key=draw(st.none() | _TEXT), description=draw(_TEXT),
+        )
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    edges = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(EDGE_KINDS))
+        sender = draw(_TEXT)
+        edges.append(Edge(
+            sender=sender,
+            receiver=draw(_TEXT.filter(lambda r: kind == "flag" or r != sender)),
+            kind=kind,
+            base_weight=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
+            content=draw(_units(dim)) if kind == "labeled" else None,
+            payment=draw(st.booleans()), verified=draw(st.booleans()),
+            severity=draw(_UNIT_FLOAT) if kind == "flag" else None,
+            confidence=draw(st.none() | _UNIT_FLOAT),
+        ))
+    return agents, edges
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(records=_table_records(), cut=st.integers(0, 8))
+@example(records=([], []), cut=0)
+def test_tables_give_back_their_records(records, cut):
+    for table, rows in zip((AgentTable, EdgeTable), records):
+        whole = table.of(rows)
+        assert table.of(whole) is whole
+        back = list(whole)
+        assert len(back) == len(whole) == len(rows)
+        for got, want in zip(back, rows):
+            assert type(got) is type(want)
+            for f in table.fields:
+                _same_value(getattr(got, f.key), getattr(want, f.key))
+        joined = table.concat([table.of(rows[:cut]), table.of(rows[cut:])])
+        for f in table.fields:
+            _same_value(getattr(joined, f.key), getattr(whole, f.key))

@@ -24,6 +24,7 @@ from trustprop.harness import (
     VOTE_RING_EDGES,
     CorpusSpec,
     FlagDefenseReport,
+    ScenarioReport,
     apply_flag_defense,
     format_table,
     generate_corpus,
@@ -306,6 +307,33 @@ def test_run_scenario_baseline_has_zero_deltas(spec):
     assert report.p5_multilabel_delta == 0.0
     rows = report.csv_rows()
     assert ["scenario", "baseline"] in rows
+
+
+def test_scenario_report_rows_are_pinned():
+    # The rows are report_<scenario>.csv, line by line.
+    report = ScenarioReport(
+        scenario="s", seed=7, edges_baseline=10, edges_attacked=12,
+        iterations_baseline=30, iterations_attacked=31,
+        converged_baseline=True, converged_attacked=False,
+        p5_strict_baseline=0.4, p5_strict_attacked=0.2,
+        p5_multilabel_baseline=0.6, p5_multilabel_attacked=0.1 + 0.2,
+        mean_alignment_baseline=0.75, mean_alignment_attacked=-0.5,
+        malicious_percentile_baseline={"m2": 50.0, "m10": 100.0},
+        malicious_percentile_attacked={"m10": 25.0, "m2": 75.0},
+    )
+    assert report.csv_rows() == [
+        ["scenario", "s"], ["seed", "7"],
+        ["edges_baseline", "10"], ["edges_attacked", "12"],
+        ["iterations_baseline", "30"], ["iterations_attacked", "31"],
+        ["converged_baseline", "True"], ["converged_attacked", "False"],
+        ["p5_strict_baseline", "0.4"], ["p5_strict_attacked", "0.2"],
+        ["p5_multilabel_baseline", "0.6"], ["p5_multilabel_attacked", "0.30000000000000004"],
+        ["mean_alignment_baseline", "0.75"], ["mean_alignment_attacked", "-0.5"],
+        ["malicious_percentile_baseline_m10", "100.0"],
+        ["malicious_percentile_baseline_m2", "50.0"],
+        ["malicious_percentile_attacked_m10", "25.0"],
+        ["malicious_percentile_attacked_m2", "75.0"],
+    ]
 
 
 def test_run_scenario_rejects_unknown_name(spec):

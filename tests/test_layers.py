@@ -208,3 +208,46 @@ def test_propagation_does_not_iterate_graph_agents():
             if isinstance(sub, ast.Attribute) and sub.attr == "agents" and id(sub) not in columns
         ]
     assert iterated == []
+
+
+def _hands_on(expr, name):
+    """Whether ``expr`` uses ``name`` itself, not one of its columns or its length."""
+    parts = set()
+    for sub in ast.walk(expr):
+        if isinstance(sub, ast.Attribute):
+            parts.add(id(sub.value))
+        elif isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == "len":
+            parts.update(map(id, sub.args))
+    return any(
+        isinstance(sub, ast.Name) and sub.id == name and id(sub) not in parts
+        for sub in ast.walk(expr)
+    )
+
+
+ITERATING_BUILTINS = {"dict", "enumerate", "filter", "iter", "list", "map", "set", "sorted",
+                      "tuple", "zip"}
+
+
+def test_retrieval_reads_agent_columns():
+    # pipeline_search and precision_at_k turn agents into a table once and read
+    # its columns: iterating a table, or an id -> record dict, builds one Agent
+    # per row.
+    tree = ast.parse((PACKAGE / "retrieval.py").read_text())
+    iterated = [node.lineno for node, expr in _loops(tree) if _hands_on(expr, "agents")]
+    iterated += [
+        call.lineno
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        and call.func.id in ITERATING_BUILTINS
+        and any(_hands_on(arg, "agents") for arg in call.args)
+    ]
+    assert iterated == []
+    # {a.id: a for a in ...}: a dict whose values are the records iterated.
+    by_id = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.DictComp) and isinstance(node.value, ast.Name)
+        and any(isinstance(g.target, ast.Name) and g.target.id == node.value.id
+                for g in node.generators)
+    ]
+    assert by_id == []

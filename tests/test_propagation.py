@@ -116,6 +116,9 @@ def test_config_validation():
         PropagationConfig(max_iters=0)
     with pytest.raises(ValidationError):
         PropagationConfig(beta=-0.1)
+    for name in ("epsilon", "beta"):  # NaN fails every comparison
+        with pytest.raises(ValidationError, match=name):
+            PropagationConfig(**{name: np.nan})
     with pytest.raises(ValidationError):
         PropagationConfig(mode="quantum")
 
