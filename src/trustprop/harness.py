@@ -16,6 +16,7 @@ anchors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from collections.abc import Callable, Mapping, Sequence
 
@@ -148,7 +149,10 @@ class CorpusSpec:
             raise ValidationError("need at least two domains")
         if self.embedding_dim < len(self.domains):
             raise ValidationError("embedding_dim must be >= number of domains")
-        if self.anisotropy < 0:
+        # Bounds are written "not (in range)" so that NaN fails them too.
+        if not 0 <= self.exogenous_scale < math.inf:
+            raise ValidationError("exogenous_scale must be finite and >= 0")
+        if not self.anisotropy >= 0:
             raise ValidationError("anisotropy must be >= 0")
 
 

@@ -17,7 +17,11 @@ edge contents, the enabled gates rewrite the block's scatter matrix
 weights to w * gate, and one sparse product sums each receiver's in-edges
 in ascending edge order.  No block splits a receiver's in-edges and every
 other operation works row by row, so the result is bit-identical to one
-edge-order scatter-add over the whole graph.  The blocks, the confidence
+edge-order scatter-add over the whole graph.  A block reads the shared R and
+writes only its own receivers' rows, so the blocks run on the calling thread
+and a pool of one thread per further available CPU (numpy and scipy release
+the GIL inside them), and the result does not depend on the number of
+threads or on which thread runs which block.  The blocks, the confidence
 vector and the edge topic distributions depend only on the edges, so
 ``run`` builds them once per call; a gated step rewrites the block
 weights, so a plan is never shared between runs.
@@ -46,9 +50,13 @@ every agent individually.
 
 from __future__ import annotations
 
+import functools
 import logging
+import os
+from collections import deque
+from collections.abc import Callable, Sequence
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
-from collections.abc import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,6 +73,19 @@ MODES = ("continuous", "discrete")
 # In-edges per receiver block of the continuous step: a block's gathered,
 # transferred and gated rows (~1 MB at E = 64) stay in a 4 MiB L2.
 BLOCK_EDGES = 2048
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+# Pool threads that take receiver blocks alongside the calling thread, one
+# per further CPU this process may run on.  Each thread gets its own malloc
+# arena, so the caller works too rather than waiting on one more thread.
+_WORKERS = _cpus() - 1
 
 
 @dataclass(frozen=True)
@@ -192,8 +213,9 @@ class _ContinuousPlan:
     of the receivers, so each receiver's in-edges stay in ascending edge
     order), cut into blocks of consecutive receivers with about
     ``BLOCK_EDGES`` in-edges each; a receiver with more has a block of its
-    own.  ``p_int`` is computed over the contents in edge order and then
-    permuted, so its rows are those an edge-order step would use.
+    own.  ``blocks`` lists them by edge count, largest first.  ``p_int`` is
+    computed over the contents in edge order and then permuted, so its rows
+    are those an edge-order step would use.
     """
 
     order: np.ndarray
@@ -238,6 +260,8 @@ def _continuous_plan(
             )
             plan.blocks.append(_Block(lo, hi, slice(a, b), scatter))
         lo = hi
+    # Largest first, so a hub's oversized block does not start last.
+    plan.blocks.sort(key=lambda blk: blk.edges.start - blk.edges.stop)
     gates = cfg.gates
     if gates.confidence.enabled:
         plan.confidence = np.where(
@@ -251,21 +275,95 @@ def _continuous_plan(
     return plan
 
 
+@functools.cache
+def _executor(workers: int) -> ThreadPoolExecutor:
+    """The block pool; its threads start on the first blocks handed to it."""
+    return ThreadPoolExecutor(workers, thread_name_prefix="trustprop-block")
+
+
+def _drain(body: Callable[[_Block], None], queue: deque[_Block]) -> None:
+    """Take blocks from the shared queue and run ``body`` on each until none is left."""
+    while True:
+        try:
+            blk = queue.popleft()
+        except IndexError:
+            return
+        try:
+            body(blk)
+        except BaseException:
+            queue.clear()  # the step fails: hand out no further blocks
+            raise
+
+
+def _for_each_block(body: Callable[[_Block], None], blocks: list[_Block]) -> None:
+    """Run ``body`` on every block, on the calling thread and the pool threads.
+
+    Up to ``_WORKERS`` pool threads join the calling thread, and each thread
+    takes the next block when it finishes one.  Returns once no block is
+    running; the error raised in the calling thread, or else one raised in
+    a pool thread, is re-raised as it is.  With one CPU or one block
+    everything runs inline and no pool is started.
+    """
+    helpers = min(_WORKERS, len(blocks) - 1)
+    if helpers < 1:
+        for blk in blocks:
+            body(blk)
+        return
+    queue = deque(blocks)
+    pool = _executor(_WORKERS)
+    futures = [pool.submit(_drain, body, queue) for _ in range(helpers)]
+    try:
+        _drain(body, queue)
+    finally:
+        # A helper not yet started would find the queue empty (or the step
+        # failed): cancel it, and wait for the ones still inside a block.
+        for f in futures:
+            f.cancel()
+        wait(futures)
+    for f in futures:
+        if not f.cancelled():
+            f.result()
+
+
+def _step_block(
+    blk: _Block,
+    r: np.ndarray,
+    p_rep: np.ndarray | None,
+    acc: np.ndarray,
+    cfg: PropagationConfig,
+    plan: _ContinuousPlan,
+) -> None:
+    """Rows ``blk.lo:blk.hi`` of ``acc``: gather sender rows, transfer, gate, one CSR product."""
+    e = blk.edges
+    rows = r[plan.sender[e]]
+    content = plan.content[e]
+    transferred = transfer_batch(cfg.operator, rows, content, plan.blind[e])
+    gates = cfg.gates
+    if gates.any_enabled:
+        per_edge = (None if a is None else a[e] for a in (plan.confidence, plan.p_int, p_rep))
+        gate = stack_batch(gates, rows, content, *per_edge)
+        np.multiply(plan.weight[e], gate, out=blk.scatter.data)
+    acc[blk.lo : blk.hi] = blk.scatter @ transferred
+
+
 def _step_continuous(
     state: ReputationState,
     graph: NormalizedGraph,
     cfg: PropagationConfig,
     plan: _ContinuousPlan,
 ) -> tuple[ReputationState, float]:
-    """Per receiver block: gather sender rows, transfer, gate, one CSR product.
+    """One step as independent receiver blocks, run across the available CPUs.
 
     Each row of a block's ``scatter @ transferred`` sums w_e * x_e over the
     receiver's in-edges in ascending edge order from 0.0, the same additions
     in the same order as an edge-order scatter-add, and every other step
-    works row by row, so the result is bit-identical to it.  The softmax-KL
-    ``p_rep`` is the exception: it goes through a GEMM whose rows may round
-    differently with the matrix shape, so it is computed over all sender
-    rows in edge order and then permuted, as ``p_int`` is.
+    works row by row, so the result is bit-identical to it.  A block reads
+    the shared R and writes only its own rows of the accumulator and its own
+    scatter weights, so neither the number of threads nor the order the
+    blocks run in changes a bit.  The softmax-KL ``p_rep`` is the exception
+    to row by row: it goes through a GEMM whose rows may round differently
+    with the matrix shape, so it is computed before the blocks over all
+    sender rows in edge order and then permuted, as ``p_int`` is.
     """
     r = state.vectors
     gates = cfg.gates
@@ -273,16 +371,8 @@ def _step_continuous(
     if gates.kl.enabled and gates.kl.form == "softmax" and plan.blocks:
         p_rep = topic_distribution_batch(r[graph.pos_sender], plan.centroids)[plan.order]
     acc = np.zeros_like(r)
-    for blk in plan.blocks:
-        e = blk.edges
-        rows = r[plan.sender[e]]
-        content = plan.content[e]
-        transferred = transfer_batch(cfg.operator, rows, content, plan.blind[e])
-        if gates.any_enabled:
-            per_edge = (None if a is None else a[e] for a in (plan.confidence, plan.p_int, p_rep))
-            gate = stack_batch(gates, rows, content, *per_edge)
-            np.multiply(plan.weight[e], gate, out=blk.scatter.data)
-        acc[blk.lo : blk.hi] = blk.scatter @ transferred
+    body = functools.partial(_step_block, r=r, p_rep=p_rep, acc=acc, cfg=cfg, plan=plan)
+    _for_each_block(body, plan.blocks)
     new = cfg.alpha * acc
     if cfg.couple_c_with_damping:
         new += (1.0 - cfg.alpha) * (graph.teleport + graph.exogenous)
@@ -551,15 +641,11 @@ def warm_start(
     if previous.vectors.shape[1] != width:
         raise ValidationError("previous state width does not match the new graph")
     lookup = {aid: i for i, aid in enumerate(previous.agent_ids)}
-    vectors = base.vectors.copy()
-    for i, aid in enumerate(base.agent_ids):
-        j = lookup.get(aid)
-        if j is not None:
-            vectors[i] = previous.vectors[j]
-    seeded = ReputationState(
-        vectors=vectors, agent_ids=base.agent_ids, mode=cfg.mode
-    )
-    return run(graph, cfg, initial=seeded, matrices=matrices, neg=neg, centroids=centroids)
+    ids = base.agent_ids
+    row = np.fromiter((lookup.get(aid, -1) for aid in ids), np.intp, len(ids))
+    kept = row >= 0
+    base.vectors[kept] = previous.vectors[row[kept]]
+    return run(graph, cfg, initial=base, matrices=matrices, neg=neg, centroids=centroids)
 
 
 # --- analysis helpers ---------------------------------------------------------

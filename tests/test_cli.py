@@ -111,6 +111,14 @@ def test_config_rejects_non_finite_and_out_of_range_values(tmp_path, capsys, lin
     assert not (tmp_path / "agents.jsonl").exists()
 
 
+def test_gen_corpus_rejects_negative_exogenous_scale(tmp_path, capsys):
+    conf = tmp_path / "bad.conf"
+    conf.write_text("corpus.exogenous_scale = -1\n")
+    assert main(["gen-corpus", "--config", str(conf), "--out", str(tmp_path)]) == 1
+    assert "error: exogenous_scale must be finite and >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "agents.jsonl").exists()
+
+
 # ---------------------------------------------------------------- propagate
 
 

@@ -60,6 +60,16 @@ def test_spec_validation():
         CorpusSpec(anisotropy=-0.5)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("exogenous_scale", -1.0), ("exogenous_scale", float("nan")),
+     ("exogenous_scale", float("inf")), ("anisotropy", float("nan"))],
+)
+def test_spec_rejects_negative_and_non_finite_scales(field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be"):
+        CorpusSpec(**{field: value})
+
+
 # ---------------------------------------------------------------- population
 
 

@@ -1,6 +1,14 @@
 """Tests for the damped fixed-point engines (continuous and discrete)."""
 
+import itertools
+import os
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -776,6 +784,140 @@ def test_gated_and_ungated_runs_on_one_graph_do_not_share_a_plan():
     for cfg in (gated, plain, plain, gated):
         fresh, _ = _reference_run(graph, cfg, cents)
         assert np.array_equal(run(graph, cfg, centroids=cents).vectors, fresh)
+
+
+# ------------------------------------------------ receiver blocks on several threads
+
+
+@pytest.mark.parametrize("workers", [0, 1, 2])
+@pytest.mark.parametrize("block_edges", [1, 2, 3, 7])
+@pytest.mark.parametrize("cfg", list(_SCATTER_CONFIGS.values()), ids=list(_SCATTER_CONFIGS))
+def test_continuous_step_does_not_depend_on_the_thread_count(cfg, block_edges, workers,
+                                                             monkeypatch):
+    # 0 runs every block on the calling thread; 1 and 2 add pool threads.
+    monkeypatch.setattr(propagation, "_WORKERS", workers)
+    monkeypatch.setattr(propagation, "BLOCK_EDGES", block_edges)
+    test_continuous_step_equals_edge_order_scatter(cfg)
+
+
+@pytest.fixture
+def fast_switching():
+    """Threads switch every 10 us, so the interleavings a lost update needs occur."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [0, 1, 2])
+@pytest.mark.parametrize("cfg", list(_SCATTER_CONFIGS.values()), ids=list(_SCATTER_CONFIGS))
+def test_hub_graph_does_not_depend_on_the_thread_count(cfg, workers, monkeypatch,
+                                                       fast_switching):
+    monkeypatch.setattr(propagation, "_WORKERS", workers)
+    graph, cents = _spec_graph(_many_edges_spec(2 * propagation.BLOCK_EDGES + 1500))
+    state = run(graph, cfg, centroids=cents)
+    vectors, residuals = _reference_run(graph, cfg, cents)
+    assert np.array_equal(state.vectors, vectors)
+    assert state.residuals == residuals
+    stepped, _ = step_continuous(state, graph, cfg, cents)
+    assert np.array_equal(stepped.vectors, _reference_step(state.vectors, graph, cfg, cents))
+
+
+@pytest.mark.parametrize("error", [ValidationError("block failed"), RuntimeError("block failed")])
+@pytest.mark.parametrize("workers", [0, 1, 2])
+def test_error_in_one_block_reaches_the_caller_unchanged(error, workers, monkeypatch):
+    monkeypatch.setattr(propagation, "_WORKERS", workers)
+    graph, cents = _spec_graph(_many_edges_spec(6 * propagation.BLOCK_EDGES))
+    cfg = _SCATTER_CONFIGS["all_gates"]
+    calls = itertools.count(1)
+
+    def failing_transfer(*args):
+        if next(calls) == 3:
+            raise error
+        return transfer_batch(*args)
+
+    monkeypatch.setattr(propagation, "transfer_batch", failing_transfer)
+    with pytest.raises(type(error)) as raised:
+        run(graph, cfg, centroids=cents)
+    assert raised.value is error
+    monkeypatch.undo()
+    vectors, residuals = _reference_run(graph, cfg, cents)
+    state = run(graph, cfg, centroids=cents)
+    assert np.array_equal(state.vectors, vectors)
+    assert state.residuals == residuals
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failing_step_waits_for_the_blocks_still_running(workers, monkeypatch):
+    # The calling thread fails its first block once every pool thread is
+    # inside one; the step must not raise before those blocks have ended.
+    monkeypatch.setattr(propagation, "_WORKERS", workers)
+    graph, cents = _spec_graph(_many_edges_spec(6 * propagation.BLOCK_EDGES))
+    error = ValidationError("block failed")
+    entered = threading.Semaphore(0)
+    lock = threading.Lock()
+    inside = []
+
+    def transfer(*args):
+        me = threading.current_thread()
+        if me is threading.main_thread():
+            for _ in range(workers):
+                assert entered.acquire(timeout=10), "a pool thread never took a block"
+            raise error
+        with lock:
+            inside.append(me)
+        entered.release()
+        time.sleep(0.1)
+        with lock:
+            inside.remove(me)
+        return transfer_batch(*args)
+
+    monkeypatch.setattr(propagation, "transfer_batch", transfer)
+    with pytest.raises(ValidationError) as raised:
+        run(graph, _SCATTER_CONFIGS["projection"], centroids=cents)
+    assert raised.value is error
+    assert inside == []
+
+
+def test_concurrent_runs_on_one_graph_each_get_their_own_result(fast_switching):
+    graph, cents = _spec_graph(_many_edges_spec(6 * propagation.BLOCK_EDGES))
+    cfgs = [_SCATTER_CONFIGS[name] for name in ("all_gates", "hybrid_select", "scalar")]
+    expected = [_reference_run(graph, cfg, cents)[0] for cfg in cfgs]
+    start = threading.Barrier(len(cfgs))
+
+    def one_run(cfg):
+        start.wait(timeout=60)
+        return run(graph, cfg, centroids=cents).vectors
+
+    for _ in range(3):
+        with ThreadPoolExecutor(len(cfgs)) as callers:
+            results = list(callers.map(one_run, cfgs, timeout=120))
+        for got, want in zip(results, expected):
+            assert np.array_equal(got, want)
+
+
+def test_import_and_a_one_block_run_start_no_thread():
+    # The 50-agent seed corpus has fewer than BLOCK_EDGES positive edges.
+    code = (
+        "import threading\n"
+        "before = threading.active_count()\n"
+        "import trustprop\n"
+        "from trustprop.graph import normalize\n"
+        "from trustprop.harness import CorpusSpec, generate_corpus\n"
+        "from trustprop.propagation import BLOCK_EDGES, PropagationConfig, run\n"
+        "corpus = generate_corpus(CorpusSpec())\n"
+        "graph = normalize(corpus.agents, corpus.edges)\n"
+        "assert 0 < graph.n_pos_edges <= BLOCK_EDGES\n"
+        "assert run(graph, PropagationConfig()).converged\n"
+        "print(threading.active_count() - before)\n"
+    )
+    src = str(Path(propagation.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "0"
 
 
 @pytest.mark.parametrize("pattern", ["none", "some", "all"])
