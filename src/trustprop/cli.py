@@ -10,10 +10,8 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from collections.abc import Mapping
 from dataclasses import replace
 from pathlib import Path
-from typing import Any
 
 from .errors import ValidationError
 from .files import (
@@ -21,7 +19,7 @@ from .files import (
     agents_to_jsonl,
     center_corpus,
     config_digest,
-    config_section,
+    corpus_spec,
     edges_from_jsonl,
     edges_to_jsonl,
     load_config,
@@ -36,7 +34,6 @@ from .files import (
 from .graph import normalize
 from .harness import (
     INJECTORS,
-    CorpusSpec,
     format_table,
     generate_corpus,
     mean_precision,
@@ -70,18 +67,6 @@ class _Parser(argparse.ArgumentParser):
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
-
-
-def corpus_spec(cfg: Mapping[str, Any]) -> CorpusSpec:
-    spec = config_section(cfg, "corpus")
-    counts = {"hub": spec.pop("hubs"), "active": 0}
-    counts.update(dormant=spec.pop("dormant"), malicious=spec.pop("malicious"))
-    counts["active"] = spec["n_agents"] - sum(counts.values())
-    if counts["active"] < 0:
-        raise ValidationError("corpus archetype counts exceed corpus.n_agents")
-    return CorpusSpec(
-        archetype_counts=counts, cross_domain_specialists=spec.pop("specialists"), **spec
-    )
 
 
 def cmd_gen_corpus(args: argparse.Namespace) -> int:

@@ -16,7 +16,7 @@ import json
 import math
 from itertools import repeat
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import MISSING, replace
+from dataclasses import MISSING, fields as dataclass_fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -47,12 +47,18 @@ from .graph import (
     WeightConfig,
     one_of,
 )
+from .harness import CorpusSpec
 from .operators import OperatorKind
 from .propagation import MODES, PropagationConfig, ReputationState
 from .retrieval import QUERY_FIELDS, STRATEGIES, VARIANTS, Query
 from .vectorspace import CenteringModel, center_and_normalize, row_norms
 
 # --- flat config --------------------------------------------------------------
+
+def _section_defaults(prefix: str, record: type) -> dict[str, tuple[type, Any]]:
+    """(type, default) per key of a section whose keys are ``record``'s fields."""
+    return {f"{prefix}.{f.name}": (type(f.default), f.default) for f in dataclass_fields(record)}
+
 
 # (type, default) per dotted key; bool before int because bool is an int.
 CONFIG_DEFAULTS: dict[str, tuple[type, Any]] = {
@@ -76,24 +82,8 @@ CONFIG_DEFAULTS: dict[str, tuple[type, Any]] = {
     "gates.magnitude.enabled": (bool, False),
     "gates.confidence.enabled": (bool, False),
     "gates.confidence.default": (float, 0.5),
-    "weights.payment_multiplier": (float, 3.0),
-    "weights.blind_discount": (float, 0.3),
-    "weights.same_owner_discount": (float, 0.1),
-    "weights.verified_flag_multiplier": (float, 6.0),
-    "corpus.seed": (int, 42),
-    "corpus.n_agents": (int, 50),
-    "corpus.hubs": (int, 5),
-    "corpus.dormant": (int, 4),
-    "corpus.malicious": (int, 2),
-    "corpus.specialists": (int, 6),
-    "corpus.labeled_edges": (int, 70),
-    "corpus.payment_edges": (int, 14),
-    "corpus.blind_edges": (int, 612),
-    "corpus.n_queries": (int, 10),
-    "corpus.cross_domain_queries": (int, 2),
-    "corpus.embedding_dim": (int, 64),
-    "corpus.exogenous_scale": (float, 0.5),
-    "corpus.anisotropy": (float, 0.0),
+    **_section_defaults("weights", WeightConfig),
+    **_section_defaults("corpus", CorpusSpec),
     "retrieval.strategy": (str, "dot"),
     "retrieval.beta_mix": (float, 0.5),
     "retrieval.variant": (str, "power"),
@@ -102,13 +92,17 @@ CONFIG_DEFAULTS: dict[str, tuple[type, Any]] = {
     "attack.flag_severity": (float, 0.95),
 }
 
-# Keys whose value must be one of a fixed set, or at least a bound, checked
-# when a config is read; every float must also be finite.
+# Keys whose value must be one of a fixed set, or lie in a closed range,
+# checked when a config is read; every float must also be finite.
 CONFIG_CHOICES: dict[str, tuple[str, ...]] = {
     "retrieval.strategy": STRATEGIES,
     "retrieval.variant": VARIANTS,
 }
-CONFIG_MINIMUMS: dict[str, float] = {"retrieval.k": 1, "retrieval.beta_mix": 0.0}
+CONFIG_RANGES: dict[str, tuple[float, float]] = {
+    "retrieval.k": (1, math.inf),
+    "retrieval.beta_mix": (0.0, math.inf),
+    "attack.flag_severity": (0.0, 1.0),
+}
 
 
 def _coerce(key: str, raw: str) -> Any:
@@ -131,8 +125,10 @@ def _coerce(key: str, raw: str) -> Any:
         raise ValidationError(
             f"config key {key!r}: {value!r} is not one of {', '.join(choices)}"
         )
-    if key in CONFIG_MINIMUMS and not value >= CONFIG_MINIMUMS[key]:
-        raise ValidationError(f"config key {key!r}: must be >= {CONFIG_MINIMUMS[key]}, got {raw!r}")
+    low, high = CONFIG_RANGES.get(key, (None, None))
+    if low is not None and not low <= value <= high:
+        bound = f"lie in [{low}, {high}]" if high < math.inf else f"be >= {low}"
+        raise ValidationError(f"config key {key!r}: must {bound}, got {raw!r}")
     return value
 
 
@@ -191,6 +187,10 @@ def propagation_config(cfg: Mapping[str, Any]) -> PropagationConfig:
 
 def weight_config(cfg: Mapping[str, Any]) -> WeightConfig:
     return WeightConfig(**config_section(cfg, "weights"))
+
+
+def corpus_spec(cfg: Mapping[str, Any]) -> CorpusSpec:
+    return CorpusSpec(**config_section(cfg, "corpus"))
 
 
 # --- JSONL corpora ------------------------------------------------------------

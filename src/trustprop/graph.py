@@ -647,7 +647,6 @@ class NormalizedGraph:
     """
 
     agents: AgentTable
-    index: dict[str, int]
     dim: int
     pos_sender: np.ndarray
     pos_receiver: np.ndarray
@@ -763,7 +762,6 @@ def normalize(
 
     return NormalizedGraph(
         agents=agents,
-        index=index,
         dim=dim,
         pos_sender=pos_sender,
         pos_receiver=pos_receiver,

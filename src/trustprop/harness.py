@@ -17,13 +17,13 @@ anchors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .graph import Agent, Edge, WeightConfig, normalize
+from .graph import ARCHETYPES, Agent, Edge, WeightConfig, normalize
 from .propagation import (
     PropagationConfig,
     ReputationState,
@@ -115,15 +115,19 @@ _SEED_CAP = 2**31 - 1
 
 @dataclass(frozen=True)
 class CorpusSpec:
-    """Everything that determines a synthetic corpus, bit for bit."""
+    """Everything that determines a synthetic corpus, bit for bit.
+
+    The fields are the ``corpus.`` config keys.  Every agent that is not a
+    hub, dormant or malicious is active; the first ``specialists`` actives
+    also carry their domain's ``SPECIALIST_SECONDARY``.
+    """
 
     seed: int = 42
     n_agents: int = 50
-    domains: tuple[str, ...] = DOMAINS
-    archetype_counts: Mapping[str, int] = field(
-        default_factory=lambda: {"hub": 5, "active": 39, "dormant": 4, "malicious": 2}
-    )
-    cross_domain_specialists: int = 6
+    hubs: int = 5
+    dormant: int = 4
+    malicious: int = 2
+    specialists: int = 6
     labeled_edges: int = 70
     payment_edges: int = 14
     blind_edges: int = 612
@@ -134,20 +138,18 @@ class CorpusSpec:
     anisotropy: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
-        total = sum(self.archetype_counts.values())
-        if total != self.n_agents:
-            raise ValidationError(
-                f"archetype counts sum to {total}, expected {self.n_agents}"
-            )
+        for name in ("seed", "n_agents", "hubs", "dormant", "malicious", "specialists",
+                     "labeled_edges", "payment_edges", "blind_edges", "n_queries",
+                     "cross_domain_queries", "embedding_dim"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0")
+        if self.hubs + self.dormant + self.malicious > self.n_agents:
+            raise ValidationError("corpus archetype counts exceed corpus.n_agents")
         if self.payment_edges > self.labeled_edges:
             raise ValidationError("payment_edges cannot exceed labeled_edges")
         if self.cross_domain_queries > self.n_queries:
             raise ValidationError("cross_domain_queries cannot exceed n_queries")
-        if len(self.domains) < 2:
-            raise ValidationError("need at least two domains")
-        if self.embedding_dim < len(self.domains):
+        if self.embedding_dim < len(DOMAINS):
             raise ValidationError("embedding_dim must be >= number of domains")
         # Bounds are written "not (in range)" so that NaN fails them too.
         if not 0 <= self.exogenous_scale < math.inf:
@@ -167,12 +169,6 @@ class Corpus:
     synth_centroids: dict[str, np.ndarray]
     centering: CenteringModel
     offset: np.ndarray
-
-    def agent(self, agent_id: str) -> Agent:
-        for a in self.agents:
-            if a.id == agent_id:
-                return a
-        raise KeyError(agent_id)
 
     def malicious_ids(self) -> list[str]:
         return [a.id for a in self.agents if a.archetype == "malicious"]
@@ -200,7 +196,7 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
     centering model is then fit over profiles + labeled contents and applied
     to everything, queries included.
     """
-    centroids = build_centroids(spec.domains, spec.embedding_dim, spec.seed)
+    centroids = build_centroids(DOMAINS, spec.embedding_dim, spec.seed)
 
     rng_agents = _stream(spec.seed, 1)
     rng_engage = _stream(spec.seed, 2)
@@ -215,42 +211,25 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
     offset = spec.anisotropy * offset_dir
 
     # --- population -----------------------------------------------------------
-    counts = spec.archetype_counts
-    roles: list[str] = (
-        ["hub"] * counts.get("hub", 0)
-        + ["active"] * counts.get("active", 0)
-        + ["dormant"] * counts.get("dormant", 0)
-        + ["malicious"] * counts.get("malicious", 0)
-    )
-    hub_domains = [d for d in HUB_DOMAINS if d in spec.domains] or list(spec.domains)
+    # Each role's k-th agent takes the k-th domain of its pool, cyclically.
+    actives = spec.n_agents - spec.hubs - spec.dormant - spec.malicious
+    populations = {
+        "hub": (spec.hubs, HUB_DOMAINS),
+        "active": (actives, DOMAINS),
+        "dormant": (spec.dormant, DOMAINS),
+        "malicious": (spec.malicious, (MALICIOUS_DOMAIN,)),
+    }
+    roles: list[str] = []
     primaries: list[str] = []
-    n_active_seen = 0
-    n_hub_seen = 0
-    n_dormant_seen = 0
     secondaries: list[tuple[str, ...]] = []
-    for role in roles:
-        if role == "hub":
-            primaries.append(hub_domains[n_hub_seen % len(hub_domains)])
-            n_hub_seen += 1
-            secondaries.append(())
-        elif role == "active":
-            primary = spec.domains[n_active_seen % len(spec.domains)]
+    for role in ARCHETYPES:
+        count, pool = populations[role]
+        for k in range(count):
+            primary = pool[k % len(pool)]
+            roles.append(role)
             primaries.append(primary)
-            if n_active_seen < spec.cross_domain_specialists:
-                second = SPECIALIST_SECONDARY.get(primary)
-                secondaries.append((second,) if second in spec.domains else ())
-            else:
-                secondaries.append(())
-            n_active_seen += 1
-        elif role == "dormant":
-            primaries.append(spec.domains[n_dormant_seen % len(spec.domains)])
-            n_dormant_seen += 1
-            secondaries.append(())
-        else:  # malicious
-            primaries.append(
-                MALICIOUS_DOMAIN if MALICIOUS_DOMAIN in spec.domains else spec.domains[0]
-            )
-            secondaries.append(())
+            specialist = role == "active" and k < spec.specialists
+            secondaries.append((SPECIALIST_SECONDARY[primary],) if specialist else ())
 
     profile_seeds = rng_agents.integers(0, _SEED_CAP, size=len(roles))
     raw_profiles: list[np.ndarray] = []
@@ -265,13 +244,13 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
     eligible = [
         i for i, role in enumerate(roles) if role in ("hub", "active")
     ]
-    by_domain: dict[str, list[int]] = {d: [] for d in spec.domains}
+    by_domain: dict[str, list[int]] = {d: [] for d in DOMAINS}
     for i in eligible:
         by_domain[primaries[i]].append(i)
     specialist_idx = [
         i for i in eligible if secondaries[i] and roles[i] == "active"
     ]
-    pair_domains = [d for d in spec.domains if len(by_domain[d]) >= 2]
+    pair_domains = [d for d in DOMAINS if len(by_domain[d]) >= 2]
 
     def _pick_receiver(rng: np.random.Generator, pool: list[int], sender: int,
                        hub_boost: float) -> int:
@@ -289,7 +268,7 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
         if cross_ok and u >= SAME_DOMAIN_EDGE_PROB:
             s = int(rng_labeled.choice(specialist_idx))
             shared = secondaries[s][0]
-            pool = [i for i in by_domain.get(shared, []) if i != s]
+            pool = [i for i in by_domain[shared] if i != s]
             if pool:
                 r = _pick_receiver(rng_labeled, pool + [s], s, HUB_RECEIVER_BOOST)
             else:
@@ -313,15 +292,10 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
     profiles = [center_and_normalize(centering, p) for p in raw_profiles]
 
     # --- agents ---------------------------------------------------------------
-    hubbed = {primaries[i] for i, role in enumerate(roles) if role == "hub"}
-    veterans: set[int] = set()
-    for d in spec.domains:
-        if d in hubbed:
-            continue
-        for i, role in enumerate(roles):
-            if role == "active" and primaries[i] == d:
-                veterans.add(i)
-                break
+    # The first active of each domain without a hub: the actives follow the
+    # hubs and take the domains in order.
+    hubbed = set(HUB_DOMAINS[: spec.hubs])
+    veterans = {spec.hubs + k for k, d in enumerate(DOMAINS[:actives]) if d not in hubbed}
     engagements = [
         float(
             rng_engage.uniform(
@@ -401,15 +375,13 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
     n_single = spec.n_queries - spec.cross_domain_queries
     for qi in range(spec.n_queries):
         if qi < n_single:
-            domain = spec.domains[qi % len(spec.domains)]
+            domain = DOMAINS[qi % len(DOMAINS)]
             mix = {domain: 1.0}
             expected = {domain}
             words = rng_query.choice(KEYWORDS[domain], size=3, replace=False)
             text = " ".join(words) + " specialist"
         else:
             d1, d2 = CROSS_QUERY_PAIRS[(qi - n_single) % len(CROSS_QUERY_PAIRS)]
-            if d1 not in spec.domains or d2 not in spec.domains:
-                d1, d2 = spec.domains[0], spec.domains[1]
             mix = {d1: 0.5, d2: 0.5}
             expected = {d1, d2}
             w1 = rng_query.choice(KEYWORDS[d1], size=2, replace=False)
@@ -452,16 +424,11 @@ HEAVY_BASE_WEIGHT = 3.0
 FLAG_DEFENSE_TOP_K = 2
 
 
-def _attack_domain(corpus: Corpus) -> str:
-    return MALICIOUS_DOMAIN if MALICIOUS_DOMAIN in corpus.spec.domains else corpus.spec.domains[0]
-
-
 def _finance_actives(corpus: Corpus) -> list[Agent]:
-    domain = _attack_domain(corpus)
     return [
         a
         for a in corpus.agents
-        if a.archetype == "active" and a.primary_domain == domain
+        if a.archetype == "active" and a.primary_domain == MALICIOUS_DOMAIN
     ]
 
 
@@ -493,18 +460,17 @@ def inject_cross_domain_sybil(corpus: Corpus) -> Corpus:
     """
     rng = _stream(corpus.spec.seed, 101)
     m1, m2 = _malicious_pair(corpus)
-    domain = _attack_domain(corpus)
     hubs = [
         a.id
         for a in corpus.agents
-        if a.archetype == "hub" and a.primary_domain != domain
+        if a.archetype == "hub" and a.primary_domain != MALICIOUS_DOMAIN
     ][:5]
     if not hubs:
         raise ValidationError("no foreign hubs to spam")
     added: list[Edge] = []
     for k in range(CROSS_SYBIL_MUTUAL):
         s, r = (m1, m2) if k % 2 == 0 else (m2, m1)
-        added.append(_heavy_edge(corpus, rng, s, r, domain))
+        added.append(_heavy_edge(corpus, rng, s, r, MALICIOUS_DOMAIN))
     for k in range(CROSS_SYBIL_SPAM):
         s = m1 if k % 2 == 0 else m2
         added.append(
@@ -517,14 +483,13 @@ def inject_same_domain_sybil(corpus: Corpus) -> Corpus:
     """Mutual-boost ring on the pair plus blind spam at same-domain targets."""
     rng = _stream(corpus.spec.seed, 102)
     m1, m2 = _malicious_pair(corpus)
-    domain = _attack_domain(corpus)
     targets = [a.id for a in _finance_actives(corpus)][:SAME_SYBIL_TARGETS]
     if not targets:
         raise ValidationError("no same-domain targets to spam")
     added: list[Edge] = []
     for k in range(SAME_SYBIL_MUTUAL):
         s, r = (m1, m2) if k % 2 == 0 else (m2, m1)
-        added.append(_heavy_edge(corpus, rng, s, r, domain))
+        added.append(_heavy_edge(corpus, rng, s, r, MALICIOUS_DOMAIN))
     for t_idx, target in enumerate(targets):
         for k in range(SAME_SYBIL_SPAM_PER_TARGET):
             s = m1 if (t_idx + k) % 2 == 0 else m2
@@ -547,10 +512,9 @@ def inject_laundering(corpus: Corpus) -> Corpus:
     if not hubs:
         raise ValidationError("no hub to forward to")
     hub = hubs[0]
-    domain = _attack_domain(corpus)
     added: list[Edge] = []
     for _ in range(LAUNDER_PUMP):
-        added.append(_heavy_edge(corpus, rng, source, intermediary.id, domain))
+        added.append(_heavy_edge(corpus, rng, source, intermediary.id, MALICIOUS_DOMAIN))
     for _ in range(LAUNDER_FORWARD):
         added.append(_heavy_edge(corpus, rng, intermediary.id, hub.id, hub.primary_domain))
     return replace(corpus, edges=corpus.edges + added)
@@ -566,11 +530,10 @@ def inject_vote_ring(corpus: Corpus) -> Corpus:
     ring = [a.id for a in _finance_actives(corpus)][:VOTE_RING_SIZE]
     if len(ring) < 2:
         raise ValidationError("not enough same-domain agents for a ring")
-    domain = _attack_domain(corpus)
     added: list[Edge] = []
     for k in range(VOTE_RING_EDGES):
         i = k % len(ring)
-        added.append(_heavy_edge(corpus, rng, ring[i], ring[(i + 1) % len(ring)], domain))
+        added.append(_heavy_edge(corpus, rng, ring[i], ring[(i + 1) % len(ring)], MALICIOUS_DOMAIN))
     return replace(corpus, edges=corpus.edges + added)
 
 

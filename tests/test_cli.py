@@ -119,6 +119,19 @@ def test_gen_corpus_rejects_negative_exogenous_scale(tmp_path, capsys):
     assert not (tmp_path / "agents.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "hubs, message",
+    [(-1, "hubs must be >= 0"), (60, "corpus archetype counts exceed corpus.n_agents")],
+)
+def test_gen_corpus_rejects_bad_archetype_counts(tmp_path, capsys, hubs, message):
+    conf = tmp_path / "bad.conf"
+    conf.write_text(f"corpus.hubs = {hubs}\n")
+    out = tmp_path / "out"
+    assert main(["gen-corpus", "--config", str(conf), "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- propagate
 
 
@@ -671,6 +684,17 @@ def test_attack_and_bench_reject_unknown_strategy_before_running(tmp_path, verb,
     out = tmp_path / verb
     assert main([verb, "--config", str(conf), "--out", str(out)]) == 1
     assert "retrieval.strategy" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("severity", ["1.5", "-0.1"])
+def test_attack_rejects_flag_severity_outside_unit_interval(tmp_path, capsys, severity):
+    conf = tmp_path / "severity.conf"
+    conf.write_text(SMALL_CONF + f"attack.flag_severity = {severity}\n")
+    out = tmp_path / "attack"
+    args = ["attack", "--config", str(conf), "--flag-defense", "--out", str(out)]
+    assert main(args) == 1
+    assert "config key 'attack.flag_severity': must lie in [0.0, 1.0]" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import struct
 import unittest.mock
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -37,7 +38,10 @@ from trustprop.files import (
     weight_config,
 )
 from trustprop.propagation import PropagationConfig, ReputationState, run
-from trustprop.graph import AGENT_FIELDS, EDGE_FIELDS, EDGE_KINDS, Agent, Edge, normalize
+from trustprop.graph import (
+    AGENT_FIELDS, EDGE_FIELDS, EDGE_KINDS, Agent, Edge, WeightConfig, normalize,
+)
+from trustprop.harness import CorpusSpec, generate_corpus
 from trustprop.retrieval import QUERY_FIELDS, Query
 from trustprop.vectorspace import DEGENERATE_NORM, fit_centering
 
@@ -124,9 +128,12 @@ def test_builders_cover_all_sections():
     assert weight_config(cfg).blind_discount == 0.4
     spec = corpus_spec(cfg)
     assert spec.n_agents == 20
-    assert spec.archetype_counts["active"] == 14  # remainder after other roles
+    archetypes = Counter(a.archetype for a in generate_corpus(spec).agents)
+    assert archetypes["active"] == 14  # remainder after other roles
     # defaults round-trip into equal dataclasses
     assert propagation_config(parse_config("")) == PropagationConfig()
+    assert corpus_spec(parse_config("")) == CorpusSpec()
+    assert weight_config(parse_config("")) == WeightConfig()
 
 
 # ---------------------------------------------------------------- jsonl

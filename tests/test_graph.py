@@ -351,7 +351,7 @@ def test_normalize_stacks_priors_in_agent_order():
     g = normalize([a, b], [])
     np.testing.assert_array_equal(g.teleport, np.vstack([a.teleport, b.teleport]))
     assert g.teleport.shape == (2, 2)
-    assert g.index == {"a": 0, "b": 1}
+    assert g.agents.id == ("a", "b")
 
 
 # ------------------------------------------------- batch vs per-edge reference

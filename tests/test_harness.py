@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustprop.errors import ValidationError
 from trustprop.graph import normalize
@@ -18,9 +20,12 @@ from trustprop.harness import (
     INJECTORS,
     LAUNDER_FORWARD,
     LAUNDER_PUMP,
+    MALICIOUS_DOMAIN,
     SAME_SYBIL_MUTUAL,
     SAME_SYBIL_SPAM_PER_TARGET,
     SAME_SYBIL_TARGETS,
+    SPECIALIST_SECONDARY,
+    VETERAN_ENGAGEMENT,
     VOTE_RING_EDGES,
     CorpusSpec,
     FlagDefenseReport,
@@ -49,7 +54,7 @@ def test_spec_validation():
     with pytest.raises(ValidationError):
         CorpusSpec(seed=-1)
     with pytest.raises(ValidationError):
-        CorpusSpec(archetype_counts={"hub": 5, "active": 40, "dormant": 4, "malicious": 2})
+        CorpusSpec(n_agents=10)  # 5 hubs + 4 dormant + 2 malicious > 10
     with pytest.raises(ValidationError):
         CorpusSpec(payment_edges=80)
     with pytest.raises(ValidationError):
@@ -70,13 +75,85 @@ def test_spec_rejects_negative_and_non_finite_scales(field, value):
         CorpusSpec(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field",
+    ["seed", "n_agents", "hubs", "dormant", "malicious", "specialists", "labeled_edges",
+     "payment_edges", "blind_edges", "n_queries", "cross_domain_queries", "embedding_dim"],
+)
+def test_spec_rejects_negative_counts(field):
+    with pytest.raises(ValidationError, match=f"^{field} must be >= 0$"):
+        CorpusSpec(**{field: -1})
+
+
+def test_spec_rejects_archetype_counts_beyond_n_agents():
+    CorpusSpec(n_agents=11)  # 5 hubs + 4 dormant + 2 malicious, no actives
+    with pytest.raises(ValidationError, match="corpus archetype counts exceed corpus.n_agents"):
+        CorpusSpec(n_agents=10)
+
+
 # ---------------------------------------------------------------- population
 
 
 def test_corpus_population_counts(corpus, spec):
     assert len(corpus.agents) == spec.n_agents
     counts = Counter(a.archetype for a in corpus.agents)
-    assert counts == spec.archetype_counts
+    actives = spec.n_agents - spec.hubs - spec.dormant - spec.malicious
+    assert counts == {"hub": spec.hubs, "active": actives, "dormant": spec.dormant,
+                      "malicious": spec.malicious}
+
+
+def _counter_population(n_agents, hubs, dormant, malicious, specialists):
+    """(archetype, primary, secondaries) per agent and the veteran indices,
+    built with one running counter per role, the way the generator first did."""
+    actives = n_agents - hubs - dormant - malicious
+    roles = ["hub"] * hubs + ["active"] * actives + ["dormant"] * dormant
+    roles += ["malicious"] * malicious
+    population = []
+    n_hub_seen = n_active_seen = n_dormant_seen = 0
+    for role in roles:
+        if role == "hub":
+            population.append((role, HUB_DOMAINS[n_hub_seen % len(HUB_DOMAINS)], ()))
+            n_hub_seen += 1
+        elif role == "active":
+            primary = DOMAINS[n_active_seen % len(DOMAINS)]
+            second = SPECIALIST_SECONDARY[primary] if n_active_seen < specialists else None
+            population.append((role, primary, (second,) if second else ()))
+            n_active_seen += 1
+        elif role == "dormant":
+            population.append((role, DOMAINS[n_dormant_seen % len(DOMAINS)], ()))
+            n_dormant_seen += 1
+        else:
+            population.append((role, MALICIOUS_DOMAIN, ()))
+    hubbed = {primary for role, primary, _ in population if role == "hub"}
+    veterans = set()
+    for d in DOMAINS:
+        if d not in hubbed:
+            veterans.update(
+                [i for i, (role, primary, _) in enumerate(population)
+                 if role == "active" and primary == d][:1]
+            )
+    return population, veterans
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_population_matches_the_per_role_counter_loop(data):
+    hubs = data.draw(st.integers(0, 7), label="hubs")
+    dormant = data.draw(st.integers(0, 10), label="dormant")
+    n_agents = data.draw(st.integers(hubs + dormant + 2, hubs + dormant + 30), label="n_agents")
+    specialists = data.draw(st.integers(0, 12), label="specialists")
+    spec = CorpusSpec(
+        n_agents=n_agents, hubs=hubs, dormant=dormant, malicious=2, specialists=specialists,
+        labeled_edges=0, payment_edges=0, blind_edges=0,
+    )
+    agents = generate_corpus(spec).agents
+    population, veterans = _counter_population(n_agents, hubs, dormant, 2, specialists)
+    assert [(a.archetype, a.primary_domain, a.secondary_domains) for a in agents] == population
+    # Veterans draw their engagement, the teleport norm, above every other active's.
+    assert {
+        i for i, a in enumerate(agents)
+        if a.archetype == "active" and np.linalg.norm(a.teleport) >= VETERAN_ENGAGEMENT[0]
+    } == veterans
 
 
 def test_hubs_cover_the_hub_domains(corpus):
@@ -99,7 +176,7 @@ def test_profiles_are_unit_and_consistent_dim(corpus, spec):
 
 def test_specialist_actives_carry_secondary_domains(corpus, spec):
     with_secondary = [a for a in corpus.agents if a.secondary_domains]
-    assert len(with_secondary) == spec.cross_domain_specialists
+    assert len(with_secondary) == spec.specialists
     for a in with_secondary:
         assert a.archetype == "active"
         assert all(d in DOMAINS for d in a.secondary_domains)
