@@ -6,7 +6,8 @@ arrays are bit-identical to the originals.
 
 Every JSON text is parsed by ``_loads``: orjson, with ``json.loads`` for the
 text orjson rejects.  Snapshots are written as ``json.dumps(obj, indent=2)``
-would write them, with the agent rows encoded by the C encoder.
+would write them; the floats of the agent rows are written by orjson in one
+call (``_float_rows``), the few that orjson spells otherwise by ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -431,22 +432,49 @@ def center_corpus(
 # --- snapshots ----------------------------------------------------------------
 
 
-# The C encoder with these separators writes a list of floats as
-# ``json.dumps(indent=2)`` writes an agent's "r" row, three levels deep.
-_encode_row = json.JSONEncoder(separators=(",\n" + " " * 8, ": ")).encode
+# Between two floats of an agent's "r" row, three levels deep in the snapshot.
+_ROW_SEP = ",\n" + " " * 8
 
 
-def _agents_json(ids: Sequence[str], rows: list[list[float]]) -> str:
+def _float_rows(vectors: np.ndarray) -> list[str]:
+    """Each row of an (N, E) matrix: its floats as ``json.dumps`` spells
+    them, joined by ``_ROW_SEP``.
+
+    orjson writes every float in one call, with the shortest round-trip
+    digits that ``repr`` writes.  It spells three kinds of value otherwise:
+    0 < |x| < 1e-4 (``0.00006775`` or ``6.17e-7`` for ``6.775e-05`` or
+    ``6.17e-07``), |x| >= 1e16 (``1e16`` for ``1e+16``) and the non-finite
+    (``null`` for ``Infinity``, ``-Infinity`` and ``NaN``).  Those floats
+    are replaced by their ``json.dumps`` spelling, which orjson writes as a
+    string; the text holds no other quotes, so dropping them all leaves it.
+    """
+    vectors = np.asarray(vectors, dtype=float)
+    rows = vectors.tolist()
+    if not rows:
+        return []
+    a = np.abs(vectors)
+    respell = ~np.isfinite(vectors) | ((a < 1e-4) & (a != 0)) | (a >= 1e16)
+    for i, j in zip(*(index.tolist() for index in np.nonzero(respell))):
+        rows[i][j] = json.dumps(rows[i][j])
+    text = orjson.dumps(rows).decode().replace('"', "")
+    del rows  # the floats, before the rows are spelled out
+    return [row.replace(",", _ROW_SEP) for row in text[2:-2].split("],[")]
+
+
+def _agents_json(ids: Sequence[str], vectors: np.ndarray) -> str:
     """The snapshot's "agents" array as ``json.dumps(indent=2)`` writes it."""
     if not ids:
         return "[]"
-    items = [
-        '    {\n      "id": ' + json.dumps(aid) + ',\n      "r": '
-        + ("[\n        " + _encode_row(row)[1:-1] + "\n      ]" if row else "[]")
-        + "\n    }"
-        for aid, row in zip(ids, rows, strict=True)
-    ]
-    return "[\n" + ",\n".join(items) + "\n  ]"
+    # Between an id and its row's first float, and after its last one.
+    if vectors.shape[1]:
+        before, after = ',\n      "r": [\n        ', "\n      ]\n    },\n"
+    else:
+        before, after = ',\n      "r": [', "]\n    },\n"
+    pieces = ["[\n"]
+    for aid, row in zip(ids, _float_rows(vectors), strict=True):
+        pieces += ('    {\n      "id": ', json.dumps(aid), before, row, after)
+    pieces[-1] = after[:-2] + "\n  ]"  # no comma after the last entry; close the array
+    return "".join(pieces)
 
 
 def snapshot_to_json(
@@ -466,16 +494,15 @@ def snapshot_to_json(
         "converged": state.converged,
         "residuals": list(state.residuals),
     }
-    rows = np.asarray(state.vectors, dtype=float).tolist()
     # head ends "\n}" and tail starts "{": the agents array goes between.
-    return (
-        json.dumps(head, indent=2)[:-2]
-        + ',\n  "agents": '
-        + _agents_json(state.agent_ids, rows)
-        + ","
-        + json.dumps(tail, indent=2)[1:]
-        + "\n"
-    )
+    return "".join((
+        json.dumps(head, indent=2)[:-2],
+        ',\n  "agents": ',
+        _agents_json(state.agent_ids, state.vectors),
+        ",",
+        json.dumps(tail, indent=2)[1:],
+        "\n",
+    ))
 
 
 # A snapshot's fields in written order, and an agent entry's.  ANY marks what is

@@ -51,6 +51,24 @@ ARCHETYPES = ("hub", "active", "dormant", "malicious")
 # Tolerance for "this stored vector should be unit length".
 UNIT_TOL = 1e-6
 
+
+def _off_unit(vectors: np.ndarray) -> np.ndarray | bool:
+    """Whether a vector, or each row of a (K, E) matrix, is not unit length.
+
+    Written as "not <=" so that a NaN norm is off too.  A norm whose squares
+    overflow is inf, and off, with no overflow warning: ``np.vdot`` reports
+    none, and the rows' norms are taken under ``errstate``.  A vector's norm
+    is the one the 1-D ``np.linalg.norm`` takes, bit for bit: the square
+    root of the dot product of its ``ravel(order="K")``.
+    """
+    if vectors.ndim == 1:
+        flat = vectors.ravel(order="K")
+        return not abs(math.sqrt(np.vdot(flat, flat)) - 1.0) <= UNIT_TOL
+    with np.errstate(over="ignore"):
+        norms = row_norms(vectors)
+    return ~(np.abs(norms - 1.0) <= UNIT_TOL)
+
+
 # Blind proxies computed per block in ``normalize``; bounds its temporaries.
 PROXY_CHUNK_ROWS = 4096
 
@@ -330,8 +348,7 @@ class Agent:
         check_fields(self, AGENT_FIELDS)
         if not self.id:
             raise ValidationError("agent id must be non-empty")
-        # Written as "not <=" so that a NaN norm fails the check too.
-        if not abs(float(np.linalg.norm(self.profile)) - 1.0) <= UNIT_TOL:
+        if _off_unit(self.profile):
             raise ValidationError(f"agent {self.id}: profile must be unit length")
         for name, vec in (("teleport", self.teleport), ("exogenous", self.exogenous)):
             if vec.shape != self.profile.shape:
@@ -379,7 +396,7 @@ class Edge:
         if self.kind == "labeled":
             if self.content is None:
                 raise ValidationError("labeled edge requires a content embedding")
-            if not abs(float(np.linalg.norm(self.content)) - 1.0) <= UNIT_TOL:
+            if _off_unit(self.content):
                 raise ValidationError("labeled edge content must be unit length")
         elif self.content is not None:
             raise ValidationError(f"{self.kind} edge must not carry content")
@@ -537,8 +554,7 @@ class AgentTable(Table, fields=AGENT_FIELDS):
 
     def broken(self, values: Mapping[str, Sequence]) -> np.ndarray:
         bad = ~np.fromiter(map(bool, self.id), bool, len(self))  # an empty id
-        # Written as "not <=" so that a NaN norm fails the check too.
-        bad |= ~(np.abs(row_norms(self.profile) - 1.0) <= UNIT_TOL)
+        bad |= _off_unit(self.profile)
         bad |= ~(np.isfinite(self.teleport).all(axis=1) & np.isfinite(self.exogenous).all(axis=1))
         return bad
 
@@ -558,7 +574,7 @@ class EdgeTable(Table, fields=EDGE_FIELDS):
         bad = ~((0.0 < self.base_weight) & (self.base_weight < math.inf))
         bad |= ~flag & np.fromiter(map(operator.eq, self.sender, self.receiver), bool, n)
         bad |= content.present != (self.kind == LABELED)
-        bad[content.present] |= ~(np.abs(row_norms(content.rows) - 1.0) <= UNIT_TOL)
+        bad[content.present] |= _off_unit(content.rows)
         has_severity = _present(values["severity"][:n])
         bad |= has_severity != flag
         bad |= has_severity & ~((0.0 <= self.severity) & (self.severity <= 1.0))
@@ -590,32 +606,6 @@ class WeightConfig:
         for name in ("payment_multiplier", "verified_flag_multiplier"):
             if getattr(self, name) == math.inf:
                 raise ValidationError(f"{name} must be finite")
-
-
-def raw_weight(edge: Edge, cfg: WeightConfig, same_owner: bool) -> float:
-    """Pre-normalization positive weight of a labeled or blind edge."""
-    if edge.kind == "flag":
-        raise ValidationError("raw_weight does not apply to flag edges")
-    w = float(edge.base_weight)
-    if edge.payment:
-        w *= cfg.payment_multiplier
-    if edge.kind == "blind":
-        w *= cfg.blind_discount
-    if same_owner:
-        w *= cfg.same_owner_discount
-    return w
-
-
-def flag_weight(edge: Edge, reporter_reputation: float, cfg: WeightConfig) -> float:
-    """Pre-normalization magnitude of a flag edge (used as negative mass)."""
-    if edge.kind != "flag":
-        raise ValidationError("flag_weight only applies to flag edges")
-    if reporter_reputation < 0:
-        raise ValidationError("reporter reputation must be >= 0")
-    w = float(edge.severity) * float(reporter_reputation)
-    if edge.verified:
-        w *= cfg.verified_flag_multiplier
-    return w
 
 
 def blind_proxies(
@@ -693,8 +683,10 @@ def normalize(
     Positive rows (labeled + blind together) are normalized per sender to sum
     to one; flag rows are normalized per reporter the same way.  Reporter
     reputations default to 1.0 when none are supplied (bootstrapping).
-    Every weight is the product ``raw_weight`` and ``flag_weight`` take, in
-    their order, so each comes out as a per-edge computation gives it.
+    A positive weight is base weight x payment x blind x same-owner factor,
+    a flag weight severity x reporter reputation x verified factor; each is
+    multiplied in that order, so it comes out as a per-edge computation
+    gives it.
     """
     agents, edges = AgentTable.of(agents), EdgeTable.of(edges)
     n, m = len(agents), len(edges)

@@ -145,6 +145,10 @@ class CorpusSpec:
                 raise ValidationError(f"{name} must be >= 0")
         if self.hubs + self.dormant + self.malicious > self.n_agents:
             raise ValidationError("corpus archetype counts exceed corpus.n_agents")
+        if self.blind_edges and self.hubs + self.actives < 2:
+            raise ValidationError("blind_edges need at least two hubs or actives")
+        if self.labeled_edges:
+            self._check_labeled_pools()
         if self.payment_edges > self.labeled_edges:
             raise ValidationError("payment_edges cannot exceed labeled_edges")
         if self.cross_domain_queries > self.n_queries:
@@ -156,6 +160,34 @@ class CorpusSpec:
             raise ValidationError("exogenous_scale must be finite and >= 0")
         if not self.anisotropy >= 0:
             raise ValidationError("anisotropy must be >= 0")
+
+    @property
+    def actives(self) -> int:
+        """How many agents are active: neither hubs, dormant nor malicious."""
+        return self.n_agents - self.hubs - self.dormant - self.malicious
+
+    def _check_labeled_pools(self) -> None:
+        """Reject counts that leave a labeled edge no receiver to draw.
+
+        Hubs and actives send and receive labeled edges.  Each role's k-th
+        agent takes the k-th domain of its pool, cyclically, so the count
+        per domain follows from the counts.  A same-domain edge needs a
+        domain with two of them; a cross-domain edge from a specialist needs
+        another one in its secondary domain or else in its primary domain.
+        """
+        per_domain = dict.fromkeys(DOMAINS, 0)
+        for count, pool in ((self.hubs, HUB_DOMAINS), (self.actives, DOMAINS)):
+            rounds, rest = divmod(count, len(pool))
+            for j, domain in enumerate(pool):
+                per_domain[domain] += rounds + (j < rest)
+        if max(per_domain.values()) < 2:
+            raise ValidationError("labeled_edges need a domain with two hubs or actives")
+        for primary in DOMAINS[: min(self.specialists, self.actives)]:
+            if not per_domain[SPECIALIST_SECONDARY[primary]] and per_domain[primary] < 2:
+                raise ValidationError(
+                    f"labeled_edges need a second hub or active in the {primary} "
+                    f"specialist's domain or in {SPECIALIST_SECONDARY[primary]}"
+                )
 
 
 @dataclass
@@ -212,7 +244,7 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
 
     # --- population -----------------------------------------------------------
     # Each role's k-th agent takes the k-th domain of its pool, cyclically.
-    actives = spec.n_agents - spec.hubs - spec.dormant - spec.malicious
+    actives = spec.actives
     populations = {
         "hub": (spec.hubs, HUB_DOMAINS),
         "active": (actives, DOMAINS),

@@ -3,7 +3,11 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 
 from dataclasses import replace
 
+import trustprop
 from trustprop.cli import main
 from trustprop.files import agents_from_jsonl, queries_from_jsonl, snapshot_from_json
 from trustprop.retrieval import pipeline_search
@@ -129,6 +134,45 @@ def test_gen_corpus_rejects_bad_archetype_counts(tmp_path, capsys, hubs, message
     out = tmp_path / "out"
     assert main(["gen-corpus", "--config", str(conf), "--out", str(out)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_NO_LABELED = {"labeled_edges": 0, "payment_edges": 0}
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        # One active besides the malicious pair: the blind draw had no
+        # receiver but the sender, and never ended.
+        ({"n_agents": 3, "hubs": 0, "dormant": 0, **_NO_LABELED},
+         "blind_edges need at least two hubs or actives"),
+        ({"n_agents": 4, "hubs": 0, "dormant": 4, "malicious": 0, **_NO_LABELED},
+         "blind_edges need at least two hubs or actives"),
+        ({"n_agents": 4, "hubs": 0, "dormant": 0, "malicious": 4, **_NO_LABELED},
+         "blind_edges need at least two hubs or actives"),
+        ({"n_agents": 3, "hubs": 0, "dormant": 0, "blind_edges": 0},
+         "labeled_edges need a domain with two hubs or actives"),
+        # The medicine hub and active are a pair; the law specialist has
+        # nobody in law or coding.
+        ({"n_agents": 3, "hubs": 1, "dormant": 0, "malicious": 0, "specialists": 2,
+          "blind_edges": 0},
+         "labeled_edges need a second hub or active in the law specialist's domain or in coding"),
+    ],
+    ids=["one_active", "all_dormant", "all_malicious", "no_domain_pair", "lone_specialist"],
+)
+def test_gen_corpus_rejects_counts_it_cannot_meet(tmp_path, counts, message):
+    conf = tmp_path / "small.conf"
+    conf.write_text("".join(f"corpus.{key} = {value}\n" for key, value in counts.items()))
+    out = tmp_path / "out"
+    code = "import sys; from trustprop.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=str(Path(trustprop.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, "gen-corpus", "--config", str(conf), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stderr == f"error: {message}\n"
     assert not out.exists()
 
 

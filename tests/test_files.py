@@ -6,6 +6,7 @@ import json
 import math
 import struct
 import unittest.mock
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -20,6 +21,8 @@ from trustprop.files import (
     CONFIG_DEFAULTS,
     SNAPSHOT_AGENT_FIELDS,
     SNAPSHOT_FIELDS,
+    _ROW_SEP,
+    _float_rows,
     _loads,
     agents_from_jsonl,
     agents_to_jsonl,
@@ -358,6 +361,25 @@ def test_records_check_string_fields_outside_jsonl_too():
               profile=[1.0], teleport=[0.0], exogenous=[0.0])
     with pytest.raises(ValidationError, match="sender must be a string"):
         Edge(sender=("a",), receiver="b", kind="blind")
+
+
+@pytest.mark.parametrize("entry", [1e200, -1e300, 1.7976931348623157e308])
+def test_huge_unit_vector_entries_are_rejected_without_a_warning(entry):
+    # The squares overflow: a norm that overflows is not unit length.
+    vector = [entry, 0.0, 0.0]
+    agent = {"id": "a", "primary_domain": "d", "profile": vector,
+             "teleport": [0.0] * 3, "exogenous": [0.0] * 3, "archetype": "active"}
+    edge = {"sender": "a", "receiver": "b", "kind": "labeled", "content": vector}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^agents line 1: agent a: profile must be unit length$"):
+            agents_from_jsonl(json.dumps(agent) + "\n")
+        with pytest.raises(ValidationError, match="^edges line 1: labeled edge content must be unit length$"):
+            edges_from_jsonl(json.dumps(edge) + "\n")
+        with pytest.raises(ValidationError, match="^agent a: profile must be unit length$"):
+            Agent(**{**agent, "profile": np.array(vector)})
+        with pytest.raises(ValidationError, match="^labeled edge content must be unit length$"):
+            Edge(**{**edge, "content": np.array(vector)[::-1]})
 
 
 # ---------------------------------------------------------------- table readers
@@ -883,6 +905,68 @@ def test_snapshot_writer_equals_json_dumps_indent_2(
     )
     mean = np.array(values[-width:] if width else [], dtype=float) if with_mean else None
     assert snapshot_to_json(state, digest, mean) == _reference_snapshot(state, digest, mean)
+
+
+def test_snapshot_writer_spells_non_finite_rows_as_json_dumps():
+    # A state that overflowed holds inf; json.dumps writes Infinity and NaN.
+    inf, nan = math.inf, math.nan
+    state = ReputationState(
+        vectors=np.array([[inf, -inf, 1e16], [nan, 0.5, -1e-5], [0.0, -0.0, inf]]),
+        agent_ids=("a", "b", "c"),
+        iterations=1,
+        residuals=(inf,),
+    )
+    text = snapshot_to_json(state, "d", np.array([nan, 1.0, -inf]))
+    assert text == _reference_snapshot(state, "d", np.array([nan, 1.0, -inf]))
+    assert '"r": [\n        Infinity,\n        -Infinity,\n        1e+16\n      ]' in text
+
+
+# The floats orjson spells otherwise than json.dumps, and their neighbours:
+# the edges of 0 < |x| < 1e-4 and |x| >= 1e16, the smallest subnormal and
+# normal, the largest float, and the non-finite.
+_BAND_EDGES = [
+    sign * x
+    for x in (1e-4, math.nextafter(1e-4, 0), 1e16, math.nextafter(1e16, 0), 0.0, 5e-324,
+              np.finfo(float).tiny, np.finfo(float).max, math.inf, math.nan)
+    for sign in (1.0, -1.0)
+]
+
+
+def _float_of_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _json_rows(vectors):
+    """Each row's floats as json.dumps spells them, one at a time."""
+    return [_ROW_SEP.join(json.dumps(x) for x in row) for row in vectors.tolist()]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    shape=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    values=st.lists(
+        st.integers(0, 2**64 - 1).map(_float_of_bits) | st.sampled_from(_BAND_EDGES),
+        min_size=36,
+        max_size=36,
+    ),
+)
+@example(shape=(0, 4), values=[0.0] * 36)
+@example(shape=(4, 0), values=[0.0] * 36)
+@example(shape=(2, 10), values=_BAND_EDGES + [0.0] * 16)
+def test_float_rows_equal_json_dumps(shape, values):
+    n, width = shape
+    vectors = np.array(values[: n * width], dtype=float).reshape(n, width)
+    assert _float_rows(vectors) == _json_rows(vectors)
+
+
+def test_float_rows_equal_json_dumps_on_every_exponent():
+    # Random bit patterns, NaN and inf among them, and a row per decade.
+    rng = np.random.default_rng(5)
+    bits = rng.integers(0, 2**64, size=(256, 64), dtype=np.uint64)
+    bits[:8, :8] |= np.uint64(0x7FF << 52)  # exponent all ones: inf or NaN
+    decades = rng.uniform(-1.0, 1.0, (629, 8)) * 10.0 ** np.arange(-320, 309)[:, None]
+    for vectors in (bits.view(np.float64), decades):
+        assert _float_rows(vectors) == _json_rows(vectors)
 
 
 def test_snapshot_records_mean_and_dims():

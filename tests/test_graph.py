@@ -16,9 +16,7 @@ from trustprop.graph import (
     VectorRows,
     WeightConfig,
     blind_proxies,
-    flag_weight,
     normalize,
-    raw_weight,
 )
 from trustprop.vectorspace import DEGENERATE_NORM
 
@@ -174,6 +172,36 @@ def test_edge_keeps_numeric_values_unconverted():
 
 
 # ---------------------------------------------------------------- weights
+
+
+# Reference code: the per-edge weight arithmetic that normalize computes as
+# array expressions, in the same order.
+
+
+def raw_weight(edge: Edge, cfg: WeightConfig, same_owner: bool) -> float:
+    """Pre-normalization positive weight of a labeled or blind edge."""
+    if edge.kind == "flag":
+        raise ValidationError("raw_weight does not apply to flag edges")
+    w = float(edge.base_weight)
+    if edge.payment:
+        w *= cfg.payment_multiplier
+    if edge.kind == "blind":
+        w *= cfg.blind_discount
+    if same_owner:
+        w *= cfg.same_owner_discount
+    return w
+
+
+def flag_weight(edge: Edge, reporter_reputation: float, cfg: WeightConfig) -> float:
+    """Pre-normalization magnitude of a flag edge (used as negative mass)."""
+    if edge.kind != "flag":
+        raise ValidationError("flag_weight only applies to flag edges")
+    if reporter_reputation < 0:
+        raise ValidationError("reporter reputation must be >= 0")
+    w = float(edge.severity) * float(reporter_reputation)
+    if edge.verified:
+        w *= cfg.verified_flag_multiplier
+    return w
 
 
 def test_raw_weight_payment_triples():

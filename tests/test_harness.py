@@ -86,7 +86,9 @@ def test_spec_rejects_negative_counts(field):
 
 
 def test_spec_rejects_archetype_counts_beyond_n_agents():
-    CorpusSpec(n_agents=11)  # 5 hubs + 4 dormant + 2 malicious, no actives
+    # 5 hubs + 4 dormant + 2 malicious, no actives; the hubs sit in five
+    # domains, so no domain holds the two that a labeled edge needs.
+    CorpusSpec(n_agents=11, labeled_edges=0, payment_edges=0)
     with pytest.raises(ValidationError, match="corpus archetype counts exceed corpus.n_agents"):
         CorpusSpec(n_agents=10)
 

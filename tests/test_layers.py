@@ -146,6 +146,36 @@ def test_json_is_parsed_by_one_reader():
     assert sorted(func for func, _ in _json_parses(PACKAGE / "files.py")) == ["_loads", "_loads"]
 
 
+def _orjson_uses(path):
+    """Line of each import of orjson and each ``orjson.<name>`` in ``path``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import) and any(
+            alias.name.partition(".")[0] == "orjson" for alias in node.names
+        ):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "orjson":
+            yield node.lineno
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "orjson"
+        ):
+            yield node.lineno
+
+
+def test_orjson_is_used_by_files_alone():
+    # orjson spells some floats otherwise than json.dumps, and files spells
+    # those again (_float_rows); the float-spelling contract stays in files.
+    uses = [
+        f"{path.stem}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "files"
+        for line in _orjson_uses(path)
+    ]
+    assert uses == []
+    assert list(_orjson_uses(PACKAGE / "files.py"))
+
+
 def _enclosing_functions(tree):
     """Each node of ``tree`` mapped to the name of the innermost function around it."""
     owner = {}
