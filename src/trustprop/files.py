@@ -46,6 +46,7 @@ from .graph import (
     VECTOR,
     Field,
     WeightConfig,
+    first_duplicate,
     one_of,
 )
 from .harness import CorpusSpec
@@ -284,21 +285,30 @@ def _record(rec: dict[str, Any], what: str, lineno: int, cls: type, table: tuple
         raise ValidationError(f"{what} line {lineno}: {exc}") from exc
 
 
-def _first_repeat(ids: list[str], seen: set[str]) -> int:
-    """Index of the first id already in ``seen`` or earlier in ``ids``, else
-    ``len(ids)``; the ids before it are added to ``seen``."""
-    if seen.isdisjoint(ids) and len(set(ids)) == len(ids):
-        seen.update(ids)
-        return len(ids)
-    for i, aid in enumerate(ids):
-        if aid in seen:
-            return i
-        seen.add(aid)
-    return len(ids)
-
-
 # Lines a table reader holds before checking them and stacking their vectors.
 READ_BLOCK_ROWS = 4096
+
+
+def _blocks(text: str, what: str) -> Iterator[tuple[list[int], list[dict[str, Any]]]]:
+    """The line numbers and records of ``_records``, ``READ_BLOCK_ROWS`` at a
+    time.  A line that is not a JSON object ends the last block before its
+    error is raised: a line before it may fail first."""
+    linenos: list[int] = []
+    recs: list[dict[str, Any]] = []
+    try:
+        for lineno, rec in _records(text, what):
+            linenos.append(lineno)
+            recs.append(rec)
+            if len(recs) == READ_BLOCK_ROWS:
+                yield linenos, recs
+                # Freed before the next block is parsed: records held longer
+                # make each garbage collector pass longer.
+                linenos.clear()
+                recs.clear()
+    except ValidationError:
+        yield linenos, recs
+        raise
+    yield linenos, recs
 
 
 def _read_table(text: str, what: str, table: type, unique_ids: bool = False) -> Any:
@@ -307,56 +317,34 @@ def _read_table(text: str, what: str, table: type, unique_ids: bool = False) -> 
     Lines are parsed one at a time.  Every ``READ_BLOCK_ROWS`` lines, each
     field becomes a column, the table's rules check the columns whole, and
     the vectors become float blocks, so the parsed lines are never all held.
-    The error is the first bad line's: that line is built as its record,
-    whose checks give the message.  A line that only a rule across lines
-    rejects (a duplicate id, a vector dim other than the first line's) gets
-    that rule's message.
+    The columns only say whether a block is clean.  A block that is not is
+    read again line by line, as records, and the first error met is raised:
+    per line, the record's own (a type or a record rule), then a repeated
+    id, then a vector dim other than the first line's.
     """
     fields = table.fields
-    recs: list[dict[str, Any]] = []
-    linenos: list[int] = []
     blocks: list[Any] = []
     seen: set[str] = set()
-    dim = failure = error = None
-
-    def flush() -> tuple[int, dict[str, Any], str | None] | None:
-        """Check the held lines; (line number, line, message) of the first bad one."""
-        nonlocal dim
+    dim = None
+    for linenos, recs in _blocks(text, what):
         columns = {
             f.key: list(map(dict.get, recs, repeat(f.key), repeat(f.default))) for f in fields
         }
-        block, dim, across = table.checked(columns, dim)
-        n = len(block)
-        failure = (linenos[n], recs[n], across) if n < len(recs) else None
-        if unique_ids:
-            # A repeated id is rejected before a dim across lines, at the same
-            # row too: records were read before normalize checked their dims.
-            ids = columns["id"][: n + 1 if across else n]
-            first = _first_repeat(ids, seen)
-            if first < len(ids):
-                lineno = linenos[first]
-                message = f"{what} line {lineno}: duplicate agent id {ids[first]!r}"
-                failure = lineno, recs[first], message
+        checked = table.checked(columns, dim)
+        del columns  # freed before the next block is parsed, as in _blocks
+        ids = checked[0].id if unique_ids and checked else ()
+        if checked is None or len(set(ids)) < len(ids) or not seen.isdisjoint(ids):
+            for lineno, rec in zip(linenos, recs):  # raises at the first bad line
+                record = _record(rec, what, lineno, fields.record, fields)
+                if unique_ids:
+                    if record.id in seen:
+                        message = f"duplicate agent id {record.id!r}"
+                        raise ValidationError(f"{what} line {lineno}: {message}")
+                    seen.add(record.id)
+                dim = table.record_dim(record, dim)
+        block, dim = checked
+        seen.update(ids)
         blocks.append(block)
-        recs.clear()
-        linenos.clear()
-        return failure
-
-    try:
-        for lineno, rec in _records(text, what):
-            recs.append(rec)
-            linenos.append(lineno)
-            if len(recs) == READ_BLOCK_ROWS and (failure := flush()):
-                break
-    except ValidationError as exc:  # not a JSON object: a line before it may fail first
-        error = exc
-    failure = failure or flush()
-    if failure is not None:
-        lineno, rec, message = failure
-        _record(rec, what, lineno, fields.record, fields)
-        raise ValidationError(message)
-    if error is not None:
-        raise error
     return table.concat(blocks)
 
 
@@ -555,12 +543,12 @@ def snapshot_from_json(text: str) -> tuple[ReputationState, str, np.ndarray]:
     entries = [
         _fields(rec, SNAPSHOT_AGENT_FIELDS, f"snapshot agent {i}") for i, rec in enumerate(agents)
     ]
-    ids, n_strings = STRING.column("id", [entry["id"] for entry in entries])
-    if n_strings < len(entries):
+    ids = STRING.column("id", [entry["id"] for entry in entries])
+    if ids is None:
         raise ValidationError("snapshot: agent ids must be strings")
     ids = tuple(ids)
-    if len(set(ids)) != len(ids):
-        dup = next(aid for i, aid in enumerate(ids) if aid in ids[:i])
+    dup = first_duplicate(ids)
+    if dup is not None:
         raise ValidationError(f"snapshot: duplicate agent id {dup!r}")
     try:  # (N, width) rows, also for N = 0
         vectors = np.array([entry["r"] for entry in entries]) if entries else np.zeros((0, width))

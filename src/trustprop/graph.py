@@ -95,21 +95,16 @@ class FieldType(NamedTuple):
     item: Callable[[Any, int], Any] = operator.getitem
     vector: bool = False
 
-    def column(self, name: str, values: list) -> tuple[list, int]:
-        """The column form of ``check``: the values it takes, up to the first it
-        rejects, and how many that is.  Lists that ``fast`` passes stay lists (a
-        table stacks or converts them); other values are ``check``'s results."""
+    def column(self, name: str, values: list) -> list | None:
+        """The column form of ``check``: the values it takes, or None if it
+        rejects one.  Lists that ``fast`` passes stay lists (a table stacks or
+        converts them); other values are ``check``'s results."""
         if self.passes.issuperset(map(type, values)) if self.fast is None else self.fast(values):
-            return values, len(values)
-        out = []
-        for value in values:
-            if type(value) not in self.passes:
-                try:
-                    value = self.check(name, value)
-                except ValidationError:
-                    break
-            out.append(value)
-        return out, len(out)
+            return values
+        try:
+            return [v if type(v) in self.passes else self.check(name, v) for v in values]
+        except ValidationError:
+            return None
 
 
 class Field(NamedTuple):
@@ -427,8 +422,9 @@ EDGE_FIELDS = field_table(
 
 # --- tables -------------------------------------------------------------------
 # A table holds one field table's records as columns.  The JSONL readers build
-# tables block by block through ``checked``, which applies every record rule to
-# whole columns; ``of`` converts records, whose rules have already run.
+# tables block by block through ``checked``, which only says whether a block of
+# raw columns is clean; the block's records say what is wrong with one that is
+# not.  ``of`` converts records, whose rules have already run.
 
 
 def _first(bad: np.ndarray) -> int:
@@ -436,16 +432,12 @@ def _first(bad: np.ndarray) -> int:
     return int(bad.argmax()) if bad.any() else len(bad)
 
 
-def _checked_columns(
-    fields: FieldTable, columns: Mapping[str, list]
-) -> tuple[dict[str, list], int]:
-    """Each field's checked values over its raw values, up to the first row any
-    field rejects, and the number of rows before it."""
-    n = len(columns[fields[0].key])
-    checked = {}
-    for f in fields:
-        checked[f.key], n = f.type.column(f.key, columns[f.key][:n])
-    return {key: values[:n] for key, values in checked.items()}, n
+def first_duplicate(ids: Sequence[str]) -> str | None:
+    """The first of ``ids`` that repeats an earlier one, or None."""
+    if len(set(ids)) == len(ids):
+        return None
+    seen: set[str] = set()
+    return next(aid for aid in ids if aid in seen or seen.add(aid))
 
 
 def _join(parts: Sequence[Any]) -> Any:
@@ -464,9 +456,9 @@ class Table(Sequence):
     by the field's key, in the form of the field's type.  ``table[i]`` builds
     row i's record without re-running its checks: the table's checks ran.
 
-    A subclass gives the two rules that are not per field: ``dim_message(values,
-    row)``, the message for the first row with a vector of another dim than the
-    first row's, and ``broken(values)``, which rows break a record rule, as
+    A subclass gives the two rules that are not per field: ``dim_message(record)``,
+    the message for a record with a vector of another dim than the records
+    before it, and ``broken(values)``, which rows break a record rule, as
     array expressions over the columns and the checked ``values`` they hold."""
 
     fields: ClassVar[FieldTable]
@@ -493,20 +485,16 @@ class Table(Sequence):
         return cls(**{f.key: f.type.pack(values[f.key]) for f in cls.fields})
 
     @classmethod
-    def _dim_break(
-        cls, values: Mapping[str, Sequence], dim: int | None
-    ) -> tuple[int, int | None]:
-        """The first row with a vector of another dim than ``dim`` (None: the
-        first vector's), or the row count; and that dim."""
-        bad = np.zeros(len(values[cls.fields[0].key]), bool)
+    def record_dim(cls, record: Any, dim: int | None) -> int | None:
+        """``dim``, or the dim of ``record``'s vectors if ``dim`` is None; a
+        vector of another dim raises the table's dim message."""
         for f in cls.fields:
-            if f.type.vector:
-                present = _present(values[f.key])
-                lens = np.fromiter(map(len, compress(values[f.key], present)), np.intp)
-                if dim is None and lens.size:
-                    dim = int(lens[0])
-                bad[present] |= lens != dim
-        return _first(bad), dim
+            vector = getattr(record, f.key) if f.type.vector else None
+            if vector is not None:
+                dim = len(vector) if dim is None else dim
+                if len(vector) != dim:
+                    raise ValidationError(cls.dim_message(record))
+        return dim
 
     @classmethod
     def of(cls, records: Any) -> Any:
@@ -518,23 +506,25 @@ class Table(Sequence):
         try:
             return cls._packed(values)
         except ValueError:  # vectors of different dims
-            row, _ = cls._dim_break(values, None)
-            raise ValidationError(cls.dim_message(values, row)) from None
+            dim = None
+            for record in records:
+                dim = cls.record_dim(record, dim)
+            raise
 
     @classmethod
-    def checked(
-        cls, columns: Mapping[str, list], dim: int | None
-    ) -> tuple[Any, int | None, str | None]:
-        """The rows of raw ``columns`` before the first that breaks a rule, the
-        vector dim, and the message for that row if only the dim rule across
-        records (a vector dim other than ``dim``, or the first row's) breaks there."""
-        values, n = _checked_columns(cls.fields, columns)
-        n_dims, dim = cls._dim_break(values, dim)
-        table = cls._packed({key: column[:n_dims] for key, column in values.items()})
-        n_ok = _first(table.broken(values))
-        if n_ok < n_dims:
-            table = cls._packed({key: column[:n_ok] for key, column in values.items()})
-        return table, dim, cls.dim_message(values, n_ok) if n_ok == n_dims < n else None
+    def checked(cls, columns: Mapping[str, list], dim: int | None) -> tuple[Any, int | None] | None:
+        """The table of raw ``columns`` and its vector dim, or None if a field
+        rejects a value, a vector's dim is not ``dim`` (None: the first
+        vector's) or a row breaks a record rule."""
+        values = {f.key: f.type.column(f.key, columns[f.key]) for f in cls.fields}
+        if None in values.values():
+            return None
+        lens = [len(v) for f in cls.fields if f.type.vector for v in values[f.key] if v is not None]
+        dim = lens[0] if dim is None and lens else dim
+        if countOf(lens, dim) != len(lens):
+            return None
+        table = cls._packed(values)
+        return None if table.broken(values).any() else (table, dim)
 
     @classmethod
     def concat(cls, blocks: Sequence[Any]) -> Any:
@@ -549,7 +539,7 @@ class AgentTable(Table, fields=AGENT_FIELDS):
     (N, E) matrices, ``archetype`` int8 indices into ARCHETYPES."""
 
     @staticmethod
-    def dim_message(values: Mapping[str, Sequence], row: int) -> str:
+    def dim_message(record: Agent) -> str:
         return "inconsistent embedding dims across agents"
 
     def broken(self, values: Mapping[str, Sequence]) -> np.ndarray:
@@ -565,8 +555,8 @@ class EdgeTable(Table, fields=EDGE_FIELDS):
     labeled edges' (L, E) contents with their rows."""
 
     @staticmethod
-    def dim_message(values: Mapping[str, Sequence], row: int) -> str:
-        return f"edge {values['sender'][row]} -> {values['receiver'][row]}: wrong content dim"
+    def dim_message(record: Edge) -> str:
+        return f"edge {record.sender} -> {record.receiver}: wrong content dim"
 
     def broken(self, values: Mapping[str, Sequence]) -> np.ndarray:
         n, content = len(self), self.content
@@ -575,10 +565,10 @@ class EdgeTable(Table, fields=EDGE_FIELDS):
         bad |= ~flag & np.fromiter(map(operator.eq, self.sender, self.receiver), bool, n)
         bad |= content.present != (self.kind == LABELED)
         bad[content.present] |= _off_unit(content.rows)
-        has_severity = _present(values["severity"][:n])
+        has_severity = _present(values["severity"])
         bad |= has_severity != flag
         bad |= has_severity & ~((0.0 <= self.severity) & (self.severity <= 1.0))
-        bad |= _present(values["confidence"][:n]) & ~(
+        bad |= _present(values["confidence"]) & ~(
             (0.0 <= self.confidence) & (self.confidence <= 1.0)
         )
         return bad
@@ -663,12 +653,20 @@ class NormalizedGraph:
         return int(self.neg_sender.size)
 
 
-def _row_normalized(senders: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """``weights`` divided by their sender's row sum."""
+def _row_normalized(
+    senders: np.ndarray, weights: np.ndarray, ids: Sequence[str], what: str
+) -> np.ndarray:
+    """``weights`` divided by their sender's row sum.  The first agent of
+    ``ids`` whose weights or row sum are not finite is rejected, named after
+    ``what``; an inf weight makes its row sum inf."""
     if not senders.size:
         return weights
-    row = np.zeros(n)
-    np.add.at(row, senders, weights)
+    row = np.zeros(len(ids))
+    with np.errstate(over="ignore"):
+        np.add.at(row, senders, weights)
+    overflow = ~np.isfinite(row)
+    if overflow.any():
+        raise ValidationError(f"{what} {ids[_first(overflow)]!r} overflow the float range")
     return weights / row[senders]
 
 
@@ -686,7 +684,8 @@ def normalize(
     A positive weight is base weight x payment x blind x same-owner factor,
     a flag weight severity x reporter reputation x verified factor; each is
     multiplied in that order, so it comes out as a per-edge computation
-    gives it.
+    gives it.  A sender or reporter whose weights or row sum overflow the
+    float range is rejected, by name.
     """
     agents, edges = AgentTable.of(agents), EdgeTable.of(edges)
     n, m = len(agents), len(edges)
@@ -694,9 +693,7 @@ def normalize(
         raise ValidationError("graph requires at least one agent")
     index = dict(zip(agents.id, range(n)))
     if len(index) != n:
-        seen: set[str] = set()
-        dup = next(aid for aid in agents.id if aid in seen or seen.add(aid))
-        raise ValidationError(f"duplicate agent id {dup!r}")
+        raise ValidationError(f"duplicate agent id {first_duplicate(agents.id)!r}")
     dim = agents.profile.shape[1]
     senders = np.fromiter(map(index.get, edges.sender, repeat(-1)), np.int64, m)
     receivers = np.fromiter(map(index.get, edges.receiver, repeat(-1)), np.int64, m)
@@ -722,11 +719,12 @@ def normalize(
         raise ValidationError(f"edge {edges.sender[k]} -> {edges.receiver[k]}: wrong content dim")
 
     # Flags: severity x reporter reputation, x the verified multiplier.
-    flag_w = edges.severity[flag] * rep
-    flag_w[edges.verified[flag]] *= cfg.verified_flag_multiplier
+    with np.errstate(over="ignore"):
+        flag_w = edges.severity[flag] * rep
+        flag_w[edges.verified[flag]] *= cfg.verified_flag_multiplier
     kept = flag_w > 0.0
     neg_sender = senders[flag][kept]
-    neg_weight = _row_normalized(neg_sender, flag_w[kept], n)
+    neg_weight = _row_normalized(neg_sender, flag_w[kept], agents.id, "flag weights of reporter")
 
     # Positive edges: base weight x payment x blind x same-owner factors.
     owner_codes: dict[str, int] = {}
@@ -739,10 +737,11 @@ def normalize(
     pos_blind = kinds[pos] == BLIND
     same_owner = (owner[pos_sender] >= 0) & (owner[pos_sender] == owner[pos_receiver])
     pos_weight = edges.base_weight[pos]
-    pos_weight[edges.payment[pos]] *= cfg.payment_multiplier
+    with np.errstate(over="ignore"):
+        pos_weight[edges.payment[pos]] *= cfg.payment_multiplier
     pos_weight[pos_blind] *= cfg.blind_discount
     pos_weight[same_owner] *= cfg.same_owner_discount
-    pos_weight = _row_normalized(pos_sender, pos_weight, n)
+    pos_weight = _row_normalized(pos_sender, pos_weight, agents.id, "edge weights of sender")
 
     content_mat = np.empty((pos_sender.size, dim))
     if contents.size:

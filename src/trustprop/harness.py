@@ -143,6 +143,8 @@ class CorpusSpec:
                      "cross_domain_queries", "embedding_dim"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
+        if self.n_agents < 2:  # the corpus is centered, which takes two embeddings
+            raise ValidationError("n_agents must be >= 2")
         if self.hubs + self.dormant + self.malicious > self.n_agents:
             raise ValidationError("corpus archetype counts exceed corpus.n_agents")
         if self.blind_edges and self.hubs + self.actives < 2:

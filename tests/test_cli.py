@@ -7,6 +7,8 @@ import os
 import re
 import subprocess
 import sys
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +140,10 @@ def test_gen_corpus_rejects_bad_archetype_counts(tmp_path, capsys, hubs, message
 
 
 _NO_LABELED = {"labeled_edges": 0, "payment_edges": 0}
+_NO_COUNTS = dict.fromkeys(
+    ["hubs", "dormant", "malicious", "specialists", "labeled_edges", "payment_edges",
+     "blind_edges", "n_queries", "cross_domain_queries"], 0,
+)
 
 
 @pytest.mark.parametrize(
@@ -158,8 +164,12 @@ _NO_LABELED = {"labeled_edges": 0, "payment_edges": 0}
         ({"n_agents": 3, "hubs": 1, "dormant": 0, "malicious": 0, "specialists": 2,
           "blind_edges": 0},
          "labeled_edges need a second hub or active in the law specialist's domain or in coding"),
+        # Centering the corpus takes two embeddings.
+        ({"n_agents": 1, **_NO_COUNTS}, "n_agents must be >= 2"),
+        ({"n_agents": 0, **_NO_COUNTS}, "n_agents must be >= 2"),
     ],
-    ids=["one_active", "all_dormant", "all_malicious", "no_domain_pair", "lone_specialist"],
+    ids=["one_active", "all_dormant", "all_malicious", "no_domain_pair", "lone_specialist",
+         "one_agent", "no_agents"],
 )
 def test_gen_corpus_rejects_counts_it_cannot_meet(tmp_path, counts, message):
     conf = tmp_path / "small.conf"
@@ -273,6 +283,40 @@ def test_propagate_null_base_weight_is_validation_error(workdir, tmp_path, capsy
     err = capsys.readouterr().err
     assert "base_weight must be a number" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "prop").exists()
+
+
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+@pytest.mark.parametrize("case", ["paid", "two_unpaid"])
+def test_propagate_rejects_weights_that_overflow(workdir, tmp_path, capsys, mode, case):
+    # A paid 1e308 edge overflows when it is scaled; two unpaid ones overflow
+    # their sender's row sum.
+    agents, edges, _ = _corpus_args(workdir)
+    records = [json.loads(line) for line in edges.read_text().splitlines()]
+    if case == "paid":
+        huge = [next(r for r in records if r["payment"])]
+    else:
+        unpaid = [r for r in records if r["kind"] == "labeled" and not r["payment"]]
+        sender, count = Counter(r["sender"] for r in unpaid).most_common(1)[0]
+        assert count >= 2
+        huge = [r for r in unpaid if r["sender"] == sender][:2]
+    for record in huge:
+        record["base_weight"] = 1e308
+    bad = tmp_path / "edges.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+    conf = tmp_path / "mode.conf"
+    conf.write_text(f"propagation.mode = {mode}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([
+            "propagate", "--config", str(conf), "--agents", str(agents), "--edges", str(bad),
+            "--out", str(tmp_path / "prop"),
+        ])
+    assert code == 1
+    sender = huge[0]["sender"]
+    assert capsys.readouterr().err == (
+        f"error: edge weights of sender {sender!r} overflow the float range\n"
+    )
     assert not (tmp_path / "prop").exists()
 
 

@@ -598,6 +598,18 @@ def test_table_readers_equal_the_per_line_reference(what, n, dim, seed, ops, blo
             assert _bits(getattr(got, key)) == _bits(getattr(ref, key)), key
 
 
+@pytest.mark.parametrize("block_rows", [1, 2, 4096])
+def test_agents_reader_rejects_an_id_that_an_earlier_block_holds(block_rows):
+    # Every line is clean on its own; only the repeat of a1 breaks a rule.
+    lines = [json.dumps(rec) for rec in _good_lines("agents", 4, 2, 0)]
+    lines[3] = lines[3].replace('"a3"', '"a1"')
+    text = "\n".join(lines) + "\n"
+    assert _reference_read(text, "agents") == "agents line 4: duplicate agent id 'a1'"
+    with unittest.mock.patch.object(trustprop.files, "READ_BLOCK_ROWS", block_rows):
+        with pytest.raises(ValidationError, match="^agents line 4: duplicate agent id 'a1'$"):
+            agents_from_jsonl(text)
+
+
 # ---------------------------------------------------------------- json reader
 
 

@@ -1,5 +1,7 @@
 """Tests for graph records, evidence weights and row normalization."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -371,6 +373,41 @@ def test_normalize_rejects_bad_references():
         normalize([make_agent("a"), make_agent("a")], [])
     with pytest.raises(ValidationError):
         normalize([], [])
+
+
+def test_normalize_rejects_weights_that_overflow():
+    # Every weight is finite; the product or the row sum is not.
+    agents = [make_agent(x) for x in "abc"]
+    cases = [
+        ([labeled("a", "b", base=1e308, payment=True), labeled("a", "c")], None,
+         "edge weights of sender 'a' overflow the float range"),
+        ([labeled("b", "a"), labeled("b", "c", base=1e308), labeled("b", "a", base=1e308)], None,
+         "edge weights of sender 'b' overflow the float range"),
+        ([Edge(sender="c", receiver="a", kind="flag", severity=1.0, verified=True)], {"c": 1e308},
+         "flag weights of reporter 'c' overflow the float range"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for edges, reps, message in cases:
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                normalize(agents, edges, reporter_reputations=reps)
+
+
+def test_tables_of_records_reject_vectors_of_another_dim():
+    agents = [make_agent("a0", np.eye(3)[0]), make_agent("a1", np.eye(4)[1])]
+    with pytest.raises(ValidationError, match="^inconsistent embedding dims across agents$"):
+        AgentTable.of(agents)
+    edges = [
+        Edge(sender="a0", receiver="a1", kind="blind"),
+        labeled("a0", "a1", content=np.eye(3)[0]),
+        labeled("a1", "a2", content=np.eye(4)[0]),
+        labeled("a2", "a3", content=np.eye(4)[1]),
+    ]
+    with pytest.raises(ValidationError, match="^edge a1 -> a2: wrong content dim$"):
+        EdgeTable.of(edges)
+    agents = [make_agent(f"a{i}", np.eye(3)[0]) for i in range(4)]
+    with pytest.raises(ValidationError, match="^edge a1 -> a2: wrong content dim$"):
+        normalize(agents, edges)
 
 
 def test_normalize_stacks_priors_in_agent_order():

@@ -85,6 +85,16 @@ def test_spec_rejects_negative_counts(field):
         CorpusSpec(**{field: -1})
 
 
+def test_spec_needs_two_agents_to_center():
+    counts = ("hubs", "dormant", "malicious", "specialists", "labeled_edges", "payment_edges",
+              "blind_edges", "n_queries", "cross_domain_queries")
+    zero = dict.fromkeys(counts, 0)
+    for n_agents in (0, 1):
+        with pytest.raises(ValidationError, match="^n_agents must be >= 2$"):
+            CorpusSpec(n_agents=n_agents, **zero)
+    assert len(generate_corpus(CorpusSpec(n_agents=2, **zero)).agents) == 2
+
+
 def test_spec_rejects_archetype_counts_beyond_n_agents():
     # 5 hubs + 4 dormant + 2 malicious, no actives; the hubs sit in five
     # domains, so no domain holds the two that a labeled edge needs.

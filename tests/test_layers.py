@@ -199,7 +199,8 @@ def _loops(tree):
 def test_files_builds_no_agent_or_edge_records():
     # The readers and center_corpus work on tables.  Records are built by the
     # tables' row accessor (in graph), and in files only by _record: the
-    # queries reader and the rebuild of the line a table reader rejects.
+    # queries reader and the second, per-line read of a block whose columns a
+    # table reader rejects.
     tree = ast.parse((PACKAGE / "files.py").read_text())
     owner = _enclosing_functions(tree)
     built = [
