@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
+from .vectorspace import row_dots
 
 SMOOTHING = 1e-6
 
@@ -107,8 +108,21 @@ class GateStack:
             or self.confidence.enabled
         )
 
+    @property
+    def uses_row_geometry(self) -> bool:
+        """Whether an enabled gate reads the row dots r . e and norms ||r||."""
+        cosine = self.kl.enabled and self.kl.form == "cosine_proxy"
+        return cosine or self.magnitude_ratio.enabled
+
     def needs_distributions(self) -> bool:
         return self.entropy.enabled or (self.kl.enabled and self.kl.form == "softmax")
+
+
+def entropy_factor(p_int: np.ndarray, strength: float) -> np.ndarray:
+    """The entropy gate's factor exp(-strength * H(p_int)), one per (D,) row."""
+    logs = np.log(p_int, out=np.zeros_like(p_int), where=p_int > 0)
+    h = -(np.where(p_int > 0, p_int, 0.0) * logs).sum(axis=1)
+    return np.exp(-strength * h)
 
 
 def stack_batch(
@@ -118,19 +132,26 @@ def stack_batch(
     confidence: np.ndarray | None = None,
     p_int: np.ndarray | None = None,
     p_rep: np.ndarray | None = None,
+    dots: np.ndarray | None = None,
+    norms: np.ndarray | None = None,
+    entropy: np.ndarray | None = None,
 ) -> np.ndarray:
     """Product of all enabled gate factors for m edges; 1.0 where none is on.
 
     ``r`` and ``e`` are (m, E) sender reputations and edge contents;
     ``confidence`` is (m,) and ``p_int``/``p_rep`` are (m, D) topic
-    distributions.  Raises if an enabled gate is missing its input.
+    distributions.  Raises if an enabled gate is missing its input.  A
+    caller that has them already may pass the row dots r . e, the row norms
+    ||r|| and the entropy factor of ``p_int`` (each (m,)); what is left out
+    is computed here.
     """
     m = r.shape[0]
     value = np.ones(m)
+    if stack.uses_row_geometry:
+        norms = np.linalg.norm(r, axis=1) if norms is None else norms
+        dots = row_dots(r, e) if dots is None else dots
     if stack.kl.enabled:
         if stack.kl.form == "cosine_proxy":
-            norms = np.linalg.norm(r, axis=1)
-            dots = np.einsum("ij,ij->i", r, e)
             cos = np.divide(dots, norms, out=np.zeros_like(dots), where=norms > 0)
             cos = np.clip(cos, -1.0, 1.0)
             g = np.exp(-stack.kl.lam * (1.0 - cos * cos))
@@ -142,14 +163,12 @@ def stack_batch(
             kl = (np.where(p_int > 0, p_int, 0.0) * ratio).sum(axis=1)
             value *= np.exp(-stack.kl.lam * kl)
     if stack.entropy.enabled:
-        if p_int is None:
-            raise ValidationError("entropy gate requires p_int")
-        logs = np.log(p_int, out=np.zeros_like(p_int), where=p_int > 0)
-        h = -(np.where(p_int > 0, p_int, 0.0) * logs).sum(axis=1)
-        value *= np.exp(-stack.entropy.strength * h)
+        if entropy is None:
+            if p_int is None:
+                raise ValidationError("entropy gate requires p_int")
+            entropy = entropy_factor(p_int, stack.entropy.strength)
+        value *= entropy
     if stack.magnitude_ratio.enabled:
-        norms = np.linalg.norm(r, axis=1)
-        dots = np.einsum("ij,ij->i", r, e)
         ratio = np.divide(
             np.maximum(dots, 0.0), norms, out=np.zeros_like(dots), where=norms > 0
         )

@@ -51,6 +51,9 @@ ARCHETYPES = ("hub", "active", "dormant", "malicious")
 # Tolerance for "this stored vector should be unit length".
 UNIT_TOL = 1e-6
 
+# Below this a float64 is subnormal: it has lost precision, and 1 / x overflows.
+SMALLEST_NORMAL = float(np.finfo(np.float64).smallest_normal)
+
 
 def _off_unit(vectors: np.ndarray) -> np.ndarray | bool:
     """Whether a vector, or each row of a (K, E) matrix, is not unit length.
@@ -624,6 +627,10 @@ class NormalizedGraph:
     entries, each with its own content, and their weights count separately
     toward the sender's row sum.  Senders with no positive edges keep empty
     rows (their mass simply does not propagate).
+
+    ``cache`` holds what the engines derive from these arrays alone, built
+    on first use and kept with the graph, so the arrays are not to be
+    changed once a run has seen them.
     """
 
     agents: AgentTable
@@ -639,6 +646,7 @@ class NormalizedGraph:
     neg_weight: np.ndarray
     teleport: np.ndarray = field(repr=False, default=None)  # (N, E)
     exogenous: np.ndarray = field(repr=False, default=None)  # (N, E)
+    cache: dict[str, Any] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_agents(self) -> int:
@@ -656,9 +664,14 @@ class NormalizedGraph:
 def _row_normalized(
     senders: np.ndarray, weights: np.ndarray, ids: Sequence[str], what: str
 ) -> np.ndarray:
-    """``weights`` divided by their sender's row sum.  The first agent of
-    ``ids`` whose weights or row sum are not finite is rejected, named after
-    ``what``; an inf weight makes its row sum inf."""
+    """``weights`` divided by their sender's row sum.
+
+    The first agent of ``ids`` whose weights or row sum are not finite is
+    rejected, named after ``what`` (an inf weight makes its row sum inf);
+    so is the first whose row sum is 0, or one of whose normalized weights
+    is nonzero but below the smallest normal float, where it has lost its
+    precision and its reciprocal overflows.
+    """
     if not senders.size:
         return weights
     row = np.zeros(len(ids))
@@ -667,7 +680,13 @@ def _row_normalized(
     overflow = ~np.isfinite(row)
     if overflow.any():
         raise ValidationError(f"{what} {ids[_first(overflow)]!r} overflow the float range")
-    return weights / row[senders]
+    with np.errstate(invalid="ignore"):  # a row sum of 0 makes its weights NaN
+        out = weights / row[senders]
+    underflow = np.zeros(len(ids), bool)
+    underflow[senders[~((out == 0.0) | (out >= SMALLEST_NORMAL))]] = True
+    if underflow.any():
+        raise ValidationError(f"{what} {ids[_first(underflow)]!r} underflow the float range")
+    return out
 
 
 def normalize(
@@ -684,8 +703,8 @@ def normalize(
     A positive weight is base weight x payment x blind x same-owner factor,
     a flag weight severity x reporter reputation x verified factor; each is
     multiplied in that order, so it comes out as a per-edge computation
-    gives it.  A sender or reporter whose weights or row sum overflow the
-    float range is rejected, by name.
+    gives it.  A sender or reporter whose weights or row sum overflow or
+    underflow the float range is rejected, by name.
     """
     agents, edges = AgentTable.of(agents), EdgeTable.of(edges)
     n, m = len(agents), len(edges)
@@ -705,7 +724,7 @@ def normalize(
     # Reject the first edge that a per-edge pass would reject, for its reason.
     unknown = (senders < 0) | (receivers < 0)
     bad_rep = np.zeros(m, bool)
-    bad_rep[flag] = rep < 0
+    bad_rep[flag] = ~(rep >= 0)
     wrong_dim = np.zeros(m, bool)
     if contents.size and contents.shape[1] != dim:
         wrong_dim = kinds == LABELED

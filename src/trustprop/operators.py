@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .vectorspace import row_dots
 
 VARIANTS = ("projection", "squared_gating", "scalar_gated", "hadamard_relu", "hybrid")
 HYBRID_MODES = ("interpolate", "per_edge_select")
@@ -60,6 +61,16 @@ class OperatorKind:
                 raise ValidationError(
                     "hybrid_gamma/hybrid_mode only apply to the hybrid variant"
                 )
+
+    @property
+    def uses_row_dots(self) -> bool:
+        """Whether the transfer reads the row dots r . e."""
+        return self.variant in ("projection", "scalar_gated", "hybrid")
+
+    @property
+    def uses_row_norms(self) -> bool:
+        """Whether the transfer reads the row norms ||r||."""
+        return self.variant == "scalar_gated"
 
     @classmethod
     def from_name(
@@ -102,16 +113,23 @@ def transfer_batch(
     r: np.ndarray,
     e: np.ndarray,
     blind: np.ndarray,
+    dots: np.ndarray | None = None,
+    norms: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Vectorized transfer over m edges: r, e are (m, E); blind is (m,) bool."""
+    """Vectorized transfer over m edges: r, e are (m, E); blind is (m,) bool.
+
+    ``dots`` (the row dots r . e) and ``norms`` (||r|| per row), each (m,),
+    may be passed by a caller that has them already; what is left out is
+    computed here.
+    """
     variant = kind.variant
     if variant == "projection":
-        return _projection(r, e)
+        return _projection(r, e, dots)
     if variant == "squared_gating":
         return _squared(r, e)
     if variant == "scalar_gated":
-        dots = np.einsum("ij,ij->i", r, e)
-        norms = np.linalg.norm(r, axis=1)
+        dots = row_dots(r, e) if dots is None else dots
+        norms = np.linalg.norm(r, axis=1) if norms is None else norms
         cos = np.divide(dots, norms, out=np.zeros_like(dots), where=norms > 0)
         gate = np.clip(cos, 0.0, 1.0)
         return gate[:, None] * r
@@ -120,14 +138,14 @@ def transfer_batch(
     # hybrid
     if kind.hybrid_mode == "interpolate":
         g = kind.hybrid_gamma
-        return g * _projection(r, e) + (1.0 - g) * _squared(r, e)
+        return g * _projection(r, e, dots) + (1.0 - g) * _squared(r, e)
     # per_edge_select: squared gating on blind edges, projection on labeled
     blind = np.asarray(blind, dtype=bool)
-    return np.where(blind[:, None], _squared(r, e), _projection(r, e))
+    return np.where(blind[:, None], _squared(r, e), _projection(r, e, dots))
 
 
-def _projection(r: np.ndarray, e: np.ndarray) -> np.ndarray:
-    dots = np.einsum("ij,ij->i", r, e)
+def _projection(r: np.ndarray, e: np.ndarray, dots: np.ndarray | None = None) -> np.ndarray:
+    dots = row_dots(r, e) if dots is None else dots
     return np.maximum(dots, 0.0)[:, None] * e
 
 

@@ -21,10 +21,18 @@ edge-order scatter-add over the whole graph.  A block reads the shared R and
 writes only its own receivers' rows, so the blocks run on the calling thread
 and a pool of one thread per further available CPU (numpy and scipy release
 the GIL inside them), and the result does not depend on the number of
-threads or on which thread runs which block.  The blocks, the confidence
-vector and the edge topic distributions depend only on the edges, so
-``run`` builds them once per call; a gated step rewrites the block
-weights, so a plan is never shared between runs.
+threads or on which thread runs which block.
+
+What a step reads besides R is built as rarely as it can be.  Once per
+graph, and kept with it: the receiver-major edge order, the permuted
+sender, blind and weight arrays and the blocks, all read-only and shared
+by every run on the graph.  Once per graph and centroids: the edge topic
+distributions.  Once per ``run``: the permuted (M, E) contents (not kept,
+at several times the size of the rest), the confidence column, the
+entropy factor and, when gates rewrite the block weights, the run's own
+copy of them, so no run writes to anything another run reads.  Once per
+step: the sender row norms, over the N agent rows.  Once per block: the
+row dots, which the transfer and the gates share.
 
 Discrete form (one row per agent, D domain buckets): per-domain transition
 matrices M_d drive a linear damped iteration per bucket; flag edges enter
@@ -53,18 +61,21 @@ from __future__ import annotations
 import functools
 import logging
 import os
+import threading
 from collections import deque
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Hashable, Sequence
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
+from typing import Any
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ValidationError
-from .gates import GateStack, stack_batch, topic_distribution_batch
+from .gates import GateStack, entropy_factor, stack_batch, topic_distribution_batch
 from .graph import Agent, AgentTable, NormalizedGraph
 from .operators import OperatorKind, transfer_batch
+from .vectorspace import row_dots
 
 logger = logging.getLogger(__name__)
 
@@ -189,14 +200,15 @@ def init_state(
     return ReputationState(vectors=vectors.copy(), agent_ids=ids, mode=cfg.mode)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Block:
     """Receivers ``lo:hi`` and their in-edges, slices of the plan's edge arrays.
 
     ``scatter`` is the (hi - lo, edges) CSR matrix whose row j - lo holds the
     weights of receiver j's in-edges in ascending edge order, and whose
-    column k is the block's k-th edge; a gated step rewrites its ``data``
-    to w * gate in place.
+    column k is the block's k-th edge.  Its ``data`` is a view of the plan's
+    weights; a gated step rewrites it to w * gate in place, in a copy of
+    the weights that belongs to its run.
     """
 
     lo: int
@@ -205,28 +217,145 @@ class _Block:
     scatter: sp.csr_matrix
 
 
-@dataclass
-class _ContinuousPlan:
-    """Per-run constants of the continuous step; they depend only on the edges.
+@dataclass(frozen=True)
+class _GraphPlan:
+    """The part of the continuous step that depends only on the graph.
 
     The edge arrays are in receiver-major order (``order``, a stable argsort
     of the receivers, so each receiver's in-edges stay in ascending edge
     order), cut into blocks of consecutive receivers with about
     ``BLOCK_EDGES`` in-edges each; a receiver with more has a block of its
-    own.  ``blocks`` lists them by edge count, largest first.  ``p_int`` is
-    computed over the contents in edge order and then permuted, so its rows
-    are those an edge-order step would use.
+    own.  ``blocks`` lists them by edge count, largest first.  Every array
+    is read-only, so any number of runs can share one, and all of them sit
+    in one buffer: the block matrices' ``data`` are slices of ``weight``,
+    their column indices prefixes of one ``arange`` and their row pointers
+    slices of one array.  The (M, E) contents are not kept: at several
+    times the size of everything here, each run permutes them for itself.
     """
 
     order: np.ndarray
     sender: np.ndarray
-    content: np.ndarray
     blind: np.ndarray
     weight: np.ndarray
-    blocks: list[_Block]
+    blocks: tuple[_Block, ...]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _csr_view(
+    data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple[int, int]
+) -> sp.csr_matrix:
+    """A CSR matrix over these very arrays, views included.
+
+    scipy's constructor copies a view smaller than half of its base, which
+    would give each block its own copy of its slice of the weights and of
+    the shared column indices.
+    """
+    matrix = sp.csr_matrix(shape)
+    matrix.indptr, matrix.indices, matrix.data = indptr, indices, data
+    return matrix
+
+
+def _packed(arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Read-only copies of the 1-D ``arrays``, laid out in one buffer.
+
+    A graph's plan outlives the runs that build it.  As one allocation it
+    leaves fewer live chunks among the freed temporaries of later runs than
+    one per array would, which kept the heap from shrinking back: as
+    separate arrays, live-market peak RSS rose by about 5 MiB.
+    """
+    sizes = [-(-a.nbytes // 8) * 8 for a in arrays]  # each view 8-byte aligned
+    buffer = np.empty(sum(sizes), np.uint8)
+    out, start = [], 0
+    for a, size in zip(arrays, sizes):
+        view = buffer[start : start + a.nbytes].view(a.dtype)
+        view[:] = a
+        view.flags.writeable = False
+        out.append(view)
+        start += size
+    return out
+
+
+def _graph_plan(graph: NormalizedGraph) -> _GraphPlan:
+    n, m = graph.n_agents, graph.n_pos_edges
+    order = np.argsort(graph.pos_receiver, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(graph.pos_receiver, minlength=n), out=indptr[1:])
+    spans = []
+    lo = 0
+    while lo < n:
+        a = int(indptr[lo])
+        # The last receiver whose in-edges end within BLOCK_EDGES of a, and
+        # at least one receiver, so no receiver's in-edges are split.
+        hi = max(lo + 1, int(np.searchsorted(indptr, a + BLOCK_EDGES, side="right")) - 1)
+        if indptr[hi] > a:
+            spans.append((lo, hi))
+        lo = hi
+    # The index dtype scipy would choose; every block's columns are a prefix.
+    index = np.int32 if m <= np.iinfo(np.int32).max else np.int64
+    widest = max((int(indptr[hi] - indptr[lo]) for lo, hi in spans), default=0)
+    # Each block's row pointers, from 0 at its first edge, one after another.
+    local = [indptr[lo : hi + 1] - indptr[lo] for lo, hi in spans]
+    rows = np.concatenate([np.zeros(0, np.int64), *local]).astype(index)
+    order, sender, blind, weight, columns, rows = _packed([
+        order, graph.pos_sender[order], graph.pos_blind[order], graph.pos_weight[order],
+        np.arange(widest, dtype=index), rows,
+    ])
+    blocks = []
+    at = 0
+    for lo, hi in spans:
+        a, b = int(indptr[lo]), int(indptr[hi])
+        scatter = _csr_view(weight[a:b], columns[: b - a], rows[at : at + hi - lo + 1],
+                            (hi - lo, b - a))
+        blocks.append(_Block(lo, hi, slice(a, b), scatter))
+        at += hi - lo + 1
+    # Largest first, so a hub's oversized block does not start last.
+    blocks.sort(key=lambda blk: blk.edges.start - blk.edges.stop)
+    return _GraphPlan(order, sender, blind, weight, tuple(blocks))
+
+
+@dataclass
+class _ContinuousPlan:
+    """Everything one continuous run's steps read besides R.
+
+    ``graph`` is the graph's plan, kept in ``NormalizedGraph.cache`` for the
+    current ``BLOCK_EDGES``; ``p_int`` is kept there too, for the last
+    centroid values seen, computed over the contents in edge order and then
+    permuted, so its rows are those an edge-order step would use.  The rest
+    is the run's own, including, when gates rewrite the block weights,
+    blocks over its own copy of them.  ``needs_dots`` and ``needs_norms``
+    say whether the operator or a gate reads the row dots r . e and the
+    sender row norms ||R[i]||, which each step then takes once.
+    """
+
+    graph: _GraphPlan
+    content: np.ndarray
+    blocks: tuple[_Block, ...]
+    needs_dots: bool
+    needs_norms: bool
     confidence: np.ndarray | None = None
     p_int: np.ndarray | None = None
+    entropy: np.ndarray | None = None
     centroids: np.ndarray | None = None
+
+
+# Held while a graph's cache is read or filled, so each entry is built once.
+_CACHE_LOCK = threading.Lock()
+
+
+def _cached(graph: NormalizedGraph, slot: str, key: Hashable, build: Callable[[], Any]) -> Any:
+    """``graph.cache[slot]``'s value if it was built for ``key``, else ``build()``, kept there.
+
+    A slot holds the value of one key; a new key replaces it.
+    """
+    with _CACHE_LOCK:
+        kept = graph.cache.get(slot)
+        if kept is None or kept[0] != key:
+            kept = graph.cache[slot] = (key, build())
+    return kept[1]
 
 
 def _continuous_plan(
@@ -234,44 +363,38 @@ def _continuous_plan(
     cfg: PropagationConfig,
     centroids: np.ndarray | None,
 ) -> _ContinuousPlan:
-    n, m = graph.n_agents, graph.n_pos_edges
-    order = np.argsort(graph.pos_receiver, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(graph.pos_receiver, minlength=n), out=indptr[1:])
+    half = _cached(graph, "plan", BLOCK_EDGES, lambda: _graph_plan(graph))
+    gates, operator = cfg.gates, cfg.operator
+    blocks = half.blocks
+    if gates.any_enabled:
+        weight = half.weight.copy()
+        blocks = tuple(
+            replace(blk, scatter=_csr_view(
+                weight[blk.edges], blk.scatter.indices, blk.scatter.indptr, blk.scatter.shape
+            ))
+            for blk in blocks
+        )
     plan = _ContinuousPlan(
-        order=order,
-        sender=graph.pos_sender[order],
-        content=graph.pos_content[order],
-        blind=graph.pos_blind[order],
-        weight=graph.pos_weight[order],
-        blocks=[],
+        graph=half,
+        content=graph.pos_content[half.order],
+        blocks=blocks,
+        needs_dots=operator.uses_row_dots or gates.uses_row_geometry,
+        needs_norms=operator.uses_row_norms or gates.uses_row_geometry,
     )
-    lo = 0
-    while lo < n:
-        a = int(indptr[lo])
-        # The last receiver whose in-edges end within BLOCK_EDGES of a, and
-        # at least one receiver, so no receiver's in-edges are split.
-        hi = max(lo + 1, int(np.searchsorted(indptr, a + BLOCK_EDGES, side="right")) - 1)
-        b = int(indptr[hi])
-        if b > a:
-            scatter = sp.csr_matrix(
-                (plan.weight[a:b].copy(), np.arange(b - a), indptr[lo : hi + 1] - a),
-                shape=(hi - lo, b - a),
-            )
-            plan.blocks.append(_Block(lo, hi, slice(a, b), scatter))
-        lo = hi
-    # Largest first, so a hub's oversized block does not start last.
-    plan.blocks.sort(key=lambda blk: blk.edges.start - blk.edges.stop)
-    gates = cfg.gates
     if gates.confidence.enabled:
         plan.confidence = np.where(
             np.isnan(graph.pos_confidence),
             np.where(graph.pos_blind, gates.confidence.default_confidence, 1.0),
             graph.pos_confidence,
-        )[order]
-    if gates.needs_distributions() and m:
-        plan.p_int = topic_distribution_batch(graph.pos_content, centroids)[order]
+        )[half.order]
+    if gates.needs_distributions() and graph.n_pos_edges:
+        cents = np.asarray(centroids, dtype=np.float64)
+        plan.p_int = _cached(graph, "p_int", (cents.shape, cents.tobytes()), lambda: _read_only(
+            topic_distribution_batch(graph.pos_content, cents)[half.order]
+        ))
         plan.centroids = centroids
+        if gates.entropy.enabled:
+            plan.entropy = entropy_factor(plan.p_int, gates.entropy.strength)
     return plan
 
 
@@ -295,7 +418,7 @@ def _drain(body: Callable[[_Block], None], queue: deque[_Block]) -> None:
             raise
 
 
-def _for_each_block(body: Callable[[_Block], None], blocks: list[_Block]) -> None:
+def _for_each_block(body: Callable[[_Block], None], blocks: Sequence[_Block]) -> None:
     """Run ``body`` on every block, on the calling thread and the pool threads.
 
     Up to ``_WORKERS`` pool threads join the calling thread, and each thread
@@ -328,6 +451,7 @@ def _for_each_block(body: Callable[[_Block], None], blocks: list[_Block]) -> Non
 def _step_block(
     blk: _Block,
     r: np.ndarray,
+    norms: np.ndarray | None,
     p_rep: np.ndarray | None,
     acc: np.ndarray,
     cfg: PropagationConfig,
@@ -335,14 +459,19 @@ def _step_block(
 ) -> None:
     """Rows ``blk.lo:blk.hi`` of ``acc``: gather sender rows, transfer, gate, one CSR product."""
     e = blk.edges
-    rows = r[plan.sender[e]]
+    sender = plan.graph.sender[e]
+    rows = r[sender]
     content = plan.content[e]
-    transferred = transfer_batch(cfg.operator, rows, content, plan.blind[e])
+    dots = row_dots(rows, content) if plan.needs_dots else None
+    if norms is not None:
+        norms = norms[sender]
+    transferred = transfer_batch(cfg.operator, rows, content, plan.graph.blind[e], dots, norms)
     gates = cfg.gates
     if gates.any_enabled:
         per_edge = (None if a is None else a[e] for a in (plan.confidence, plan.p_int, p_rep))
-        gate = stack_batch(gates, rows, content, *per_edge)
-        np.multiply(plan.weight[e], gate, out=blk.scatter.data)
+        entropy = None if plan.entropy is None else plan.entropy[e]
+        gate = stack_batch(gates, rows, content, *per_edge, dots, norms, entropy)
+        np.multiply(plan.graph.weight[e], gate, out=blk.scatter.data)
     acc[blk.lo : blk.hi] = blk.scatter @ transferred
 
 
@@ -357,21 +486,28 @@ def _step_continuous(
     Each row of a block's ``scatter @ transferred`` sums w_e * x_e over the
     receiver's in-edges in ascending edge order from 0.0, the same additions
     in the same order as an edge-order scatter-add, and every other step
-    works row by row, so the result is bit-identical to it.  A block reads
-    the shared R and writes only its own rows of the accumulator and its own
-    scatter weights, so neither the number of threads nor the order the
-    blocks run in changes a bit.  The softmax-KL ``p_rep`` is the exception
-    to row by row: it goes through a GEMM whose rows may round differently
-    with the matrix shape, so it is computed before the blocks over all
-    sender rows in edge order and then permuted, as ``p_int`` is.
+    works row by row, so the result is bit-identical to it.  The sender row
+    norms are taken once over the N rows of R and gathered per edge, which
+    gives each edge the same bits as a norm of its gathered row; each block
+    takes its row dots once and hands them, with the norms, to the transfer
+    and the gates.  A block reads the shared R and writes only its own rows
+    of the accumulator and its own scatter weights, so neither the number
+    of threads nor the order the blocks run in changes a bit.  The
+    softmax-KL ``p_rep`` is the exception to row by row: it goes through a
+    GEMM whose rows may round differently with the matrix shape, so it is
+    computed before the blocks over all sender rows in edge order and then
+    permuted, as ``p_int`` is.
     """
     r = state.vectors
     gates = cfg.gates
+    norms = np.linalg.norm(r, axis=1) if plan.needs_norms else None
     p_rep = None
     if gates.kl.enabled and gates.kl.form == "softmax" and plan.blocks:
-        p_rep = topic_distribution_batch(r[graph.pos_sender], plan.centroids)[plan.order]
+        p_rep = topic_distribution_batch(r[graph.pos_sender], plan.centroids)[plan.graph.order]
     acc = np.zeros_like(r)
-    body = functools.partial(_step_block, r=r, p_rep=p_rep, acc=acc, cfg=cfg, plan=plan)
+    body = functools.partial(
+        _step_block, r=r, norms=norms, p_rep=p_rep, acc=acc, cfg=cfg, plan=plan
+    )
     _for_each_block(body, plan.blocks)
     new = cfg.alpha * acc
     if cfg.couple_c_with_damping:
@@ -392,9 +528,10 @@ def step_continuous(
 ) -> tuple[ReputationState, float]:
     """One synchronous update of every agent's row; returns (state, residual).
 
-    Builds the per-run constants for this single step, and the centroids if
-    the gates need them and none are given, as ``run`` does; ``run`` builds
-    the constants once and reuses them for every iteration.
+    Builds the per-run part of the plan for this single step, and the
+    centroids if the gates need them and none are given, as ``run`` does;
+    the per-graph part comes from the graph's cache, as for ``run``, which
+    builds its per-run part once and reuses it for every iteration.
     """
     if state.mode != "continuous" or cfg.mode != "continuous":
         raise ValidationError("step_continuous requires a continuous state and config")

@@ -69,6 +69,11 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt((x[:, None, :] @ x[:, :, None]).ravel())
 
 
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[k] . b[k] for each row k of two (K, E) matrices."""
+    return np.einsum("ij,ij->i", a, b)
+
+
 def center_and_normalize(model: CenteringModel, v: np.ndarray) -> np.ndarray:
     """Subtract the corpus mean and rescale to unit length.
 

@@ -393,6 +393,35 @@ def test_normalize_rejects_weights_that_overflow():
                 normalize(agents, edges, reporter_reputations=reps)
 
 
+def test_normalize_rejects_weights_that_underflow():
+    # Every weight is positive; the product, the row sum or a normalized
+    # weight is 0 or below the smallest normal float.
+    agents = [make_agent(x) for x in "abc"]
+    cases = [
+        ([Edge(sender="a", receiver="b", kind="blind", base_weight=5e-324)], None,
+         "edge weights of sender 'a' underflow the float range"),
+        ([labeled("b", "a"), Edge(sender="b", receiver="c", kind="blind", base_weight=1e308),
+          Edge(sender="b", receiver="a", kind="blind", base_weight=1e308)], None,
+         "edge weights of sender 'b' underflow the float range"),
+        ([Edge(sender="c", receiver="a", kind="flag", severity=1.0),
+          Edge(sender="c", receiver="b", kind="flag", severity=1e-310)], None,
+         "flag weights of reporter 'c' underflow the float range"),
+    ]
+    for edges, reps, message in cases:
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            normalize(agents, edges, reporter_reputations=reps)
+    # A normalized weight of exactly 0 is no flow, not lost precision.
+    g = normalize(agents, [labeled("a", "b", base=1e300), labeled("a", "c", base=1e-300)])
+    assert g.pos_weight.tolist() == [1.0, 0.0]
+
+
+def test_normalize_rejects_a_nan_reporter_reputation():
+    agents = [make_agent(x) for x in "ab"]
+    flag = Edge(sender="a", receiver="b", kind="flag", severity=0.5)
+    with pytest.raises(ValidationError, match="^reporter reputation must be >= 0$"):
+        normalize(agents, [flag], reporter_reputations={"a": float("nan")})
+
+
 def test_tables_of_records_reject_vectors_of_another_dim():
     agents = [make_agent("a0", np.eye(3)[0]), make_agent("a1", np.eye(4)[1])]
     with pytest.raises(ValidationError, match="^inconsistent embedding dims across agents$"):

@@ -7,7 +7,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,7 @@ from trustprop.gates import (
     GateStack,
     KlGateConfig,
     MagnitudeGateConfig,
+    entropy_factor,
     stack_batch,
     topic_distribution_batch,
 )
@@ -786,6 +787,18 @@ def test_gated_and_ungated_runs_on_one_graph_do_not_share_a_plan():
         assert np.array_equal(run(graph, cfg, centroids=cents).vectors, fresh)
 
 
+def test_runs_on_one_graph_with_other_centroid_values_use_their_own():
+    # The edge topic distributions are kept with the graph for the centroid
+    # values they were built from, not for the array that held them.
+    graph, cents = _spec_graph(_many_edges_spec(2 * propagation.BLOCK_EDGES + 1500))
+    cfg = _SCATTER_CONFIGS["all_gates"]
+    given = cents.copy()
+    for values in (cents, np.roll(cents, 1, axis=1), cents):
+        given[:] = values
+        fresh, _ = _reference_run(graph, cfg, values)
+        assert np.array_equal(run(graph, cfg, centroids=given).vectors, fresh)
+
+
 # ------------------------------------------------ receiver blocks on several threads
 
 
@@ -898,6 +911,63 @@ def test_concurrent_runs_on_one_graph_each_get_their_own_result(fast_switching):
             assert np.array_equal(got, want)
 
 
+def _arrays(obj):
+    """Every numpy array reachable from a cache entry."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, sp.csr_matrix):
+        yield from (obj.data, obj.indices, obj.indptr)
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item)
+    elif is_dataclass(obj):
+        for f in fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+
+
+def test_the_cached_graph_plan_stays_clean(monkeypatch, fast_switching):
+    # Gated and ungated runs, a run whose third block raises and concurrent
+    # runs share the cached plan arrays; none of them may write to them.
+    graph, cents = _spec_graph(_many_edges_spec(6 * propagation.BLOCK_EDGES))
+    gated, plain = _SCATTER_CONFIGS["all_gates"], _SCATTER_CONFIGS["projection"]
+    run(graph, gated, centroids=cents)
+    run(graph, plain, centroids=cents)
+    calls = itertools.count(1)
+
+    def failing_transfer(*args):
+        if next(calls) == 3:
+            raise RuntimeError("block failed")
+        return transfer_batch(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(propagation, "transfer_batch", failing_transfer)
+        with pytest.raises(RuntimeError, match="^block failed$"):
+            run(graph, gated, centroids=cents)
+    cfgs = [gated, _SCATTER_CONFIGS["hybrid_select"], _SCATTER_CONFIGS["scalar"]]
+    start = threading.Barrier(len(cfgs))
+
+    def one_run(cfg):
+        start.wait(timeout=60)
+        return run(graph, cfg, centroids=cents)
+
+    with ThreadPoolExecutor(len(cfgs)) as callers:
+        assert all(s.converged for s in callers.map(one_run, cfgs, timeout=120))
+
+    assert set(graph.cache) == {"plan", "p_int"}
+    fresh = propagation._graph_plan(graph)
+    fresh_p_int = topic_distribution_batch(graph.pos_content, cents)[fresh.order]
+    (_, plan), (_, p_int) = graph.cache["plan"], graph.cache["p_int"]
+    spans = [(blk.lo, blk.hi, blk.edges) for blk in plan.blocks]
+    assert spans == [(blk.lo, blk.hi, blk.edges) for blk in fresh.blocks]
+    cached = list(_arrays((plan, p_int)))
+    for got, want in zip(cached, _arrays((fresh, fresh_p_int)), strict=True):
+        assert not got.flags.writeable
+        assert np.array_equal(got, want)
+    kept = list(_arrays(list(graph.cache.values())))
+    assert len(kept) == len(cached)
+    assert all(a.ndim < 2 or a.shape[1] != graph.dim for a in kept)
+
+
 def test_import_and_a_one_block_run_start_no_thread():
     # The 50-agent seed corpus has fewer than BLOCK_EDGES positive edges.
     code = (
@@ -918,6 +988,40 @@ def test_import_and_a_one_block_run_start_no_thread():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "0"
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scales=st.lists(st.sampled_from([0.0, 1e-300, 1.0, 1e150]), min_size=1, max_size=6),
+    m=st.integers(0, 12),
+    dim=st.integers(1, 5),
+)
+def test_shared_row_quantities_change_no_bit(seed, scales, m, dim):
+    # The step takes the sender norms over the N agent rows and gathers
+    # them, takes each row dot once, and hands both (and the entropy factor
+    # of the run) to the transfer and the gates.
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal((len(scales), dim)) * np.array(scales)[:, None]
+    sender = rng.integers(0, len(scales), m)
+    e = rng.standard_normal((m, dim))
+    e /= np.linalg.norm(e, axis=1, keepdims=True)
+    blind = rng.random(m) < 0.5
+    rows = r[sender]
+    norms = np.linalg.norm(r, axis=1)[sender]
+    assert np.array_equal(norms, np.linalg.norm(rows, axis=1))
+    dots = np.einsum("ij,ij->i", rows, e)
+    for kind in _OPERATORS.values():
+        assert np.array_equal(
+            transfer_batch(kind, rows, e, blind, dots, norms), transfer_batch(kind, rows, e, blind)
+        )
+    cents = rng.standard_normal((3, dim))
+    conf = rng.random(m)
+    p_int, p_rep = topic_distribution_batch(e, cents), topic_distribution_batch(rows, cents)
+    for gates in _GATE_STACKS.values():
+        entropy = entropy_factor(p_int, gates.entropy.strength)
+        shared = stack_batch(gates, rows, e, conf, p_int, p_rep, dots, norms, entropy)
+        assert np.array_equal(shared, stack_batch(gates, rows, e, conf, p_int, p_rep))
 
 
 @pytest.mark.parametrize("pattern", ["none", "some", "all"])
