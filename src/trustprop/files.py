@@ -49,7 +49,7 @@ from .graph import (
     first_duplicate,
     one_of,
 )
-from .harness import CorpusSpec
+from .harness import INJECTORS, CorpusSpec
 from .operators import OperatorKind
 from .propagation import MODES, PropagationConfig, ReputationState
 from .retrieval import QUERY_FIELDS, STRATEGIES, VARIANTS, Query
@@ -58,30 +58,23 @@ from .vectorspace import CenteringModel, center_and_normalize, row_norms
 # --- flat config --------------------------------------------------------------
 
 def _section_defaults(prefix: str, record: type) -> dict[str, tuple[type, Any]]:
-    """(type, default) per key of a section whose keys are ``record``'s fields."""
-    return {f"{prefix}.{f.name}": (type(f.default), f.default) for f in dataclass_fields(record)}
+    """(type, default) per key of a section whose keys are ``record``'s fields,
+    but for a field with no plain default (a record of its own)."""
+    fields = [f for f in dataclass_fields(record) if f.default is not MISSING]
+    return {f"{prefix}.{f.name}": (type(f.default), f.default) for f in fields}
 
 
-# (type, default) per dotted key; bool before int because bool is an int.
+# (type, default) per dotted key; a record's fields name and default its section.
 CONFIG_DEFAULTS: dict[str, tuple[type, Any]] = {
-    "propagation.alpha": (float, 0.85),
-    "propagation.epsilon": (float, 1e-4),
-    "propagation.max_iters": (int, 200),
-    "propagation.beta": (float, 0.15),
-    "propagation.mode": (str, "continuous"),
+    **_section_defaults("propagation", PropagationConfig),
     "propagation.operator": (str, "projection"),
     "propagation.hybrid_gamma": (float, 0.5),
     "propagation.hybrid_mode": (str, "per_edge_select"),
-    "propagation.normalize_each_iter": (bool, False),
-    "propagation.clamp_floor": (bool, True),
-    "propagation.couple_c_with_damping": (bool, False),
-    "propagation.top_k": (int, 1),
     "gates.kl.enabled": (bool, False),
     "gates.kl.lambda": (float, 1.0),
     "gates.kl.form": (str, "cosine_proxy"),
-    "gates.entropy.enabled": (bool, False),
-    "gates.entropy.strength": (float, 1.0),
-    "gates.magnitude.enabled": (bool, False),
+    **_section_defaults("gates.entropy", EntropyGateConfig),
+    **_section_defaults("gates.magnitude", MagnitudeGateConfig),
     "gates.confidence.enabled": (bool, False),
     "gates.confidence.default": (float, 0.5),
     **_section_defaults("weights", WeightConfig),
@@ -99,6 +92,7 @@ CONFIG_DEFAULTS: dict[str, tuple[type, Any]] = {
 CONFIG_CHOICES: dict[str, tuple[str, ...]] = {
     "retrieval.strategy": STRATEGIES,
     "retrieval.variant": VARIANTS,
+    "attack.scenario": tuple(INJECTORS),
 }
 CONFIG_RANGES: dict[str, tuple[float, float]] = {
     "retrieval.k": (1, math.inf),
@@ -135,7 +129,8 @@ def _coerce(key: str, raw: str) -> Any:
 
 
 def parse_config(text: str) -> dict[str, Any]:
-    """Parse ``key = value`` lines; unknown keys are errors, comments allowed."""
+    """Parse ``key = value`` lines; unknown keys are errors, comments allowed.
+    Each key is checked, then every config record is built, so its rules run."""
     cfg = {key: default for key, (_, default) in CONFIG_DEFAULTS.items()}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -148,6 +143,9 @@ def parse_config(text: str) -> dict[str, Any]:
         if key not in CONFIG_DEFAULTS:
             raise ValidationError(f"config line {lineno}: unknown key {key!r}")
         cfg[key] = _coerce(key, value.strip())
+    propagation_config(cfg)
+    weight_config(cfg)
+    corpus_spec(cfg)
     return cfg
 
 
@@ -279,9 +277,8 @@ def _record(rec: dict[str, Any], what: str, lineno: int, cls: type, table: tuple
             if missing:
                 raise ValidationError(f"missing field {missing[0]!r}") from None
             return cls(**{f.key: rec[f.key] for f in table if f.key in rec})
-    # ValidationError is a ValueError; TypeError is a safety net, and an
-    # integer beyond the float range fails float() in the record's rules.
-    except (TypeError, ValueError, OverflowError) as exc:
+    # ValidationError is a ValueError; TypeError is a safety net.
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} line {lineno}: {exc}") from exc
 
 

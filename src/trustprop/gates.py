@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .vectorspace import row_dots
+from .vectorspace import centroid_cosines, row_dots
 
 SMOOTHING = 1e-6
 
@@ -37,13 +37,7 @@ SMOOTHING = 1e-6
 
 def topic_distribution_batch(vs: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """(m, E) vectors -> (m, D) smoothed softmax-over-cosine distributions."""
-    vs = np.asarray(vs, dtype=np.float64)
-    cents = np.asarray(centroids, dtype=np.float64)
-    norms = np.linalg.norm(vs, axis=1, keepdims=True)
-    cnorms = np.linalg.norm(cents, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
-    cos = (vs @ cents.T) / (safe * cnorms[None, :])
-    cos = np.where(norms > 0, cos, 0.0)  # zero vector -> uniform
+    cos, _ = centroid_cosines(vs, centroids)  # zero vector -> uniform
     z = np.exp(cos - cos.max(axis=1, keepdims=True))
     p = z / z.sum(axis=1, keepdims=True)
     return (p + SMOOTHING) / (1.0 + p.shape[1] * SMOOTHING)

@@ -42,34 +42,14 @@ from typing import Any, ClassVar, NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .vectorspace import DEGENERATE_NORM, row_norms
+from .vectorspace import DEGENERATE_NORM, off_unit, row_norms
 
 EDGE_KINDS = ("labeled", "blind", "flag")
 LABELED, BLIND, FLAG = range(3)  # an EdgeTable's kind codes, indices into EDGE_KINDS
 ARCHETYPES = ("hub", "active", "dormant", "malicious")
 
-# Tolerance for "this stored vector should be unit length".
-UNIT_TOL = 1e-6
-
 # Below this a float64 is subnormal: it has lost precision, and 1 / x overflows.
 SMALLEST_NORMAL = float(np.finfo(np.float64).smallest_normal)
-
-
-def _off_unit(vectors: np.ndarray) -> np.ndarray | bool:
-    """Whether a vector, or each row of a (K, E) matrix, is not unit length.
-
-    Written as "not <=" so that a NaN norm is off too.  A norm whose squares
-    overflow is inf, and off, with no overflow warning: ``np.vdot`` reports
-    none, and the rows' norms are taken under ``errstate``.  A vector's norm
-    is the one the 1-D ``np.linalg.norm`` takes, bit for bit: the square
-    root of the dot product of its ``ravel(order="K")``.
-    """
-    if vectors.ndim == 1:
-        flat = vectors.ravel(order="K")
-        return not abs(math.sqrt(np.vdot(flat, flat)) - 1.0) <= UNIT_TOL
-    with np.errstate(over="ignore"):
-        norms = row_norms(vectors)
-    return ~(np.abs(norms - 1.0) <= UNIT_TOL)
 
 
 # Blind proxies computed per block in ``normalize``; bounds its temporaries.
@@ -154,6 +134,16 @@ def _instance_of(what: str, types: tuple[type, ...]) -> Callable[[str, Any], Any
 
 
 _NUMBERS = (float, int, np.floating, np.integer)
+_number_type = _instance_of("a number", _NUMBERS)
+
+
+def _number(name: str, value: Any) -> Any:
+    """A number, kept as given; an int beyond the float range fails as float() does."""
+    try:
+        float(_number_type(name, value))
+    except OverflowError as exc:
+        raise ValidationError(str(exc)) from exc
+    return value
 
 
 def _lists_of(entry: type) -> Callable[[list], bool]:
@@ -248,7 +238,7 @@ def _vector_row(column: VectorRows, i: int) -> np.ndarray | None:
 
 STRING = FieldType(_instance_of("a string", (str,)), frozenset({str}))
 NUMBER = FieldType(
-    _instance_of("a number", _NUMBERS), frozenset({float}),
+    _number, frozenset({float}),
     pack=_floats, item=lambda column, i: float(column[i]),
 )
 INTEGER = FieldType(_instance_of("an integer", (int, np.integer)), frozenset({int}))
@@ -346,7 +336,7 @@ class Agent:
         check_fields(self, AGENT_FIELDS)
         if not self.id:
             raise ValidationError("agent id must be non-empty")
-        if _off_unit(self.profile):
+        if off_unit(self.profile):
             raise ValidationError(f"agent {self.id}: profile must be unit length")
         for name, vec in (("teleport", self.teleport), ("exogenous", self.exogenous)):
             if vec.shape != self.profile.shape:
@@ -394,7 +384,7 @@ class Edge:
         if self.kind == "labeled":
             if self.content is None:
                 raise ValidationError("labeled edge requires a content embedding")
-            if _off_unit(self.content):
+            if off_unit(self.content):
                 raise ValidationError("labeled edge content must be unit length")
         elif self.content is not None:
             raise ValidationError(f"{self.kind} edge must not carry content")
@@ -547,7 +537,7 @@ class AgentTable(Table, fields=AGENT_FIELDS):
 
     def broken(self, values: Mapping[str, Sequence]) -> np.ndarray:
         bad = ~np.fromiter(map(bool, self.id), bool, len(self))  # an empty id
-        bad |= _off_unit(self.profile)
+        bad |= off_unit(self.profile)
         bad |= ~(np.isfinite(self.teleport).all(axis=1) & np.isfinite(self.exogenous).all(axis=1))
         return bad
 
@@ -567,7 +557,7 @@ class EdgeTable(Table, fields=EDGE_FIELDS):
         bad = ~((0.0 < self.base_weight) & (self.base_weight < math.inf))
         bad |= ~flag & np.fromiter(map(operator.eq, self.sender, self.receiver), bool, n)
         bad |= content.present != (self.kind == LABELED)
-        bad[content.present] |= _off_unit(content.rows)
+        bad[content.present] |= off_unit(content.rows)
         has_severity = _present(values["severity"])
         bad |= has_severity != flag
         bad |= has_severity & ~((0.0 <= self.severity) & (self.severity <= 1.0))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .vectorspace import row_dots
+from .vectorspace import off_unit, row_dots
 
 VARIANTS = ("projection", "squared_gating", "scalar_gated", "hadamard_relu", "hybrid")
 HYBRID_MODES = ("interpolate", "per_edge_select")
@@ -87,11 +87,6 @@ class OperatorKind:
         return cls(variant)
 
 
-def _check_unit(e: np.ndarray) -> None:
-    if abs(float(np.linalg.norm(e)) - 1.0) > 1e-9:
-        raise ValidationError("edge content must be unit length")
-
-
 def transfer(
     kind: OperatorKind,
     r: np.ndarray,
@@ -103,7 +98,8 @@ def transfer(
     e = np.asarray(e, dtype=np.float64)
     if r.shape != e.shape or r.ndim != 1:
         raise ValidationError("transfer expects matching 1-d vectors")
-    _check_unit(e)
+    if off_unit(e):
+        raise ValidationError("edge content must be unit length")
     blind = np.asarray([edge_is_blind])
     return transfer_batch(kind, r[None, :], e[None, :], blind)[0]
 

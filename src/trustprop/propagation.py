@@ -58,6 +58,7 @@ every agent individually.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import logging
 import os
@@ -75,7 +76,7 @@ from .errors import ValidationError
 from .gates import GateStack, entropy_factor, stack_batch, topic_distribution_batch
 from .graph import Agent, AgentTable, NormalizedGraph
 from .operators import OperatorKind, transfer_batch
-from .vectorspace import row_dots
+from .vectorspace import centroid_cosines, cosine, row_dots
 
 logger = logging.getLogger(__name__)
 
@@ -560,16 +561,11 @@ def project_to_domains(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray
     Positive-part cosines to the centroids are L1-normalized per row and then
     scaled by the row norm; rows with no positive similarity stay zero.
     """
-    vectors = np.asarray(vectors, dtype=np.float64)
-    cents = np.asarray(centroids, dtype=np.float64)
-    norms = np.linalg.norm(vectors, axis=1)
-    cnorms = np.linalg.norm(cents, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
-    cos = (vectors @ cents.T) / (safe[:, None] * cnorms[None, :])
+    cos, norms = centroid_cosines(vectors, centroids)
     sims = np.maximum(cos, 0.0)
     totals = sims.sum(axis=1)
     out = np.zeros_like(sims)
-    ok = (totals > 0) & (norms > 0)
+    ok = totals > 0  # a zero row's cosines are 0
     out[ok] = sims[ok] / totals[ok, None] * norms[ok, None]
     return out
 
@@ -812,13 +808,8 @@ def self_alignment(state: ReputationState, graph: NormalizedGraph) -> dict[str, 
         raise ValidationError("self_alignment applies to continuous states")
     out: dict[str, float] = {}
     for i, aid in enumerate(graph.agents.id):
-        r = state.vectors[i]
-        t = graph.teleport[i]
-        rn = float(np.linalg.norm(r))
-        tn = float(np.linalg.norm(t))
-        if rn == 0.0 or tn == 0.0:
-            continue
-        out[aid] = float(np.clip(float(r @ t) / (rn * tn), -1.0, 1.0))
+        with contextlib.suppress(ValidationError):  # a zero row has no cosine
+            out[aid] = cosine(state.vectors[i], graph.teleport[i])
     return out
 
 

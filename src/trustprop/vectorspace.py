@@ -5,15 +5,16 @@ which destroys topical discrimination downstream.  The remedy used throughout
 this package is simple mean centering fit once per corpus snapshot: subtract
 the corpus mean, then renormalize to unit length.
 
-Batch code takes row norms with ``row_norms``, not ``np.linalg.norm(x,
-axis=1)``: the axis form (like ``einsum``) sums the squares in a different
-order from the 1-D ``np.linalg.norm``, a BLAS dot product, and so differs in
-the last bit on some rows.  ``row_norms`` gives each row the 1-D result
-exactly, so a batched computation stays bit-identical to a per-vector one.
+Row norms come from ``row_norms`` where a batch must equal a per-vector
+computation bit for bit: ``np.linalg.norm(x, axis=1)`` (like ``einsum``),
+which the engine, gates, operators and retrieval use, sums the squares in
+another order than the 1-D ``np.linalg.norm``, a BLAS dot product, and so
+differs in the last bit on some rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from collections.abc import Iterable, Mapping, Sequence
 
@@ -23,6 +24,9 @@ from .errors import DegenerateVectorError, ValidationError
 
 # Norm below which a centered vector is considered to have no usable direction.
 DEGENERATE_NORM = 1e-12
+
+# Tolerance for "this stored vector should be unit length".
+UNIT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -69,6 +73,23 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt((x[:, None, :] @ x[:, :, None]).ravel())
 
 
+def off_unit(vectors: np.ndarray) -> np.ndarray | bool:
+    """Whether a vector, or each row of a (K, E) matrix, is not unit length.
+
+    Written as "not <=" so that a NaN norm is off too.  A norm whose squares
+    overflow is inf, and off, with no overflow warning: ``np.vdot`` reports
+    none, and the rows' norms are taken under ``errstate``.  A vector's norm
+    is the one the 1-D ``np.linalg.norm`` takes, bit for bit: the square
+    root of the dot product of its ``ravel(order="K")``.
+    """
+    if vectors.ndim == 1:
+        flat = vectors.ravel(order="K")
+        return not abs(math.sqrt(np.vdot(flat, flat)) - 1.0) <= UNIT_TOL
+    with np.errstate(over="ignore"):
+        norms = row_norms(vectors)
+    return ~(np.abs(norms - 1.0) <= UNIT_TOL)
+
+
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a[k] . b[k] for each row k of two (K, E) matrices."""
     return np.einsum("ij,ij->i", a, b)
@@ -108,6 +129,18 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     if na == 0.0 or nb == 0.0:
         raise ValidationError("cosine undefined for zero-norm input")
     return float(np.clip(float(a @ b) / (na * nb), -1.0, 1.0))
+
+
+def centroid_cosines(vs: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, D) cosines of (m, E) rows to (D, E) centroids, and the (m,) row norms;
+    a row whose norm is 0 (its squares may underflow) or NaN has cosines 0."""
+    vs = np.asarray(vs, dtype=np.float64)
+    cents = np.asarray(cents, dtype=np.float64)
+    norms = np.linalg.norm(vs, axis=1)
+    cnorms = np.linalg.norm(cents, axis=1)
+    safe = np.where(norms > 0, norms, 1.0)
+    cos = (vs @ cents.T) / (safe[:, None] * cnorms[None, :])
+    return np.where(norms[:, None] > 0, cos, 0.0), norms
 
 
 # --- synthetic embedding space ------------------------------------------------

@@ -21,6 +21,7 @@ from dataclasses import replace
 import trustprop
 from trustprop.cli import main
 from trustprop.files import agents_from_jsonl, queries_from_jsonl, snapshot_from_json
+from trustprop.harness import INJECTORS
 from trustprop.retrieval import pipeline_search
 from trustprop.vectorspace import CenteringModel, center_and_normalize
 
@@ -116,6 +117,50 @@ def test_config_rejects_non_finite_and_out_of_range_values(tmp_path, capsys, lin
     key = line.partition(" =")[0]
     assert f"error: config key {key!r}: must be " in capsys.readouterr().err
     assert not (tmp_path / "agents.jsonl").exists()
+
+
+# One bad key per config record, and the scenario; each with its message.
+BAD_CONFIG_LINES = {
+    "propagation.alpha = 1.5": "alpha must lie in (0, 1)",
+    "weights.blind_discount = 2": "blind_discount must lie in (0, 1]",
+    "corpus.n_agents = -1": "n_agents must be >= 0",
+    "gates.kl.form = bogus": "unknown kl gate form 'bogus'",
+    "attack.scenario = meteor":
+        f"config key 'attack.scenario': 'meteor' is not one of {', '.join(INJECTORS)}",
+}
+
+
+def _verb_args(verb, inputs, out):
+    """A verb's arguments, its input files taken from ``inputs``."""
+    agents, edges, queries, snapshot = inputs
+    return {
+        "gen-corpus": ["--out", str(out)],
+        "propagate": ["--agents", str(agents), "--edges", str(edges), "--out", str(out)],
+        "query": ["--snapshot", str(snapshot), "--queries", str(queries),
+                  "--agents", str(agents), "--out", str(out / "ranks.csv")],
+        "attack": ["--flag-defense", "--out", str(out)],
+        "bench": ["--out", str(out)],
+    }[verb]
+
+
+@pytest.mark.parametrize("line", BAD_CONFIG_LINES)
+@pytest.mark.parametrize(
+    "verb, missing_inputs",
+    [("gen-corpus", False), ("propagate", False), ("propagate", True), ("query", False),
+     ("query", True), ("attack", False), ("bench", False)],
+)
+def test_every_verb_rejects_a_bad_config_before_reading_input(
+    workdir, snapshot, tmp_path, capsys, verb, missing_inputs, line
+):
+    conf = tmp_path / "bad.conf"
+    conf.write_text(SMALL_CONF + line + "\n")
+    inputs = (*_corpus_args(workdir), snapshot)
+    if missing_inputs:
+        inputs = [tmp_path / f"missing_{path.name}" for path in inputs]
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(conf), *_verb_args(verb, inputs, out)]) == 1
+    assert capsys.readouterr().err == f"error: {BAD_CONFIG_LINES[line]}\n"
+    assert not out.exists()
 
 
 def test_gen_corpus_rejects_negative_exogenous_scale(tmp_path, capsys):

@@ -147,6 +147,26 @@ def test_edge_rejects_non_numeric_severity_and_confidence(bad):
         labeled("a", "b", confidence=bad)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"kind": "blind", "base_weight": 10**400},
+        {"kind": "flag", "severity": 10**400},
+        {"kind": "blind", "confidence": -(10**400)},
+    ],
+    ids=["base_weight", "severity", "confidence"],
+)
+def test_edge_rejects_an_int_beyond_the_float_range(fields):
+    with pytest.raises(ValidationError, match="^int too large to convert to float$"):
+        Edge(sender="a", receiver="b", **fields)
+
+
+def test_edge_keeps_an_int_number_as_given():
+    edge = Edge(sender="a", receiver="b", kind="flag", base_weight=2, severity=1, confidence=0)
+    assert (edge.base_weight, edge.severity, edge.confidence) == (2, 1, 0)
+    assert type(edge.base_weight) is int
+
+
 @pytest.mark.parametrize("bad", ["false", "true", 0, 1, 1.0, None])
 def test_edge_rejects_non_boolean_payment_and_verified(bad):
     with pytest.raises(ValidationError, match="payment must be a boolean"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trustprop.errors import ValidationError
+from trustprop.graph import Edge
 from trustprop.operators import (
     OperatorKind,
     transfer,
@@ -47,6 +48,28 @@ def test_operator_kind_from_name():
     assert OperatorKind.from_name("hybrid", hybrid_gamma=0.25).hybrid_gamma == 0.25
     with pytest.raises(ValidationError):
         OperatorKind.from_name("squared_gating")  # internal spelling, not CLI name
+
+
+# ---------------------------------------------------------------- unit length
+
+
+def test_transfer_rejects_a_nan_content():
+    with pytest.raises(ValidationError, match="edge content must be unit length"):
+        transfer(PROJECTION, np.array([1.0, 2.0]), np.full(2, np.nan))
+
+
+@pytest.mark.parametrize("scale, unit_length", [(1 + 5e-7, True), (1 + 2e-6, False)])
+def test_transfer_takes_the_contents_an_edge_takes(scale, unit_length):
+    r, e = np.array([1.0, 2.0]), unit(3.0, 4.0) * scale
+    if not unit_length:
+        with pytest.raises(ValidationError, match="unit length"):
+            Edge(sender="a", receiver="b", kind="labeled", content=e)
+        with pytest.raises(ValidationError, match="edge content must be unit length"):
+            transfer(PROJECTION, r, e)
+        return
+    Edge(sender="a", receiver="b", kind="labeled", content=e)
+    batch = transfer_batch(PROJECTION, r[None, :], e[None, :], np.array([False]))
+    np.testing.assert_array_equal(transfer(PROJECTION, r, e), batch[0])
 
 
 # ---------------------------------------------------------------- variants

@@ -23,6 +23,7 @@ from trustprop.gates import (
     EntropyGateConfig,
     GateStack,
     KlGateConfig,
+    SMOOTHING,
     MagnitudeGateConfig,
     entropy_factor,
     stack_batch,
@@ -36,6 +37,7 @@ from trustprop.propagation import (
     build_negative_matrices,
     centroids_from_agents,
     init_state,
+    ReputationState,
     project_to_domains,
     residual_ratios,
     run,
@@ -318,6 +320,66 @@ def test_project_to_domains_simple_rows():
     np.testing.assert_array_equal(out[3], [0.0, 0.0])
 
 
+# The cosines to the centroids as each caller wrote them out before
+# ``vectorspace.centroid_cosines`` was shared: the references for bit equality.
+def _reference_topic_distribution(vs, centroids):
+    vs = np.asarray(vs, dtype=np.float64)
+    cents = np.asarray(centroids, dtype=np.float64)
+    norms = np.linalg.norm(vs, axis=1, keepdims=True)
+    cnorms = np.linalg.norm(cents, axis=1)
+    safe = np.where(norms > 0, norms, 1.0)
+    cos = (vs @ cents.T) / (safe * cnorms[None, :])
+    cos = np.where(norms > 0, cos, 0.0)
+    z = np.exp(cos - cos.max(axis=1, keepdims=True))
+    p = z / z.sum(axis=1, keepdims=True)
+    return (p + SMOOTHING) / (1.0 + p.shape[1] * SMOOTHING)
+
+
+def _reference_project_to_domains(vectors, centroids):
+    vectors = np.asarray(vectors, dtype=np.float64)
+    cents = np.asarray(centroids, dtype=np.float64)
+    norms = np.linalg.norm(vectors, axis=1)
+    cnorms = np.linalg.norm(cents, axis=1)
+    safe = np.where(norms > 0, norms, 1.0)
+    cos = (vectors @ cents.T) / (safe[:, None] * cnorms[None, :])
+    sims = np.maximum(cos, 0.0)
+    totals = sims.sum(axis=1)
+    out = np.zeros_like(sims)
+    ok = (totals > 0) & (norms > 0)
+    out[ok] = sims[ok] / totals[ok, None] * norms[ok, None]
+    return out
+
+
+# Per row: a random direction at a random scale, zeros, -0.0s, or entries
+# of 1e-200 whose squares underflow, so that the row's norm is 0.
+_ROW_KINDS = st.sampled_from(["random", "random", "zero", "negative_zero", "tiny"])
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(_ROW_KINDS, max_size=8),
+    n_domains=st.integers(1, 5),
+    dim=st.integers(1, 6),
+)
+def test_centroid_cosines_keep_both_callers_bit_for_bit(seed, kinds, n_domains, dim):
+    rng = np.random.default_rng(seed)
+    rows = {
+        "random": lambda: rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4),
+        "zero": lambda: np.zeros(dim),
+        "negative_zero": lambda: np.full(dim, -0.0),
+        "tiny": lambda: rng.choice([-1e-200, 1e-200], dim),
+    }
+    vs = np.array([rows[kind]() for kind in kinds]).reshape(len(kinds), dim)
+    cents = rng.standard_normal((n_domains, dim)) + 0.1  # no zero centroid
+    for got, want in (
+        (topic_distribution_batch(vs, cents), _reference_topic_distribution(vs, cents)),
+        (project_to_domains(vs, cents), _reference_project_to_domains(vs, cents)),
+    ):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_build_domain_matrices_single_domain_is_row_normalized_adjacency():
     n, agents, edges, links = _scalar_random_graph(13)
     g = normalize(agents, edges)
@@ -532,6 +594,23 @@ def test_self_alignment_zero_edge_graph_is_perfect():
     scores = self_alignment(state, g)
     assert scores["a"] == pytest.approx(1.0, abs=1e-12)
     assert "b" not in scores  # zero teleport and zero reputation -> omitted
+
+
+def test_self_alignment_omits_the_agents_with_a_zero_row():
+    # Zero rows, and rows whose norm underflows to 0, have no cosine.
+    scales = (0.3, 0.0, 1e-200, 0.2, 0.5)
+    g = normalize([make_agent(f"a{i}", s) for i, s in enumerate(scales)], [])
+    vectors = g.teleport[::-1] * np.array([[1.0], [2.0], [1.0], [1e-200], [-1.0]])
+    state = ReputationState(vectors=vectors, agent_ids=g.agents.id)
+    want = {}
+    for i, aid in enumerate(g.agents.id):  # the per-agent rule, written out
+        r, t = state.vectors[i], g.teleport[i]
+        rn, tn = float(np.linalg.norm(r)), float(np.linalg.norm(t))
+        if rn == 0.0 or tn == 0.0:
+            continue
+        want[aid] = float(np.clip(float(r @ t) / (rn * tn), -1.0, 1.0))
+    assert self_alignment(state, g) == want
+    assert list(want) == ["a0", "a4"]
 
 
 def test_self_alignment_rejects_discrete_states():
