@@ -45,6 +45,7 @@ from .graph import (
     STRING,
     VECTOR,
     Field,
+    FieldTable,
     WeightConfig,
     first_duplicate,
     one_of,
@@ -265,21 +266,29 @@ def _records(text: str, what: str) -> Iterator[tuple[int, dict[str, Any]]]:
         yield lineno, rec
 
 
-def _record(rec: dict[str, Any], what: str, lineno: int, cls: type, table: tuple[Field, ...]) -> Any:
-    """The record of one JSONL line, errors naming the line.  The keys are
-    ``cls``'s arguments, so the dataclass fills in defaults and checks types;
-    only a record with a key missing or outside the table costs more."""
+def _fields(obj: Any, table: tuple[Field, ...], where: str) -> dict[str, Any]:
+    """Each of the table's fields of the JSON object ``obj``, type-checked,
+    errors prefixed by ``where``: a missing field first, then each field's
+    type in table order."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where}: must be a JSON object")
     try:
-        try:
-            return cls(**rec)
-        except TypeError:
-            missing = [f.key for f in table if f.default is MISSING and f.key not in rec]
-            if missing:
-                raise ValidationError(f"missing field {missing[0]!r}") from None
-            return cls(**{f.key: rec[f.key] for f in table if f.key in rec})
-    # ValidationError is a ValueError; TypeError is a safety net.
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{what} line {lineno}: {exc}") from exc
+        for key, _, default, _ in table:
+            if default is MISSING and key not in obj:
+                raise ValidationError(f"missing field {key!r}")
+        return {key: check(key, obj.get(key, default)) for key, (check, *_), default, _ in table}
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
+def _record(rec: dict[str, Any], where: str, table: FieldTable) -> Any:
+    """The record of one JSONL line: its fields read by ``_fields``, then the
+    record's rules, their errors prefixed by ``where`` too."""
+    fields = _fields(rec, table, where)
+    try:
+        return table.record(**fields)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
 
 
 # Lines a table reader holds before checking them and stacking their vectors.
@@ -332,7 +341,7 @@ def _read_table(text: str, what: str, table: type, unique_ids: bool = False) -> 
         ids = checked[0].id if unique_ids and checked else ()
         if checked is None or len(set(ids)) < len(ids) or not seen.isdisjoint(ids):
             for lineno, rec in zip(linenos, recs):  # raises at the first bad line
-                record = _record(rec, what, lineno, fields.record, fields)
+                record = _record(rec, f"{what} line {lineno}", fields)
                 if unique_ids:
                     if record.id in seen:
                         message = f"duplicate agent id {record.id!r}"
@@ -355,7 +364,7 @@ def edges_from_jsonl(text: str) -> EdgeTable:
 
 def queries_from_jsonl(text: str) -> list[Query]:
     return [
-        _record(rec, "queries", lineno, Query, QUERY_FIELDS)
+        _record(rec, f"queries line {lineno}", QUERY_FIELDS)
         for lineno, rec in _records(text, "queries")
     ]
 
@@ -503,21 +512,6 @@ SNAPSHOT_FIELDS = (
     Field("residuals", VECTOR, ReputationState.residuals),
 )
 SNAPSHOT_AGENT_FIELDS = (Field("id", ANY), Field("r", VECTOR))
-
-
-def _fields(obj: Any, table: tuple[Field, ...], where: str) -> dict[str, Any]:
-    """Each of the table's fields of the JSON object ``obj``, type-checked."""
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{where}: must be a JSON object")
-    out = {}
-    for key, (check, *_), default, _ in table:
-        if key not in obj and default is MISSING:
-            raise ValidationError(f"{where}: missing field {key!r}")
-        try:
-            out[key] = check(key, obj.get(key, default))
-        except ValidationError as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
-    return out
 
 
 def snapshot_from_json(text: str) -> tuple[ReputationState, str, np.ndarray]:

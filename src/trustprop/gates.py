@@ -2,8 +2,12 @@
 
 Each gate maps evidence about one edge i -> j, with sender reputation r and
 unit content e, to a factor in [0, 1]; enabled gates multiply together.
-Because every factor is bounded by 1, gating can only shrink a transfer, so
-the contraction argument for the damped iteration is untouched.
+Every factor is bounded by 1, so gating can only shrink a transfer.  That
+keeps the transfer's Lipschitz constant for the factors that do not read r
+(``entropy``, ``confidence``), but not for those that do: the alignment and
+magnitude gates can raise it above 1 (the magnitude gate with projection to
+2/sqrt(3)), and the contraction argument for the damped iteration then
+does not cover the config, though it may still converge.
 
 - alignment (``kl``), cosine proxy: exp(-lambda * (1 - cos^2(r, e))), the
   default; softmax form: exp(-lambda * KL(p_int || p_rep)) between the topic

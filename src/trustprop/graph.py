@@ -181,18 +181,8 @@ def _present(values: Sequence) -> np.ndarray:
 
 
 def _floats(values: Sequence) -> np.ndarray:
-    """Numbers as float64; an int beyond the float range becomes NaN, which
-    every range rule on numbers rejects."""
-    try:
-        return np.array(values, dtype=np.float64)
-    except OverflowError:
-        floats = np.empty(len(values))
-        for i, value in enumerate(values):
-            try:
-                floats[i] = value
-            except OverflowError:
-                floats[i] = np.nan
-        return floats
+    # NUMBER's check has rejected every int beyond the float range.
+    return np.array(values, dtype=np.float64)
 
 
 def _bools(values: Sequence) -> np.ndarray:
@@ -466,8 +456,6 @@ class Table(Sequence):
         return len(getattr(self, self.fields[0].key))
 
     def __getitem__(self, i: int) -> Any:
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]
         record = object.__new__(self.fields.record)
         vars(record).update((f.key, f.type.item(getattr(self, f.key), i)) for f in self.fields)
@@ -725,7 +713,7 @@ def normalize(
             raise ValidationError(f"edge references unknown agent {aid!r}")
         if bad_rep[k]:
             raise ValidationError("reporter reputation must be >= 0")
-        raise ValidationError(f"edge {edges.sender[k]} -> {edges.receiver[k]}: wrong content dim")
+        raise ValidationError(EdgeTable.dim_message(edges[k]))
 
     # Flags: severity x reporter reputation, x the verified multiplier.
     with np.errstate(over="ignore"):

@@ -1,9 +1,14 @@
 """Transfer operators: how reputation crosses an edge, filtered by its content.
 
 Every operator maps a sender's reputation vector R and a unit edge content e
-to the vector that actually arrives at the receiver.  All variants are
-designed to be non-expansive in R (sampling-verified by verify_lipschitz),
-which is what lets the damped iteration contract.
+to the vector that actually arrives at the receiver.  ``projection``,
+``squared_gating``, ``hadamard_relu`` and ``hybrid`` are non-expansive in R
+(1-Lipschitz), which is what lets the damped iteration contract.
+``scalar_gated`` is not: its Lipschitz constant is 2/sqrt(3) ~ 1.1547,
+reached by nearby pairs at cos(R, e) = sqrt(2/3), so the contraction
+argument covers it only for alpha < sqrt(3)/2.  ``verify_lipschitz``
+samples independent Gaussian pairs, which never come near that angle; it
+reports about 0.51 for ``scalar_gated`` and is no bound.
 
 Variants:
 

@@ -4,10 +4,13 @@ Continuous form (one row per agent, E-dimensional):
 
     R'[j] = alpha * sum_i w(i->j) * gate_ij * f(R[i], e_ij) + (1 - alpha) * T[j] + C[j]
 
-starting from R0 = T + C.  Because the transfer f is non-expansive, the
-gates are bounded by 1 and each sender's weights sum to at most 1, the map
-contracts with rate alpha and the iteration converges to a unique fixed
-point from any start.
+starting from R0 = T + C.  Each sender's weights sum to at most 1, so if
+the gated transfer gate_ij * f(., e_ij) is L-Lipschitz in R, the map
+contracts with rate alpha * L in the norm sum_j ||R[j]||, and for
+alpha * L < 1 the iteration converges to a unique fixed point from any
+start.  L is 1 for the non-expansive operators with no gate or only gates
+that do not read R; it exceeds 1 for ``scalar_gated`` and can for the
+alignment and magnitude gates (see ``operators`` and ``gates``).
 
 A continuous step runs over blocks of consecutive receivers with about
 ``BLOCK_EDGES`` in-edges each, so one block's working set stays in cache.

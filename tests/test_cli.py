@@ -20,8 +20,13 @@ from dataclasses import replace
 
 import trustprop
 from trustprop.cli import main
-from trustprop.files import agents_from_jsonl, queries_from_jsonl, snapshot_from_json
-from trustprop.harness import INJECTORS
+from trustprop.files import (
+    agents_from_jsonl,
+    edges_from_jsonl,
+    queries_from_jsonl,
+    snapshot_from_json,
+)
+from trustprop.harness import INJECTORS, CorpusSpec, run_flag_scenario
 from trustprop.retrieval import pipeline_search
 from trustprop.vectorspace import CenteringModel, center_and_normalize
 
@@ -467,6 +472,38 @@ def test_propagate_rejects_mistyped_fields(
     assert not (tmp_path / "prop").exists()
 
 
+def _agent_line(aid, profile):
+    teleport = [0.1 * x for x in profile]
+    return json.dumps({"id": aid, "primary_domain": "d", "profile": profile,
+                       "teleport": teleport, "exogenous": [0.0] * len(profile)})
+
+
+@pytest.mark.parametrize(
+    "center, message",
+    [([], "edge a -> b: wrong content dim"),
+     (["--center"], "dimension mismatch in centering corpus: (3,) != (2,)")],
+    ids=["plain", "center"],
+)
+def test_propagate_rejects_contents_of_another_dim_than_the_profiles(
+    tmp_path, capsys, center, message
+):
+    # Each file is clean on its own: 2-dim profiles, one 3-dim content.
+    agents, edges = tmp_path / "agents.jsonl", tmp_path / "edges.jsonl"
+    agents.write_text(_agent_line("a", [1.0, 0.0]) + "\n" + _agent_line("b", [0.0, 1.0]) + "\n")
+    edges.write_text(json.dumps(
+        {"sender": "a", "receiver": "b", "kind": "labeled", "content": [0.0, 0.0, 1.0]}
+    ) + "\n")
+    agents_from_jsonl(agents.read_text())
+    edges_from_jsonl(edges.read_text())
+    code = main([
+        "propagate", "--agents", str(agents), "--edges", str(edges), *center,
+        "--out", str(tmp_path / "prop"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "prop").exists()
+
+
 def test_propagate_discrete_mode(workdir, tmp_path):
     conf = tmp_path / "disc.conf"
     conf.write_text(SMALL_CONF + "propagation.mode = discrete\npropagation.top_k = 2\n")
@@ -798,6 +835,20 @@ def test_attack_vote_ring_report(workdir, tmp_path, capsys):
     assert report.startswith("scenario,vote_ring")
     assert "p5_strict_baseline" in report
     assert "vote_ring: P@5" in capsys.readouterr().out
+
+
+def test_attack_flag_defense_report(tmp_path, capsys):
+    out = tmp_path / "attack"
+    args = ["attack", "--scenario", "same_domain_sybil", "--flag-defense", "--out", str(out)]
+    assert main(args) == 0
+    flag = run_flag_scenario(CorpusSpec(), scenario="same_domain_sybil")
+    want = [",".join(row) for row in flag.csv_rows()]
+    assert (out / "flag_defense.csv").read_text().splitlines() == want
+    lines = [line for line in capsys.readouterr().out.splitlines() if "flag defense" in line]
+    assert lines == [
+        "flag defense: a48 magnitude reduced 100.0%",
+        "flag defense: a49 magnitude reduced 100.0%",
+    ]
 
 
 def test_attack_rejects_unknown_scenario(workdir, tmp_path):

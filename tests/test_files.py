@@ -1089,6 +1089,14 @@ def test_snapshot_fields_are_type_checked(fields, message):
     assert str(info.value) == message
 
 
+def test_snapshot_reports_a_missing_field_before_a_mistyped_one():
+    # As a JSONL line does: every field's presence, then each field's type.
+    obj = {**json.loads(_SNAPSHOT), "mean": "x"}
+    del obj["agents"]
+    with pytest.raises(ValidationError, match="^snapshot: missing field 'agents'$"):
+        snapshot_from_json(json.dumps(obj))
+
+
 def test_residuals_csv_layout():
     text = residuals_to_csv([0.5, 0.25])
     assert text == "iteration,residual\n1,0.5\n2,0.25\n"

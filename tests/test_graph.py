@@ -180,6 +180,17 @@ def test_edge_accepts_python_and_numpy_booleans():
         edge = labeled("a", "b", payment=flag)
         assert raw_weight(edge, WeightConfig(), False) == (3.0 if flag else 1.0)
         Edge(sender="a", receiver="b", kind="flag", severity=0.5, verified=flag)
+    flags = [True, False, np.bool_(True), np.bool_(False)]
+    edges = [
+        Edge(sender="a", receiver="b", kind="flag", severity=0.5, payment=f, verified=f)
+        for f in flags
+    ]
+    table = EdgeTable.of(edges)
+    for column in (table.payment, table.verified):
+        assert column.dtype == bool
+        assert column.tolist() == [True, False, True, False]
+    assert list(table) == edges
+    assert {type(e.payment) for e in table} == {type(e.verified) for e in table} == {bool}
 
 
 def test_edge_keeps_numeric_values_unconverted():
@@ -456,6 +467,15 @@ def test_tables_of_records_reject_vectors_of_another_dim():
         EdgeTable.of(edges)
     agents = [make_agent(f"a{i}", np.eye(3)[0]) for i in range(4)]
     with pytest.raises(ValidationError, match="^edge a1 -> a2: wrong content dim$"):
+        normalize(agents, edges)
+    # Each table clean on its own: 2-dim profiles, 3-dim contents.
+    agents = AgentTable.of([make_agent("a"), make_agent("b", [0.0, 1.0])])
+    edges = EdgeTable.of([
+        Edge(sender="a", receiver="b", kind="blind"),
+        labeled("b", "a", content=np.eye(3)[2]),
+        labeled("a", "b", content=np.eye(3)[0]),
+    ])
+    with pytest.raises(ValidationError, match="^edge b -> a: wrong content dim$"):
         normalize(agents, edges)
 
 
