@@ -116,42 +116,51 @@ def transfer_batch(
     blind: np.ndarray,
     dots: np.ndarray | None = None,
     norms: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Vectorized transfer over m edges: r, e are (m, E); blind is (m,) bool.
 
     ``dots`` (the row dots r . e) and ``norms`` (||r|| per row), each (m,),
     may be passed by a caller that has them already; what is left out is
-    computed here.
+    computed here.  The result is written into ``out``, an (m, E) float64
+    array that may be ``r`` itself, and returned; without one it goes into
+    a new array.  Either way each value comes from the same floating-point
+    operations, so ``out`` changes no bit.
     """
     variant = kind.variant
     if variant == "projection":
-        return _projection(r, e, dots)
+        return _projection(r, e, dots, out)
     if variant == "squared_gating":
-        return _squared(r, e)
+        squared = np.square(e)
+        return np.multiply(r, squared, out=squared if out is None else out)
     if variant == "scalar_gated":
         dots = row_dots(r, e) if dots is None else dots
         norms = np.linalg.norm(r, axis=1) if norms is None else norms
         cos = np.divide(dots, norms, out=np.zeros_like(dots), where=norms > 0)
         gate = np.clip(cos, 0.0, 1.0)
-        return gate[:, None] * r
+        return np.multiply(gate[:, None], r, out=out)
     if variant == "hadamard_relu":
-        return np.maximum(r * e, 0.0)
-    # hybrid
+        out = np.multiply(r, e, out=out)
+        return np.maximum(out, 0.0, out=out)
+    # hybrid: both transfers, the squared one first, while r is intact
+    squared = np.square(e)
+    np.multiply(r, squared, out=squared)
+    out = _projection(r, e, dots, out)
     if kind.hybrid_mode == "interpolate":
         g = kind.hybrid_gamma
-        return g * _projection(r, e, dots) + (1.0 - g) * _squared(r, e)
-    # per_edge_select: squared gating on blind edges, projection on labeled
-    blind = np.asarray(blind, dtype=bool)
-    return np.where(blind[:, None], _squared(r, e), _projection(r, e, dots))
+        out *= g
+        squared *= 1.0 - g
+        out += squared
+    else:  # per_edge_select: squared gating on blind edges, projection on labeled
+        np.copyto(out, squared, where=np.asarray(blind, dtype=bool)[:, None])
+    return out
 
 
-def _projection(r: np.ndarray, e: np.ndarray, dots: np.ndarray | None = None) -> np.ndarray:
+def _projection(
+    r: np.ndarray, e: np.ndarray, dots: np.ndarray | None, out: np.ndarray | None
+) -> np.ndarray:
     dots = row_dots(r, e) if dots is None else dots
-    return np.maximum(dots, 0.0)[:, None] * e
-
-
-def _squared(r: np.ndarray, e: np.ndarray) -> np.ndarray:
-    return r * np.square(e)
+    return np.multiply(np.maximum(dots, 0.0)[:, None], e, out=out)
 
 
 def verify_lipschitz(

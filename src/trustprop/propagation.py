@@ -14,11 +14,12 @@ alignment and magnitude gates (see ``operators`` and ``gates``).
 
 A continuous step runs over blocks of consecutive receivers with about
 ``BLOCK_EDGES`` in-edges each, so one block's working set stays in cache.
-Per block it is gather -> transfer -> gate -> one CSR product: the sender
-rows R[i] are gathered per edge, ``transfer_batch`` maps them through the
-edge contents, the enabled gates rewrite the block's scatter matrix
-weights to w * gate, and one sparse product sums each receiver's in-edges
-in ascending edge order.  No block splits a receiver's in-edges and every
+Per block it is gather -> gate -> transfer -> one CSR product: the sender
+rows R[i] are gathered per edge into the thread's workspace, the enabled
+gates rewrite the block's scatter matrix weights to w * gate,
+``transfer_batch`` maps the gathered rows through the edge contents in
+place, and one sparse product sums each receiver's in-edges in ascending
+edge order.  No block splits a receiver's in-edges and every
 other operation works row by row, so the result is bit-identical to one
 edge-order scatter-add over the whole graph.  A block reads the shared R and
 writes only its own receivers' rows, so the blocks run on the calling thread
@@ -32,10 +33,13 @@ sender, blind and weight arrays and the blocks, all read-only and shared
 by every run on the graph.  Once per graph and centroids: the edge topic
 distributions.  Once per ``run``: the permuted (M, E) contents (not kept,
 at several times the size of the rest), the confidence column, the
-entropy factor and, when gates rewrite the block weights, the run's own
-copy of them, so no run writes to anything another run reads.  Once per
-step: the sender row norms, over the N agent rows.  Once per block: the
-row dots, which the transfer and the gates share.
+entropy factor, the damping constant (1 - alpha) * T + C (or
+(1 - alpha) * (T + C) when coupled), one (widest block's edges, E)
+workspace per thread that can take blocks and, when gates rewrite the
+block weights, the run's own copy of them, so no run writes to anything
+another run reads, and nothing a run writes outlives it.  Once per step:
+the sender row norms, over the N agent rows.  Once per block: the row
+dots, which the transfer and the gates share.
 
 Discrete form (one row per agent, D domain buckets): per-domain transition
 matrices M_d drive a linear damped iteration per bucket; flag edges enter
@@ -85,8 +89,10 @@ logger = logging.getLogger(__name__)
 
 MODES = ("continuous", "discrete")
 
-# In-edges per receiver block of the continuous step: a block's gathered,
-# transferred and gated rows (~1 MB at E = 64) stay in a 4 MiB L2.
+# In-edges per receiver block of the continuous step.  At E = 64 a block's
+# working set is its 1 MiB of gathered rows, transferred in place in the
+# thread's workspace, and its 1 MiB slice of the contents: the 2 MiB L2 of
+# one core of the 2-vCPU Xeon the benchmark runs on.
 BLOCK_EDGES = 2048
 
 
@@ -159,11 +165,24 @@ class ReputationState:
 def _advance(
     state: ReputationState, new: np.ndarray
 ) -> tuple[ReputationState, float]:
-    """The state after one step to ``new``, and that step's residual."""
+    """The state after one step to ``new``, and that step's residual.
+
+    A row change too large to square in float64 gets its norm as
+    m * ||d / m||, with m = max |d|, rather than inf; a row whose plain norm
+    is finite keeps it, bit for bit.
+    """
     if not np.isfinite(new).all():
         raise ValidationError("non-finite value during propagation; corrupt input?")
-    old = state.vectors
-    residual = float(np.linalg.norm(new - old, axis=1).max()) if new.size else 0.0
+    with np.errstate(over="ignore"):
+        delta = new - state.vectors
+        norms = np.linalg.norm(delta, axis=1)
+        big = np.flatnonzero(np.isinf(norms))
+        if big.size:
+            rows = delta[big]
+            m = np.abs(rows).max(axis=1, keepdims=True)
+            ok = np.isfinite(m[:, 0])  # a change past the float range stays inf
+            norms[big[ok]] = m[ok, 0] * np.linalg.norm(rows[ok] / m[ok], axis=1)
+    residual = float(norms.max()) if new.size else 0.0
     next_state = replace(
         state,
         vectors=new,
@@ -333,6 +352,11 @@ class _ContinuousPlan:
     blocks over its own copy of them.  ``needs_dots`` and ``needs_norms``
     say whether the operator or a gate reads the row dots r . e and the
     sender row norms ||R[i]||, which each step then takes once.
+    ``damped`` is the step's constant term, (1 - alpha) * T + C, or
+    (1 - alpha) * (T + C) when C is coupled with the damping.
+    ``workspaces`` holds one (widest block's edges, E) array for each
+    thread that can take blocks: a block gathers its sender rows into its
+    thread's workspace and transfers them there in place.
     """
 
     graph: _GraphPlan
@@ -340,6 +364,8 @@ class _ContinuousPlan:
     blocks: tuple[_Block, ...]
     needs_dots: bool
     needs_norms: bool
+    damped: np.ndarray
+    workspaces: tuple[np.ndarray, ...]
     confidence: np.ndarray | None = None
     p_int: np.ndarray | None = None
     entropy: np.ndarray | None = None
@@ -378,12 +404,20 @@ def _continuous_plan(
             ))
             for blk in blocks
         )
+    if cfg.couple_c_with_damping:
+        damped = (1.0 - cfg.alpha) * (graph.teleport + graph.exogenous)
+    else:
+        damped = (1.0 - cfg.alpha) * graph.teleport + graph.exogenous
+    widest = blocks[0].edges.stop - blocks[0].edges.start if blocks else 0
+    threads = 1 + min(_WORKERS, len(blocks) - 1)
     plan = _ContinuousPlan(
         graph=half,
         content=graph.pos_content[half.order],
         blocks=blocks,
         needs_dots=operator.uses_row_dots or gates.uses_row_geometry,
         needs_norms=operator.uses_row_norms or gates.uses_row_geometry,
+        damped=damped,
+        workspaces=tuple(np.empty((widest, graph.dim)) for _ in range(threads)),
     )
     if gates.confidence.enabled:
         plan.confidence = np.where(
@@ -408,39 +442,46 @@ def _executor(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(workers, thread_name_prefix="trustprop-block")
 
 
-def _drain(body: Callable[[_Block], None], queue: deque[_Block]) -> None:
-    """Take blocks from the shared queue and run ``body`` on each until none is left."""
+def _drain(
+    body: Callable[[_Block, np.ndarray], None], queue: deque[_Block], work: np.ndarray
+) -> None:
+    """Take blocks from the shared queue and run ``body`` on each in ``work`` until none is left."""
     while True:
         try:
             blk = queue.popleft()
         except IndexError:
             return
         try:
-            body(blk)
+            body(blk, work)
         except BaseException:
             queue.clear()  # the step fails: hand out no further blocks
             raise
 
 
-def _for_each_block(body: Callable[[_Block], None], blocks: Sequence[_Block]) -> None:
-    """Run ``body`` on every block, on the calling thread and the pool threads.
+def _for_each_block(
+    body: Callable[[_Block, np.ndarray], None],
+    blocks: Sequence[_Block],
+    workspaces: Sequence[np.ndarray],
+) -> None:
+    """Run ``body(blk, work)`` on every block, one thread per workspace.
 
-    Up to ``_WORKERS`` pool threads join the calling thread, and each thread
-    takes the next block when it finishes one.  Returns once no block is
-    running; the error raised in the calling thread, or else one raised in
-    a pool thread, is re-raised as it is.  With one CPU or one block
+    The calling thread works in ``workspaces[0]`` and a pool thread in each
+    further one (the plan holds one per thread that can take blocks: up to
+    ``_WORKERS`` pool threads, and no more than one thread per block); each
+    thread takes the next block when it finishes one.  Returns once no
+    block is running; the error raised in the calling thread, or else one
+    raised in a pool thread, is re-raised as it is.  With one workspace
     everything runs inline and no pool is started.
     """
-    helpers = min(_WORKERS, len(blocks) - 1)
-    if helpers < 1:
+    if len(workspaces) < 2:
         for blk in blocks:
-            body(blk)
+            body(blk, workspaces[0])
         return
     queue = deque(blocks)
     pool = _executor(_WORKERS)
-    futures = [pool.submit(_drain, body, queue) for _ in range(helpers)]
+    futures = [pool.submit(_drain, body, queue, work) for work in workspaces[1:]]
     try:
-        _drain(body, queue)
+        _drain(body, queue, workspaces[0])
     finally:
         # A helper not yet started would find the queue empty (or the step
         # failed): cancel it, and wait for the ones still inside a block.
@@ -454,6 +495,7 @@ def _for_each_block(body: Callable[[_Block], None], blocks: Sequence[_Block]) ->
 
 def _step_block(
     blk: _Block,
+    work: np.ndarray,
     r: np.ndarray,
     norms: np.ndarray | None,
     p_rep: np.ndarray | None,
@@ -461,21 +503,28 @@ def _step_block(
     cfg: PropagationConfig,
     plan: _ContinuousPlan,
 ) -> None:
-    """Rows ``blk.lo:blk.hi`` of ``acc``: gather sender rows, transfer, gate, one CSR product."""
+    """Rows ``blk.lo:blk.hi`` of ``acc``: gather, gate, transfer in place, one CSR product.
+
+    The sender rows are gathered into ``work``, the thread's workspace, and
+    the gates read them before the transfer overwrites them.
+    """
     e = blk.edges
     sender = plan.graph.sender[e]
-    rows = r[sender]
+    # mode="clip" lets numpy write straight into ``work`` (with "raise" it
+    # buffers ``out``); the plan's senders are always in range.
+    rows = np.take(r, sender, axis=0, out=work[: len(sender)], mode="clip")
     content = plan.content[e]
     dots = row_dots(rows, content) if plan.needs_dots else None
     if norms is not None:
         norms = norms[sender]
-    transferred = transfer_batch(cfg.operator, rows, content, plan.graph.blind[e], dots, norms)
     gates = cfg.gates
     if gates.any_enabled:
         per_edge = (None if a is None else a[e] for a in (plan.confidence, plan.p_int, p_rep))
         entropy = None if plan.entropy is None else plan.entropy[e]
         gate = stack_batch(gates, rows, content, *per_edge, dots, norms, entropy)
         np.multiply(plan.graph.weight[e], gate, out=blk.scatter.data)
+    transferred = transfer_batch(cfg.operator, rows, content, plan.graph.blind[e], dots, norms,
+                                 rows)
     acc[blk.lo : blk.hi] = blk.scatter @ transferred
 
 
@@ -512,12 +561,9 @@ def _step_continuous(
     body = functools.partial(
         _step_block, r=r, norms=norms, p_rep=p_rep, acc=acc, cfg=cfg, plan=plan
     )
-    _for_each_block(body, plan.blocks)
-    new = cfg.alpha * acc
-    if cfg.couple_c_with_damping:
-        new += (1.0 - cfg.alpha) * (graph.teleport + graph.exogenous)
-    else:
-        new += (1.0 - cfg.alpha) * graph.teleport + graph.exogenous
+    _for_each_block(body, plan.blocks, plan.workspaces)
+    new = np.multiply(acc, cfg.alpha, out=acc)
+    new += plan.damped
     if cfg.normalize_each_iter:
         norms = np.linalg.norm(new, axis=1, keepdims=True)
         np.divide(new, norms, out=new, where=norms > 0)

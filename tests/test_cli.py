@@ -305,6 +305,36 @@ def test_propagate_non_convergence_exits_2_but_writes(workdir, tmp_path):
     assert state.iterations == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_propagate_residual_of_a_finite_step_too_large_to_square_is_finite(tmp_path, capsys):
+    # a03's exogenous entries of 1e306 give row changes whose squares
+    # overflow float64, though every state and every change is finite.
+    corpus = tmp_path / "corpus"
+    assert main(["gen-corpus", "--out", str(corpus)]) == 0
+    recs = [json.loads(line) for line in (corpus / "agents.jsonl").read_text().splitlines()]
+    for rec in recs:
+        if rec["id"] == "a03":
+            rec["exogenous"] = [1e306] * len(rec["exogenous"])
+    agents = tmp_path / "agents.jsonl"
+    agents.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+    out = tmp_path / "prop"
+    code = main([
+        "propagate", "--agents", str(agents), "--edges", str(corpus / "edges.jsonl"),
+        "--out", str(out),
+    ])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    text = (out / "snapshot.json").read_text()
+    assert "Infinity" not in text
+    state, _, _ = snapshot_from_json(text)
+    assert state.converged
+    rows = (out / "residuals.csv").read_text().splitlines()[1:]
+    residuals = [float(row.split(",")[1]) for row in rows]
+    assert residuals == list(state.residuals)
+    assert np.isfinite(residuals).all()
+    assert residuals[0] > 1e300
+
+
 def test_propagate_missing_file_is_io_error(workdir, tmp_path):
     agents, _, _ = _corpus_args(workdir)
     code = main([

@@ -56,6 +56,33 @@ def test_imports_go_down_the_layers():
     assert upward == []
 
 
+def _private_numeric_imports(path):
+    """(line, dotted name) of each numpy or scipy import with a part starting with ``_``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            # from scipy.sparse import _sparsetools imports a private module too
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] in ("numpy", "scipy") and any(p.startswith("_") for p in parts):
+                yield node.lineno, name
+
+
+def test_no_private_numpy_or_scipy_module_is_imported():
+    # Private modules (numpy._core, scipy.sparse._sparsetools) change
+    # without notice between releases.
+    private = [
+        f"{path.stem}:{line} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in _private_numeric_imports(path)
+    ]
+    assert private == []
+
+
 ENGINE_INPUT_BUILDERS = {"build_domain_matrices", "build_negative_matrices", "centroids_from_agents"}
 
 

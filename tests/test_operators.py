@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustprop.errors import ValidationError
 from trustprop.graph import Edge
@@ -11,6 +13,7 @@ from trustprop.operators import (
     transfer_batch,
     verify_lipschitz,
 )
+from trustprop.vectorspace import row_dots
 
 PROJECTION = OperatorKind("projection")
 SQUARED = OperatorKind("squared_gating")
@@ -168,6 +171,69 @@ def test_transfer_batch_matches_single_edge_calls():
             np.testing.assert_allclose(
                 batch[i], transfer(kind, r[i], e[i], bool(blind[i])), atol=1e-12
             )
+
+
+KINDS = [
+    PROJECTION,
+    SQUARED,
+    SCALAR,
+    RELU,
+    OperatorKind("hybrid", hybrid_gamma=0.3, hybrid_mode="interpolate"),
+    OperatorKind("hybrid"),
+]
+
+
+def _written_out(kind, r, e, blind):
+    """Each variant as one expression over new arrays, as the docstring states it."""
+    dots = row_dots(r, e)
+    projection = np.maximum(dots, 0.0)[:, None] * e
+    squared = r * np.square(e)
+    if kind.variant == "projection":
+        return projection
+    if kind.variant == "squared_gating":
+        return squared
+    if kind.variant == "scalar_gated":
+        norms = np.linalg.norm(r, axis=1)
+        cos = np.divide(dots, norms, out=np.zeros_like(dots), where=norms > 0)
+        return np.clip(cos, 0.0, 1.0)[:, None] * r
+    if kind.variant == "hadamard_relu":
+        return np.maximum(r * e, 0.0)
+    if kind.hybrid_mode == "interpolate":
+        return kind.hybrid_gamma * projection + (1.0 - kind.hybrid_gamma) * squared
+    return np.where(blind[:, None], squared, projection)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: f"{k.variant}:{k.hybrid_mode or '-'}")
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scales=st.lists(st.sampled_from([0.0, 1e-300, 1.0, 1e150]), max_size=8),
+    dim=st.integers(1, 5),
+    blind_share=st.sampled_from([0.0, 0.5, 1.0]),
+    given_rows=st.booleans(),
+    in_place=st.booleans(),
+)
+def test_transfer_batch_into_out_changes_no_bit(
+    kind, seed, scales, dim, blind_share, given_rows, in_place
+):
+    # The continuous step transfers a block's gathered rows over themselves;
+    # every result must be the one a call without ``out`` returns.
+    rng = np.random.default_rng(seed)
+    m = len(scales)
+    r = rng.standard_normal((m, dim)) * np.array(scales).reshape(m, 1)
+    e = rng.standard_normal((m, dim))
+    e /= np.linalg.norm(e, axis=1, keepdims=True)
+    blind = rng.random(m) < blind_share
+    kept = r.copy()
+    want = transfer_batch(kind, r, e, blind)
+    assert np.array_equal(r, kept)
+    assert np.array_equal(want, _written_out(kind, r, e, blind))
+    dots = row_dots(r, e) if given_rows else None
+    norms = np.linalg.norm(r, axis=1) if given_rows else None
+    out = r if in_place else np.full_like(r, np.nan)
+    got = transfer_batch(kind, r, e, blind, dots, norms, out)
+    assert got is out
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------- contraction

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -723,6 +724,13 @@ _SCATTER_CONFIGS = {
     "normalized_coupled": PropagationConfig(
         normalize_each_iter=True, couple_c_with_damping=True, max_iters=60
     ),
+    "coupled": PropagationConfig(couple_c_with_damping=True, max_iters=60),
+    "normalized": PropagationConfig(normalize_each_iter=True, max_iters=60),
+    # scalar reads the row dots and norms that the gates read too, taken
+    # before the transfer overwrites the gathered rows
+    "scalar_all_gates": PropagationConfig(
+        operator=_OPERATORS["scalar"], gates=_GATE_STACKS["all_gates"], max_iters=60
+    ),
 }
 
 # (sender, receiver offset, blind, base weight, payment, confidence)
@@ -1045,6 +1053,35 @@ def test_the_cached_graph_plan_stays_clean(monkeypatch, fast_switching):
     kept = list(_arrays(list(graph.cache.values())))
     assert len(kept) == len(cached)
     assert all(a.ndim < 2 or a.shape[1] != graph.dim for a in kept)
+
+
+def test_workspaces_do_not_outlive_their_run(monkeypatch):
+    # Each run gathers and transfers a block's rows in (widest block, E)
+    # workspaces of its own, one per thread; none may stay behind when the
+    # run returns, neither in the graph's cache nor anywhere else.
+    monkeypatch.setattr(propagation, "_WORKERS", 2)
+    n, _, seed, raw = _many_edges_spec(9 * propagation.BLOCK_EDGES)
+    graph, cents = _spec_graph((n, 32, seed, raw))
+    widest = int(np.bincount(graph.pos_receiver).max())
+    assert widest >= 4 * propagation.BLOCK_EDGES
+    cfg = _SCATTER_CONFIGS["all_gates"]
+    workspace = widest * graph.dim * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        state = run(graph, cfg, centroids=cents)
+        after_run = tracemalloc.get_traced_memory()[0]
+        state = warm_start(state, graph, cfg, centroids=cents)
+        after_warm_start = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert state.converged
+    # What is kept includes the graph's cache, filled by the first run.
+    assert after_run - before < workspace
+    assert after_warm_start - before < workspace
+    assert set(graph.cache) == {"plan", "p_int"}
+    plan = propagation._continuous_plan(graph, cfg, cents)
+    assert [w.shape for w in plan.workspaces] == [(widest, graph.dim)] * 3
 
 
 def test_import_and_a_one_block_run_start_no_thread():
