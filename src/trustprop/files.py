@@ -54,7 +54,7 @@ from .harness import INJECTORS, CorpusSpec
 from .operators import OperatorKind
 from .propagation import MODES, PropagationConfig, ReputationState
 from .retrieval import QUERY_FIELDS, STRATEGIES, VARIANTS, Query
-from .vectorspace import CenteringModel, center_and_normalize, row_norms
+from .vectorspace import center_and_normalize, fit_centering, row_norms
 
 # --- flat config --------------------------------------------------------------
 
@@ -382,22 +382,11 @@ def center_corpus(
     Returns the transformed tables and queries plus the fitted mean.
     """
     agents, edges = AgentTable.of(agents), EdgeTable.of(edges)
-    parts = [agents.profile, edges.content.rows] + [q.embedding[None, :] for q in queries]
-    cloud = [part for part in parts if len(part)]
-    if not cloud:
-        raise ValidationError("nothing to center: no embeddings in the input files")
-    width = cloud[0].shape[1:]
-    for part in cloud:
-        if part.shape[1:] != width:
-            raise ValidationError(
-                f"dimension mismatch in centering corpus: {part.shape[1:]} != {width}"
-            )
-    # Profiles, contents and query embeddings are all unit fields: center
-    # the whole cloud in one call.
-    stacked = np.vstack(cloud)
-    model = CenteringModel(mean=stacked.mean(axis=0), sample_count=len(stacked))
-    unit = center_and_normalize(model, stacked)
-    n_agents, n_contents = len(agents), len(edges.content.rows)
+    contents = edges.content.rows
+    model = fit_centering([agents.profile, contents] + [q.embedding for q in queries])
+
+    def unit(vectors: np.ndarray) -> np.ndarray:
+        return center_and_normalize(model, vectors) if len(vectors) else vectors
 
     def recenter_scaled(vectors: np.ndarray) -> np.ndarray:
         out = vectors.copy()
@@ -407,19 +396,14 @@ def center_corpus(
             out[nonzero] = norms[nonzero, None] * center_and_normalize(model, out[nonzero])
         return out
 
-    # Agents usually outlive the edges, so the profiles get an array of their
-    # own rather than a view that keeps the centered contents alive; with
-    # views, repeated recomputes reached a higher peak RSS.
     new_agents = replace(
         agents,
-        profile=unit[:n_agents].copy(),
+        profile=unit(agents.profile),
         teleport=recenter_scaled(agents.teleport),
         exogenous=recenter_scaled(agents.exogenous),
     )
-    contents = unit[n_agents : n_agents + n_contents]
-    new_edges = replace(edges, content=edges.content._replace(rows=contents))
-    embeddings = unit[n_agents + n_contents :]
-    new_queries = [replace(q, embedding=embeddings[i]) for i, q in enumerate(queries)]
+    new_edges = replace(edges, content=edges.content._replace(rows=unit(contents)))
+    new_queries = [replace(q, embedding=unit(q.embedding)) for q in queries]
     return new_agents, new_edges, new_queries, model.mean
 
 

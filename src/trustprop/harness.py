@@ -599,6 +599,14 @@ def apply_flag_defense(
 # --- scenario running ---------------------------------------------------------
 
 
+def _injector(scenario: str | None) -> Callable[[Corpus], Corpus]:
+    """The injector named ``scenario``, or no attack for None; an unknown name
+    is a ValidationError, which a runner raises before it generates a corpus."""
+    if scenario is not None and scenario not in INJECTORS:
+        raise ValidationError(f"unknown scenario {scenario!r}")
+    return INJECTORS.get(scenario, lambda corpus: corpus)
+
+
 @dataclass
 class ScenarioReport:
     scenario: str
@@ -700,11 +708,10 @@ def run_scenario(
     ``strategy``, ``beta_mix`` and ``variant`` choose the ranking, as in
     ``retrieval.rank``.
     """
-    if scenario is not None and scenario not in INJECTORS:
-        raise ValidationError(f"unknown scenario {scenario!r}")
+    inject = _injector(scenario)
     require_continuous(prop_cfg)
     corpus = generate_corpus(spec)
-    attacked = INJECTORS[scenario](corpus) if scenario else corpus
+    attacked = inject(corpus)
     base_graph = normalize(corpus.agents, corpus.edges, weight_cfg)
     att_graph = normalize(attacked.agents, attacked.edges, weight_cfg)
     base_state = run(base_graph, prop_cfg)
@@ -792,8 +799,9 @@ def run_flag_scenario(
     *pre-attack* converged state; their reputations weight the flag edges.
     Compares the attacked run with and without the flags.
     """
+    inject = _injector(scenario)
     corpus = generate_corpus(spec)
-    attacked = INJECTORS[scenario](corpus) if scenario else corpus
+    attacked = inject(corpus)
     cfg = replace(prop_cfg, mode="discrete", top_k=FLAG_DEFENSE_TOP_K)
 
     def _discrete_run(c: Corpus, reps=None) -> ReputationState:

@@ -83,7 +83,7 @@ from .errors import ValidationError
 from .gates import GateStack, entropy_factor, stack_batch, topic_distribution_batch
 from .graph import Agent, AgentTable, NormalizedGraph
 from .operators import OperatorKind, transfer_batch
-from .vectorspace import centroid_cosines, cosine, row_dots
+from .vectorspace import DEGENERATE_NORM, centroid_cosines, cosine, overflow_safe_norms, row_dots
 
 logger = logging.getLogger(__name__)
 
@@ -165,23 +165,14 @@ class ReputationState:
 def _advance(
     state: ReputationState, new: np.ndarray
 ) -> tuple[ReputationState, float]:
-    """The state after one step to ``new``, and that step's residual.
-
-    A row change too large to square in float64 gets its norm as
-    m * ||d / m||, with m = max |d|, rather than inf; a row whose plain norm
-    is finite keeps it, bit for bit.
-    """
+    """The state after one step to ``new``, and that step's residual: the
+    largest row change, by ``overflow_safe_norms``, so a change too large to
+    square in float64 has a finite norm and every finite one keeps its bits."""
     if not np.isfinite(new).all():
         raise ValidationError("non-finite value during propagation; corrupt input?")
     with np.errstate(over="ignore"):
         delta = new - state.vectors
-        norms = np.linalg.norm(delta, axis=1)
-        big = np.flatnonzero(np.isinf(norms))
-        if big.size:
-            rows = delta[big]
-            m = np.abs(rows).max(axis=1, keepdims=True)
-            ok = np.isfinite(m[:, 0])  # a change past the float range stays inf
-            norms[big[ok]] = m[ok, 0] * np.linalg.norm(rows[ok] / m[ok], axis=1)
+    norms = overflow_safe_norms(delta)
     residual = float(norms.max()) if new.size else 0.0
     next_state = replace(
         state,
@@ -190,6 +181,14 @@ def _advance(
         residuals=state.residuals + (residual,),
     )
     return next_state, residual
+
+
+def _damped(cfg: PropagationConfig, teleport: np.ndarray, exogenous: np.ndarray) -> np.ndarray:
+    """A step's constant term, (1 - alpha) * T + C, or (1 - alpha) * (T + C)
+    when C is coupled with the damping."""
+    if cfg.couple_c_with_damping:
+        return (1.0 - cfg.alpha) * (teleport + exogenous)
+    return (1.0 - cfg.alpha) * teleport + exogenous
 
 
 def _check_state(
@@ -352,8 +351,7 @@ class _ContinuousPlan:
     blocks over its own copy of them.  ``needs_dots`` and ``needs_norms``
     say whether the operator or a gate reads the row dots r . e and the
     sender row norms ||R[i]||, which each step then takes once.
-    ``damped`` is the step's constant term, (1 - alpha) * T + C, or
-    (1 - alpha) * (T + C) when C is coupled with the damping.
+    ``damped`` is the step's constant term, from ``_damped``.
     ``workspaces`` holds one (widest block's edges, E) array for each
     thread that can take blocks: a block gathers its sender rows into its
     thread's workspace and transfers them there in place.
@@ -404,10 +402,6 @@ def _continuous_plan(
             ))
             for blk in blocks
         )
-    if cfg.couple_c_with_damping:
-        damped = (1.0 - cfg.alpha) * (graph.teleport + graph.exogenous)
-    else:
-        damped = (1.0 - cfg.alpha) * graph.teleport + graph.exogenous
     widest = blocks[0].edges.stop - blocks[0].edges.start if blocks else 0
     threads = 1 + min(_WORKERS, len(blocks) - 1)
     plan = _ContinuousPlan(
@@ -416,7 +410,7 @@ def _continuous_plan(
         blocks=blocks,
         needs_dots=operator.uses_row_dots or gates.uses_row_geometry,
         needs_norms=operator.uses_row_norms or gates.uses_row_geometry,
-        damped=damped,
+        damped=_damped(cfg, graph.teleport, graph.exogenous),
         workspaces=tuple(np.empty((widest, graph.dim)) for _ in range(threads)),
     )
     if gates.confidence.enabled:
@@ -720,10 +714,7 @@ def step_discrete(
         if neg is not None:
             flow = flow - flags[:, d]
         new[:, d] = cfg.alpha * flow
-    if cfg.couple_c_with_damping:
-        new += (1.0 - cfg.alpha) * (matrices.teleport + matrices.exogenous)
-    else:
-        new += (1.0 - cfg.alpha) * matrices.teleport + matrices.exogenous
+    new += _damped(cfg, matrices.teleport, matrices.exogenous)
     if neg is not None and cfg.clamp_floor:
         np.maximum(new, 0.0, out=new)
     return _advance(state, new)
@@ -880,7 +871,7 @@ def centroids_from_agents(
     for k, label in enumerate(order):
         mean = agents.profile[group == k].mean(axis=0)
         norm = float(np.linalg.norm(mean))
-        if norm < 1e-12:
+        if norm < DEGENERATE_NORM:
             raise ValidationError(f"domain {label!r} has a degenerate mean profile")
         cents.append(mean / norm)
     return order, np.vstack(cents)

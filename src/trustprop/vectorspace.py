@@ -9,14 +9,16 @@ Row norms come from ``row_norms`` where a batch must equal a per-vector
 computation bit for bit: ``np.linalg.norm(x, axis=1)`` (like ``einsum``),
 which the engine, gates, operators and retrieval use, sums the squares in
 another order than the 1-D ``np.linalg.norm``, a BLAS dot product, and so
-differs in the last bit on some rows.
+differs in the last bit on some rows.  ``row_norms``, the centroid cosines
+and the engine's residual share one float64 rule, ``overflow_safe_norms``: a
+norm whose squares overflow is taken on the row scaled by its largest entry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -42,52 +44,71 @@ class CenteringModel:
 
 
 def fit_centering(corpus: Iterable[np.ndarray]) -> CenteringModel:
-    """Fit a centering model (arithmetic mean) over a corpus of embeddings.
+    """Fit a centering model (arithmetic mean) over a corpus of embeddings,
+    each given alone or in a (K, E) block; an empty block adds none.
 
-    The corpus must be non-empty and dimensionally consistent.
+    The corpus must hold at least one embedding, all of one dim.
     """
-    vectors = [np.asarray(v, dtype=np.float64) for v in corpus]
-    if not vectors:
-        raise ValidationError("centering corpus is empty")
-    dim = vectors[0].shape
-    if len(dim) != 1:
+    items = [np.asarray(v, dtype=np.float64) for v in corpus]
+    if any(v.ndim not in (1, 2) for v in items):
         raise ValidationError("embeddings must be one-dimensional")
-    for v in vectors:
-        if v.shape != dim:
+    blocks = [b for b in map(np.atleast_2d, items) if len(b)]
+    if not blocks:
+        raise ValidationError("centering corpus is empty")
+    width = blocks[0].shape[1:]
+    for b in blocks:
+        if b.shape[1:] != width:
             raise ValidationError(
-                f"dimension mismatch in centering corpus: {v.shape} != {dim}"
+                f"dimension mismatch in centering corpus: {b.shape[1:]} != {width}"
             )
-    stacked = np.vstack(vectors)
-    return CenteringModel(mean=stacked.mean(axis=0), sample_count=len(vectors))
+    stacked = np.vstack(blocks)
+    return CenteringModel(mean=stacked.mean(axis=0), sample_count=len(stacked))
+
+
+def overflow_safe_norms(
+    x: np.ndarray, norm: Callable = lambda x: np.linalg.norm(x, axis=1)
+) -> np.ndarray:
+    """``norm(x)``, one L2 norm per row of a (K, E) matrix, where a norm whose
+    squares overflowed to inf is taken again as m * norm(x / m), m = max |x|
+    over its row.  A row with an inf entry, or a norm past the float range,
+    stays inf; every finite norm keeps its bits; no overflow warning is raised.
+    """
+    with np.errstate(over="ignore"):
+        norms = norm(x)
+        big = np.flatnonzero(np.isinf(norms))
+        if big.size:
+            rows = x[big]
+            m = np.abs(rows).max(axis=1)
+            ok = np.isfinite(m)
+            norms[big[ok]] = m[ok] * norm(rows[ok] / m[ok, None])
+    return norms
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:
     """L2 norm of each row of a (K, E) matrix, equal bit for bit to a 1-D
-    ``np.linalg.norm`` of that row.
+    ``np.linalg.norm`` of that row where that is finite, and overflow-safe.
 
     A stacked (1, E) @ (E, 1) product is the same dot product the 1-D norm
     takes (on contiguous rows, hence the copy of a strided input);
     ``np.linalg.norm(x, axis=1)`` sums in another order.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
-    return np.sqrt((x[:, None, :] @ x[:, :, None]).ravel())
+    return overflow_safe_norms(x, lambda x: np.sqrt((x[:, None, :] @ x[:, :, None]).ravel()))
 
 
 def off_unit(vectors: np.ndarray) -> np.ndarray | bool:
     """Whether a vector, or each row of a (K, E) matrix, is not unit length.
 
-    Written as "not <=" so that a NaN norm is off too.  A norm whose squares
-    overflow is inf, and off, with no overflow warning: ``np.vdot`` reports
-    none, and the rows' norms are taken under ``errstate``.  A vector's norm
-    is the one the 1-D ``np.linalg.norm`` takes, bit for bit: the square
-    root of the dot product of its ``ravel(order="K")``.
+    Written as "not <=" so that a NaN norm is off too.  A row norm that
+    overflows is finite (``row_norms`` scales it) and still off unit length;
+    a vector's is inf, and off, with no warning (``np.vdot`` reports none).
+    A vector's norm is the one the 1-D ``np.linalg.norm`` takes, bit for bit:
+    the square root of the dot product of its ``ravel(order="K")``.
     """
     if vectors.ndim == 1:
         flat = vectors.ravel(order="K")
         return not abs(math.sqrt(np.vdot(flat, flat)) - 1.0) <= UNIT_TOL
-    with np.errstate(over="ignore"):
-        norms = row_norms(vectors)
-    return ~(np.abs(norms - 1.0) <= UNIT_TOL)
+    return ~(np.abs(row_norms(vectors) - 1.0) <= UNIT_TOL)
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -132,12 +153,13 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def centroid_cosines(vs: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(m, D) cosines of (m, E) rows to (D, E) centroids, and the (m,) row norms;
-    a row whose norm is 0 (its squares may underflow) or NaN has cosines 0."""
+    """(m, D) cosines of (m, E) rows to (D, E) centroids, and the (m,) row norms
+    (``overflow_safe_norms``); a row whose norm is 0 (its squares may underflow)
+    or NaN has cosines 0, and one whose squares overflow keeps its cosines."""
     vs = np.asarray(vs, dtype=np.float64)
     cents = np.asarray(cents, dtype=np.float64)
-    norms = np.linalg.norm(vs, axis=1)
-    cnorms = np.linalg.norm(cents, axis=1)
+    norms = overflow_safe_norms(vs)
+    cnorms = overflow_safe_norms(cents)
     safe = np.where(norms > 0, norms, 1.0)
     cos = (vs @ cents.T) / (safe[:, None] * cnorms[None, :])
     return np.where(norms[:, None] > 0, cos, 0.0), norms

@@ -335,6 +335,54 @@ def test_propagate_residual_of_a_finite_step_too_large_to_square_is_finite(tmp_p
     assert residuals[0] > 1e300
 
 
+@pytest.fixture(scope="module")
+def big_prior_corpus(tmp_path_factory):
+    """gen-corpus defaults with every exogenous entry of a03 at 1e306."""
+    corpus = tmp_path_factory.mktemp("big_prior")
+    assert main(["gen-corpus", "--out", str(corpus)]) == 0
+    agents = corpus / "agents.jsonl"
+    recs = [json.loads(line) for line in agents.read_text().splitlines()]
+    for rec in recs:
+        if rec["id"] == "a03":
+            rec["exogenous"] = [1e306] * len(rec["exogenous"])
+    agents.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+    return corpus
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("center", [[], ["--center"]], ids=["plain", "center"])
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+def test_propagate_a_prior_whose_norm_overflows(big_prior_corpus, tmp_path, capsys, mode, center):
+    conf = tmp_path / "mode.conf"
+    conf.write_text(f"propagation.mode = {mode}\n")
+    out = tmp_path / "prop"
+    code = main([
+        "propagate", "--config", str(conf), "--agents", str(big_prior_corpus / "agents.jsonl"),
+        "--edges", str(big_prior_corpus / "edges.jsonl"), *center, "--out", str(out),
+    ])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    text = (out / "snapshot.json").read_text()
+    residuals = (out / "residuals.csv").read_text()
+    assert "Infinity" not in text and "NaN" not in text
+    assert "inf" not in residuals and "nan" not in residuals
+    state, _, _ = snapshot_from_json(text)
+    assert state.converged and np.isfinite(state.vectors).all()
+    a03 = state.vectors[state.agent_ids.index("a03")]
+    if mode == "discrete":
+        # The prior is bucketed, not dropped as a zero row.
+        assert a03.max() >= 1e306
+        return
+    assert np.linalg.norm(a03 / 1e306) > 1.0
+    code = main([
+        "query", "--snapshot", str(out / "snapshot.json"),
+        "--queries", str(big_prior_corpus / "queries.jsonl"),
+        "--agents", str(big_prior_corpus / "agents.jsonl"), "--out", str(tmp_path / "ranks.csv"),
+    ])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_propagate_missing_file_is_io_error(workdir, tmp_path):
     agents, _, _ = _corpus_args(workdir)
     code = main([

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trustprop import harness
 from trustprop.errors import ValidationError
 from trustprop.graph import normalize
 from trustprop.harness import (
@@ -35,6 +36,7 @@ from trustprop.harness import (
     generate_corpus,
     magnitude_percentiles,
     rank_queries,
+    run_flag_scenario,
     run_scenario,
 )
 from trustprop.propagation import ReputationState, steady_state_bound
@@ -438,6 +440,16 @@ def test_scenario_report_rows_are_pinned():
 def test_run_scenario_rejects_unknown_name(spec):
     with pytest.raises(ValidationError):
         run_scenario(spec, "ddos")
+
+
+@pytest.mark.parametrize("runner", [run_scenario, run_flag_scenario])
+def test_both_runners_reject_an_unknown_scenario_before_generating(monkeypatch, runner):
+    def generate(spec):
+        raise AssertionError("a corpus was generated")
+
+    monkeypatch.setattr(harness, "generate_corpus", generate)
+    with pytest.raises(ValidationError, match="^unknown scenario 'meteor'$"):
+        runner(CorpusSpec(), scenario="meteor")
 
 
 def test_flag_defense_report_reduction_math():

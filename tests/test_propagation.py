@@ -321,6 +321,18 @@ def test_project_to_domains_simple_rows():
     np.testing.assert_array_equal(out[3], [0.0, 0.0])
 
 
+def test_project_to_domains_keeps_a_row_whose_squares_overflow():
+    # 1e306 and 1e150 rows of one direction: only the first row's squares
+    # overflow, and its buckets are the second's scaled by 1e156.
+    rng = np.random.default_rng(5)
+    cents = rng.standard_normal((4, 64))
+    direction = np.abs(rng.standard_normal(64))
+    out = project_to_domains(np.vstack([1e306 * direction, 1e150 * direction]), cents)
+    assert np.isfinite(out).all()
+    np.testing.assert_allclose(out[0], 1e156 * out[1], rtol=1e-13)
+    assert out[0].sum() == pytest.approx(1e306 * np.linalg.norm(direction), rel=1e-13)
+
+
 # The cosines to the centroids as each caller wrote them out before
 # ``vectorspace.centroid_cosines`` was shared: the references for bit equality.
 def _reference_topic_distribution(vs, centroids):

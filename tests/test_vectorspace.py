@@ -14,8 +14,10 @@ from trustprop.vectorspace import (
     DegenerateVectorError,
     build_centroids,
     center_and_normalize,
+    centroid_cosines,
     cosine,
     fit_centering,
+    overflow_safe_norms,
     row_norms,
     synthetic_embedding,
 )
@@ -131,6 +133,98 @@ def test_fit_centering_validates_input():
         fit_centering([])
     with pytest.raises(ValueError):
         fit_centering([np.array([1.0, 2.0]), np.array([1.0])])
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(0, 6), min_size=1, max_size=5),
+    dim=st.integers(1, 9),
+)
+def test_fit_centering_over_blocks_equals_the_fit_over_their_rows(seed, sizes, dim):
+    rng = np.random.default_rng(seed)
+    blocks = [rng.standard_normal((k, dim)) * 10.0 ** rng.integers(-3, 4) for k in sizes]
+    rows = [row for block in blocks for row in block]
+    if not rows:
+        with pytest.raises(ValidationError, match="^centering corpus is empty$"):
+            fit_centering(blocks)
+        return
+    # A single vector counts as a block of one.
+    for corpus in (blocks, blocks[:1] + rows[len(blocks[0]):]):
+        model = fit_centering(corpus)
+        reference = fit_centering(rows)
+        assert model.sample_count == reference.sample_count == len(rows)
+        assert model.mean.tobytes() == reference.mean.tobytes()
+
+
+@pytest.mark.parametrize(
+    "corpus, message",
+    [([], "centering corpus is empty"),
+     ([np.empty((0, 3)), np.empty((0, 3))], "centering corpus is empty"),
+     ([np.zeros((2, 3)), np.zeros(2)], r"dimension mismatch in centering corpus: \(2,\) != \(3,\)"),
+     ([np.zeros(3), np.zeros((0, 3)), np.zeros((1, 4))],
+      r"dimension mismatch in centering corpus: \(4,\) != \(3,\)"),
+     ([np.zeros((1, 2, 3))], "embeddings must be one-dimensional")],
+    ids=["no_items", "empty_blocks", "vector_after_block", "block_after_vector", "3d"],
+)
+def test_fit_centering_rejects_empty_and_mixed_corpora(corpus, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        fit_centering(corpus)
+
+
+def _cosines_by_formula(vs, cents, norms):
+    """centroid_cosines' formula on given row norms."""
+    cnorms = np.linalg.norm(cents, axis=1)
+    safe = np.where(norms > 0, norms, 1.0)
+    cos = (vs @ cents.T) / (safe[:, None] * cnorms[None, :])
+    return np.where(norms[:, None] > 0, cos, 0.0)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    exponents=st.lists(st.integers(-320, 307), max_size=8),
+    dim=st.integers(1, 8),
+)
+@example(seed=0, exponents=[306, 0, 154, 155, -200], dim=8)
+def test_row_norms_keep_finite_norms_and_rescue_overflowed_ones(seed, exponents, dim):
+    # Every row's true norm is finite (at most sqrt(8) * 1e307); a row's
+    # squares overflow from about 1e154 on.
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, (len(exponents), dim)) * 10.0 ** np.array(exponents)[:, None]
+    # Unit centroids: no dot product with a row exceeds the row's norm.
+    cents = rng.standard_normal((3, dim)) + 0.1
+    cents /= np.linalg.norm(cents, axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        per_row = np.array([np.linalg.norm(v) for v in x])
+        axis = np.linalg.norm(x, axis=1)
+    true = np.array([math.hypot(*v) for v in x])
+    cos, norms = centroid_cosines(x, cents)
+    for got, plain in ((row_norms(x), per_row), (overflow_safe_norms(x), axis), (norms, axis)):
+        assert got.shape == (len(exponents),)
+        finite = np.isfinite(plain)
+        assert got[finite].tobytes() == plain[finite].tobytes()
+        np.testing.assert_allclose(got[~finite], true[~finite], rtol=1e-14)
+    assert cos.tobytes() == _cosines_by_formula(x, cents, norms).tobytes()
+    assert np.isfinite(cos).all()
+
+
+def test_norms_of_a_row_whose_squares_overflow_are_finite():
+    big = np.full((1, 64), 1e306)
+    cents = np.vstack(list(build_centroids(LABELS, dim=64, seed=2).values()))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert np.isinf(np.linalg.norm(big, axis=1)).all()
+    cos, norms = centroid_cosines(big, cents)
+    assert row_norms(big)[0] == pytest.approx(8e306, rel=1e-15)
+    assert norms[0] == pytest.approx(8e306, rel=1e-15)
+    # The cosines are those of the same direction at unit scale.
+    np.testing.assert_allclose(cos, centroid_cosines(np.ones((1, 64)), cents)[0], rtol=1e-14)
+
+
+def test_a_norm_past_the_float_range_stays_inf():
+    rows = np.array([[1.5e308, 1.5e308], [np.inf, 1.0], [3.0, 4.0]])
+    assert row_norms(rows).tolist() == [np.inf, np.inf, 5.0]
+    assert overflow_safe_norms(rows).tolist() == [np.inf, np.inf, 5.0]
 
 
 def test_cosine_basic_values():
