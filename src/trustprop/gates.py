@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .vectorspace import centroid_cosines, row_dots
+from .vectorspace import centroid_cosines, overflow_safe_norms, row_dots
 
 SMOOTHING = 1e-6
 
@@ -140,13 +140,13 @@ def stack_batch(
     ``confidence`` is (m,) and ``p_int``/``p_rep`` are (m, D) topic
     distributions.  Raises if an enabled gate is missing its input.  A
     caller that has them already may pass the row dots r . e, the row norms
-    ||r|| and the entropy factor of ``p_int`` (each (m,)); what is left out
-    is computed here.
+    ||r|| (as ``vectorspace.overflow_safe_norms`` takes them) and the entropy
+    factor of ``p_int`` (each (m,)); what is left out is computed here.
     """
     m = r.shape[0]
     value = np.ones(m)
     if stack.uses_row_geometry:
-        norms = np.linalg.norm(r, axis=1) if norms is None else norms
+        norms = overflow_safe_norms(r) if norms is None else norms
         dots = row_dots(r, e) if dots is None else dots
     if stack.kl.enabled:
         if stack.kl.form == "cosine_proxy":

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from collections.abc import Callable, Mapping, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -711,37 +712,30 @@ def run_scenario(
     inject = _injector(scenario)
     require_continuous(prop_cfg)
     corpus = generate_corpus(spec)
-    attacked = inject(corpus)
-    base_graph = normalize(corpus.agents, corpus.edges, weight_cfg)
-    att_graph = normalize(attacked.agents, attacked.edges, weight_cfg)
-    base_state = run(base_graph, prop_cfg)
-    att_state = run(att_graph, prop_cfg)
-
-    base_rank = rank_queries(base_state, corpus, strategy, beta_mix, variant)
-    att_rank = rank_queries(att_state, attacked, strategy, beta_mix, variant)
-    base_pct = magnitude_percentiles(base_state)
-    att_pct = magnitude_percentiles(att_state)
     mal = corpus.malicious_ids()
-    base_align = self_alignment(base_state, base_graph)
-    att_align = self_alignment(att_state, att_graph)
+
+    def side(c: Corpus, name: str) -> dict[str, Any]:
+        """The report's fields for one side, ``baseline`` or ``attacked``."""
+        graph = normalize(c.agents, c.edges, weight_cfg)
+        state = run(graph, prop_cfg)
+        rankings = rank_queries(state, c, strategy, beta_mix, variant)
+        pct = magnitude_percentiles(state)
+        values = {
+            "edges": len(c.edges),
+            "iterations": state.iterations,
+            "converged": state.converged,
+            "p5_strict": mean_precision(rankings, c, "strict"),
+            "p5_multilabel": mean_precision(rankings, c, "multilabel"),
+            "mean_alignment": float(np.mean(list(self_alignment(state, graph).values()))),
+            "malicious_percentile": {m: pct[m] for m in mal},
+        }
+        return {f"{key}_{name}": value for key, value in values.items()}
 
     return ScenarioReport(
         scenario=scenario or "baseline",
         seed=spec.seed,
-        edges_baseline=len(corpus.edges),
-        edges_attacked=len(attacked.edges),
-        iterations_baseline=base_state.iterations,
-        iterations_attacked=att_state.iterations,
-        converged_baseline=base_state.converged,
-        converged_attacked=att_state.converged,
-        p5_strict_baseline=mean_precision(base_rank, corpus, "strict"),
-        p5_strict_attacked=mean_precision(att_rank, attacked, "strict"),
-        p5_multilabel_baseline=mean_precision(base_rank, corpus, "multilabel"),
-        p5_multilabel_attacked=mean_precision(att_rank, attacked, "multilabel"),
-        malicious_percentile_baseline={m: base_pct[m] for m in mal},
-        malicious_percentile_attacked={m: att_pct[m] for m in mal},
-        mean_alignment_baseline=float(np.mean(list(base_align.values()))),
-        mean_alignment_attacked=float(np.mean(list(att_align.values()))),
+        **side(corpus, "baseline"),
+        **side(inject(corpus), "attacked"),
     )
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .vectorspace import off_unit, row_dots
+from .vectorspace import off_unit, overflow_safe_norms, row_dots
 
 VARIANTS = ("projection", "squared_gating", "scalar_gated", "hadamard_relu", "hybrid")
 HYBRID_MODES = ("interpolate", "per_edge_select")
@@ -120,12 +120,13 @@ def transfer_batch(
 ) -> np.ndarray:
     """Vectorized transfer over m edges: r, e are (m, E); blind is (m,) bool.
 
-    ``dots`` (the row dots r . e) and ``norms`` (||r|| per row), each (m,),
-    may be passed by a caller that has them already; what is left out is
-    computed here.  The result is written into ``out``, an (m, E) float64
-    array that may be ``r`` itself, and returned; without one it goes into
-    a new array.  Either way each value comes from the same floating-point
-    operations, so ``out`` changes no bit.
+    ``dots`` (the row dots r . e) and ``norms`` (||r|| per row, as
+    ``vectorspace.overflow_safe_norms`` takes them), each (m,), may be
+    passed by a caller that has them already; what is left out is computed
+    here.  The result is written into ``out``, an (m, E) float64 array that
+    may be ``r`` itself, and returned; without one it goes into a new array.
+    Either way each value comes from the same floating-point operations, so
+    ``out`` changes no bit.
     """
     variant = kind.variant
     if variant == "projection":
@@ -135,7 +136,7 @@ def transfer_batch(
         return np.multiply(r, squared, out=squared if out is None else out)
     if variant == "scalar_gated":
         dots = row_dots(r, e) if dots is None else dots
-        norms = np.linalg.norm(r, axis=1) if norms is None else norms
+        norms = overflow_safe_norms(r) if norms is None else norms
         cos = np.divide(dots, norms, out=np.zeros_like(dots), where=norms > 0)
         gate = np.clip(cos, 0.0, 1.0)
         return np.multiply(gate[:, None], r, out=out)
@@ -181,14 +182,13 @@ def verify_lipschitz(
     r1 = rng.standard_normal((samples, dim))
     r2 = rng.standard_normal((samples, dim))
     e = rng.standard_normal((samples, dim))
-    e /= np.linalg.norm(e, axis=1, keepdims=True)
+    e /= overflow_safe_norms(e)[:, None]
     blind = rng.random(samples) < 0.5
-    diff_in = np.linalg.norm(r1 - r2, axis=1)
+    diff_in = overflow_safe_norms(r1 - r2)
     keep = diff_in > 0
-    out = np.linalg.norm(
+    out = overflow_safe_norms(
         transfer_batch(kind, r1[keep], e[keep], blind[keep])
-        - transfer_batch(kind, r2[keep], e[keep], blind[keep]),
-        axis=1,
+        - transfer_batch(kind, r2[keep], e[keep], blind[keep])
     )
     ratios = out / diff_in[keep]
     return float(ratios.max()) if ratios.size else 0.0

@@ -83,7 +83,9 @@ from .errors import ValidationError
 from .gates import GateStack, entropy_factor, stack_batch, topic_distribution_batch
 from .graph import Agent, AgentTable, NormalizedGraph
 from .operators import OperatorKind, transfer_batch
-from .vectorspace import DEGENERATE_NORM, centroid_cosines, cosine, overflow_safe_norms, row_dots
+from .vectorspace import (
+    DEGENERATE_NORM, centroid_cosines, cosine, overflow_safe_norms, row_dots, row_norms,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -159,7 +161,8 @@ class ReputationState:
     converged: bool = False
 
     def magnitudes(self) -> np.ndarray:
-        return np.linalg.norm(self.vectors, axis=1)
+        """||R|| per row (``overflow_safe_norms``): the one magnitude of a state."""
+        return overflow_safe_norms(self.vectors)
 
 
 def _advance(
@@ -547,7 +550,7 @@ def _step_continuous(
     """
     r = state.vectors
     gates = cfg.gates
-    norms = np.linalg.norm(r, axis=1) if plan.needs_norms else None
+    norms = state.magnitudes() if plan.needs_norms else None
     p_rep = None
     if gates.kl.enabled and gates.kl.form == "softmax" and plan.blocks:
         p_rep = topic_distribution_batch(r[graph.pos_sender], plan.centroids)[plan.graph.order]
@@ -559,7 +562,7 @@ def _step_continuous(
     new = np.multiply(acc, cfg.alpha, out=acc)
     new += plan.damped
     if cfg.normalize_each_iter:
-        norms = np.linalg.norm(new, axis=1, keepdims=True)
+        norms = overflow_safe_norms(new)[:, None]
         np.divide(new, norms, out=new, where=norms > 0)
     return _advance(state, new)
 
@@ -632,7 +635,7 @@ def build_domain_matrices(
     if not 1 <= top_k <= n_domains:
         raise ValidationError("top_k must lie in [1, D]")
     n = graph.n_agents
-    cos = (graph.pos_content @ cents.T) / np.linalg.norm(cents, axis=1)[None, :]
+    cos = (graph.pos_content @ cents.T) / overflow_safe_norms(cents)[None, :]
     # A stable sort puts tied domains in index order (argpartition would
     # not).  Positive similarities sort first, so the kept domains of an
     # edge are a prefix of its order and the column-wise running total adds
@@ -827,15 +830,15 @@ def warm_start(
 def steady_state_bound(
     teleport: np.ndarray, exogenous: np.ndarray, alpha: float
 ) -> float:
-    """Magnitude ceiling implied by damping: ||T||_F + ||C||_F / (1 - alpha).
+    """Magnitude ceiling implied by damping: ||T||_F + ||C||_F / (1 - alpha),
+    each norm by ``row_norms`` over the elements in ``np.linalg.norm``'s order.
 
     Exogenous authority escapes damping, hence the 1/(1-alpha) factor; no
     amount of edge rewiring lifts a converged state past this ceiling.
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha must lie in (0, 1)")
-    t = float(np.linalg.norm(teleport))
-    c = float(np.linalg.norm(exogenous))
+    t, c = (float(row_norms(np.ravel(m, order="K")[None, :])[0]) for m in (teleport, exogenous))
     return t + c / (1.0 - alpha)
 
 

@@ -108,12 +108,11 @@ def score_mixed(
     if beta_mix < 0:
         raise ValidationError("beta_mix must be >= 0")
     q = _query_vector(state, query)
-    norms = np.linalg.norm(state.vectors, axis=1)
+    norms = state.magnitudes()
     dots = state.vectors @ q
     cos = np.divide(dots, norms, out=np.zeros_like(dots), where=norms > 0)
     if variant == "power":
-        with np.errstate(divide="ignore"):
-            factor = np.where(norms > 0, norms**beta_mix, 0.0)
+        factor = norms**beta_mix
     else:
         factor = 1.0 + beta_mix * np.log1p(norms)
     return ranked(state.agent_ids, np.where(norms > 0, cos * factor, 0.0))
@@ -213,7 +212,7 @@ def pipeline_search(
     if missing:
         raise ValidationError(f"agents missing for state ids: {missing[:3]}")
     q = _query_vector(state, query)
-    qn = float(np.linalg.norm(q))
+    qn = float(row_norms(q[None, :])[0])
     if qn == 0.0:
         raise ValidationError("query embedding is zero")
 
@@ -223,7 +222,7 @@ def pipeline_search(
     # products bit for bit; a plain P @ q does not.
     profiles = agents.profile[rows].reshape(len(ids), q.size)
     profile_cos = (profiles[:, None, :] @ q[:, None]).ravel() / (row_norms(profiles) * qn)
-    norms = np.linalg.norm(state.vectors, axis=1)
+    norms = state.magnitudes()
     dots = state.vectors @ q
     cos = np.divide(dots, norms * qn, out=np.zeros_like(dots), where=norms > 0)
     descriptions = dict(zip(ids, map(agents.description.__getitem__, rows)))

@@ -5,13 +5,14 @@ which destroys topical discrimination downstream.  The remedy used throughout
 this package is simple mean centering fit once per corpus snapshot: subtract
 the corpus mean, then renormalize to unit length.
 
-Row norms come from ``row_norms`` where a batch must equal a per-vector
-computation bit for bit: ``np.linalg.norm(x, axis=1)`` (like ``einsum``),
-which the engine, gates, operators and retrieval use, sums the squares in
-another order than the 1-D ``np.linalg.norm``, a BLAS dot product, and so
-differs in the last bit on some rows.  ``row_norms``, the centroid cosines
-and the engine's residual share one float64 rule, ``overflow_safe_norms``: a
-norm whose squares overflow is taken on the row scaled by its largest entry.
+Every L2 row norm in the package follows one float64 rule,
+``overflow_safe_norms``: a norm whose squares overflow is taken again on the
+row scaled by its largest entry, and a finite norm keeps its bits.  Its
+default kernel ``np.linalg.norm(x, axis=1)`` serves the engine, gates,
+operators and retrieval (and a state's ``magnitudes``).  ``row_norms``
+keeps the bits of the 1-D ``np.linalg.norm``, a BLAS dot product that sums
+the squares in another order, so it serves where a batch must equal a
+per-vector computation and for the norm of one vector or of a matrix.
 """
 
 from __future__ import annotations
@@ -140,13 +141,13 @@ def center_and_normalize(model: CenteringModel, v: np.ndarray) -> np.ndarray:
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity, clamped to [-1, 1] against float drift."""
+    """Cosine similarity, clamped to [-1, 1] against float drift; the norms
+    are ``row_norms``, so a vector whose squares overflow keeps its cosine."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValidationError(f"cosine shape mismatch: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+    na, nb = row_norms(np.stack([a.ravel(), b.ravel()])).tolist()
     if na == 0.0 or nb == 0.0:
         raise ValidationError("cosine undefined for zero-norm input")
     return float(np.clip(float(a @ b) / (na * nb), -1.0, 1.0))

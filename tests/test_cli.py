@@ -771,6 +771,29 @@ def test_query_rejects_nan_query_embedding(workdir, snapshot, tmp_path, capsys):
     assert "embedding must be finite" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pipeline_query_whose_embedding_norm_overflows(workdir, snapshot, tmp_path, capsys):
+    # Squaring the entries of a 1e306-scaled embedding overflows; its norm does not.
+    agents, _, queries = _corpus_args(workdir)
+    lines = queries.read_text().splitlines()
+    rec = json.loads(lines[0])
+    rec["embedding"] = [1e306 * x for x in rec["embedding"]]
+    big = tmp_path / "queries.jsonl"
+    big.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
+    ranks = {}
+    for name, path in (("plain", queries), ("big", big)):
+        code = main([
+            "query", "--snapshot", str(snapshot), "--queries", str(path),
+            "--agents", str(agents), "--strategy", "pipeline",
+            "--out", str(tmp_path / f"{name}.csv"),
+        ])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        rows = (tmp_path / f"{name}.csv").read_text().splitlines()[1:]
+        ranks[name] = [row.split(",")[2] for row in rows if row.startswith(rec["id"] + ",")]
+    assert ranks["big"] == ranks["plain"]
+
+
 def _set(**fields):
     return lambda obj: obj.update(fields)
 

@@ -138,6 +138,36 @@ def test_score_orderings_go_through_ranked():
     assert copies == []
 
 
+def _axis_norms(path):
+    """Line numbers of ``linalg.norm`` calls given an ``axis``, by keyword or
+    as the third positional argument."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "norm"
+            and (
+                isinstance(node.func.value, ast.Attribute) and node.func.value.attr == "linalg"
+                or isinstance(node.func.value, ast.Name) and node.func.value.id == "linalg"
+            )
+            and (any(kw.arg == "axis" for kw in node.keywords) or len(node.args) >= 3)
+        ):
+            yield node.lineno
+
+
+def test_row_norms_go_through_vectorspace():
+    # vectorspace.overflow_safe_norms is the one float64 rule for an L2 row
+    # norm; a plain np.linalg.norm(x, axis=1) elsewhere overflows to inf
+    # where the rule gives a finite norm.
+    copies = [
+        f"{path.stem}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "vectorspace"
+        for line in _axis_norms(path)
+    ]
+    assert copies == []
+
+
 def _json_parses(path):
     """(function, line) of each ``json``/``orjson`` ``loads`` or ``load`` call."""
     tree = ast.parse(path.read_text())

@@ -298,6 +298,22 @@ def test_steady_state_bound_formula():
         steady_state_bound(t, c, 1.0)
 
 
+def test_steady_state_bound_of_a_row_whose_squares_overflow():
+    t = np.zeros((3, 4))
+    t[0, 0] = 1.0
+    c = np.zeros((3, 4))
+    c[1, 0] = 1e306
+    assert steady_state_bound(t, c, 0.85) == pytest.approx(1.0 + 1e306 / 0.15, rel=1e-15)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_steady_state_bound_keeps_the_bits_of_the_frobenius_norms(layout):
+    rng = np.random.default_rng(5)
+    t, c = (np.asarray(rng.standard_normal((50, 64)), order=layout) for _ in range(2))
+    plain = float(np.linalg.norm(t)) + float(np.linalg.norm(c)) / (1.0 - 0.85)
+    assert steady_state_bound(t, c, 0.85) == plain
+
+
 def test_corpus_run_respects_steady_state_bound(graph, baseline):
     assert_within_steady_bound(baseline, graph.teleport, graph.exogenous)
 

@@ -242,6 +242,23 @@ def test_cosine_is_clamped_against_rounding():
     assert c == pytest.approx(1.0, abs=1e-12)
 
 
+def test_cosine_of_a_vector_whose_squares_overflow():
+    # A plain norm of 1e306 * u is inf, which read the cosine as 0.
+    u = np.array([0.6, 0.8, 0.0])
+    assert cosine(1e306 * u, u) == pytest.approx(1.0, abs=1e-12)
+    assert cosine(u, -1e306 * u) == pytest.approx(-1.0, abs=1e-12)
+    assert cosine(1e306 * u, np.array([0.0, 0.0, 1.0])) == 0.0
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 70))
+def test_cosine_keeps_the_bits_of_the_plain_formula(seed, dim):
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((2, dim)) * rng.uniform(1e-3, 1e3, (2, 1))
+    plain = float(a @ b) / (float(np.linalg.norm(a)) * float(np.linalg.norm(b)))
+    assert cosine(a, b) == float(np.clip(plain, -1.0, 1.0))
+
+
 def test_cosine_rejects_zero_norm_and_shape_mismatch():
     with pytest.raises(ValueError):
         cosine(np.zeros(3), np.array([1.0, 0.0, 0.0]))
