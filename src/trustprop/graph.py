@@ -606,13 +606,13 @@ class NormalizedGraph:
     toward the sender's row sum.  Senders with no positive edges keep empty
     rows (their mass simply does not propagate).
 
-    ``cache`` holds what the engines derive from these arrays alone, built
-    on first use and kept with the graph, so the arrays are not to be
-    changed once a run has seen them.
+    ``dim``, ``teleport`` and ``exogenous`` are the agent table's.  ``cache``
+    holds what the engines derive from these arrays alone, built on first
+    use and kept with the graph, so the arrays are not to be changed once a
+    run has seen them.
     """
 
     agents: AgentTable
-    dim: int
     pos_sender: np.ndarray
     pos_receiver: np.ndarray
     pos_weight: np.ndarray
@@ -622,9 +622,19 @@ class NormalizedGraph:
     neg_sender: np.ndarray
     neg_receiver: np.ndarray
     neg_weight: np.ndarray
-    teleport: np.ndarray = field(repr=False, default=None)  # (N, E)
-    exogenous: np.ndarray = field(repr=False, default=None)  # (N, E)
     cache: dict[str, Any] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def dim(self) -> int:
+        return self.agents.profile.shape[1]
+
+    @property
+    def teleport(self) -> np.ndarray:  # (N, E)
+        return self.agents.teleport
+
+    @property
+    def exogenous(self) -> np.ndarray:  # (N, E)
+        return self.agents.exogenous
 
     @property
     def n_agents(self) -> int:
@@ -750,7 +760,6 @@ def normalize(
 
     return NormalizedGraph(
         agents=agents,
-        dim=dim,
         pos_sender=pos_sender,
         pos_receiver=pos_receiver,
         pos_weight=pos_weight,
@@ -760,6 +769,4 @@ def normalize(
         neg_sender=neg_sender,
         neg_receiver=receivers[flag][kept],
         neg_weight=neg_weight,
-        teleport=agents.teleport,
-        exogenous=agents.exogenous,
     )

@@ -282,9 +282,7 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
     by_domain: dict[str, list[int]] = {d: [] for d in DOMAINS}
     for i in eligible:
         by_domain[primaries[i]].append(i)
-    specialist_idx = [
-        i for i in eligible if secondaries[i] and roles[i] == "active"
-    ]
+    specialist_idx = [i for i in eligible if secondaries[i]]  # only actives have one
     pair_domains = [d for d in DOMAINS if len(by_domain[d]) >= 2]
 
     def _pick_receiver(rng: np.random.Generator, pool: list[int], sender: int,
@@ -299,13 +297,12 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
     labeled_raw: list[tuple[int, int, float, bool, np.ndarray]] = []
     for e_idx in range(spec.labeled_edges):
         u = rng_labeled.random()
-        cross_ok = bool(specialist_idx)
-        if cross_ok and u >= SAME_DOMAIN_EDGE_PROB:
+        if specialist_idx and u >= SAME_DOMAIN_EDGE_PROB:
             s = int(rng_labeled.choice(specialist_idx))
             shared = secondaries[s][0]
             pool = [i for i in by_domain[shared] if i != s]
             if pool:
-                r = _pick_receiver(rng_labeled, pool + [s], s, HUB_RECEIVER_BOOST)
+                r = _pick_receiver(rng_labeled, pool, s, HUB_RECEIVER_BOOST)
             else:
                 shared = primaries[s]
                 r = _pick_receiver(rng_labeled, by_domain[shared], s, HUB_RECEIVER_BOOST)

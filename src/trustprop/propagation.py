@@ -36,10 +36,10 @@ at several times the size of the rest), the confidence column, the
 entropy factor, the damping constant (1 - alpha) * T + C (or
 (1 - alpha) * (T + C) when coupled), one (widest block's edges, E)
 workspace per thread that can take blocks and, when gates rewrite the
-block weights, the run's own copy of them, so no run writes to anything
-another run reads, and nothing a run writes outlives it.  Once per step:
-the sender row norms, over the N agent rows.  Once per block: the row
-dots, which the transfer and the gates share.
+block weights, the run's own copy of each block's scatter matrix, so no
+run writes to anything another run reads, and nothing a run writes
+outlives it.  Once per step: the sender row norms, over the N agent rows.
+Once per block: the row dots, which the transfer and the gates share.
 
 Discrete form (one row per agent, D domain buckets): per-domain transition
 matrices M_d drive a linear damped iteration per bucket; flag edges enter
@@ -168,9 +168,10 @@ class ReputationState:
 def _advance(
     state: ReputationState, new: np.ndarray
 ) -> tuple[ReputationState, float]:
-    """The state after one step to ``new``, and that step's residual: the
-    largest row change, by ``overflow_safe_norms``, so a change too large to
-    square in float64 has a finite norm and every finite one keeps its bits."""
+    """The state after one step to ``new``, not yet converged, and that
+    step's residual: the largest row change, by ``overflow_safe_norms``, so a
+    change too large to square in float64 has a finite norm and every finite
+    one keeps its bits."""
     if not np.isfinite(new).all():
         raise ValidationError("non-finite value during propagation; corrupt input?")
     with np.errstate(over="ignore"):
@@ -182,6 +183,7 @@ def _advance(
         vectors=new,
         iterations=state.iterations + 1,
         residuals=state.residuals + (residual,),
+        converged=False,
     )
     return next_state, residual
 
@@ -231,9 +233,9 @@ class _Block:
 
     ``scatter`` is the (hi - lo, edges) CSR matrix whose row j - lo holds the
     weights of receiver j's in-edges in ascending edge order, and whose
-    column k is the block's k-th edge.  Its ``data`` is a view of the plan's
-    weights; a gated step rewrites it to w * gate in place, in a copy of
-    the weights that belongs to its run.
+    column k is the block's k-th edge.  Its arrays are read-only; a gated
+    run takes its own copy of the matrix, whose ``data`` each step rewrites
+    to w * gate in place.
     """
 
     lo: int
@@ -250,12 +252,10 @@ class _GraphPlan:
     of the receivers, so each receiver's in-edges stay in ascending edge
     order), cut into blocks of consecutive receivers with about
     ``BLOCK_EDGES`` in-edges each; a receiver with more has a block of its
-    own.  ``blocks`` lists them by edge count, largest first.  Every array
-    is read-only, so any number of runs can share one, and all of them sit
-    in one buffer: the block matrices' ``data`` are slices of ``weight``,
-    their column indices prefixes of one ``arange`` and their row pointers
-    slices of one array.  The (M, E) contents are not kept: at several
-    times the size of everything here, each run permutes them for itself.
+    own.  ``blocks`` lists them by edge count, largest first.  Every array,
+    the block matrices' included, is read-only, so any number of runs can
+    share one.  The (M, E) contents are not kept: at several times the size
+    of everything here, each run permutes them for itself.
     """
 
     order: np.ndarray
@@ -270,76 +270,32 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _csr_view(
-    data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple[int, int]
-) -> sp.csr_matrix:
-    """A CSR matrix over these very arrays, views included.
-
-    scipy's constructor copies a view smaller than half of its base, which
-    would give each block its own copy of its slice of the weights and of
-    the shared column indices.
-    """
-    matrix = sp.csr_matrix(shape)
-    matrix.indptr, matrix.indices, matrix.data = indptr, indices, data
-    return matrix
-
-
-def _packed(arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Read-only copies of the 1-D ``arrays``, laid out in one buffer.
-
-    A graph's plan outlives the runs that build it.  As one allocation it
-    leaves fewer live chunks among the freed temporaries of later runs than
-    one per array would, which kept the heap from shrinking back: as
-    separate arrays, live-market peak RSS rose by about 5 MiB.
-    """
-    sizes = [-(-a.nbytes // 8) * 8 for a in arrays]  # each view 8-byte aligned
-    buffer = np.empty(sum(sizes), np.uint8)
-    out, start = [], 0
-    for a, size in zip(arrays, sizes):
-        view = buffer[start : start + a.nbytes].view(a.dtype)
-        view[:] = a
-        view.flags.writeable = False
-        out.append(view)
-        start += size
-    return out
-
-
 def _graph_plan(graph: NormalizedGraph) -> _GraphPlan:
-    n, m = graph.n_agents, graph.n_pos_edges
+    n = graph.n_agents
     order = np.argsort(graph.pos_receiver, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(graph.pos_receiver, minlength=n), out=indptr[1:])
-    spans = []
+    weight = _read_only(graph.pos_weight[order])
+    blocks = []
     lo = 0
     while lo < n:
         a = int(indptr[lo])
         # The last receiver whose in-edges end within BLOCK_EDGES of a, and
         # at least one receiver, so no receiver's in-edges are split.
         hi = max(lo + 1, int(np.searchsorted(indptr, a + BLOCK_EDGES, side="right")) - 1)
-        if indptr[hi] > a:
-            spans.append((lo, hi))
+        b = int(indptr[hi])
+        if b > a:
+            scatter = sp.csr_matrix(
+                (weight[a:b], np.arange(b - a), indptr[lo : hi + 1] - a), shape=(hi - lo, b - a)
+            )
+            for arr in (scatter.data, scatter.indices, scatter.indptr):
+                _read_only(arr)
+            blocks.append(_Block(lo, hi, slice(a, b), scatter))
         lo = hi
-    # The index dtype scipy would choose; every block's columns are a prefix.
-    index = np.int32 if m <= np.iinfo(np.int32).max else np.int64
-    widest = max((int(indptr[hi] - indptr[lo]) for lo, hi in spans), default=0)
-    # Each block's row pointers, from 0 at its first edge, one after another.
-    local = [indptr[lo : hi + 1] - indptr[lo] for lo, hi in spans]
-    rows = np.concatenate([np.zeros(0, np.int64), *local]).astype(index)
-    order, sender, blind, weight, columns, rows = _packed([
-        order, graph.pos_sender[order], graph.pos_blind[order], graph.pos_weight[order],
-        np.arange(widest, dtype=index), rows,
-    ])
-    blocks = []
-    at = 0
-    for lo, hi in spans:
-        a, b = int(indptr[lo]), int(indptr[hi])
-        scatter = _csr_view(weight[a:b], columns[: b - a], rows[at : at + hi - lo + 1],
-                            (hi - lo, b - a))
-        blocks.append(_Block(lo, hi, slice(a, b), scatter))
-        at += hi - lo + 1
     # Largest first, so a hub's oversized block does not start last.
     blocks.sort(key=lambda blk: blk.edges.start - blk.edges.stop)
-    return _GraphPlan(order, sender, blind, weight, tuple(blocks))
+    sender, blind = _read_only(graph.pos_sender[order]), _read_only(graph.pos_blind[order])
+    return _GraphPlan(_read_only(order), sender, blind, weight, tuple(blocks))
 
 
 @dataclass
@@ -350,10 +306,11 @@ class _ContinuousPlan:
     current ``BLOCK_EDGES``; ``p_int`` is kept there too, for the last
     centroid values seen, computed over the contents in edge order and then
     permuted, so its rows are those an edge-order step would use.  The rest
-    is the run's own, including, when gates rewrite the block weights,
-    blocks over its own copy of them.  ``needs_dots`` and ``needs_norms``
-    say whether the operator or a gate reads the row dots r . e and the
-    sender row norms ||R[i]||, which each step then takes once.
+    is the run's own, including, when gates rewrite the block weights, its
+    own copy of each block's scatter matrix.  ``needs_dots`` and
+    ``needs_norms`` say whether the operator or a gate reads the row dots
+    r . e and the sender row norms ||R[i]||, which each step then takes
+    once.
     ``damped`` is the step's constant term, from ``_damped``.
     ``workspaces`` holds one (widest block's edges, E) array for each
     thread that can take blocks: a block gathers its sender rows into its
@@ -398,13 +355,7 @@ def _continuous_plan(
     gates, operator = cfg.gates, cfg.operator
     blocks = half.blocks
     if gates.any_enabled:
-        weight = half.weight.copy()
-        blocks = tuple(
-            replace(blk, scatter=_csr_view(
-                weight[blk.edges], blk.scatter.indices, blk.scatter.indptr, blk.scatter.shape
-            ))
-            for blk in blocks
-        )
+        blocks = tuple(replace(blk, scatter=blk.scatter.copy()) for blk in blocks)
     widest = blocks[0].edges.stop - blocks[0].edges.start if blocks else 0
     threads = 1 + min(_WORKERS, len(blocks) - 1)
     plan = _ContinuousPlan(

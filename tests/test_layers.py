@@ -168,6 +168,29 @@ def test_row_norms_go_through_vectorspace():
     assert copies == []
 
 
+def _csr_attribute_stores(path):
+    """Line numbers of assignments to an attribute named ``data``,
+    ``indices`` or ``indptr``, in any assignment form."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and node.attr in ("data", "indices", "indptr")
+        ):
+            yield node.lineno
+
+
+def test_csr_matrices_come_from_the_scipy_constructor():
+    # A CSR matrix put together by assigning its arrays skips the checks
+    # scipy's constructor makes of their dtypes, shapes and bounds.
+    stores = [
+        f"{path.stem}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _csr_attribute_stores(path)
+    ]
+    assert stores == []
+
+
 def _json_parses(path):
     """(function, line) of each ``json``/``orjson`` ``loads`` or ``load`` call."""
     tree = ast.parse(path.read_text())

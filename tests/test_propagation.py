@@ -1,6 +1,7 @@
 """Tests for the damped fixed-point engines (continuous and discrete)."""
 
 import itertools
+import logging
 import os
 import subprocess
 import sys
@@ -252,6 +253,18 @@ def test_run_reports_non_convergence_instead_of_raising(graph):
     assert not state.converged
     assert state.iterations == 3
     assert len(state.residuals) == 3
+
+
+def test_run_from_a_converged_state_reports_only_its_own_convergence(graph, baseline, caplog):
+    # Each step's state starts out not converged; a run that starts from a
+    # converged state must not carry that state's flag through its own steps.
+    cfg = PropagationConfig(max_iters=2)
+    with caplog.at_level(logging.WARNING, logger="trustprop.propagation"):
+        state = run(graph, cfg, initial=replace(baseline, vectors=50 * baseline.vectors))
+    assert state.residuals[-1] > cfg.epsilon
+    assert not state.converged
+    assert state.iterations == baseline.iterations + 2
+    assert "propagation did not converge" in caplog.text
 
 
 def test_normalize_each_iter_converges_to_unit_rows(graph):
@@ -912,6 +925,63 @@ def test_runs_on_one_graph_with_other_centroid_values_use_their_own():
         given[:] = values
         fresh, _ = _reference_run(graph, cfg, values)
         assert np.array_equal(run(graph, cfg, centroids=given).vectors, fresh)
+
+
+# Receivers for the plan's structure: a hub (None) takes about half the
+# edges, the rest go to one of up to 12 agents; senders are drawn apart from
+# their receivers by an offset.
+_PLAN_SPEC = st.tuples(
+    st.integers(2, 12),  # agents
+    st.integers(0, 11),  # the hub
+    st.lists(
+        st.tuples(st.one_of(st.none(), st.integers(0, 11)), st.integers(0, 10)), max_size=40
+    ),
+)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(spec=_PLAN_SPEC, block_edges=st.integers(1, 16))
+def test_graph_plan_tiles_the_edges_in_bounded_blocks(spec, block_edges):
+    n, hub, raw = spec
+    receivers = [hub % n if r is None else r % n for r, _ in raw]
+    agents = [make_agent(f"a{i}") for i in range(n)]
+    edges = [
+        labeled(f"a{(r + 1 + k % (n - 1)) % n}", f"a{r}", base=1.0 + i % 4)
+        for i, (r, (_, k)) in enumerate(zip(receivers, raw))
+    ]
+    graph = normalize(agents, edges)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(propagation, "BLOCK_EDGES", block_edges)
+        plan = propagation._graph_plan(graph)
+    m = graph.n_pos_edges
+    assert np.array_equal(plan.order, np.argsort(graph.pos_receiver, kind="stable"))
+    assert np.array_equal(plan.weight, graph.pos_weight[plan.order])
+    # Each receiver with in-edges lies in exactly one block, and no
+    # receiver in two.
+    covered = np.zeros(n, int)
+    for blk in plan.blocks:
+        covered[blk.lo : blk.hi] += 1
+    assert covered.max() <= 1
+    assert np.all(covered[graph.pos_receiver] == 1)
+    # The block edge slices tile [0, M).
+    spans = sorted((blk.edges.start, blk.edges.stop) for blk in plan.blocks)
+    assert [a for a, _ in spans] + [m] == [0] + [b for _, b in spans]
+    sizes = [blk.edges.stop - blk.edges.start for blk in plan.blocks]
+    assert sizes == sorted(sizes, reverse=True)  # largest first
+    for blk, size in zip(plan.blocks, sizes):
+        assert size > 0
+        if size > block_edges:
+            assert blk.hi - blk.lo == 1
+        scatter = blk.scatter
+        assert scatter.shape == (blk.hi - blk.lo, size)
+        for j in range(blk.lo, blk.hi):
+            # Row j - lo: receiver j's weights at its in-edges' columns, in
+            # ascending edge order.
+            row = slice(scatter.indptr[j - blk.lo], scatter.indptr[j - blk.lo + 1])
+            in_edges = np.flatnonzero(graph.pos_receiver == j)
+            assert np.array_equal(plan.order[blk.edges][scatter.indices[row]], in_edges)
+            assert np.array_equal(scatter.data[row], graph.pos_weight[in_edges])
+    assert not any(a.flags.writeable for a in _arrays(plan))
 
 
 # ------------------------------------------------ receiver blocks on several threads
