@@ -390,6 +390,12 @@ def _executor(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(workers, thread_name_prefix="trustprop-block")
 
 
+# A forked child has none of the parent's pool threads, but the cached pool
+# still counts them as idle and would start none: give the child its own.
+if hasattr(os, "register_at_fork"):  # a platform without fork needs none
+    os.register_at_fork(after_in_child=_executor.cache_clear)
+
+
 def _drain(
     body: Callable[[_Block, np.ndarray], None], queue: deque[_Block], work: np.ndarray
 ) -> None:
@@ -426,19 +432,30 @@ def _for_each_block(
             body(blk, workspaces[0])
         return
     queue = deque(blocks)
+    # A cancelled helper stays in the pool's queue until a pool thread takes
+    # it, holding its arguments; ``step`` is emptied on return, so that it
+    # keeps nothing of this step alive.
+    step = [body, queue, workspaces]
     pool = _executor(_WORKERS)
-    futures = [pool.submit(_drain, body, queue, work) for work in workspaces[1:]]
+    futures = [pool.submit(_help, step, i) for i in range(1, len(workspaces))]
     try:
         _drain(body, queue, workspaces[0])
     finally:
         # A helper not yet started would find the queue empty (or the step
-        # failed): cancel it, and wait for the ones still inside a block.
-        for f in futures:
-            f.cancel()
-        wait(futures)
-    for f in futures:
-        if not f.cancelled():
-            f.result()
+        # failed): cancel it, and wait only for the ones cancel could not
+        # stop.  A cancelled one counts as done for ``wait`` only once a pool
+        # thread has taken it.
+        started = [f for f in futures if not f.cancel()]
+        wait(started)
+        step.clear()
+    for f in started:
+        f.result()
+
+
+def _help(step: list, i: int) -> None:
+    """A pool thread's share of ``step``: ``_drain`` in workspace ``i``."""
+    body, queue, workspaces = step
+    _drain(body, queue, workspaces[i])
 
 
 def _step_block(
@@ -729,6 +746,7 @@ def run(
         _check_state(state, (graph.n_agents, width), graph.agents.id)
     if cfg.mode == "continuous":
         plan = _continuous_plan(graph, cfg, centroids)
+    start = state.iterations
     for _ in range(cfg.max_iters):
         if cfg.mode == "continuous":
             state, residual = _step_continuous(state, graph, cfg, plan)
@@ -740,7 +758,7 @@ def run(
     if not state.converged:
         logger.warning(
             "propagation did not converge in %d iterations (residual %.3g)",
-            state.iterations,
+            state.iterations - start,
             state.residuals[-1] if state.residuals else float("nan"),
         )
     return state

@@ -10,8 +10,9 @@ magnitude.
 
 ``ranked`` is the one ordering function for every ranked list, here and in
 the harness: score descending, then id ascending with ids compared as
-Python strings (``"a10"`` before ``"a9"``, ``"a"`` before ``"a\\x00"``).
-So each list is a deterministic function of its inputs.
+Python strings (``"a10"`` before ``"a9"``, ``"a"`` before ``"a\\x00"``),
+only among tied scores.  So each list is a deterministic function of its
+inputs.
 """
 
 from __future__ import annotations
@@ -62,15 +63,31 @@ RankedList = list[tuple[str, float]]
 
 
 def ranked(ids: Sequence[str], scores: Sequence[float] | np.ndarray) -> RankedList:
-    """(id, score) pairs by score descending, then id ascending; scores
-    come out as Python floats.
+    """(id, score) pairs by score descending, then id ascending, then input
+    position; scores come out as Python floats.
 
-    The ids go in an object array so that ties compare them as Python
-    strings; a NumPy ``U`` array ignores trailing NULs.
+    One numeric sort orders the scores.  Only the entries whose score ties
+    another's (equal values, so ``-0.0`` ties ``0.0``; NaNs tie each other
+    and come last) are sorted again, by score then id, with the ids in an
+    object array so that they compare as Python strings: a NumPy ``U`` array
+    ignores trailing NULs.  The list is the one ``np.lexsort((ids,
+    -scores))`` orders.  Ids and scores of different lengths are rejected.
     """
-    ids = np.asarray(ids, dtype=object)
     scores = np.asarray(scores, dtype=np.float64)
-    order = np.lexsort((ids, -scores))
+    if len(ids) != len(scores):
+        raise ValidationError(f"ranked: {len(ids)} ids but {len(scores)} scores")
+    ids = np.asarray(ids, dtype=object)
+    keys = -scores
+    order = np.argsort(keys)
+    ranked_keys = keys[order]
+    nan = np.isnan(ranked_keys)
+    tied = (ranked_keys[1:] == ranked_keys[:-1]) | (nan[1:] & nan[:-1])
+    if tied.any():
+        # Only the members of tied runs need the full sort: taken in input
+        # order, by key then id, they fill their runs' slots.
+        at = np.flatnonzero(np.concatenate(([False], tied)) | np.concatenate((tied, [False])))
+        pos = np.sort(order[at])
+        order[at] = pos[np.lexsort((ids[pos], keys[pos]))]
     return list(zip(ids[order].tolist(), scores[order].tolist()))
 
 

@@ -3,6 +3,7 @@
 import itertools
 import logging
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -266,6 +267,19 @@ def test_run_from_a_converged_state_reports_only_its_own_convergence(graph, base
     assert state.iterations == baseline.iterations + 2
     assert "propagation did not converge" in caplog.text
 
+
+
+def test_non_convergence_warning_counts_only_this_runs_iterations(graph, baseline, caplog):
+    # The initial state's own iterations are in state.iterations, not in
+    # the count the warning gives for this run.
+    assert baseline.iterations > 2
+    with caplog.at_level(logging.WARNING, logger="trustprop.propagation"):
+        state = run(graph, PropagationConfig(max_iters=2),
+                    initial=replace(baseline, vectors=50 * baseline.vectors))
+    assert state.iterations == baseline.iterations + 2
+    assert [r.getMessage().split(" (")[0] for r in caplog.records] == [
+        "propagation did not converge in 2 iterations"
+    ]
 
 def test_normalize_each_iter_converges_to_unit_rows(graph):
     state = run(graph, PropagationConfig(normalize_each_iter=True))
@@ -1078,6 +1092,38 @@ def test_failing_step_waits_for_the_blocks_still_running(workers, monkeypatch):
     assert raised.value is error
     assert inside == []
 
+
+
+def test_forked_child_runs_multi_block_steps_of_its_own(monkeypatch, tmp_path):
+    # The parent's pool threads do not exist in a child made by fork, so
+    # the child's multi-block steps must not wait on them.  One child, killed
+    # if it has not finished within the timeout.
+    monkeypatch.setattr(propagation, "_WORKERS", 1)
+    graph, cents = _spec_graph(_many_edges_spec(4 * propagation.BLOCK_EDGES))
+    cfg = _SCATTER_CONFIGS["projection"]
+    assert len(propagation._graph_plan(graph).blocks) > 1
+    state = run(graph, cfg, centroids=cents)  # starts the parent's pool
+    out = tmp_path / "child.npz"
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            child = run(graph, cfg, centroids=cents)
+            np.savez(out, vectors=child.vectors, residuals=np.array(child.residuals))
+            code = 0
+        finally:
+            os._exit(code)  # never return into the parent's test session
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's run did not finish within 30 s")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+    with np.load(out) as child:
+        assert child["vectors"].tobytes() == state.vectors.tobytes()
+        assert child["residuals"].tobytes() == np.array(state.residuals).tobytes()
 
 def test_concurrent_runs_on_one_graph_each_get_their_own_result(fast_switching):
     graph, cents = _spec_graph(_many_edges_spec(6 * propagation.BLOCK_EDGES))

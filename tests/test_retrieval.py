@@ -1,6 +1,7 @@
 """Tests for retrieval scoring, BM25, rank fusion, and precision@k."""
 
 import math
+import struct
 from collections import Counter
 
 import numpy as np
@@ -487,3 +488,56 @@ def test_ranked_lists_match_the_per_function_sorts(case, beta_mix, k):
     else:
         with pytest.raises(ValidationError, match="query embedding is zero"):
             pipeline_search(state, agents, q)
+
+
+def _float_bits(x):
+    return struct.pack("<d", x)
+
+
+_PAYLOAD_NAN = struct.unpack("<d", struct.pack("<Q", 0xFFF0_0000_0000_0123))[0]
+# The special values, so that -0.0 ties 0.0, NaNs of any sign or payload tie
+# each other, and infinities tie their own kind.
+_RANK_SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, _PAYLOAD_NAN, 1.0]),
+    st.floats(),
+)
+
+
+@st.composite
+def _ranked_inputs(draw):
+    n = draw(st.integers(0, 120))
+    ids = draw(st.one_of(
+        # duplicates, and ids that differ only by trailing NULs
+        st.lists(st.sampled_from(_IDS), min_size=n, max_size=n),
+        st.permutations([f"a{i}" for i in range(n)]),
+    ))
+    # A pool of one value ties every score; a few values make long runs.
+    pool = draw(st.lists(_RANK_SCORES, min_size=1, max_size=4))
+    scores = draw(st.one_of(
+        st.lists(st.sampled_from(pool), min_size=n, max_size=n),
+        st.lists(_RANK_SCORES, min_size=n, max_size=n),
+    ))
+    return ids, np.array(scores, dtype=np.float64)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_ranked_inputs())
+@example(([], np.array([])))
+@example((["a"], np.array([math.nan])))
+@example((["a\x00", "a", "a", "b"], np.array([-0.0, 0.0, -0.0, math.nan])))
+def test_ranked_is_the_lexsort_order(case):
+    ids, scores = case
+    order = np.lexsort((np.asarray(ids, dtype=object), -scores))
+    want = [(ids[i], float(scores[i])) for i in order]
+    got = ranked(ids, scores)
+    assert repr(got) == repr(want)
+    assert [_float_bits(x) for _, x in got] == [_float_bits(x) for _, x in want]
+    assert all(type(aid) is str and type(x) is float for aid, x in got)
+    assert repr(ranked(tuple(ids), scores.tolist())) == repr(got)
+
+
+def test_ranked_rejects_ids_and_scores_of_different_lengths():
+    with pytest.raises(ValidationError, match="2 ids but 1 scores"):
+        ranked(["a", "b"], np.array([1.0]))
+    with pytest.raises(ValidationError, match="0 ids but 3 scores"):
+        ranked([], [1.0, 2.0, 3.0])
