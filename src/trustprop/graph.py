@@ -22,10 +22,12 @@ its records: ``table[i]`` builds row i's record.  ``AgentTable.of`` and
 ``EdgeTable.of`` turn record lists into tables.
 
 ``normalize`` computes ids, weights and validation as array expressions in
-edge order; the blind proxies are computed by ``blind_proxies`` and written
-into the (M, E) content matrix a few thousand rows at a time, so the
-per-edge temporaries stay small.  Norms come from ``vectorspace.row_norms``,
-so each proxy is bit-identical to the one a per-edge computation would give.
+input order, then puts the positive edges in receiver-major order, the one
+edge order every engine reads.  The labeled contents are written straight
+to their rows there, and the blind proxies, computed by ``blind_proxies``,
+a few thousand rows at a time, so the per-edge temporaries stay small.
+Norms come from ``vectorspace.row_norms``, so each proxy is bit-identical
+to the one a per-edge computation would give.
 """
 
 from __future__ import annotations
@@ -604,7 +606,10 @@ class NormalizedGraph:
     Positive entries form a multigraph: parallel edges are kept as separate
     entries, each with its own content, and their weights count separately
     toward the sender's row sum.  Senders with no positive edges keep empty
-    rows (their mass simply does not propagate).
+    rows (their mass simply does not propagate).  The positive edges are in
+    receiver-major order: sorted by receiver, each receiver's in-edges in
+    input order; a graph in another order is rejected.  ``normalize`` makes
+    its six ``pos_*`` arrays read-only.
 
     ``dim``, ``teleport`` and ``exogenous`` are the agent table's.  ``cache``
     holds what the engines derive from these arrays alone, built on first
@@ -623,6 +628,10 @@ class NormalizedGraph:
     neg_receiver: np.ndarray
     neg_weight: np.ndarray
     cache: dict[str, Any] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if np.any(self.pos_receiver[1:] < self.pos_receiver[:-1]):
+            raise ValidationError("positive edges must be in receiver-major order")
 
     @property
     def dim(self) -> int:
@@ -662,9 +671,7 @@ def _row_normalized(
     """
     if not senders.size:
         return weights
-    row = np.zeros(len(ids))
-    with np.errstate(over="ignore"):
-        np.add.at(row, senders, weights)
+    row = np.bincount(senders, weights, minlength=len(ids))  # adds in order, inf on overflow
     overflow = ~np.isfinite(row)
     if overflow.any():
         raise ValidationError(f"{what} {ids[_first(overflow)]!r} overflow the float range")
@@ -692,7 +699,8 @@ def normalize(
     a flag weight severity x reporter reputation x verified factor; each is
     multiplied in that order, so it comes out as a per-edge computation
     gives it.  A sender or reporter whose weights or row sum overflow or
-    underflow the float range is rejected, by name.
+    underflow the float range is rejected, by name.  The positive edges
+    come out in receiver-major order, read-only (see ``NormalizedGraph``).
     """
     agents, edges = AgentTable.of(agents), EdgeTable.of(edges)
     n, m = len(agents), len(edges)
@@ -750,13 +758,24 @@ def normalize(
     pos_weight[same_owner] *= cfg.same_owner_discount
     pos_weight = _row_normalized(pos_sender, pos_weight, agents.id, "edge weights of sender")
 
-    content_mat = np.empty((pos_sender.size, dim))
+    # Receiver-major, after the row sums, which add in input order as a
+    # per-edge pass does; a stable sort keeps each receiver's in-edges in
+    # input order.  Contents and proxies are written straight to their rows.
+    order = np.argsort(pos_receiver, kind="stable")
+    content_mat = np.empty((order.size, dim))
     if contents.size:
-        content_mat[~pos_blind] = contents
+        at = np.empty_like(order)
+        at[order] = np.arange(order.size)
+        content_mat[at[~pos_blind]] = contents
+    pos_sender, pos_receiver, pos_blind, pos_weight, pos_confidence = (
+        a[order] for a in (pos_sender, pos_receiver, pos_blind, pos_weight, edges.confidence[pos])
+    )
     blind_rows = np.flatnonzero(pos_blind)
     for start in range(0, blind_rows.size, PROXY_CHUNK_ROWS):
         rows = blind_rows[start : start + PROXY_CHUNK_ROWS]
         content_mat[rows] = blind_proxies(agents.profile, pos_sender[rows], pos_receiver[rows])
+    for a in (pos_sender, pos_receiver, pos_weight, content_mat, pos_blind, pos_confidence):
+        a.flags.writeable = False
 
     return NormalizedGraph(
         agents=agents,
@@ -765,7 +784,7 @@ def normalize(
         pos_weight=pos_weight,
         pos_content=content_mat,
         pos_blind=pos_blind,
-        pos_confidence=edges.confidence[pos],
+        pos_confidence=pos_confidence,
         neg_sender=neg_sender,
         neg_receiver=receivers[flag][kept],
         neg_weight=neg_weight,

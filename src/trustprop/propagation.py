@@ -27,12 +27,12 @@ and a pool of one thread per further available CPU (numpy and scipy release
 the GIL inside them), and the result does not depend on the number of
 threads or on which thread runs which block.
 
-What a step reads besides R is built as rarely as it can be.  Once per
-graph, and kept with it: the receiver-major edge order, the permuted
-sender, blind and weight arrays and the blocks, all read-only and shared
-by every run on the graph.  Once per graph and centroids: the edge topic
-distributions.  Once per ``run``: the permuted (M, E) contents (not kept,
-at several times the size of the rest), the confidence column, the
+The blocks slice the graph's own edge arrays, which ``normalize`` puts in
+receiver-major order and makes read-only; nothing here permutes or copies
+them.  What a step reads besides R and those arrays is built as rarely as
+it can be.  Once per graph, and kept with it: the blocks, read-only and
+shared by every run on the graph.  Once per graph and centroids: the edge
+topic distributions.  Once per ``run``: the confidence column, the
 entropy factor, the damping constant (1 - alpha) * T + C (or
 (1 - alpha) * (T + C) when coupled), one (widest block's edges, E)
 workspace per thread that can take blocks and, when gates rewrite the
@@ -47,7 +47,9 @@ through one flag matrix as a subtracted beta-scaled term in every bucket,
 stable whenever alpha * (1 + beta) < 1.  ``build_domain_matrices`` splits
 all edges at once: one stable argsort of the (M, D) cosine matrix, shares
 summed column by column, and per domain the kept entries in ascending edge
-order, so each M_d is bit-identical to a per-edge split.
+order.  The edges are receiver-major, so each sender's row of M_d comes in
+with its columns sorted and the parallel edges of one entry add in edge
+order: each M_d is bit-identical to a per-edge split.
 
 A graph and a config are all ``run`` and ``warm_start`` need: every input
 the config calls for that the caller leaves out is built from the graph.
@@ -229,7 +231,7 @@ def init_state(
 
 @dataclass(frozen=True)
 class _Block:
-    """Receivers ``lo:hi`` and their in-edges, slices of the plan's edge arrays.
+    """Receivers ``lo:hi`` and their in-edges, a slice of the graph's edge arrays.
 
     ``scatter`` is the (hi - lo, edges) CSR matrix whose row j - lo holds the
     weights of receiver j's in-edges in ascending edge order, and whose
@@ -244,38 +246,23 @@ class _Block:
     scatter: sp.csr_matrix
 
 
-@dataclass(frozen=True)
-class _GraphPlan:
-    """The part of the continuous step that depends only on the graph.
-
-    The edge arrays are in receiver-major order (``order``, a stable argsort
-    of the receivers, so each receiver's in-edges stay in ascending edge
-    order), cut into blocks of consecutive receivers with about
-    ``BLOCK_EDGES`` in-edges each; a receiver with more has a block of its
-    own.  ``blocks`` lists them by edge count, largest first.  Every array,
-    the block matrices' included, is read-only, so any number of runs can
-    share one.  The (M, E) contents are not kept: at several times the size
-    of everything here, each run permutes them for itself.
-    """
-
-    order: np.ndarray
-    sender: np.ndarray
-    blind: np.ndarray
-    weight: np.ndarray
-    blocks: tuple[_Block, ...]
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
 
-def _graph_plan(graph: NormalizedGraph) -> _GraphPlan:
+def _graph_plan(graph: NormalizedGraph) -> tuple[_Block, ...]:
+    """The part of the continuous step that depends only on the graph.
+
+    The graph's receiver-major edges cut into blocks of consecutive
+    receivers with about ``BLOCK_EDGES`` in-edges each; a receiver with more
+    has a block of its own.  The blocks come by edge count, largest first.
+    The block matrices' arrays are read-only, so any number of runs can
+    share them.
+    """
     n = graph.n_agents
-    order = np.argsort(graph.pos_receiver, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(graph.pos_receiver, minlength=n), out=indptr[1:])
-    weight = _read_only(graph.pos_weight[order])
     blocks = []
     lo = 0
     while lo < n:
@@ -286,7 +273,8 @@ def _graph_plan(graph: NormalizedGraph) -> _GraphPlan:
         b = int(indptr[hi])
         if b > a:
             scatter = sp.csr_matrix(
-                (weight[a:b], np.arange(b - a), indptr[lo : hi + 1] - a), shape=(hi - lo, b - a)
+                (graph.pos_weight[a:b], np.arange(b - a), indptr[lo : hi + 1] - a),
+                shape=(hi - lo, b - a),
             )
             for arr in (scatter.data, scatter.indices, scatter.indptr):
                 _read_only(arr)
@@ -294,31 +282,28 @@ def _graph_plan(graph: NormalizedGraph) -> _GraphPlan:
         lo = hi
     # Largest first, so a hub's oversized block does not start last.
     blocks.sort(key=lambda blk: blk.edges.start - blk.edges.stop)
-    sender, blind = _read_only(graph.pos_sender[order]), _read_only(graph.pos_blind[order])
-    return _GraphPlan(_read_only(order), sender, blind, weight, tuple(blocks))
+    return tuple(blocks)
 
 
 @dataclass
 class _ContinuousPlan:
     """Everything one continuous run's steps read besides R.
 
-    ``graph`` is the graph's plan, kept in ``NormalizedGraph.cache`` for the
-    current ``BLOCK_EDGES``; ``p_int`` is kept there too, for the last
-    centroid values seen, computed over the contents in edge order and then
-    permuted, so its rows are those an edge-order step would use.  The rest
-    is the run's own, including, when gates rewrite the block weights, its
-    own copy of each block's scatter matrix.  ``needs_dots`` and
-    ``needs_norms`` say whether the operator or a gate reads the row dots
-    r . e and the sender row norms ||R[i]||, which each step then takes
-    once.
+    ``graph`` is the graph whose edge arrays the blocks slice.  The blocks
+    of ``_graph_plan`` are kept in ``NormalizedGraph.cache`` for the current
+    ``BLOCK_EDGES``, and ``p_int`` is kept there too, for the last centroid
+    values seen.  The rest is the run's own, including, when gates rewrite
+    the block weights, its own copy of each block's scatter matrix.
+    ``needs_dots`` and ``needs_norms`` say whether the operator or a gate
+    reads the row dots r . e and the sender row norms ||R[i]||, which each
+    step then takes once.
     ``damped`` is the step's constant term, from ``_damped``.
     ``workspaces`` holds one (widest block's edges, E) array for each
     thread that can take blocks: a block gathers its sender rows into its
     thread's workspace and transfers them there in place.
     """
 
-    graph: _GraphPlan
-    content: np.ndarray
+    graph: NormalizedGraph
     blocks: tuple[_Block, ...]
     needs_dots: bool
     needs_norms: bool
@@ -351,16 +336,14 @@ def _continuous_plan(
     cfg: PropagationConfig,
     centroids: np.ndarray | None,
 ) -> _ContinuousPlan:
-    half = _cached(graph, "plan", BLOCK_EDGES, lambda: _graph_plan(graph))
+    blocks = _cached(graph, "plan", BLOCK_EDGES, lambda: _graph_plan(graph))
     gates, operator = cfg.gates, cfg.operator
-    blocks = half.blocks
     if gates.any_enabled:
         blocks = tuple(replace(blk, scatter=blk.scatter.copy()) for blk in blocks)
     widest = blocks[0].edges.stop - blocks[0].edges.start if blocks else 0
     threads = 1 + min(_WORKERS, len(blocks) - 1)
     plan = _ContinuousPlan(
-        graph=half,
-        content=graph.pos_content[half.order],
+        graph=graph,
         blocks=blocks,
         needs_dots=operator.uses_row_dots or gates.uses_row_geometry,
         needs_norms=operator.uses_row_norms or gates.uses_row_geometry,
@@ -372,11 +355,11 @@ def _continuous_plan(
             np.isnan(graph.pos_confidence),
             np.where(graph.pos_blind, gates.confidence.default_confidence, 1.0),
             graph.pos_confidence,
-        )[half.order]
+        )
     if gates.needs_distributions() and graph.n_pos_edges:
         cents = np.asarray(centroids, dtype=np.float64)
         plan.p_int = _cached(graph, "p_int", (cents.shape, cents.tobytes()), lambda: _read_only(
-            topic_distribution_batch(graph.pos_content, cents)[half.order]
+            topic_distribution_batch(graph.pos_content, cents)
         ))
         plan.centroids = centroids
         if gates.entropy.enabled:
@@ -432,30 +415,14 @@ def _for_each_block(
             body(blk, workspaces[0])
         return
     queue = deque(blocks)
-    # A cancelled helper stays in the pool's queue until a pool thread takes
-    # it, holding its arguments; ``step`` is emptied on return, so that it
-    # keeps nothing of this step alive.
-    step = [body, queue, workspaces]
     pool = _executor(_WORKERS)
-    futures = [pool.submit(_help, step, i) for i in range(1, len(workspaces))]
+    futures = [pool.submit(_drain, body, queue, work) for work in workspaces[1:]]
     try:
         _drain(body, queue, workspaces[0])
     finally:
-        # A helper not yet started would find the queue empty (or the step
-        # failed): cancel it, and wait only for the ones cancel could not
-        # stop.  A cancelled one counts as done for ``wait`` only once a pool
-        # thread has taken it.
-        started = [f for f in futures if not f.cancel()]
-        wait(started)
-        step.clear()
-    for f in started:
+        wait(futures)  # a helper that starts late finds the queue empty
+    for f in futures:
         f.result()
-
-
-def _help(step: list, i: int) -> None:
-    """A pool thread's share of ``step``: ``_drain`` in workspace ``i``."""
-    body, queue, workspaces = step
-    _drain(body, queue, workspaces[i])
 
 
 def _step_block(
@@ -473,12 +440,12 @@ def _step_block(
     The sender rows are gathered into ``work``, the thread's workspace, and
     the gates read them before the transfer overwrites them.
     """
-    e = blk.edges
-    sender = plan.graph.sender[e]
+    e, graph = blk.edges, plan.graph
+    sender = graph.pos_sender[e]
     # mode="clip" lets numpy write straight into ``work`` (with "raise" it
-    # buffers ``out``); the plan's senders are always in range.
+    # buffers ``out``); the graph's senders are always in range.
     rows = np.take(r, sender, axis=0, out=work[: len(sender)], mode="clip")
-    content = plan.content[e]
+    content = graph.pos_content[e]
     dots = row_dots(rows, content) if plan.needs_dots else None
     if norms is not None:
         norms = norms[sender]
@@ -487,9 +454,8 @@ def _step_block(
         per_edge = (None if a is None else a[e] for a in (plan.confidence, plan.p_int, p_rep))
         entropy = None if plan.entropy is None else plan.entropy[e]
         gate = stack_batch(gates, rows, content, *per_edge, dots, norms, entropy)
-        np.multiply(plan.graph.weight[e], gate, out=blk.scatter.data)
-    transferred = transfer_batch(cfg.operator, rows, content, plan.graph.blind[e], dots, norms,
-                                 rows)
+        np.multiply(graph.pos_weight[e], gate, out=blk.scatter.data)
+    transferred = transfer_batch(cfg.operator, rows, content, graph.pos_blind[e], dots, norms, rows)
     acc[blk.lo : blk.hi] = blk.scatter @ transferred
 
 
@@ -513,15 +479,15 @@ def _step_continuous(
     of threads nor the order the blocks run in changes a bit.  The
     softmax-KL ``p_rep`` is the exception to row by row: it goes through a
     GEMM whose rows may round differently with the matrix shape, so it is
-    computed before the blocks over all sender rows in edge order and then
-    permuted, as ``p_int`` is.
+    computed before the blocks over all sender rows, as ``p_int`` is over
+    all edge contents.
     """
     r = state.vectors
     gates = cfg.gates
     norms = state.magnitudes() if plan.needs_norms else None
     p_rep = None
     if gates.kl.enabled and gates.kl.form == "softmax" and plan.blocks:
-        p_rep = topic_distribution_batch(r[graph.pos_sender], plan.centroids)[plan.graph.order]
+        p_rep = topic_distribution_batch(r[graph.pos_sender], plan.centroids)
     acc = np.zeros_like(r)
     body = functools.partial(
         _step_block, r=r, norms=norms, p_rep=p_rep, acc=acc, cfg=cfg, plan=plan
@@ -620,7 +586,8 @@ def build_domain_matrices(
     weighted = graph.pos_weight[:, None] * shares
     mats = []
     for d in range(n_domains):
-        # One entry per edge at most, in ascending edge order.
+        # One entry per edge at most, in ascending edge order; each row's
+        # columns come sorted, so scipy adds parallel edges in that order.
         edge, col = np.nonzero((order == d) & kept)
         m = sp.csr_matrix(
             (weighted[edge, col], (graph.pos_sender[edge], graph.pos_receiver[edge])),

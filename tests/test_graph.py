@@ -1,5 +1,6 @@
 """Tests for graph records, evidence weights and row normalization."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -354,6 +355,21 @@ def test_normalize_keeps_parallel_edges_separate():
     np.testing.assert_array_equal(g.pos_content[1], c2)
 
 
+def test_normalize_orders_positive_edges_by_receiver_and_makes_them_read_only():
+    agents = [make_agent(x) for x in "abc"]
+    edges = [labeled("a", "c", base=1.0), labeled("b", "a"), labeled("a", "c", base=3.0),
+             Edge(sender="c", receiver="a", kind="blind")]
+    g = normalize(agents, edges)
+    assert g.pos_receiver.tolist() == [0, 0, 2, 2]
+    assert g.pos_sender.tolist() == [1, 2, 0, 0]
+    np.testing.assert_allclose(g.pos_weight, [1.0, 1.0, 0.25, 0.75], atol=1e-12)
+    assert g.pos_blind.tolist() == [False, True, False, False]
+    names = ("sender", "receiver", "weight", "content", "blind", "confidence")
+    assert not any(getattr(g, f"pos_{name}").flags.writeable for name in names)
+    with pytest.raises(ValidationError, match="receiver-major"):
+        dataclasses.replace(g, pos_receiver=g.pos_receiver[::-1])
+
+
 def test_normalize_blind_edges_get_proxy_content():
     a = make_agent("a", profile=[1.0, 0.0])
     b = make_agent("b", profile=[0.0, 1.0])
@@ -527,6 +543,10 @@ def _reference_normalize(agents, edges, cfg, reps):
 
     pos_sender, pos_weight = normalized([p[0] for p in pos], [p[2] for p in pos])
     neg_sender, neg_weight = normalized([n[0] for n in neg], [n[2] for n in neg])
+    # Receiver-major, stably: each receiver's in-edges keep their input order.
+    order = sorted(range(len(pos)), key=lambda k: pos[k][1])
+    pos = [pos[k] for k in order]
+    pos_sender, pos_weight = pos_sender[order], pos_weight[order]
     return dict(
         pos_sender=pos_sender,
         pos_receiver=np.asarray([p[1] for p in pos], dtype=np.int64),

@@ -362,3 +362,37 @@ def test_retrieval_reads_agent_columns():
                 for g in node.generators)
     ]
     assert by_id == []
+
+
+def _argsorts_naming(path, name):
+    """Line numbers of ``argsort`` calls with an operand that names ``name``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "argsort":
+            operands = [func.value, *node.args]
+        elif isinstance(func, ast.Name) and func.id == "argsort":
+            operands = list(node.args)
+        else:
+            continue
+        operands += [kw.value for kw in node.keywords]
+        if any(
+            isinstance(sub, ast.Name) and sub.id == name
+            or isinstance(sub, ast.Attribute) and sub.attr == name
+            for operand in operands
+            for sub in ast.walk(operand)
+        ):
+            yield node.lineno
+
+
+def test_only_normalize_orders_positive_edges():
+    # normalize puts the positive edges in receiver-major order, the one
+    # edge order every engine reads; no other module sorts them again.
+    sorts = [
+        f"{path.stem}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "graph"
+        for line in _argsorts_naming(path, "pos_receiver")
+    ]
+    assert sorts == []

@@ -33,6 +33,7 @@ from trustprop.gates import (
     topic_distribution_batch,
 )
 from trustprop.graph import Agent, Edge, normalize
+from trustprop.harness import CorpusSpec, generate_corpus
 from trustprop.operators import OperatorKind, transfer_batch
 from trustprop.propagation import (
     PropagationConfig,
@@ -966,23 +967,21 @@ def test_graph_plan_tiles_the_edges_in_bounded_blocks(spec, block_edges):
     graph = normalize(agents, edges)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(propagation, "BLOCK_EDGES", block_edges)
-        plan = propagation._graph_plan(graph)
+        blocks = propagation._graph_plan(graph)
     m = graph.n_pos_edges
-    assert np.array_equal(plan.order, np.argsort(graph.pos_receiver, kind="stable"))
-    assert np.array_equal(plan.weight, graph.pos_weight[plan.order])
     # Each receiver with in-edges lies in exactly one block, and no
     # receiver in two.
     covered = np.zeros(n, int)
-    for blk in plan.blocks:
+    for blk in blocks:
         covered[blk.lo : blk.hi] += 1
     assert covered.max() <= 1
     assert np.all(covered[graph.pos_receiver] == 1)
     # The block edge slices tile [0, M).
-    spans = sorted((blk.edges.start, blk.edges.stop) for blk in plan.blocks)
+    spans = sorted((blk.edges.start, blk.edges.stop) for blk in blocks)
     assert [a for a, _ in spans] + [m] == [0] + [b for _, b in spans]
-    sizes = [blk.edges.stop - blk.edges.start for blk in plan.blocks]
+    sizes = [blk.edges.stop - blk.edges.start for blk in blocks]
     assert sizes == sorted(sizes, reverse=True)  # largest first
-    for blk, size in zip(plan.blocks, sizes):
+    for blk, size in zip(blocks, sizes):
         assert size > 0
         if size > block_edges:
             assert blk.hi - blk.lo == 1
@@ -993,9 +992,9 @@ def test_graph_plan_tiles_the_edges_in_bounded_blocks(spec, block_edges):
             # ascending edge order.
             row = slice(scatter.indptr[j - blk.lo], scatter.indptr[j - blk.lo + 1])
             in_edges = np.flatnonzero(graph.pos_receiver == j)
-            assert np.array_equal(plan.order[blk.edges][scatter.indices[row]], in_edges)
+            assert np.array_equal(np.arange(m)[blk.edges][scatter.indices[row]], in_edges)
             assert np.array_equal(scatter.data[row], graph.pos_weight[in_edges])
-    assert not any(a.flags.writeable for a in _arrays(plan))
+    assert not any(a.flags.writeable for a in _arrays(blocks))
 
 
 # ------------------------------------------------ receiver blocks on several threads
@@ -1101,7 +1100,7 @@ def test_forked_child_runs_multi_block_steps_of_its_own(monkeypatch, tmp_path):
     monkeypatch.setattr(propagation, "_WORKERS", 1)
     graph, cents = _spec_graph(_many_edges_spec(4 * propagation.BLOCK_EDGES))
     cfg = _SCATTER_CONFIGS["projection"]
-    assert len(propagation._graph_plan(graph).blocks) > 1
+    assert len(propagation._graph_plan(graph)) > 1
     state = run(graph, cfg, centroids=cents)  # starts the parent's pool
     out = tmp_path / "child.npz"
     pid = os.fork()
@@ -1186,10 +1185,10 @@ def test_the_cached_graph_plan_stays_clean(monkeypatch, fast_switching):
 
     assert set(graph.cache) == {"plan", "p_int"}
     fresh = propagation._graph_plan(graph)
-    fresh_p_int = topic_distribution_batch(graph.pos_content, cents)[fresh.order]
+    fresh_p_int = topic_distribution_batch(graph.pos_content, cents)
     (_, plan), (_, p_int) = graph.cache["plan"], graph.cache["p_int"]
-    spans = [(blk.lo, blk.hi, blk.edges) for blk in plan.blocks]
-    assert spans == [(blk.lo, blk.hi, blk.edges) for blk in fresh.blocks]
+    spans = [(blk.lo, blk.hi, blk.edges) for blk in plan]
+    assert spans == [(blk.lo, blk.hi, blk.edges) for blk in fresh]
     cached = list(_arrays((plan, p_int)))
     for got, want in zip(cached, _arrays((fresh, fresh_p_int)), strict=True):
         assert not got.flags.writeable
@@ -1304,11 +1303,13 @@ def test_hybrid_per_edge_select_equals_masked_overwrite(pattern, seed, m, dim):
 
 
 def _reference_domain_matrices(graph, cents, top_k):
-    """The per-edge split: argsort each edge's cosines, keep the positive top-k."""
+    """The per-edge split: argsort each edge's cosines, keep the positive top-k.
+
+    The shares of parallel edges in one (sender, receiver, domain) entry are
+    added in edge order, as Python floats, before the CSR is built.
+    """
     n, n_domains = graph.n_agents, cents.shape[0]
-    rows = [[] for _ in range(n_domains)]
-    cols = [[] for _ in range(n_domains)]
-    data = [[] for _ in range(n_domains)]
+    entries = [{} for _ in range(n_domains)]
     if graph.n_pos_edges:
         cos = (graph.pos_content @ cents.T) / np.linalg.norm(cents, axis=1)[None, :]
         for idx in range(graph.n_pos_edges):
@@ -1321,13 +1322,14 @@ def _reference_domain_matrices(graph, cents, top_k):
                 total = float(sum(sims[d] for d in kept))
                 shares = [float(sims[d]) / total for d in kept]
             w = float(graph.pos_weight[idx])
+            key = (int(graph.pos_sender[idx]), int(graph.pos_receiver[idx]))
             for d, share in zip(kept, shares):
-                rows[d].append(int(graph.pos_sender[idx]))
-                cols[d].append(int(graph.pos_receiver[idx]))
-                data[d].append(w * share)
+                entries[d][key] = entries[d].get(key, 0.0) + w * share
     mats = []
     for d in range(n_domains):
-        m = sp.csr_matrix((data[d], (rows[d], cols[d])), shape=(n, n), dtype=np.float64)
+        rows, cols = zip(*entries[d]) if entries[d] else ((), ())
+        data = list(entries[d].values())
+        m = sp.csr_matrix((data, (rows, cols)), shape=(n, n), dtype=np.float64)
         sums = np.asarray(m.sum(axis=1)).ravel()
         scale = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0)
         mats.append(sp.csr_matrix(sp.diags(scale) @ m))
@@ -1363,6 +1365,10 @@ def test_build_domain_matrices_equals_per_edge_reference(spec):
     graph, _ = _spec_graph(graph_spec)
     cents = scale * _centroid_pool(graph.dim, graph_spec[2])[picks]
     top_k = 1 + k % len(picks)
+    _assert_domain_matrices_equal_reference(graph, cents, top_k)
+
+
+def _assert_domain_matrices_equal_reference(graph, cents, top_k):
     mats = build_domain_matrices(graph, cents, top_k=top_k)
     expected = _reference_domain_matrices(graph, cents, top_k)
     assert len(mats.mats) == len(expected)
@@ -1370,6 +1376,17 @@ def test_build_domain_matrices_equals_per_edge_reference(spec):
         for name in ("data", "indices", "indptr"):
             a, b = getattr(got, name), getattr(ref, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("labeled_edges", [70, 156])
+@pytest.mark.parametrize("top_k", [1, 2])
+def test_build_domain_matrices_equals_per_edge_reference_on_corpus_graphs(top_k, labeled_edges):
+    # The gen-corpus default graphs have a hundred or more sender-receiver
+    # pairs with parallel edges, whose shares meet in one entry.
+    corpus = generate_corpus(CorpusSpec(seed=42, labeled_edges=labeled_edges))
+    graph = normalize(corpus.agents, corpus.edges)
+    _, cents = centroids_from_agents(graph.agents)
+    _assert_domain_matrices_equal_reference(graph, cents, top_k)
 
 
 # ------------------------------------------------ inputs built by the engine
