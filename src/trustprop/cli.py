@@ -64,9 +64,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
+# Every file is UTF-8 text, whatever the locale (RFC 8259 section 8.1).
+def _read(path: str) -> str:
+    return Path(path).read_text(encoding="utf-8")
+
+
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
 
 
 def cmd_gen_corpus(args: argparse.Namespace) -> int:
@@ -85,8 +90,8 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
 
 def cmd_propagate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    agents = agents_from_jsonl(Path(args.agents).read_text())
-    edges = edges_from_jsonl(Path(args.edges).read_text())
+    agents = agents_from_jsonl(_read(args.agents))
+    edges = edges_from_jsonl(_read(args.edges))
     mean = None
     if args.center:
         agents, edges, _, mean = center_corpus(agents, edges)
@@ -103,9 +108,9 @@ def cmd_propagate(args: argparse.Namespace) -> int:
 
 def cmd_query(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    state, _, mean = snapshot_from_json(Path(args.snapshot).read_text())
-    queries = queries_from_jsonl(Path(args.queries).read_text())
-    agents = agents_from_jsonl(Path(args.agents).read_text())
+    state, _, mean = snapshot_from_json(_read(args.snapshot))
+    queries = queries_from_jsonl(_read(args.queries))
+    agents = agents_from_jsonl(_read(args.agents))
     strategy = args.strategy or cfg["retrieval.strategy"]
     if mean.size:
         # Move queries (and the pipeline's profiles) into the space that

@@ -1,13 +1,10 @@
 """File formats: line-delimited JSON corpora, state snapshots, flat configs.
 
-All floats are serialized as their shortest round-trip decimal (what
-``repr`` produces), so write → read → write is byte-stable and loaded
-arrays are bit-identical to the originals.
-
-Every JSON text is parsed by ``_loads``: orjson, with ``json.loads`` for the
-text orjson rejects.  Snapshots are written as ``json.dumps(obj, indent=2)``
-would write them; the floats of the agent rows are written by orjson in one
-call (``_float_rows``), the few that orjson spells otherwise by ``json.dumps``.
+Every JSON text is written by ``_dumps`` and parsed by ``_loads``.  The
+writer is orjson: floats in their shortest round-trip digits, so loaded
+arrays are bit-identical to the originals and write → read → write is
+byte-stable, and text as raw UTF-8.  The reader is orjson, with
+``json.loads`` for the text orjson rejects.
 """
 
 from __future__ import annotations
@@ -15,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from itertools import repeat
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import MISSING, fields as dataclass_fields, replace
@@ -153,7 +151,7 @@ def parse_config(text: str) -> dict[str, Any]:
 def load_config(path: str | Path | None) -> dict[str, Any]:
     if path is None:
         return {key: default for key, (_, default) in CONFIG_DEFAULTS.items()}
-    return parse_config(Path(path).read_text())
+    return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
 def config_digest(cfg: Mapping[str, Any]) -> str:
@@ -194,31 +192,36 @@ def corpus_spec(cfg: Mapping[str, Any]) -> CorpusSpec:
     return CorpusSpec(**config_section(cfg, "corpus"))
 
 
-# --- JSONL corpora ------------------------------------------------------------
+# --- JSON text ----------------------------------------------------------------
 
-def _jsonl(records: Iterable[Any], table: tuple[Field, ...]) -> str:
-    """A JSON line per record: each field its ``write`` rule keeps, in table order."""
-    lines = []
-    for record in records:
-        obj = {f.key: getattr(record, f.key) for f in table if f.write is None or f.write(record)}
-        lines.append(json.dumps(obj, separators=(", ", ": "), default=_json_default))
-    return "\n".join(lines) + "\n"
+def _dumps(obj: Any, where: str, option: int = 0) -> bytes:
+    """The one JSON writer: ``obj`` as orjson writes it, numpy arrays as
+    lists; ``where`` prefixes errors.
 
-
-def _json_default(value: np.ndarray | frozenset[str]) -> list[Any]:
-    return value.tolist() if isinstance(value, np.ndarray) else sorted(value)
-
-
-def agents_to_jsonl(agents: Iterable[Agent]) -> str:
-    return _jsonl(agents, AGENT_FIELDS)
-
-
-def edges_to_jsonl(edges: Iterable[Edge]) -> str:
-    return _jsonl(edges, EDGE_FIELDS)
+    A string that UTF-8 cannot encode raises a ValidationError naming it.
+    orjson writes a non-finite float as null: callers keep those out.
+    """
+    try:
+        return orjson.dumps(obj, option=option | orjson.OPT_SERIALIZE_NUMPY)
+    except orjson.JSONEncodeError as exc:
+        bad = _lone_surrogate(obj)
+        if bad is None:
+            raise
+        raise ValidationError(f"{where}: {bad!r} holds a lone surrogate, not UTF-8 text") from exc
 
 
-def queries_to_jsonl(queries: Iterable[Query]) -> str:
-    return _jsonl(queries, QUERY_FIELDS)
+# What UTF-8 cannot encode: a lone surrogate, which json.loads reads from an escape.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _lone_surrogate(obj: Any) -> str | None:
+    """The first string in ``obj``, a key or a value at any depth, that holds
+    a lone surrogate, or None."""
+    if isinstance(obj, dict):
+        obj = [*obj, *obj.values()]
+    if isinstance(obj, (list, tuple)):
+        return next(filter(None, map(_lone_surrogate, obj)), None)
+    return obj if isinstance(obj, str) and _SURROGATE.search(obj) else None
 
 
 def _loads(text: str, where: str) -> Any:
@@ -244,6 +247,35 @@ def _loads(text: str, where: str) -> Any:
     # ValueError: json.JSONDecodeError, or an int of more than 4300 digits.
     except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{where}: invalid json ({exc})") from exc
+
+
+# --- JSONL corpora ------------------------------------------------------------
+
+def _jsonl(records: Iterable[Any], table: tuple[Field, ...], what: str) -> str:
+    """A JSON line per record: each field its ``write`` rule keeps, in table
+    order; a set as its sorted list, a vector as a C-ordered copy if not one."""
+    lines = []
+    for record in records:
+        obj = {f.key: getattr(record, f.key) for f in table if f.write is None or f.write(record)}
+        for key, value in obj.items():
+            if isinstance(value, frozenset):
+                obj[key] = sorted(value)
+            elif isinstance(value, np.ndarray):
+                obj[key] = np.ascontiguousarray(value)
+        lines.append(_dumps(obj, what, orjson.OPT_APPEND_NEWLINE))
+    return b"".join(lines).decode()
+
+
+def agents_to_jsonl(agents: Iterable[Agent]) -> str:
+    return _jsonl(agents, AGENT_FIELDS, "agents")
+
+
+def edges_to_jsonl(edges: Iterable[Edge]) -> str:
+    return _jsonl(edges, EDGE_FIELDS, "edges")
+
+
+def queries_to_jsonl(queries: Iterable[Query]) -> str:
+    return _jsonl(queries, QUERY_FIELDS, "queries")
 
 
 def _records(text: str, what: str) -> Iterator[tuple[int, dict[str, Any]]]:
@@ -410,77 +442,38 @@ def center_corpus(
 # --- snapshots ----------------------------------------------------------------
 
 
-# Between two floats of an agent's "r" row, three levels deep in the snapshot.
-_ROW_SEP = ",\n" + " " * 8
-
-
-def _float_rows(vectors: np.ndarray) -> list[str]:
-    """Each row of an (N, E) matrix: its floats as ``json.dumps`` spells
-    them, joined by ``_ROW_SEP``.
-
-    orjson writes every float in one call, with the shortest round-trip
-    digits that ``repr`` writes.  It spells three kinds of value otherwise:
-    0 < |x| < 1e-4 (``0.00006775`` or ``6.17e-7`` for ``6.775e-05`` or
-    ``6.17e-07``), |x| >= 1e16 (``1e16`` for ``1e+16``) and the non-finite
-    (``null`` for ``Infinity``, ``-Infinity`` and ``NaN``).  Those floats
-    are replaced by their ``json.dumps`` spelling, which orjson writes as a
-    string; the text holds no other quotes, so dropping them all leaves it.
-    """
-    vectors = np.asarray(vectors, dtype=float)
-    rows = vectors.tolist()
-    if not rows:
-        return []
-    a = np.abs(vectors)
-    respell = ~np.isfinite(vectors) | ((a < 1e-4) & (a != 0)) | (a >= 1e16)
-    for i, j in zip(*(index.tolist() for index in np.nonzero(respell))):
-        rows[i][j] = json.dumps(rows[i][j])
-    text = orjson.dumps(rows).decode().replace('"', "")
-    del rows  # the floats, before the rows are spelled out
-    return [row.replace(",", _ROW_SEP) for row in text[2:-2].split("],[")]
-
-
-def _agents_json(ids: Sequence[str], vectors: np.ndarray) -> str:
-    """The snapshot's "agents" array as ``json.dumps(indent=2)`` writes it."""
-    if not ids:
-        return "[]"
-    # Between an id and its row's first float, and after its last one.
-    if vectors.shape[1]:
-        before, after = ',\n      "r": [\n        ', "\n      ]\n    },\n"
-    else:
-        before, after = ',\n      "r": [', "]\n    },\n"
-    pieces = ["[\n"]
-    for aid, row in zip(ids, _float_rows(vectors), strict=True):
-        pieces += ('    {\n      "id": ', json.dumps(aid), before, row, after)
-    pieces[-1] = after[:-2] + "\n  ]"  # no comma after the last entry; close the array
-    return "".join(pieces)
+def _check_finite(vectors: np.ndarray, mean: np.ndarray, residuals: np.ndarray) -> None:
+    """A snapshot's rows, mean and residuals are finite, when written and when
+    read: orjson writes null for a non-finite float, and ``_loads`` reads
+    NaN and Infinity tokens, and 1e999 as inf."""
+    for name, v in (("agent rows", vectors), ("mean", mean), ("residuals", residuals)):
+        if not np.isfinite(v).all():
+            raise ValidationError(f"snapshot: {name} must be finite")
 
 
 def snapshot_to_json(
     state: ReputationState, digest: str, mean: np.ndarray | None = None
 ) -> str:
-    """``json.dumps(obj, indent=2)`` of the state, byte for byte, plus "\n"."""
-    n, width = state.vectors.shape
+    """The state, indented by two spaces, plus "\n"."""
+    vectors = np.ascontiguousarray(state.vectors, dtype=float)
+    mean = np.ascontiguousarray(mean if mean is not None else (), dtype=float)
+    residuals = np.array(state.residuals, dtype=float)
+    _check_finite(vectors, mean, residuals)
     width_key = "E" if state.mode == "continuous" else "D"
-    head = {
-        "dims": {"N": n, width_key: width},
-        "mean": np.asarray(mean, dtype=float).tolist() if mean is not None else [],
-    }
-    tail = {
+    obj = {
+        "dims": {"N": vectors.shape[0], width_key: vectors.shape[1]},
+        "mean": mean,
+        "agents": [
+            {"id": aid, "r": row} for aid, row in zip(state.agent_ids, vectors, strict=True)
+        ],
         "config_digest": digest,
         "mode": state.mode,
         "iterations": state.iterations,
         "converged": state.converged,
-        "residuals": list(state.residuals),
+        "residuals": residuals,
     }
-    # head ends "\n}" and tail starts "{": the agents array goes between.
-    return "".join((
-        json.dumps(head, indent=2)[:-2],
-        ',\n  "agents": ',
-        _agents_json(state.agent_ids, state.vectors),
-        ",",
-        json.dumps(tail, indent=2)[1:],
-        "\n",
-    ))
+    option = orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE
+    return _dumps(obj, "snapshot", option).decode()
 
 
 # A snapshot's fields in written order, and an agent entry's.  ANY marks what is
@@ -531,10 +524,7 @@ def snapshot_from_json(text: str) -> tuple[ReputationState, str, np.ndarray]:
         vectors = None
     if vectors is None or vectors.shape != (n, width):
         raise ValidationError("snapshot dims disagree with agent rows")
-    # _loads reads NaN and Infinity tokens, and 1e999 as inf.
-    for name, v in (("agent rows", vectors), ("mean", mean), ("residuals", fields["residuals"])):
-        if not np.isfinite(v).all():
-            raise ValidationError(f"snapshot: {name} must be finite")
+    _check_finite(vectors, mean, fields["residuals"])
     # Queries are centered with the mean, in the space of a continuous state.
     if fields["mode"] == "continuous" and mean.size and mean.shape != (vectors.shape[1],):
         raise ValidationError("snapshot: mean dim does not match the agent rows")

@@ -335,8 +335,12 @@ class Agent:
                 raise ValidationError(
                     f"agent {self.id}: {name} dim {vec.shape} != profile {self.profile.shape}"
                 )
-            if not np.isfinite(vec).all():
-                raise ValidationError(f"agent {self.id}: {name} must be finite")
+            # Entries and norm finite: a whole row near 1e308 has an inf norm,
+            # which centering, the discrete split and the gates cannot take.
+            # A finite sum of squares (np.vdot, which warns of no overflow)
+            # is the common case; only an infinite one needs the scaled norm.
+            if not math.isfinite(np.vdot(vec, vec)) and not np.isfinite(row_norms(vec[None])[0]):
+                raise ValidationError(f"agent {self.id}: {name} and its norm must be finite")
 
 
 AGENT_FIELDS = field_table(
@@ -528,7 +532,7 @@ class AgentTable(Table, fields=AGENT_FIELDS):
     def broken(self, values: Mapping[str, Sequence]) -> np.ndarray:
         bad = ~np.fromiter(map(bool, self.id), bool, len(self))  # an empty id
         bad |= off_unit(self.profile)
-        bad |= ~(np.isfinite(self.teleport).all(axis=1) & np.isfinite(self.exogenous).all(axis=1))
+        bad |= ~(np.isfinite(row_norms(self.teleport)) & np.isfinite(row_norms(self.exogenous)))
         return bad
 
 
@@ -761,7 +765,9 @@ def normalize(
     # Receiver-major, after the row sums, which add in input order as a
     # per-edge pass does; a stable sort keeps each receiver's in-edges in
     # input order.  Contents and proxies are written straight to their rows.
-    order = np.argsort(pos_receiver, kind="stable")
+    # Keys of the narrowest dtype that holds every agent index: numpy's
+    # stable sort of 8- and 16-bit keys is a radix sort.
+    order = np.argsort(pos_receiver.astype(np.min_scalar_type(n - 1)), kind="stable")
     content_mat = np.empty((order.size, dim))
     if contents.size:
         at = np.empty_like(order)

@@ -394,6 +394,52 @@ def test_propagate_missing_file_is_io_error(workdir, tmp_path):
     assert code == 3
 
 
+def test_propagate_rejects_a_lone_surrogate_id(workdir, tmp_path, capsys):
+    # json.loads reads the escape "\\ud800" into a string UTF-8 cannot encode.
+    paths = []
+    for path in _corpus_args(workdir)[:2]:
+        paths.append(tmp_path / path.name)
+        paths[-1].write_text(path.read_text().replace('"a03"', '"\\ud800"'))
+    out = tmp_path / "out"
+    code = main(["propagate", "--agents", str(paths[0]), "--edges", str(paths[1]),
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: snapshot: '\\ud800' holds a lone surrogate, not UTF-8 text\n"
+    assert not out.exists()
+
+
+def test_cli_reads_and_writes_utf8_in_any_locale(tmp_path):
+    # Under the C locale with neither UTF-8 mode nor locale coercion,
+    # Python's default text encoding is ASCII.
+    env = dict(
+        os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+        PYTHONPATH=str(Path(trustprop.__file__).parents[1]),
+    )
+
+    def cli(*argv):
+        code = "import sys; from trustprop.cli import main; sys.exit(main(sys.argv[1:]))"
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
+    conf = tmp_path / "small.conf"
+    conf.write_bytes(f"# corpus, klein genug: ä\n{SMALL_CONF}".encode())
+    corpus = tmp_path / "corpus"
+    cli("gen-corpus", "--config", str(conf), "--out", str(corpus))
+    for name in ("agents.jsonl", "edges.jsonl"):
+        path = corpus / name
+        path.write_bytes(path.read_bytes().replace(b'"a00"', '"ä00"'.encode()))
+    cli("propagate", "--config", str(conf), "--agents", str(corpus / "agents.jsonl"),
+        "--edges", str(corpus / "edges.jsonl"), "--out", str(tmp_path / "prop"))
+    snapshot = tmp_path / "prop" / "snapshot.json"
+    assert '"id": "ä00"' in snapshot.read_bytes().decode()
+    cli("query", "--config", str(conf), "--snapshot", str(snapshot),
+        "--queries", str(corpus / "queries.jsonl"), "--agents", str(corpus / "agents.jsonl"),
+        "--out", str(tmp_path / "ranks.csv"))
+    assert ",ä00," in (tmp_path / "ranks.csv").read_bytes().decode()
+
+
 def test_propagate_null_base_weight_is_validation_error(workdir, tmp_path, capsys):
     agents, edges, _ = _corpus_args(workdir)
     lines = edges.read_text().splitlines()

@@ -21,8 +21,6 @@ from trustprop.files import (
     CONFIG_DEFAULTS,
     SNAPSHOT_AGENT_FIELDS,
     SNAPSHOT_FIELDS,
-    _ROW_SEP,
-    _float_rows,
     _loads,
     agents_from_jsonl,
     agents_to_jsonl,
@@ -151,6 +149,7 @@ def test_agents_jsonl_round_trip(corpus):
     full = dataclasses.replace(  # every field away from its default
         agents[0], id="full", secondary_domains=("e", "f"), archetype="hub", owner_key="k",
         description="every field set",
+        profile=np.repeat(agents[0].profile, 2)[::2],  # a strided view
     )
     agents = list(agents) + [full]
     text = agents_to_jsonl(agents)
@@ -865,37 +864,56 @@ def test_snapshot_round_trip_is_bit_exact(corpus, graph):
     assert snapshot_to_json(back, got_digest) == text
 
 
-def _reference_snapshot(state, digest, mean=None):
-    """The snapshot as one ``json.dumps(indent=2)`` of the whole object."""
-    n, width = state.vectors.shape
-    obj = {
-        "dims": {"N": n, "E" if state.mode == "continuous" else "D": width},
-        "mean": [float(x) for x in mean] if mean is not None else [],
-        "agents": [
-            {"id": aid, "r": [float(x) for x in state.vectors[i]]}
-            for i, aid in enumerate(state.agent_ids)
-        ],
-        "config_digest": digest,
-        "mode": state.mode,
-        "iterations": state.iterations,
-        "converged": state.converged,
-        "residuals": list(state.residuals),
-    }
-    return json.dumps(obj, indent=2) + "\n"
-
-
 _SNAPSHOT_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-0.0, 5e-324, 1e-30, 1e30, 1.7976931348623157e308, 0.1, 1.0]
 )
 
 
-@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+# The edges of the float bands orjson once spelled otherwise than json.dumps
+# (0 < |x| < 1e-4 and |x| >= 1e16), the smallest subnormal and normal, and
+# the largest float.
+_BAND_EDGES = [
+    sign * x
+    for x in (1e-4, math.nextafter(1e-4, 0), 1e16, math.nextafter(1e16, 0), 0.0, 5e-324,
+              np.finfo(float).tiny, np.finfo(float).max)
+    for sign in (1.0, -1.0)
+]
+
+
+def _float_of_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+_ROUND_TRIP_FLOATS = (
+    _SNAPSHOT_FLOATS
+    | st.sampled_from(_BAND_EDGES)
+    | st.integers(0, 2**64 - 1).map(_float_of_bits).filter(math.isfinite)
+)
+
+
+def _assert_round_trip(state, digest, mean):
+    """The snapshot reads back to ``state`` bit for bit, and rewrites to its bytes."""
+    text = snapshot_to_json(state, digest, mean)
+    back, got_digest, got_mean = snapshot_from_json(text)
+    assert back.agent_ids == state.agent_ids and got_digest == digest
+    assert (back.mode, back.iterations, back.converged) == (
+        state.mode, state.iterations, state.converged
+    )
+    assert back.vectors.shape == state.vectors.shape
+    assert back.vectors.tobytes() == state.vectors.tobytes()
+    expected_mean = np.zeros(0) if mean is None else mean
+    assert got_mean.tobytes() == expected_mean.tobytes()
+    assert np.array(back.residuals).tobytes() == np.array(state.residuals, dtype=float).tobytes()
+    assert snapshot_to_json(back, got_digest, got_mean) == text
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(
     shape=st.tuples(st.integers(0, 4), st.integers(0, 4)),
-    values=st.lists(_SNAPSHOT_FLOATS, min_size=16, max_size=16),
+    values=st.lists(_ROUND_TRIP_FLOATS, min_size=16, max_size=16),
     ids=st.lists(st.text(max_size=6), min_size=4, max_size=4, unique=True),
     with_mean=st.booleans(),
-    residuals=st.lists(_SNAPSHOT_FLOATS, max_size=3),
+    residuals=st.lists(_ROUND_TRIP_FLOATS, max_size=3),
     mode=st.sampled_from(["continuous", "discrete"]),
     digest=st.text(max_size=8),
 )
@@ -903,7 +921,9 @@ _SNAPSHOT_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled
          residuals=[], mode="continuous", digest="")
 @example(shape=(2, 0), values=[0.0] * 16, ids=['q"\\', "\n\u2028é", "c", "d"], with_mean=True,
          residuals=[0.5], mode="discrete", digest='"agents": []')
-def test_snapshot_writer_equals_json_dumps_indent_2(
+@example(shape=(4, 4), values=_BAND_EDGES, ids=["a", "b", "c", "d"], with_mean=True,
+         residuals=[-0.0, 5e-324], mode="continuous", digest="")
+def test_snapshot_round_trip_is_bit_exact_and_byte_stable(
     shape, values, ids, with_mean, residuals, mode, digest
 ):
     n, width = shape
@@ -916,69 +936,59 @@ def test_snapshot_writer_equals_json_dumps_indent_2(
         converged=bool(residuals),
     )
     mean = np.array(values[-width:] if width else [], dtype=float) if with_mean else None
-    assert snapshot_to_json(state, digest, mean) == _reference_snapshot(state, digest, mean)
+    _assert_round_trip(state, digest, mean)
 
 
-def test_snapshot_writer_spells_non_finite_rows_as_json_dumps():
-    # A state that overflowed holds inf; json.dumps writes Infinity and NaN.
-    inf, nan = math.inf, math.nan
-    state = ReputationState(
-        vectors=np.array([[inf, -inf, 1e16], [nan, 0.5, -1e-5], [0.0, -0.0, inf]]),
-        agent_ids=("a", "b", "c"),
-        iterations=1,
-        residuals=(inf,),
-    )
-    text = snapshot_to_json(state, "d", np.array([nan, 1.0, -inf]))
-    assert text == _reference_snapshot(state, "d", np.array([nan, 1.0, -inf]))
-    assert '"r": [\n        Infinity,\n        -Infinity,\n        1e+16\n      ]' in text
-
-
-# The floats orjson spells otherwise than json.dumps, and their neighbours:
-# the edges of 0 < |x| < 1e-4 and |x| >= 1e16, the smallest subnormal and
-# normal, the largest float, and the non-finite.
-_BAND_EDGES = [
-    sign * x
-    for x in (1e-4, math.nextafter(1e-4, 0), 1e16, math.nextafter(1e16, 0), 0.0, 5e-324,
-              np.finfo(float).tiny, np.finfo(float).max, math.inf, math.nan)
-    for sign in (1.0, -1.0)
-]
-
-
-def _float_of_bits(bits):
-    return struct.unpack("<d", struct.pack("<Q", bits))[0]
-
-
-def _json_rows(vectors):
-    """Each row's floats as json.dumps spells them, one at a time."""
-    return [_ROW_SEP.join(json.dumps(x) for x in row) for row in vectors.tolist()]
-
-
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@given(
-    shape=st.tuples(st.integers(0, 6), st.integers(0, 6)),
-    values=st.lists(
-        st.integers(0, 2**64 - 1).map(_float_of_bits) | st.sampled_from(_BAND_EDGES),
-        min_size=36,
-        max_size=36,
-    ),
-)
-@example(shape=(0, 4), values=[0.0] * 36)
-@example(shape=(4, 0), values=[0.0] * 36)
-@example(shape=(2, 10), values=_BAND_EDGES + [0.0] * 16)
-def test_float_rows_equal_json_dumps(shape, values):
-    n, width = shape
-    vectors = np.array(values[: n * width], dtype=float).reshape(n, width)
-    assert _float_rows(vectors) == _json_rows(vectors)
-
-
-def test_float_rows_equal_json_dumps_on_every_exponent():
-    # Random bit patterns, NaN and inf among them, and a row per decade.
+def test_snapshot_round_trip_on_every_exponent():
+    # Random finite bit patterns, and a row per decade of the float range.
     rng = np.random.default_rng(5)
-    bits = rng.integers(0, 2**64, size=(256, 64), dtype=np.uint64)
-    bits[:8, :8] |= np.uint64(0x7FF << 52)  # exponent all ones: inf or NaN
+    bits = rng.integers(0, 2**64, size=(256, 64), dtype=np.uint64).view(np.float64)
+    bits = np.where(np.isfinite(bits), bits, -0.0)
     decades = rng.uniform(-1.0, 1.0, (629, 8)) * 10.0 ** np.arange(-320, 309)[:, None]
-    for vectors in (bits.view(np.float64), decades):
-        assert _float_rows(vectors) == _json_rows(vectors)
+    for vectors in (bits, decades):
+        ids = tuple(f"a{i}" for i in range(len(vectors)))
+        state = ReputationState(vectors=vectors, agent_ids=ids, residuals=tuple(vectors[0]))
+        _assert_round_trip(state, "d", vectors[-1])
+
+
+_INF, _NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize(
+    "vectors, mean, residuals, name",
+    [
+        ([[1.0, _INF]], None, (), "agent rows"),
+        ([[_NAN, 0.0]], None, (), "agent rows"),
+        ([[1.0, 0.0]], [0.5, -_INF], (), "mean"),
+        ([[1.0, 0.0]], None, (0.5, _INF), "residuals"),
+        ([[1.0, 0.0]], None, (_NAN,), "residuals"),
+    ],
+    ids=["inf_row", "nan_row", "inf_mean", "inf_residual", "nan_residual"],
+)
+def test_snapshot_writer_rejects_non_finite_values(vectors, mean, residuals, name):
+    # orjson would write null, which reads back as no number at all.
+    state = ReputationState(vectors=np.array(vectors), agent_ids=("a",), residuals=residuals)
+    mean = None if mean is None else np.array(mean)
+    with pytest.raises(ValidationError, match=f"snapshot: {name} must be finite"):
+        snapshot_to_json(state, "d", mean)
+
+
+def test_writer_rejects_a_lone_surrogate_naming_it():
+    # json.loads reads "\ud800" escapes into a lone surrogate; UTF-8 has none.
+    state = ReputationState(vectors=np.zeros((2, 1)), agent_ids=("a", "b\ud800"))
+    with pytest.raises(ValidationError, match=r"snapshot: 'b\\ud800' holds a lone surrogate"):
+        snapshot_to_json(state, "d")
+    state = ReputationState(vectors=np.zeros((1, 1)), agent_ids=("a",))
+    with pytest.raises(ValidationError, match=r"snapshot: '\\udc00' holds a lone surrogate"):
+        snapshot_to_json(state, "\udc00")
+    agent = Agent(id="a", primary_domain="d", profile=np.array([1.0]), teleport=np.zeros(1),
+                  exogenous=np.zeros(1), description="x\udfff")
+    with pytest.raises(ValidationError, match=r"agents: 'x\\udfff' holds a lone surrogate"):
+        agents_to_jsonl([agent])
+    query = Query(id="q", text="t", embedding=np.array([1.0]),
+                  expected_domains=frozenset({"d", "\ud800"}))
+    with pytest.raises(ValidationError, match=r"queries: '\\ud800' holds a lone surrogate"):
+        queries_to_jsonl([query])
 
 
 def test_snapshot_records_mean_and_dims():

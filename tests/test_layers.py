@@ -191,8 +191,9 @@ def test_csr_matrices_come_from_the_scipy_constructor():
     assert stores == []
 
 
-def _json_parses(path):
-    """(function, line) of each ``json``/``orjson`` ``loads`` or ``load`` call."""
+def _json_calls(path, names):
+    """(function, line) of each ``json``/``orjson`` call of one of ``names``,
+    or import of one."""
     tree = ast.parse(path.read_text())
     owner = {}
     for func in ast.walk(tree):
@@ -203,27 +204,45 @@ def _json_parses(path):
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("loads", "load")
+            and node.func.attr in names
             and isinstance(node.func.value, ast.Name)
             and node.func.value.id in ("json", "orjson")
         ):
             yield owner.get(node, "<module>"), node.lineno
         if isinstance(node, ast.ImportFrom) and node.module in ("json", "orjson"):
-            if any(alias.name in ("loads", "load") for alias in node.names):
+            if any(alias.name in names for alias in node.names):
                 yield "<import>", node.lineno
 
 
 def test_json_is_parsed_by_one_reader():
     # files._loads tries orjson and falls back to json.loads for what orjson
     # rejects; a second parser would skip that fallback or the error wrapping.
+    names = ("loads", "load")
     parses = [
         f"{path.stem}.{func}:{line}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for func, line in _json_parses(path)
+        for func, line in _json_calls(path, names)
         if (path.stem, func) != ("files", "_loads")
     ]
     assert parses == []
-    assert sorted(func for func, _ in _json_parses(PACKAGE / "files.py")) == ["_loads", "_loads"]
+    assert sorted(func for func, _ in _json_calls(PACKAGE / "files.py", names)) == [
+        "_loads", "_loads"
+    ]
+
+
+def test_json_is_written_by_one_writer():
+    # files._dumps is one orjson call, which names a lone surrogate in a
+    # ValidationError; a second writer would skip that, or spell floats and
+    # text otherwise.
+    names = ("dumps", "dump")
+    writes = [
+        f"{path.stem}.{func}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for func, line in _json_calls(path, names)
+        if (path.stem, func) != ("files", "_dumps")
+    ]
+    assert writes == []
+    assert [func for func, _ in _json_calls(PACKAGE / "files.py", names)] == ["_dumps"]
 
 
 def _orjson_uses(path):
@@ -244,8 +263,8 @@ def _orjson_uses(path):
 
 
 def test_orjson_is_used_by_files_alone():
-    # orjson spells some floats otherwise than json.dumps, and files spells
-    # those again (_float_rows); the float-spelling contract stays in files.
+    # The JSON text of the package is written and read in files alone, by
+    # _dumps and _loads, so how floats and text are spelled is decided there.
     uses = [
         f"{path.stem}:{line}"
         for path in sorted(PACKAGE.glob("*.py"))
