@@ -8,6 +8,8 @@ usage), 2 propagation failed to converge, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import codecs
+import io
 import logging
 import sys
 from dataclasses import replace
@@ -20,6 +22,7 @@ from .files import (
     center_corpus,
     config_digest,
     corpus_spec,
+    csv_text,
     edges_from_jsonl,
     edges_to_jsonl,
     load_config,
@@ -74,6 +77,16 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
+def _utf8_stdout() -> None:
+    """Print UTF-8, as files are written, whatever the locale.  The stream
+    keeps its error handler, so a path argument held as surrogate escapes
+    prints as the bytes it was given.  A stdout already in UTF-8, or one that
+    is no text file (a StringIO), is left as it is."""
+    out = sys.stdout
+    if isinstance(out, io.TextIOWrapper) and codecs.lookup(out.encoding).name != "utf-8":
+        out.reconfigure(encoding="utf-8", errors=out.errors)
+
+
 def cmd_gen_corpus(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     corpus = generate_corpus(corpus_spec(cfg))
@@ -123,7 +136,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     variant = cfg["retrieval.variant"]
     k = cfg["retrieval.k"]
 
-    lines = ["query_id,rank,agent_id,score"]
+    rows = [("query_id", "rank", "agent_id", "score")]
     summary = []
     for q in queries:
         try:  # name the query that does not fit the snapshot or the agents
@@ -135,8 +148,8 @@ def cmd_query(args: argparse.Namespace) -> int:
         except ValidationError as exc:
             raise ValidationError(f"query {q.id}: {exc}") from exc
         for pos, (aid, score) in enumerate(ranked, start=1):
-            lines.append(f"{q.id},{pos},{aid},{score!r}")
-    _write(Path(args.out), "\n".join(lines) + "\n")
+            rows.append((q.id, pos, aid, repr(score)))
+    _write(Path(args.out), csv_text(rows))
     if summary:
         print(f"precision@{k} ({strategy})")
         for qid, strict, multi in summary:
@@ -161,9 +174,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         variant=cfg["retrieval.variant"],
     )
     out = Path(args.out)
-    rows = report.csv_rows()
-    _write(out / f"report_{scenario}.csv",
-           "\n".join(",".join(r) for r in rows) + "\n")
+    _write(out / f"report_{scenario}.csv", csv_text(report.csv_rows()))
     print(
         f"{scenario}: P@5 strict {report.p5_strict_baseline:.3f} -> "
         f"{report.p5_strict_attacked:.3f}, multilabel "
@@ -178,8 +189,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
             weight_cfg=weight_config(cfg),
             scenario=scenario,
         )
-        _write(out / "flag_defense.csv",
-               "\n".join(",".join(r) for r in flag.csv_rows()) + "\n")
+        _write(out / "flag_defense.csv", csv_text(flag.csv_rows()))
         for aid in flag.flagged:
             print(f"flag defense: {aid} magnitude reduced "
                   f"{100 * flag.reduction(aid):.1f}%")
@@ -225,8 +235,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             )
     header = ["operator", "labeled_edges", "iterations", "p5_strict", "p5_multilabel"]
     table = format_table(header, rows)
-    _write(Path(args.out) / "bench.csv",
-           "\n".join(",".join(r) for r in [header] + rows) + "\n")
+    _write(Path(args.out) / "bench.csv", csv_text([header] + rows))
     print(table, end="")
     return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
 
@@ -276,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    _utf8_stdout()
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,

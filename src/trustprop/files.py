@@ -9,7 +9,9 @@ byte-stable, and text as raw UTF-8.  The reader is orjson, with
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import math
 import re
@@ -539,8 +541,25 @@ def snapshot_from_json(text: str) -> tuple[ReputationState, str, np.ndarray]:
     return state, fields["config_digest"], mean
 
 
+# --- CSV ----------------------------------------------------------------------
+
+
+def csv_text(rows: Iterable[Sequence[object]]) -> str:
+    """Rows as CSV text, each ending in a newline: the writer of every CSV file.
+
+    A field holding a comma, a quote or a newline is quoted, its quotes
+    doubled.  A row with a carriage return in any field has every field
+    quoted, since ``csv.writer`` quotes only for the characters of its line
+    terminator and a reader ends a record at a bare carriage return.
+    """
+    out = io.StringIO()
+    plain = csv.writer(out, lineterminator="\n")
+    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in rows:
+        (quoted if any("\r" in str(f) for f in row) else plain).writerow(row)
+    return out.getvalue()
+
+
 def residuals_to_csv(residuals: Sequence[float]) -> str:
-    lines = ["iteration,residual"]
-    for i, r in enumerate(residuals, start=1):
-        lines.append(f"{i},{r!r}")
-    return "\n".join(lines) + "\n"
+    return csv_text([("iteration", "residual")]
+                    + [(i, repr(r)) for i, r in enumerate(residuals, start=1)])

@@ -41,15 +41,17 @@ run writes to anything another run reads, and nothing a run writes
 outlives it.  Once per step: the sender row norms, over the N agent rows.
 Once per block: the row dots, which the transfer and the gates share.
 
-Discrete form (one row per agent, D domain buckets): per-domain transition
-matrices M_d drive a linear damped iteration per bucket; flag edges enter
-through one flag matrix as a subtracted beta-scaled term in every bucket,
-stable whenever alpha * (1 + beta) < 1.  ``build_domain_matrices`` splits
-all edges at once: one stable argsort of the (M, D) cosine matrix, shares
-summed column by column, and per domain the kept entries in ascending edge
-order.  The edges are receiver-major, so each sender's row of M_d comes in
-with its columns sorted and the parallel edges of one entry add in edge
-order: each M_d is bit-identical to a per-edge split.
+Discrete form (one row per agent, D domain buckets): one damped linear
+iteration R' = alpha * M^T R + damped over (agent, domain) pairs, with R's
+rows raveled in C order.  M holds each domain's row-stochastic M_d on that
+domain's pairs; flag edges enter through one (N, N) flag matrix as a
+subtracted beta-scaled term in every bucket, stable whenever
+alpha * (1 + beta) < 1.  ``build_domain_matrices`` splits all edges at once:
+one stable argsort of the (M, D) cosine matrix, shares summed column by
+column, and every kept (edge, domain) share in ascending edge order.  The
+edges are receiver-major, so each row of M comes in with its columns sorted
+and the parallel edges of one entry add in edge order: each M_d is
+bit-identical to a per-edge split.
 
 A graph and a config are all ``run`` and ``warm_start`` need: every input
 the config calls for that the caller leaves out is built from the graph.
@@ -196,6 +198,27 @@ def _damped(cfg: PropagationConfig, teleport: np.ndarray, exogenous: np.ndarray)
     if cfg.couple_c_with_damping:
         return (1.0 - cfg.alpha) * (teleport + exogenous)
     return (1.0 - cfg.alpha) * teleport + exogenous
+
+
+def _require_finite(values: np.ndarray, name: str) -> None:
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{name} must be finite")
+
+
+def _checked_centroids(centroids: np.ndarray, dim: int) -> np.ndarray:
+    """``centroids`` as float64, or a ``ValidationError``: they must be (D, E)
+    with D >= 1 and E the graph's ``dim``, finite, and every row norm at least
+    ``DEGENERATE_NORM``, the bar a mean profile meets in ``centroids_from_agents``."""
+    cents = np.asarray(centroids, dtype=np.float64)
+    if cents.ndim != 2 or cents.shape[0] < 1 or cents.shape[1] != dim:
+        raise ValidationError(
+            f"centroids are {cents.shape}; they must be (D, {dim}) with D >= 1, "
+            "matching the graph dim"
+        )
+    _require_finite(cents, "centroids")
+    if not (overflow_safe_norms(cents) >= DEGENERATE_NORM).all():
+        raise ValidationError(f"every centroid must have norm >= {DEGENERATE_NORM}")
+    return cents
 
 
 def _check_state(
@@ -357,9 +380,9 @@ def _continuous_plan(
             graph.pos_confidence,
         )
     if gates.needs_distributions() and graph.n_pos_edges:
-        cents = np.asarray(centroids, dtype=np.float64)
-        plan.p_int = _cached(graph, "p_int", (cents.shape, cents.tobytes()), lambda: _read_only(
-            topic_distribution_batch(graph.pos_content, cents)
+        key = (centroids.shape, centroids.tobytes())
+        plan.p_int = _cached(graph, "p_int", key, lambda: _read_only(
+            topic_distribution_batch(graph.pos_content, centroids)
         ))
         plan.centroids = centroids
         if gates.entropy.enabled:
@@ -526,10 +549,11 @@ def step_continuous(
 
 @dataclass
 class DomainMatrices:
-    """Per-domain row-stochastic transitions plus domain-projected priors."""
+    """One row-stochastic transition over (agent, domain) pairs plus
+    domain-projected priors: entry (i, j) of M_d is (i * D + d, j * D + d)."""
 
     centroids: np.ndarray  # (D, E)
-    mats: tuple[sp.csr_matrix, ...]  # each (N, N)
+    transition: sp.csr_matrix  # (N * D, N * D)
     teleport: np.ndarray  # (N, D)
     exogenous: np.ndarray  # (N, D)
     agent_ids: tuple[str, ...]  # the graph's agents, in row order
@@ -559,16 +583,14 @@ def build_domain_matrices(
 
     Shares are proportional to max(0, cos(e_ij, centroid_d)) over the top-k
     domains; an edge with no positive similarity goes wholly to its argmax
-    domain.  Each M_d is then row-normalized, so parallel edges collapse by
+    domain.  Share d of edge i -> j is entry (i * D + d, j * D + d) of one
+    transition, which is then row-normalized, so parallel edges collapse by
     summation and every non-empty row sums to one.
     """
-    cents = np.asarray(centroids, dtype=np.float64)
-    if cents.ndim != 2 or cents.shape[1] != graph.dim:
-        raise ValidationError("centroids must be (D, E) matching the graph dim")
+    cents = _checked_centroids(centroids, graph.dim)
     n_domains = cents.shape[0]
     if not 1 <= top_k <= n_domains:
         raise ValidationError("top_k must lie in [1, D]")
-    n = graph.n_agents
     cos = (graph.pos_content @ cents.T) / overflow_safe_norms(cents)[None, :]
     # A stable sort puts tied domains in index order (argpartition would
     # not).  Positive similarities sort first, so the kept domains of an
@@ -583,24 +605,18 @@ def build_domain_matrices(
     # An edge with no positive similarity goes wholly to its argmax domain.
     shares = np.divide(sims, total[:, None], out=np.ones_like(sims), where=positive)
     kept = positive | (np.arange(top_k) == 0)
-    weighted = graph.pos_weight[:, None] * shares
-    mats = []
-    for d in range(n_domains):
-        # One entry per edge at most, in ascending edge order; each row's
-        # columns come sorted, so scipy adds parallel edges in that order.
-        edge, col = np.nonzero((order == d) & kept)
-        m = sp.csr_matrix(
-            (weighted[edge, col], (graph.pos_sender[edge], graph.pos_receiver[edge])),
-            shape=(n, n),
-            dtype=np.float64,
-        )
-        sums = np.asarray(m.sum(axis=1)).ravel()
-        scale = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0)
-        m = sp.diags(scale) @ m
-        mats.append(sp.csr_matrix(m))
+    # Every kept share, in ascending edge order: each row's columns come
+    # sorted, so scipy adds parallel edges in that order.
+    edge, col = np.nonzero(kept)
+    d = order[edge, col]
+    pair = (graph.pos_sender[edge] * n_domains + d, graph.pos_receiver[edge] * n_domains + d)
+    size = graph.n_agents * n_domains
+    m = sp.csr_matrix((graph.pos_weight[edge] * shares[edge, col], pair), shape=(size, size))
+    sums = np.asarray(m.sum(axis=1)).ravel()
+    scale = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0)
     return DomainMatrices(
         centroids=cents,
-        mats=tuple(mats),
+        transition=sp.csr_matrix(sp.diags(scale) @ m),
         teleport=project_to_domains(graph.teleport, cents),
         exogenous=project_to_domains(graph.exogenous, cents),
         agent_ids=graph.agents.id,
@@ -631,7 +647,7 @@ def step_discrete(
     cfg: PropagationConfig,
     neg: sp.csr_matrix | None = None,
 ) -> tuple[ReputationState, float]:
-    """One damped update of all domain buckets.
+    """One damped update of all domain buckets, one product with the transition.
 
     With a flag matrix ``neg``, flag flow is subtracted at strength beta in
     every bucket and the optional floor clamp keeps buckets non-negative.
@@ -641,17 +657,13 @@ def step_discrete(
         raise ValidationError("step_discrete requires a discrete state")
     _check_state(state, matrices.teleport.shape, matrices.agent_ids)
     r = state.vectors
+    flow = (matrices.transition.T @ r.ravel()).reshape(r.shape)
     if neg is not None:
         cfg.check_negative_stability()
         if neg.shape != (r.shape[0], r.shape[0]):
             raise ValidationError("flag matrix must be (N, N) over the state's agents")
-        flags = cfg.beta * (neg.T @ r)
-    new = np.empty_like(r)
-    for d, mat in enumerate(matrices.mats):
-        flow = mat.T @ r[:, d]
-        if neg is not None:
-            flow = flow - flags[:, d]
-        new[:, d] = cfg.alpha * flow
+        flow -= cfg.beta * (neg.T @ r)
+    new = np.multiply(flow, cfg.alpha, out=flow)
     new += _damped(cfg, matrices.teleport, matrices.exogenous)
     if neg is not None and cfg.clamp_floor:
         np.maximum(new, 0.0, out=new)
@@ -668,11 +680,14 @@ def _engine_inputs(
     neg: sp.csr_matrix | None = None,
     centroids: np.ndarray | None = None,
 ) -> tuple[DomainMatrices | None, sp.csr_matrix | None, np.ndarray | None]:
-    """(matrices, neg, centroids): the given ones, and what cfg needs from the graph."""
+    """(matrices, neg, centroids): the given ones, and what cfg needs from the graph.
+
+    Given centroids are checked and come back as float64.
+    """
     discrete = cfg.mode == "discrete"
-    if centroids is None and (
-        matrices is None if discrete else cfg.gates.needs_distributions()
-    ):
+    if centroids is not None:
+        centroids = _checked_centroids(centroids, graph.dim)
+    elif matrices is None if discrete else cfg.gates.needs_distributions():
         _, centroids = centroids_from_agents(graph.agents)
     if discrete and matrices is None:
         matrices = build_domain_matrices(graph, centroids, top_k=cfg.top_k)
@@ -695,7 +710,8 @@ def run(
     graph as the module docstring says: centroids, domain matrices with
     ``cfg.top_k`` and the flag matrix.  ``matrices`` without ``neg`` runs
     positive edges only.  An ``initial`` state must hold the graph's agents
-    in order, one row each of the mode's width.
+    in order, one finite row each of the mode's width.  Given centroids
+    must be (D, E) over the graph's dim, finite, with no degenerate row.
 
     Non-convergence is reported through state.converged rather than raised,
     so callers can decide how loudly to fail.
@@ -711,6 +727,7 @@ def run(
     if initial is not None:
         width = graph.dim if cfg.mode == "continuous" else matrices.teleport.shape[1]
         _check_state(state, (graph.n_agents, width), graph.agents.id)
+        _require_finite(state.vectors, "initial state rows")
     if cfg.mode == "continuous":
         plan = _continuous_plan(graph, cfg, centroids)
     start = state.iterations
@@ -743,10 +760,12 @@ def warm_start(
 
     Agents present in both keep their rows; new agents start at T + C.  After
     small edge churn this typically converges in a handful of iterations.
-    Missing inputs are built from the updated graph, as in ``run``.
+    Missing inputs are built from the updated graph, as in ``run``.  Every
+    row of ``previous`` must be finite, also those of agents that left.
     """
     if previous.mode != cfg.mode:
         raise ValidationError("previous state mode does not match config")
+    _require_finite(previous.vectors, "previous state rows")
     matrices, neg, centroids = _engine_inputs(graph, cfg, matrices, neg, centroids)
     base = init_state(graph, cfg, matrices)
     width = base.vectors.shape[1]

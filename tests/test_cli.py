@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line front end (in-process)."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -420,24 +421,39 @@ def test_cli_reads_and_writes_utf8_in_any_locale(tmp_path):
     def cli(*argv):
         code = "import sys; from trustprop.cli import main; sys.exit(main(sys.argv[1:]))"
         done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
+                              capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr.decode(errors="replace")
+        return done.stdout
 
     conf = tmp_path / "small.conf"
     conf.write_bytes(f"# corpus, klein genug: ä\n{SMALL_CONF}".encode())
-    corpus = tmp_path / "corpus"
-    cli("gen-corpus", "--config", str(conf), "--out", str(corpus))
-    for name in ("agents.jsonl", "edges.jsonl"):
+    corpus = tmp_path / "korpus-ä"
+    # A path the locale cannot decode prints as the bytes it was given.
+    assert str(corpus).encode() in cli("gen-corpus", "--config", str(conf), "--out", str(corpus))
+    for name, old, new in (("agents.jsonl", "a00", "ä00"), ("edges.jsonl", "a00", "ä00"),
+                           ("queries.jsonl", "q00", "qä0")):
         path = corpus / name
-        path.write_bytes(path.read_bytes().replace(b'"a00"', '"ä00"'.encode()))
+        path.write_bytes(path.read_bytes().replace(f'"{old}"'.encode(), f'"{new}"'.encode()))
     cli("propagate", "--config", str(conf), "--agents", str(corpus / "agents.jsonl"),
         "--edges", str(corpus / "edges.jsonl"), "--out", str(tmp_path / "prop"))
     snapshot = tmp_path / "prop" / "snapshot.json"
     assert '"id": "ä00"' in snapshot.read_bytes().decode()
-    cli("query", "--config", str(conf), "--snapshot", str(snapshot),
-        "--queries", str(corpus / "queries.jsonl"), "--agents", str(corpus / "agents.jsonl"),
-        "--out", str(tmp_path / "ranks.csv"))
-    assert ",ä00," in (tmp_path / "ranks.csv").read_bytes().decode()
+    printed = cli("query", "--config", str(conf), "--snapshot", str(snapshot),
+                  "--queries", str(corpus / "queries.jsonl"),
+                  "--agents", str(corpus / "agents.jsonl"), "--out", str(tmp_path / "ranks.csv"))
+    assert "  qä0  strict=".encode() in printed
+    ranks = (tmp_path / "ranks.csv").read_bytes().decode()
+    assert ",ä00," in ranks and "\nqä0,1," in ranks
+
+
+def test_main_prints_to_a_redirected_stdout(workdir, snapshot, tmp_path):
+    agents, _, queries = _corpus_args(workdir)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["query", "--snapshot", str(snapshot), "--queries", str(queries),
+                     "--agents", str(agents), "--out", str(tmp_path / "ranks.csv")])
+    assert code == 0
+    assert buf.getvalue().startswith("precision@5 (")
 
 
 def test_propagate_null_base_weight_is_validation_error(workdir, tmp_path, capsys):
@@ -695,6 +711,29 @@ def test_query_writes_rankings_and_summary(workdir, snapshot, tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "precision@5 (dot)" in captured
     assert "mean" in captured
+
+
+def test_query_writes_ids_with_commas_quotes_and_line_breaks_as_csv(workdir, tmp_path):
+    agent_id, query_id = 'a,"0\n7', 'q,"0\r\n0'
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for path, old, new in zip(_corpus_args(workdir), ("a07", "a07", "q00"),
+                              (agent_id, agent_id, query_id)):
+        text = path.read_text().replace(json.dumps(old), json.dumps(new))
+        (corpus / path.name).write_text(text)
+    agents, edges, queries = (corpus / p.name for p in _corpus_args(workdir))
+    conf = str(workdir / "small.conf")
+    assert main(["propagate", "--config", conf, "--agents", str(agents), "--edges", str(edges),
+                 "--out", str(tmp_path / "prop")]) == 0
+    out = tmp_path / "ranks.csv"
+    assert main(["query", "--config", conf, "--snapshot", str(tmp_path / "prop" / "snapshot.json"),
+                 "--queries", str(queries), "--agents", str(agents), "--out", str(out)]) == 0
+    with out.open(newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    assert {len(row) for row in rows} == {4}
+    assert rows[0] == ["query_id", "rank", "agent_id", "score"]
+    assert sum(row[0] == query_id for row in rows) == 20  # every agent, once
+    assert sum(row[2] == agent_id for row in rows) == 4  # once per query
 
 
 @pytest.mark.parametrize("strategy", ["cosine", "mixed", "pipeline"])

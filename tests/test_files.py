@@ -1,7 +1,9 @@
 """Tests for config parsing, JSONL round trips, centering and snapshots."""
 
 import copy
+import csv
 import dataclasses
+import io
 import json
 import math
 import struct
@@ -34,6 +36,7 @@ from trustprop.files import (
     queries_from_jsonl,
     queries_to_jsonl,
     residuals_to_csv,
+    csv_text,
     snapshot_from_json,
     snapshot_to_json,
     weight_config,
@@ -1110,6 +1113,13 @@ def test_snapshot_reports_a_missing_field_before_a_mistyped_one():
 def test_residuals_csv_layout():
     text = residuals_to_csv([0.5, 0.25])
     assert text == "iteration,residual\n1,0.5\n2,0.25\n"
+
+
+def test_csv_text_quotes_only_what_a_reader_needs_and_reads_back():
+    plain = [["id", "rank", "score"], ["a07", 3, repr(0.1)], ["", "x y", "-0.0"]]
+    assert csv_text(plain) == "id,rank,score\na07,3,0.1\n,x y,-0.0\n"
+    odd = [["a,b", 'say "hi"', "two\nlines"], ["cr\rhere", "crlf\r\n", "plain"], ["", ",", '"']]
+    assert list(csv.reader(io.StringIO(csv_text(odd), newline=""))) == odd
 
 
 # ---------------------------------------------------------------- integration

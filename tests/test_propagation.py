@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -437,13 +438,23 @@ def test_centroid_cosines_keep_both_callers_bit_for_bit(seed, kinds, n_domains, 
         assert got.tobytes() == want.tobytes()
 
 
+def _domain(mats, d):
+    """M_d, the (N, N) block of domain d in the transition over (agent, domain) pairs."""
+    n_domains = len(mats.centroids)
+    return mats.transition[d::n_domains, d::n_domains]
+
+
+def _domains(mats):
+    return [_domain(mats, d) for d in range(len(mats.centroids))]
+
+
 def test_build_domain_matrices_single_domain_is_row_normalized_adjacency():
     n, agents, edges, links = _scalar_random_graph(13)
     g = normalize(agents, edges)
     mats = build_domain_matrices(g, np.array([EX]), top_k=1)
     dense = np.zeros((n, n))
     np.add.at(dense, (g.pos_sender, g.pos_receiver), g.pos_weight)
-    np.testing.assert_allclose(mats.mats[0].toarray(), dense, atol=1e-12)
+    np.testing.assert_allclose(_domain(mats, 0).toarray(), dense, atol=1e-12)
 
 
 def test_build_domain_matrices_top2_splits_equidistant_edge():
@@ -451,8 +462,8 @@ def test_build_domain_matrices_top2_splits_equidistant_edge():
     diag = np.array([1.0, 1.0]) / np.sqrt(2.0)
     edges = [labeled("a", "b", content=EX), labeled("a", "c", content=diag)]
     mats = build_domain_matrices(normalize(agents, edges), np.eye(2), top_k=2)
-    m0 = mats.mats[0].toarray()
-    m1 = mats.mats[1].toarray()
+    m0 = _domain(mats, 0).toarray()
+    m1 = _domain(mats, 1).toarray()
     # domain 0 collects the on-axis edge (0.5) plus half the diagonal edge
     # (0.25), then row-normalizes to 2/3 and 1/3.
     np.testing.assert_allclose(m0[0], [0.0, 2.0 / 3.0, 1.0 / 3.0], atol=1e-9)
@@ -465,15 +476,15 @@ def test_build_domain_matrices_no_positive_similarity_falls_back_to_argmax():
     mats = build_domain_matrices(
         normalize(agents, [labeled("a", "b", content=anti)]), np.eye(2), top_k=1
     )
-    assert mats.mats[0][0, 1] == pytest.approx(1.0)
-    assert mats.mats[1].nnz == 0
+    assert _domain(mats, 0)[0, 1] == pytest.approx(1.0)
+    assert _domain(mats, 1).nnz == 0
 
 
 def test_build_domain_matrices_row_sums_one_or_zero(graph, corpus):
     _, cents = centroids_from_agents(corpus.agents)
     for top_k in (1, 2, 3):
         mats = build_domain_matrices(graph, cents, top_k=top_k)
-        for m in mats.mats:
+        for m in _domains(mats):
             sums = np.asarray(m.sum(axis=1)).ravel()
             nonzero = sums[sums != 0.0]
             np.testing.assert_allclose(nonzero, 1.0, atol=1e-9)
@@ -498,7 +509,7 @@ def test_discrete_empty_domain_column_settles_in_one_step():
     g = normalize(agents, [labeled("a", "b", content=EX)])
     cfg = PropagationConfig(mode="discrete")
     mats = build_domain_matrices(g, np.eye(2), top_k=1)
-    assert mats.mats[1].nnz == 0  # the only edge lives on the first axis
+    assert _domain(mats, 1).nnz == 0  # the only edge lives on the first axis
     state = init_state(g, cfg, mats)
     one, _ = step_discrete(state, mats, cfg)
     np.testing.assert_allclose(one.vectors[:, 1], 0.15 * mats.teleport[:, 1], atol=1e-15)
@@ -828,8 +839,9 @@ _HUB = (
 )
 
 
-def _spec_graph(spec):
-    """(graph, centroids) for a drawn (n, dim, seed, edges) spec.
+def _spec_graph(spec, flags=()):
+    """(graph, centroids) for a drawn (n, dim, seed, edges) spec, plus flag
+    edges from (sender, receiver offset, severity) triples.
 
     Receivers are taken as an offset from the sender, so no edge is a self-loop.
     """
@@ -858,6 +870,10 @@ def _spec_graph(spec):
             base_weight=base, content=None if blind else unit(), payment=payment,
             confidence=conf,
         ))
+    for sender, offset, severity in flags if n > 1 else []:
+        s = sender % n
+        r = (s + 1 + offset % (n - 1)) % n
+        edges.append(Edge(sender=f"a{s}", receiver=f"a{r}", kind="flag", severity=severity))
     centroids = np.vstack([unit() for _ in range(3)])
     return normalize(agents, edges), centroids
 
@@ -1371,8 +1387,10 @@ def test_build_domain_matrices_equals_per_edge_reference(spec):
 def _assert_domain_matrices_equal_reference(graph, cents, top_k):
     mats = build_domain_matrices(graph, cents, top_k=top_k)
     expected = _reference_domain_matrices(graph, cents, top_k)
-    assert len(mats.mats) == len(expected)
-    for got, ref in zip(mats.mats, expected):
+    blocks = _domains(mats)
+    assert len(blocks) == len(expected)
+    assert mats.transition.nnz == sum(ref.nnz for ref in expected)  # none between domains
+    for got, ref in zip(blocks, expected):
         for name in ("data", "indices", "indptr"):
             a, b = getattr(got, name), getattr(ref, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -1485,3 +1503,101 @@ def test_run_builds_the_inputs_its_config_needs(cfg, flags, spec):
         # Given matrices and no flag matrix, the run ignores the flag edges.
         positive = normalize(agents, [e for e in edges if e.kind != "flag"])
         _same_run(run(graph, cfg, matrices=mats), run(positive, cfg))
+
+
+# ------------------------------------------------------- exact discrete solve
+
+# (graph, centroid picks from the pool, top_k draw, flags as (sender,
+# receiver offset, severity))
+_ORACLE_SPEC = st.tuples(
+    _GRAPH,
+    st.lists(st.integers(0, 5), min_size=1, max_size=6),
+    st.integers(0, 5),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4), st.sampled_from([0.3, 1.0])),
+             max_size=6),
+)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(spec=_ORACLE_SPEC)
+@example(spec=(_MIXED, [0, 1, 2, 3, 4, 5], 5, [(1, 0, 1.0), (2, 1, 0.3), (0, 2, 1.0)]))
+@example(spec=(_HUB, [0, 0, 2, 4], 1, [(0, 0, 1.0), (3, 1, 0.3)]))
+@example(spec=((1, 2, 0, []), [4], 0, []))  # one agent, no edges
+def test_linear_discrete_runs_equal_an_exact_solve(spec):
+    # Positive-only, and with flags and no floor clamp, the discrete step is
+    # one linear map on the raveled (agent, domain) pairs: its fixed point
+    # solves (I - alpha * (M^T - beta * kron(neg^T, I_D))) x = damped.
+    graph_spec, picks, k, flags = spec
+    graph, _ = _spec_graph(graph_spec, flags)
+    cents = _centroid_pool(graph.dim, graph_spec[2])[picks]
+    mats = build_domain_matrices(graph, cents, top_k=1 + k % len(picks))
+    neg = build_negative_matrices(graph, mats)
+    cfg = PropagationConfig(mode="discrete", epsilon=1e-13, max_iters=5000, clamp_floor=False)
+    damped = ((1.0 - cfg.alpha) * mats.teleport + mats.exogenous).ravel()
+    pairs = sp.identity(len(picks), format="csr")
+    for given_neg, flow in ((None, mats.transition.T),
+                            (neg, mats.transition.T - cfg.beta * sp.kron(neg.T, pairs))):
+        state = run(graph, cfg, matrices=mats, neg=given_neg)
+        assert state.converged
+        system = sp.identity(len(damped), format="csc") - cfg.alpha * flow
+        exact = np.atleast_1d(spsolve(sp.csc_matrix(system), damped))
+        np.testing.assert_allclose(state.vectors.ravel(), exact, rtol=0, atol=1e-11)
+
+
+# ------------------------------------------------ inputs checked where they enter
+
+_BAD_CENTROIDS = {
+    "nan": lambda c: np.where(np.arange(c.size).reshape(c.shape) == 1, np.nan, c),
+    "inf": lambda c: np.where(np.arange(c.size).reshape(c.shape) == 0, np.inf, c),
+    "-inf": lambda c: np.where(np.arange(c.size).reshape(c.shape) == 3, -np.inf, c),
+    "all_zero": np.zeros_like,
+    "one_zero_row": lambda c: np.vstack([c[:-1], np.zeros((1, c.shape[1]))]),
+    "one_degenerate_row": lambda c: np.vstack([c[:-1], 1e-13 * c[-1:]]),
+    "narrow": lambda c: c[:, :-1],
+    "wide": lambda c: np.hstack([c, c[:, :1]]),
+    "no_domains": lambda c: c[:0],
+    "one_vector": lambda c: c[0],
+}
+_CENTROID_CALLERS = {
+    "run_entropy": lambda g, c: run(g, PropagationConfig(gates=_GATE_STACKS["entropy"]),
+                                    centroids=c),
+    "run_kl_softmax": lambda g, c: run(g, PropagationConfig(gates=_GATE_STACKS["kl_softmax"]),
+                                       centroids=c),
+    "run_discrete": lambda g, c: run(g, PropagationConfig(mode="discrete"), centroids=c),
+    "warm_start": lambda g, c: warm_start(
+        init_state(g, PropagationConfig()), g, PropagationConfig(gates=_GATE_STACKS["entropy"]),
+        centroids=c,
+    ),
+    "step_continuous": lambda g, c: step_continuous(
+        init_state(g, PropagationConfig()), g, PropagationConfig(gates=_GATE_STACKS["kl_softmax"]),
+        c,
+    ),
+    "build_domain_matrices": lambda g, c: build_domain_matrices(g, c),
+}
+
+
+@pytest.mark.parametrize("caller", list(_CENTROID_CALLERS))
+@pytest.mark.parametrize("bad", list(_BAD_CENTROIDS))
+def test_engine_rejects_centroids_that_are_not_finite_full_rank_rows(graph, caller, bad):
+    # Such centroids used to make the entropy and softmax-KL gates pass
+    # 1.0 silently, and a discrete run converge after one iteration.
+    _, cents = centroids_from_agents(graph.agents)
+    with pytest.raises(ValidationError, match="centroid"):
+        _CENTROID_CALLERS[caller](graph, _BAD_CENTROIDS[bad](cents))
+
+
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_run_and_warm_start_reject_a_non_finite_state_row_before_stepping(graph, mode, value):
+    cfg = PropagationConfig(mode=mode)
+    _, cents = centroids_from_agents(graph.agents)
+    mats = build_domain_matrices(graph, cents) if mode == "discrete" else None
+    bad = init_state(graph, cfg, mats)
+    bad.vectors[3, 0] = value
+    with pytest.raises(ValidationError, match="^initial state rows must be finite$"):
+        run(graph, cfg, initial=bad, matrices=mats)
+    # Also a row of an agent that is not in the new graph.
+    gone = replace(bad, agent_ids=bad.agent_ids[:3] + ("gone",) + bad.agent_ids[4:])
+    for previous in (bad, gone):
+        with pytest.raises(ValidationError, match="^previous state rows must be finite$"):
+            warm_start(previous, graph, cfg, matrices=mats)
