@@ -12,8 +12,10 @@ import codecs
 import io
 import logging
 import sys
+from collections.abc import Callable
 from dataclasses import replace
 from pathlib import Path
+from typing import Any
 
 from .errors import ValidationError
 from .files import (
@@ -39,8 +41,7 @@ from .harness import (
     INJECTORS,
     format_table,
     generate_corpus,
-    mean_precision,
-    rank_queries,
+    mean_p5,
     require_continuous,
     run_flag_scenario,
     run_scenario,
@@ -77,18 +78,22 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _utf8_stdout() -> None:
-    """Print UTF-8, as files are written, whatever the locale.  The stream
-    keeps its error handler, so a path argument held as surrogate escapes
-    prints as the bytes it was given.  A stdout already in UTF-8, or one that
-    is no text file (a StringIO), is left as it is."""
-    out = sys.stdout
-    if isinstance(out, io.TextIOWrapper) and codecs.lookup(out.encoding).name != "utf-8":
-        out.reconfigure(encoding="utf-8", errors=out.errors)
+def _utf8_streams() -> None:
+    """Print to stdout and stderr in UTF-8, as files are written, whatever
+    the locale.  Each stream keeps its error handler, so a path argument held
+    as surrogate escapes prints as the bytes it was given.  A stream already
+    in UTF-8, or one that is no text file (a StringIO), is left as it is."""
+    for out in (sys.stdout, sys.stderr):
+        if isinstance(out, io.TextIOWrapper) and codecs.lookup(out.encoding).name != "utf-8":
+            out.reconfigure(encoding="utf-8", errors=out.errors)
 
 
-def cmd_gen_corpus(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+def _ranking(cfg: dict[str, Any]) -> tuple[str, float, str]:
+    """The config's retrieval strategy, beta_mix and variant, in ``rank``'s order."""
+    return cfg["retrieval.strategy"], cfg["retrieval.beta_mix"], cfg["retrieval.variant"]
+
+
+def cmd_gen_corpus(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
     corpus = generate_corpus(corpus_spec(cfg))
     out = Path(args.out)
     _write(out / "agents.jsonl", agents_to_jsonl(corpus.agents))
@@ -101,8 +106,7 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_propagate(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+def cmd_propagate(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
     agents = agents_from_jsonl(_read(args.agents))
     edges = edges_from_jsonl(_read(args.edges))
     mean = None
@@ -119,8 +123,7 @@ def cmd_propagate(args: argparse.Namespace) -> int:
     return EXIT_OK if state.converged else EXIT_NO_CONVERGENCE
 
 
-def cmd_query(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+def cmd_query(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
     state, _, mean = snapshot_from_json(_read(args.snapshot))
     queries = queries_from_jsonl(_read(args.queries))
     agents = agents_from_jsonl(_read(args.agents))
@@ -160,19 +163,10 @@ def cmd_query(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_attack(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+def cmd_attack(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
     scenario = args.scenario or cfg["attack.scenario"]
-    spec = corpus_spec(cfg)
-    report = run_scenario(
-        spec,
-        scenario,
-        propagation_config(cfg),
-        weight_config(cfg),
-        strategy=cfg["retrieval.strategy"],
-        beta_mix=cfg["retrieval.beta_mix"],
-        variant=cfg["retrieval.variant"],
-    )
+    spec, prop_cfg, weight_cfg = corpus_spec(cfg), propagation_config(cfg), weight_config(cfg)
+    report = run_scenario(spec, scenario, prop_cfg, weight_cfg, *_ranking(cfg))
     out = Path(args.out)
     _write(out / f"report_{scenario}.csv", csv_text(report.csv_rows()))
     print(
@@ -182,13 +176,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
     )
     ok = report.converged_baseline and report.converged_attacked
     if args.flag_defense:
-        flag = run_flag_scenario(
-            spec,
-            severity=cfg["attack.flag_severity"],
-            prop_cfg=propagation_config(cfg),
-            weight_cfg=weight_config(cfg),
-            scenario=scenario,
-        )
+        flag = run_flag_scenario(spec, cfg["attack.flag_severity"], prop_cfg, weight_cfg, scenario)
         _write(out / "flag_defense.csv", csv_text(flag.csv_rows()))
         for aid in flag.flagged:
             print(f"flag defense: {aid} magnitude reduced "
@@ -197,11 +185,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_NO_CONVERGENCE
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    base_spec = corpus_spec(cfg)
-    weight_cfg = weight_config(cfg)
-    base_prop = propagation_config(cfg)
+def cmd_bench(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
+    base_spec, base_prop, weight_cfg = corpus_spec(cfg), propagation_config(cfg), weight_config(cfg)
     require_continuous(base_prop)
     rows = []
     all_converged = True
@@ -217,21 +202,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             prop_cfg = replace(base_prop, operator=OperatorKind.from_name(op_name))
             state = run(graph, prop_cfg)
             all_converged = all_converged and state.converged
-            rankings = rank_queries(
-                state,
-                corpus,
-                cfg["retrieval.strategy"],
-                cfg["retrieval.beta_mix"],
-                cfg["retrieval.variant"],
-            )
+            strict, multilabel = mean_p5(state, corpus, *_ranking(cfg))
             rows.append(
-                [
-                    op_name,
-                    str(labeled),
-                    str(state.iterations),
-                    f"{mean_precision(rankings, corpus, 'strict'):.3f}",
-                    f"{mean_precision(rankings, corpus, 'multilabel'):.3f}",
-                ]
+                [op_name, str(labeled), str(state.iterations), f"{strict:.3f}", f"{multilabel:.3f}"]
             )
     header = ["operator", "labeled_edges", "iterations", "p5_strict", "p5_multilabel"]
     table = format_table(header, rows)
@@ -244,56 +217,49 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="trustprop", description=__doc__)
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Every verb reads a config and writes under --out.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=None)
+    common.add_argument("--out", required=True)
 
-    p = sub.add_parser("gen-corpus", help="generate a seeded synthetic corpus")
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen_corpus)
+    def verb(name: str, func: Callable[..., int], help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("propagate", help="run propagation over corpus files")
-    p.add_argument("--config", default=None)
+    verb("gen-corpus", cmd_gen_corpus, "generate a seeded synthetic corpus")
+
+    p = verb("propagate", cmd_propagate, "run propagation over corpus files")
     p.add_argument("--agents", required=True)
     p.add_argument("--edges", required=True)
     p.add_argument("--center", action="store_true",
                    help="fit and apply mean-centering over the input files")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_propagate)
 
-    p = sub.add_parser("query", help="rank agents for queries against a snapshot")
-    p.add_argument("--config", default=None)
+    p = verb("query", cmd_query, "rank agents for queries against a snapshot")
     p.add_argument("--snapshot", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--agents", required=True)
     p.add_argument("--strategy", default=None, choices=STRATEGIES)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser("attack", help="run an adversarial scenario report")
-    p.add_argument("--config", default=None)
+    p = verb("attack", cmd_attack, "run an adversarial scenario report")
     p.add_argument("--scenario", default=None, choices=sorted(INJECTORS))
     p.add_argument("--flag-defense", action="store_true",
                    help="also run the flag-defense experiment")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_attack)
 
-    p = sub.add_parser("bench", help="compare operators across edge densities")
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_bench)
-
+    verb("bench", cmd_bench, "compare operators across edge densities")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    _utf8_stdout()
+    _utf8_streams()
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.func(args)
-    except (ValidationError, ValueError) as exc:
+        return args.func(args, load_config(args.config))
+    except ValueError as exc:  # a ValidationError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -151,9 +151,8 @@ def parse_config(text: str) -> dict[str, Any]:
 
 
 def load_config(path: str | Path | None) -> dict[str, Any]:
-    if path is None:
-        return {key: default for key, (_, default) in CONFIG_DEFAULTS.items()}
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    """The config in the file at ``path``, or the defaults for None."""
+    return parse_config("" if path is None else Path(path).read_text(encoding="utf-8"))
 
 
 def config_digest(cfg: Mapping[str, Any]) -> str:

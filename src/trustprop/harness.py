@@ -484,6 +484,18 @@ def _heavy_edge(
     )
 
 
+def _heavy_ring(
+    corpus: Corpus, rng: np.random.Generator, members: Sequence[str], n_edges: int
+) -> list[Edge]:
+    """``n_edges`` heavy finance edges around a cycle: edge k runs from member
+    k to member k + 1, cyclically, and draws its content from ``rng`` in turn."""
+    n = len(members)
+    return [
+        _heavy_edge(corpus, rng, members[k % n], members[(k + 1) % n], MALICIOUS_DOMAIN)
+        for k in range(n_edges)
+    ]
+
+
 def inject_cross_domain_sybil(corpus: Corpus) -> Corpus:
     """Mutual-boost ring on the malicious pair plus blind spam at foreign hubs.
 
@@ -499,15 +511,10 @@ def inject_cross_domain_sybil(corpus: Corpus) -> Corpus:
     ][:5]
     if not hubs:
         raise ValidationError("no foreign hubs to spam")
-    added: list[Edge] = []
-    for k in range(CROSS_SYBIL_MUTUAL):
-        s, r = (m1, m2) if k % 2 == 0 else (m2, m1)
-        added.append(_heavy_edge(corpus, rng, s, r, MALICIOUS_DOMAIN))
+    added = _heavy_ring(corpus, rng, (m1, m2), CROSS_SYBIL_MUTUAL)
     for k in range(CROSS_SYBIL_SPAM):
         s = m1 if k % 2 == 0 else m2
-        added.append(
-            Edge(sender=s, receiver=hubs[k % len(hubs)], kind="blind")
-        )
+        added.append(Edge(sender=s, receiver=hubs[k % len(hubs)], kind="blind"))
     return replace(corpus, edges=corpus.edges + added)
 
 
@@ -518,10 +525,7 @@ def inject_same_domain_sybil(corpus: Corpus) -> Corpus:
     targets = [a.id for a in _finance_actives(corpus)][:SAME_SYBIL_TARGETS]
     if not targets:
         raise ValidationError("no same-domain targets to spam")
-    added: list[Edge] = []
-    for k in range(SAME_SYBIL_MUTUAL):
-        s, r = (m1, m2) if k % 2 == 0 else (m2, m1)
-        added.append(_heavy_edge(corpus, rng, s, r, MALICIOUS_DOMAIN))
+    added = _heavy_ring(corpus, rng, (m1, m2), SAME_SYBIL_MUTUAL)
     for t_idx, target in enumerate(targets):
         for k in range(SAME_SYBIL_SPAM_PER_TARGET):
             s = m1 if (t_idx + k) % 2 == 0 else m2
@@ -562,11 +566,7 @@ def inject_vote_ring(corpus: Corpus) -> Corpus:
     ring = [a.id for a in _finance_actives(corpus)][:VOTE_RING_SIZE]
     if len(ring) < 2:
         raise ValidationError("not enough same-domain agents for a ring")
-    added: list[Edge] = []
-    for k in range(VOTE_RING_EDGES):
-        i = k % len(ring)
-        added.append(_heavy_edge(corpus, rng, ring[i], ring[(i + 1) % len(ring)], MALICIOUS_DOMAIN))
-    return replace(corpus, edges=corpus.edges + added)
+    return replace(corpus, edges=corpus.edges + _heavy_ring(corpus, rng, ring, VOTE_RING_EDGES))
 
 
 INJECTORS: dict[str, Callable[[Corpus], Corpus]] = {
@@ -679,6 +679,17 @@ def mean_precision(
     return float(np.mean(vals)) if vals else 0.0
 
 
+def mean_p5(
+    state: ReputationState, corpus: Corpus, strategy: str = "dot", beta_mix: float = 0.5,
+    variant: str = "power",
+) -> tuple[float, float]:
+    """(strict, multilabel) mean P@5 of ``state`` over the corpus's queries,
+    each query ranked as by ``rank_queries``."""
+    rankings = rank_queries(state, corpus, strategy, beta_mix, variant)
+    return (mean_precision(rankings, corpus, "strict"),
+            mean_precision(rankings, corpus, "multilabel"))
+
+
 def require_continuous(prop_cfg: PropagationConfig) -> None:
     """Reject discrete mode before a corpus is generated for ranking.
 
@@ -715,14 +726,14 @@ def run_scenario(
         """The report's fields for one side, ``baseline`` or ``attacked``."""
         graph = normalize(c.agents, c.edges, weight_cfg)
         state = run(graph, prop_cfg)
-        rankings = rank_queries(state, c, strategy, beta_mix, variant)
+        strict, multilabel = mean_p5(state, c, strategy, beta_mix, variant)
         pct = magnitude_percentiles(state)
         values = {
             "edges": len(c.edges),
             "iterations": state.iterations,
             "converged": state.converged,
-            "p5_strict": mean_precision(rankings, c, "strict"),
-            "p5_multilabel": mean_precision(rankings, c, "multilabel"),
+            "p5_strict": strict,
+            "p5_multilabel": multilabel,
             "mean_alignment": float(np.mean(list(self_alignment(state, graph).values()))),
             "malicious_percentile": {m: pct[m] for m in mal},
         }

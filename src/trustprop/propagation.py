@@ -117,6 +117,10 @@ _WORKERS = _cpus() - 1
 
 @dataclass(frozen=True)
 class PropagationConfig:
+    """Settings of one run.  Discrete mode ignores ``operator``, ``gates`` and
+    ``normalize_each_iter``; continuous mode ignores ``top_k``, ``clamp_floor``
+    and, since it skips flag edges, ``beta``."""
+
     alpha: float = 0.85
     epsilon: float = 1e-4
     max_iters: int = 200
@@ -321,9 +325,10 @@ class _ContinuousPlan:
     reads the row dots r . e and the sender row norms ||R[i]||, which each
     step then takes once.
     ``damped`` is the step's constant term, from ``_damped``.
-    ``workspaces`` holds one (widest block's edges, E) array for each
-    thread that can take blocks: a block gathers its sender rows into its
-    thread's workspace and transfers them there in place.
+    ``workspaces`` holds one (widest block's edges, E) array for the
+    calling thread and each pool thread that can take blocks: a block
+    gathers its sender rows into its thread's workspace and transfers them
+    there in place.
     """
 
     graph: NormalizedGraph
@@ -364,7 +369,7 @@ def _continuous_plan(
     if gates.any_enabled:
         blocks = tuple(replace(blk, scatter=blk.scatter.copy()) for blk in blocks)
     widest = blocks[0].edges.stop - blocks[0].edges.start if blocks else 0
-    threads = 1 + min(_WORKERS, len(blocks) - 1)
+    threads = min(1 + _WORKERS, max(1, len(blocks)))
     plan = _ContinuousPlan(
         graph=graph,
         blocks=blocks,
@@ -426,20 +431,15 @@ def _for_each_block(
     """Run ``body(blk, work)`` on every block, one thread per workspace.
 
     The calling thread works in ``workspaces[0]`` and a pool thread in each
-    further one (the plan holds one per thread that can take blocks: up to
-    ``_WORKERS`` pool threads, and no more than one thread per block); each
-    thread takes the next block when it finishes one.  Returns once no
-    block is running; the error raised in the calling thread, or else one
-    raised in a pool thread, is re-raised as it is.  With one workspace
-    everything runs inline and no pool is started.
+    further one (the plan holds one for the calling thread and one per pool
+    thread that can take blocks: up to ``_WORKERS``, and no more threads than
+    blocks); each thread takes the next block when it finishes one.
+    Returns once no block is running; the error raised in the calling
+    thread, or else one raised in a pool thread, is re-raised as it is.
+    With one workspace nothing is submitted and no pool is started.
     """
-    if len(workspaces) < 2:
-        for blk in blocks:
-            body(blk, workspaces[0])
-        return
     queue = deque(blocks)
-    pool = _executor(_WORKERS)
-    futures = [pool.submit(_drain, body, queue, work) for work in workspaces[1:]]
+    futures = [_executor(_WORKERS).submit(_drain, body, queue, work) for work in workspaces[1:]]
     try:
         _drain(body, queue, workspaces[0])
     finally:
@@ -730,12 +730,12 @@ def run(
         _require_finite(state.vectors, "initial state rows")
     if cfg.mode == "continuous":
         plan = _continuous_plan(graph, cfg, centroids)
+        step = functools.partial(_step_continuous, graph=graph, cfg=cfg, plan=plan)
+    else:
+        step = functools.partial(step_discrete, matrices=matrices, cfg=cfg, neg=neg)
     start = state.iterations
     for _ in range(cfg.max_iters):
-        if cfg.mode == "continuous":
-            state, residual = _step_continuous(state, graph, cfg, plan)
-        else:
-            state, residual = step_discrete(state, matrices, cfg, neg)
+        state, residual = step(state)
         if residual < cfg.epsilon:
             state.converged = True
             break

@@ -446,6 +446,25 @@ def test_cli_reads_and_writes_utf8_in_any_locale(tmp_path):
     assert ",ä00," in ranks and "\nqä0,1," in ranks
 
 
+def test_an_error_names_a_non_ascii_id_in_utf8_in_any_locale(workdir, snapshot, tmp_path):
+    # stderr is reconfigured as stdout is, so the id prints as the file spells it.
+    env = dict(
+        os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+        PYTHONPATH=str(Path(trustprop.__file__).parents[1]),
+    )
+    agents, _, _ = _corpus_args(workdir)
+    queries = tmp_path / "queries.jsonl"
+    queries.write_bytes('{"id": "qä0", "text": "x", "embedding": [1.0, 0.0, 0.0]}\n'.encode())
+    code = "import sys; from trustprop.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run(
+        [sys.executable, "-c", code, "query", "--snapshot", str(snapshot), "--queries",
+         str(queries), "--agents", str(agents), "--out", str(tmp_path / "ranks.csv")],
+        env=env, capture_output=True, timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stderr.decode("utf-8").startswith("error: query qä0: query dim 3 ")
+
+
 def test_main_prints_to_a_redirected_stdout(workdir, snapshot, tmp_path):
     agents, _, queries = _corpus_args(workdir)
     buf = io.StringIO()

@@ -1,6 +1,7 @@
 """Values at the edges of float64 in corpus records, through ``cli.main``.
 
-From ``gen-corpus`` defaults, one value at a time goes into one place: entry
+From each of two base corpora, ``gen-corpus`` defaults and a small-count
+one (12 agents, 8 dims), one value at a time goes into one place: entry
 [0] and then every entry of a03's ``teleport`` and ``exogenous``, and one
 labeled edge's ``base_weight``, ``content[0]`` and ``confidence``.  Each
 corpus is propagated with three configs, with and without ``--center``, and
@@ -45,6 +46,12 @@ CONFIGS = {
     ),
 }
 CONTINUOUS = ("default", "scalar_gated")
+# A second base corpus with small counts: few edges per agent, 8 dims.
+SMALL_BASE = (
+    "corpus.n_agents = 12\ncorpus.hubs = 2\ncorpus.dormant = 1\ncorpus.specialists = 2\n"
+    "corpus.labeled_edges = 6\ncorpus.payment_edges = 1\ncorpus.blind_edges = 20\n"
+    "corpus.n_queries = 3\ncorpus.cross_domain_queries = 1\ncorpus.embedding_dim = 8\n"
+)
 CENTER = {"plain": [], "center": ["--center"]}
 
 
@@ -68,11 +75,13 @@ def _assert_clean_exit(code, err):
 class _Sweep:
     """The sweep's corpora and propagate runs under one directory, each made once."""
 
-    def __init__(self, root):
+    def __init__(self, root, base_config=""):
         self.root = root
         self.corpora = {}
         self.runs = {}
-        assert _cli(["gen-corpus", "--out", str(root / "base")])[0] == 0
+        (root / "base.conf").write_text(base_config)
+        argv = ["gen-corpus", "--config", str(root / "base.conf"), "--out", str(root / "base")]
+        assert _cli(argv)[0] == 0
         for name, text in CONFIGS.items():
             (root / f"{name}.conf").write_text(text)
 
@@ -160,3 +169,20 @@ def test_query(sweep, value, place, config, center, strategy):
     if _assert_clean_exit(code, err):
         scores = [float(line.rsplit(",", 1)[1]) for line in out.read_text().splitlines()[1:]]
         assert np.isfinite(scores).all()
+
+
+@pytest.fixture(scope="module")
+def small_sweep(tmp_path_factory):
+    return _Sweep(tmp_path_factory.mktemp("float_sweep_small"), SMALL_BASE)
+
+
+@pytest.mark.parametrize("value,place,config,center", _params(VALUES, PLACES, CONFIGS, CENTER))
+def test_propagate_small_corpus(small_sweep, value, place, config, center):
+    test_propagate(small_sweep, value, place, config, center)
+
+
+@pytest.mark.parametrize(
+    "value,place,config,center,strategy", _params(VALUES, PLACES, CONTINUOUS, CENTER, STRATEGIES)
+)
+def test_query_small_corpus(small_sweep, value, place, config, center, strategy):
+    test_query(small_sweep, value, place, config, center, strategy)

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trustprop import harness
@@ -168,6 +168,29 @@ def test_population_matches_the_per_role_counter_loop(data):
         i for i, a in enumerate(agents)
         if a.archetype == "active" and np.linalg.norm(a.teleport) >= VETERAN_ENGAGEMENT[0]
     } == veterans
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(data=st.data())
+def test_every_accepted_small_spec_generates_every_edge_kind(data):
+    # CorpusSpec checks the labeled pools with its own divmod count, apart
+    # from the generator's population loop; every spec it accepts must
+    # generate, with labeled, payment and blind edges all present.
+    counts = {
+        name: data.draw(st.integers(lo, hi), label=name)
+        for name, lo, hi in (("n_agents", 2, 24), ("hubs", 0, 7), ("dormant", 0, 6),
+                             ("malicious", 0, 3), ("specialists", 0, 10),
+                             ("labeled_edges", 1, 12), ("blind_edges", 1, 12))
+    }
+    counts["payment_edges"] = data.draw(st.integers(1, counts["labeled_edges"]), label="payment")
+    try:
+        spec = CorpusSpec(n_queries=2, cross_domain_queries=1, embedding_dim=8, **counts)
+    except ValidationError:
+        assume(False)
+    corpus = generate_corpus(spec)
+    kinds = Counter(e.kind for e in corpus.edges)
+    assert kinds == {"labeled": spec.labeled_edges, "blind": spec.blind_edges}
+    assert sum(e.payment for e in corpus.edges) == spec.payment_edges
 
 
 def test_hubs_cover_the_hub_domains(corpus):

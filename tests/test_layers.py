@@ -415,3 +415,28 @@ def test_only_normalize_orders_positive_edges():
         for line in _argsorts_naming(path, "pos_receiver")
     ]
     assert sorts == []
+
+
+def test_cli_verbs_share_one_skeleton():
+    # One parent parser declares --config and --out for every verb, and main
+    # loads the config once and hands it to the verb, so no verb grows its
+    # own copy of either.
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    declared = [
+        arg.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_argument"
+        for arg in node.args
+        if isinstance(arg, ast.Constant)
+    ]
+    assert declared.count("--config") == 1 and declared.count("--out") == 1
+    loaders = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "load_config"
+    }
+    assert loaders == {"main"}
