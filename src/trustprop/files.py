@@ -529,6 +529,7 @@ def snapshot_from_json(text: str) -> tuple[ReputationState, str, np.ndarray]:
     # Queries are centered with the mean, in the space of a continuous state.
     if fields["mode"] == "continuous" and mean.size and mean.shape != (vectors.shape[1],):
         raise ValidationError("snapshot: mean dim does not match the agent rows")
+    vectors.flags.writeable = False
     state = ReputationState(
         vectors=vectors,
         agent_ids=ids,

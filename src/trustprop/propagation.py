@@ -159,7 +159,17 @@ class PropagationConfig:
 
 @dataclass
 class ReputationState:
-    """Iteration state: vectors are (N, E) continuous or (N, D) discrete."""
+    """Iteration state: vectors are (N, E) continuous or (N, D) discrete.
+
+    Every state an engine step returns (so every state of ``run`` and
+    ``warm_start``) and every state ``files.snapshot_from_json`` reads holds
+    read-only ``vectors``; ``init_state``'s stay writeable, to be seeded.
+    A state keeps what its reads derive from it alone, read-only, for as
+    long as the source is the same object: ``magnitudes()`` of read-only
+    ``vectors``, and ``id_array()`` of ``agent_ids``.  A writeable
+    ``vectors`` is measured on every call, and ``dataclasses.replace``
+    starts a new state with nothing kept.
+    """
 
     vectors: np.ndarray
     agent_ids: tuple[str, ...]
@@ -167,10 +177,25 @@ class ReputationState:
     iterations: int = 0
     residuals: tuple[float, ...] = ()
     converged: bool = False
+    _kept: dict[str, tuple[Any, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def magnitudes(self) -> np.ndarray:
         """||R|| per row (``overflow_safe_norms``): the one magnitude of a state."""
-        return overflow_safe_norms(self.vectors)
+        if self.vectors.flags.writeable:
+            return overflow_safe_norms(self.vectors)
+        return self._derived("norms", self.vectors, overflow_safe_norms)
+
+    def id_array(self) -> np.ndarray:
+        """``agent_ids`` as the object array that ``retrieval.ranked`` sorts by."""
+        return self._derived("ids", self.agent_ids, lambda ids: np.array(ids, dtype=object))
+
+    def _derived(self, name: str, source: Any, derive: Callable[[Any], np.ndarray]) -> np.ndarray:
+        kept = self._kept.get(name)
+        if kept is None or kept[0] is not source:
+            kept = self._kept[name] = (source, _read_only(derive(source)))
+        return kept[1]
 
 
 def _advance(
@@ -188,7 +213,7 @@ def _advance(
     residual = float(norms.max()) if new.size else 0.0
     next_state = replace(
         state,
-        vectors=new,
+        vectors=_read_only(new),
         iterations=state.iterations + 1,
         residuals=state.residuals + (residual,),
         converged=False,

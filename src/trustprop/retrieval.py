@@ -101,7 +101,7 @@ def rank_scores(scores: Mapping[str, float]) -> RankedList:
 
 def score_dot(state: ReputationState, query: Query) -> RankedList:
     """Rank by R[j] . q — magnitude and direction in one number."""
-    return ranked(state.agent_ids, state.vectors @ _query_vector(state, query))
+    return ranked(state.id_array(), state.vectors @ _query_vector(state, query))
 
 
 VARIANTS = ("power", "log_damped")
@@ -122,8 +122,8 @@ def score_mixed(
     """
     if variant not in VARIANTS:
         raise ValidationError(f"unknown mixed variant {variant!r}")
-    if beta_mix < 0:
-        raise ValidationError("beta_mix must be >= 0")
+    if not 0 <= beta_mix < math.inf:
+        raise ValidationError("beta_mix must be finite and >= 0")
     q = _query_vector(state, query)
     norms = state.magnitudes()
     dots = state.vectors @ q
@@ -132,7 +132,7 @@ def score_mixed(
         factor = norms**beta_mix
     else:
         factor = 1.0 + beta_mix * np.log1p(norms)
-    return ranked(state.agent_ids, np.where(norms > 0, cos * factor, 0.0))
+    return ranked(state.id_array(), np.where(norms > 0, cos * factor, 0.0))
 
 
 def _query_vector(state: ReputationState, query: Query) -> np.ndarray:
@@ -202,8 +202,8 @@ def bm25_scores(descriptions: Mapping[str, str], query_text: str) -> RankedList:
 
 def rrf_merge(lists: Sequence[RankedList], k: int = RRF_K) -> RankedList:
     """Reciprocal-rank fusion: score(a) = sum over lists of 1/(k + rank_a)."""
-    if k <= 0:
-        raise ValidationError("rrf k must be positive")
+    if not 0 < k < math.inf:
+        raise ValidationError("rrf k must be finite and > 0")
     scores: dict[str, float] = {}
     for ranked in lists:
         for rank, (aid, _) in enumerate(ranked, start=1):

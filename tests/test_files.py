@@ -47,7 +47,7 @@ from trustprop.graph import (
 )
 from trustprop.harness import CorpusSpec, generate_corpus
 from trustprop.retrieval import QUERY_FIELDS, Query
-from trustprop.vectorspace import DEGENERATE_NORM, fit_centering
+from trustprop.vectorspace import DEGENERATE_NORM, fit_centering, overflow_safe_norms
 
 
 # ---------------------------------------------------------------- config
@@ -865,6 +865,18 @@ def test_snapshot_round_trip_is_bit_exact(corpus, graph):
     assert mean.size == 0
     # serializing the deserialized state reproduces the bytes
     assert snapshot_to_json(back, got_digest) == text
+
+
+def test_a_snapshot_reads_back_read_only_and_keeps_its_magnitudes(graph):
+    state = run(graph, PropagationConfig())
+    back, _, _ = snapshot_from_json(snapshot_to_json(state, "d"))
+    assert not back.vectors.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        back.vectors[0, 0] = 1.0
+    norms = back.magnitudes()
+    assert norms.tobytes() == overflow_safe_norms(back.vectors).tobytes()
+    assert norms.tobytes() == state.magnitudes().tobytes()
+    assert back.magnitudes() is norms and not norms.flags.writeable
 
 
 _SNAPSHOT_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(

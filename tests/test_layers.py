@@ -168,6 +168,35 @@ def test_row_norms_go_through_vectorspace():
     assert copies == []
 
 
+ROW_NORM_FUNCTIONS = {"overflow_safe_norms", "row_norms"}
+
+
+def _norms_of_vectors(path):
+    """Line numbers of ``overflow_safe_norms``/``row_norms`` calls whose
+    first argument ends in ``.vectors``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not (isinstance(node, ast.Call) and node.args):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        arg = node.args[0]
+        if name in ROW_NORM_FUNCTIONS and isinstance(arg, ast.Attribute) and arg.attr == "vectors":
+            yield node.lineno
+
+
+def test_state_magnitudes_come_from_the_state():
+    # ReputationState.magnitudes() keeps the norms of a read-only state, so
+    # every read of one takes them once; a module that measures .vectors
+    # itself takes them again on every call.
+    copies = [
+        f"{path.stem}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "propagation"
+        for line in _norms_of_vectors(path)
+    ]
+    assert copies == []
+
+
 def _csr_attribute_stores(path):
     """Line numbers of assignments to an attribute named ``data``,
     ``indices`` or ``indptr``, in any assignment form."""

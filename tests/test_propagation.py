@@ -52,6 +52,7 @@ from trustprop.propagation import (
     step_discrete,
     warm_start,
 )
+from trustprop.vectorspace import overflow_safe_norms
 
 from conftest import assert_within_steady_bound
 
@@ -651,6 +652,67 @@ def test_warm_start_rejects_mode_and_width_mismatch():
     g3 = normalize([wide], [])
     with pytest.raises(ValidationError):
         warm_start(cont, g3, PropagationConfig())
+
+
+# ------------------------------------------------ read-only states and what they keep
+
+
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+def test_engine_states_are_read_only_and_init_state_is_not(graph, mode):
+    cfg = PropagationConfig(mode=mode, max_iters=3)
+    _, cents = centroids_from_agents(graph.agents)
+    mats = build_domain_matrices(graph, cents) if mode == "discrete" else None
+    seed = init_state(graph, cfg, mats)
+    assert seed.vectors.flags.writeable
+    if mode == "continuous":
+        stepped, _ = step_continuous(seed, graph, cfg)
+    else:
+        stepped, _ = step_discrete(seed, mats, cfg)
+    first = run(graph, cfg, matrices=mats)
+    again = warm_start(first, graph, cfg, matrices=mats)
+    for state in (stepped, first, again):
+        assert not state.vectors.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            state.vectors[0, 0] = 1.0
+    assert seed.vectors.flags.writeable  # stepping takes nothing from it
+
+
+def test_magnitudes_of_a_read_only_state_are_taken_once(graph):
+    state = run(graph, PropagationConfig())
+    norms = state.magnitudes()
+    assert norms.tobytes() == overflow_safe_norms(state.vectors).tobytes()
+    assert not norms.flags.writeable
+    assert state.magnitudes() is norms
+    ids = state.id_array()
+    assert ids.dtype == object and ids.tolist() == list(state.agent_ids)
+    assert not ids.flags.writeable
+    assert state.id_array() is ids
+    state.agent_ids = state.agent_ids[::-1]  # a new tuple gets its own array
+    assert state.id_array().tolist() == list(state.agent_ids)
+
+
+def test_magnitudes_of_a_writeable_state_follow_in_place_edits():
+    g = normalize([make_agent("a", 0.3), make_agent("b", 0.0)], [])
+    state = init_state(g, PropagationConfig())
+    state.vectors[:] = [[3.0, 4.0], [0.0, 0.0]]
+    first = state.magnitudes()
+    np.testing.assert_array_equal(first, [5.0, 0.0])
+    state.vectors[1] = [6.0, 8.0]
+    np.testing.assert_array_equal(state.magnitudes(), [5.0, 10.0])
+    np.testing.assert_array_equal(first, [5.0, 0.0])
+
+
+def test_replace_takes_the_magnitudes_of_the_new_vectors(graph):
+    state = run(graph, PropagationConfig())
+    state.magnitudes()
+    state.id_array()
+    doubled = 2.0 * state.vectors
+    doubled.flags.writeable = False
+    other = replace(state, vectors=doubled)
+    assert other.magnitudes().tobytes() == overflow_safe_norms(doubled).tobytes()
+    assert other.magnitudes() is not state.magnitudes()
+    renamed = replace(state, agent_ids=tuple(f"x{aid}" for aid in state.agent_ids))
+    assert renamed.id_array().tolist() == list(renamed.agent_ids)
 
 
 # ----------------------------------------------------------------- analysis

@@ -193,6 +193,19 @@ def test_rrf_rejects_non_positive_k():
         rrf_merge([[("a", 1.0)]], k=0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_mixed_and_rrf_reject_a_non_finite_or_negative_parameter(bad):
+    # NaN passes a plain ``x < 0`` check; it would score every agent NaN.
+    state = make_state([[1.0, 0.0]], ["a"])
+    q = query(np.array([1.0, 0.0]))
+    with pytest.raises(ValidationError, match="^beta_mix must be finite and >= 0$"):
+        score_mixed(state, q, beta_mix=bad)
+    with pytest.raises(ValidationError, match="^beta_mix must be finite and >= 0$"):
+        rank(state, q, "mixed", beta_mix=bad)
+    with pytest.raises(ValidationError, match="^rrf k must be finite and > 0$"):
+        rrf_merge([[("a", 1.0)]], k=bad)
+
+
 # ---------------------------------------------------------------- pipeline
 
 
@@ -541,3 +554,60 @@ def test_ranked_rejects_ids_and_scores_of_different_lengths():
         ranked(["a", "b"], np.array([1.0]))
     with pytest.raises(ValidationError, match="0 ids but 3 scores"):
         ranked([], [1.0, 2.0, 3.0])
+
+
+# Besides small values: zeros of both signs, NaN, and rows whose squares
+# overflow float64, as in the ``ranked`` tests above.
+_STATE_VALUES = st.one_of(
+    _VALUES, st.sampled_from([0.0, -0.0, math.nan, 1e306, -1e306, 1e200, 1e-310])
+)
+
+
+@st.composite
+def _state_rows_case(draw):
+    ids = draw(st.lists(st.sampled_from(_IDS), min_size=1, max_size=8, unique=True))
+    dim = draw(st.integers(1, 4))
+    rows = [draw(st.lists(_STATE_VALUES, min_size=dim, max_size=dim)) for _ in ids]
+    agents = [
+        make_agent(aid, np.eye(dim)[k % dim], description=draw(st.sampled_from(_WORDS)))
+        for k, aid in enumerate(ids)
+    ]
+    q = query(np.array(draw(st.lists(_VALUES, min_size=dim, max_size=dim))), text="alpha beta")
+    return rows, ids, agents, q
+
+
+def _bits_of(ranked_list):
+    return [(aid, _float_bits(x)) for aid, x in ranked_list]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(case=_state_rows_case(), beta_mix=st.sampled_from([0.0, 0.5, 2.5]))
+@example(
+    case=(
+        [[0.0, -0.0], [math.nan, 1.0], [1e306, 1e306], [-0.0, 0.0], [1.0, 0.0]],
+        ["10", "9", "a\x00", "a", "b"],
+        [make_agent(aid, [1.0, 0.0], description="alpha") for aid in ["10", "9", "a\x00", "a", "b"]],
+        query(np.array([1.0, 0.5]), text="alpha"),
+    ),
+    beta_mix=0.5,
+)
+def test_a_read_only_state_ranks_as_its_writeable_copy(case, beta_mix):
+    # The read-only state keeps its magnitudes and id array across reads;
+    # the writeable one derives them on every read.  Same lists, same bits.
+    rows, ids, agents, q = case
+    kept, fresh = make_state(rows, ids), make_state(rows, ids)
+    kept.vectors.flags.writeable = False
+
+    def lists(state):
+        out = [score_dot(state, q), rank(state, q, "cosine")]
+        out += [score_mixed(state, q, beta_mix, v) for v in ("power", "log_damped")]
+        if np.linalg.norm(q.embedding) > 0:
+            out.append(pipeline_search(state, agents, q))
+        return [_bits_of(got) for got in out]
+
+    with np.errstate(all="ignore"):
+        want = lists(fresh)
+        for _ in range(2):  # the second pass reads what the first one kept
+            assert lists(kept) == want
+    assert kept.magnitudes() is kept.magnitudes()
+    assert fresh.magnitudes() is not fresh.magnitudes()
