@@ -3,8 +3,8 @@
 Every JSON text is written by ``_dumps`` and parsed by ``_loads``.  The
 writer is orjson: floats in their shortest round-trip digits, so loaded
 arrays are bit-identical to the originals and write → read → write is
-byte-stable, and text as raw UTF-8.  The reader is orjson, with
-``json.loads`` for the text orjson rejects.
+byte-stable, and text as raw UTF-8.  The reader is orjson too: it takes
+only text the writer could have written, nested at most ``MAX_DEPTH`` levels.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import json
 import math
 import re
 from itertools import repeat
@@ -211,7 +210,7 @@ def _dumps(obj: Any, where: str, option: int = 0) -> bytes:
         raise ValidationError(f"{where}: {bad!r} holds a lone surrogate, not UTF-8 text") from exc
 
 
-# What UTF-8 cannot encode: a lone surrogate, which json.loads reads from an escape.
+# What UTF-8 cannot encode: a lone surrogate, which only a library-built record holds.
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
@@ -225,28 +224,44 @@ def _lone_surrogate(obj: Any) -> str | None:
     return obj if isinstance(obj, str) and _SURROGATE.search(obj) else None
 
 
-def _loads(text: str, where: str) -> Any:
-    """Parse one JSON text as ``json.loads`` would; ``where`` prefixes errors.
+# The deepest nesting the reader takes.  Every file the package writes nests
+# at most 4 levels; orjson parses recursively, and a text nested some 100 000
+# levels deep overflows the C stack and ends the process.
+MAX_DEPTH = 10_000
 
-    orjson parses to the same values, floats bit for bit, and rejects what
-    it does not take: NaN and Infinity tokens, literals that overflow to
-    inf such as 1e999, lone surrogates.  ``json.loads`` then reads that
-    text, so it is accepted or rejected as ``json.loads`` decides, and its
-    message is the one in the error.  One difference remains: orjson
-    returns an integer literal outside the 64-bit range as a float, where
-    ``json.loads`` gives an int.  Every numeric field goes through
-    ``float()`` or a range check, so no record or state changes.  orjson
-    has no nesting limit; a nested line that orjson rejects can still hit
-    the recursion limit of ``json.loads``, which is an error here too.
-    """
+# A JSON string, whose brackets do not nest, or a bracket; single-character
+# alternatives, not a class, let the regex engine skip to the next candidate.
+_NESTING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|\[|\]|\{|\}', re.DOTALL)
+_DEPTH_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
+
+
+def _nested_deeper(text: str, limit: int) -> bool:
+    """Whether ``text`` opens more than ``limit`` arrays and objects at once.
+    That takes more than ``limit`` "[" and "{"; only a text that holds so
+    many is scanned, its strings skipped."""
+    if text.count("[") + text.count("{") <= limit:
+        return False
+    depth = 0
+    for token in _NESTING.finditer(text):
+        depth += _DEPTH_STEP.get(token[0], 0)
+        if depth > limit:
+            return True
+    return False
+
+
+def _loads(text: str, where: str) -> Any:
+    """Parse one JSON text with orjson; ``where`` prefixes errors.  Rejected,
+    as ``_dumps`` cannot write them: NaN and Infinity tokens, literals that
+    overflow to inf such as 1e999, lone surrogates; and, before it is
+    parsed, a text nested more than ``MAX_DEPTH`` levels.  An integer
+    literal beyond 64 bits reads as a float, which every numeric field
+    accepts."""
+    # Nesting d levels takes 2d characters: a short text is not scanned.
+    if len(text) > 2 * MAX_DEPTH and _nested_deeper(text, MAX_DEPTH):
+        raise ValidationError(f"{where}: invalid json (nested more than {MAX_DEPTH} levels)")
     try:
         return orjson.loads(text)
-    except orjson.JSONDecodeError:
-        pass
-    try:
-        return json.loads(text)
-    # ValueError: json.JSONDecodeError, or an int of more than 4300 digits.
-    except (ValueError, RecursionError) as exc:
+    except orjson.JSONDecodeError as exc:
         raise ValidationError(f"{where}: invalid json ({exc})") from exc
 
 
@@ -396,10 +411,14 @@ def edges_from_jsonl(text: str) -> EdgeTable:
 
 
 def queries_from_jsonl(text: str) -> list[Query]:
-    return [
-        _record(rec, f"queries line {lineno}", QUERY_FIELDS)
-        for lineno, rec in _records(text, "queries")
-    ]
+    """The queries of a JSONL text; a repeated id is rejected at its line."""
+    queries: dict[str, Query] = {}
+    for lineno, rec in _records(text, "queries"):
+        query = _record(rec, f"queries line {lineno}", QUERY_FIELDS)
+        if query.id in queries:
+            raise ValidationError(f"queries line {lineno}: duplicate query id {query.id!r}")
+        queries[query.id] = query
+    return list(queries.values())
 
 
 def center_corpus(
@@ -444,9 +463,8 @@ def center_corpus(
 
 
 def _check_finite(vectors: np.ndarray, mean: np.ndarray, residuals: np.ndarray) -> None:
-    """A snapshot's rows, mean and residuals are finite, when written and when
-    read: orjson writes null for a non-finite float, and ``_loads`` reads
-    NaN and Infinity tokens, and 1e999 as inf."""
+    """A snapshot's rows, mean and residuals are finite: the writer would spell
+    a non-finite float of a library-built state as null.  Reads check it too."""
     for name, v in (("agent rows", vectors), ("mean", mean), ("residuals", residuals)):
         if not np.isfinite(v).all():
             raise ValidationError(f"snapshot: {name} must be finite")

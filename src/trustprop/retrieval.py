@@ -118,7 +118,9 @@ def score_mixed(
     ``power``:      cos(R, q) * ||R||^beta_mix   (0 -> pure cosine, 1 -> dot)
     ``log_damped``: cos(R, q) * (1 + beta_mix * ln(1 + ||R||))
 
-    Zero-magnitude agents score 0 under both variants.
+    Zero-magnitude agents score 0 under both variants.  A ``beta_mix`` that
+    takes the factor of an agent with a magnitude to 0 or past the floats
+    is rejected: every score would be 0 or inf, ranked by id alone.
     """
     if variant not in VARIANTS:
         raise ValidationError(f"unknown mixed variant {variant!r}")
@@ -128,10 +130,20 @@ def score_mixed(
     norms = state.magnitudes()
     dots = state.vectors @ q
     cos = np.divide(dots, norms, out=np.zeros_like(dots), where=norms > 0)
-    if variant == "power":
-        factor = norms**beta_mix
-    else:
-        factor = 1.0 + beta_mix * np.log1p(norms)
+    factor = 1.0  # both variants at beta_mix = 0
+    if beta_mix:
+        with np.errstate(over="ignore"):  # an overflow is rejected below
+            if variant == "power":
+                factor = norms**beta_mix
+            else:
+                factor = 1.0 + beta_mix * np.log1p(norms)
+        lost = np.flatnonzero((norms > 0) & ((factor == 0) | ~np.isfinite(factor)))
+        if lost.size:
+            aid, value = state.agent_ids[lost[0]], float(factor[lost[0]])
+            raise ValidationError(
+                f"beta_mix {beta_mix!r} takes the {variant} factor of agent {aid!r} "
+                f"to {value!r}; it must stay finite and above 0"
+            )
     return ranked(state.id_array(), np.where(norms > 0, cos * factor, 0.0))
 
 

@@ -396,7 +396,8 @@ def test_propagate_missing_file_is_io_error(workdir, tmp_path):
 
 
 def test_propagate_rejects_a_lone_surrogate_id(workdir, tmp_path, capsys):
-    # json.loads reads the escape "\\ud800" into a string UTF-8 cannot encode.
+    # The escape "\\ud800" stands for a string UTF-8 cannot encode, which the
+    # writer could not write back: the reader rejects it.
     paths = []
     for path in _corpus_args(workdir)[:2]:
         paths.append(tmp_path / path.name)
@@ -406,7 +407,30 @@ def test_propagate_rejects_a_lone_surrogate_id(workdir, tmp_path, capsys):
                  "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert err == "error: snapshot: '\\ud800' holds a lone surrogate, not UTF-8 text\n"
+    assert err.startswith("error: agents line 4: invalid json (") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("which, field", [("agents", "description"), ("queries", "text")])
+def test_a_lone_surrogate_in_a_field_never_written_back_is_rejected(
+    workdir, snapshot, tmp_path, capsys, which, field
+):
+    # Before, such a description propagated and such a query text ranked, exit 0.
+    agents, edges, queries = _corpus_args(workdir)
+    path = {"agents": agents, "queries": queries}[which]
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1].replace(f'"{field}":"', f'"{field}":"\\ud800', 1)
+    bad = tmp_path / path.name
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    if which == "agents":
+        code = main(["propagate", "--agents", str(bad), "--edges", str(edges), "--out", str(out)])
+    else:
+        code = main(["query", "--snapshot", str(snapshot), "--queries", str(bad),
+                     "--agents", str(agents), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {which} line 2: invalid json (") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -602,8 +626,7 @@ def test_propagate_rejects_malformed_jsonl_lines(
          "agents line {line}: teleport must be a vector of numbers, not bool"),
         ("edges", "content", lambda rec: [repr(x) for x in rec["content"]],
          "edges line {line}: content must be a vector of numbers, not str"),
-        ("edges", "base_weight", lambda rec: 10**400,
-         "edges line {line}: int too large to convert to float"),
+        ("edges", "base_weight", lambda rec: 10**400, "edges line {line}: invalid json ("),
         ("edges", "content", lambda rec: [1.0],
          "edge {sender} -> {receiver}: wrong content dim"),
         ("agents", "id", lambda rec: "a00", "agents line {line}: duplicate agent id 'a00'"),
@@ -627,7 +650,11 @@ def test_propagate_rejects_mistyped_fields(
     ])
     assert code == 1
     expected = message.format(line=i + 1, **records[i])
-    assert capsys.readouterr().err == f"error: {expected}\n"
+    err = capsys.readouterr().err
+    if expected.endswith("invalid json ("):  # orjson's wording follows
+        assert err.startswith(f"error: {expected}") and err.count("\n") == 1
+    else:
+        assert err == f"error: {expected}\n"
     assert not (tmp_path / "prop").exists()
 
 
@@ -824,7 +851,7 @@ def test_query_rejects_non_finite_snapshot(workdir, snapshot, tmp_path, capsys, 
     _, _, queries = _corpus_args(workdir)
     code, err = _query_exit_and_err(workdir, tmp_path, capsys, bad, queries)
     assert code == 1
-    assert "agent rows must be finite" in err
+    assert err.startswith("error: snapshot: invalid json (")
     assert "Traceback" not in err
 
 
@@ -872,7 +899,92 @@ def test_query_rejects_nan_query_embedding(workdir, snapshot, tmp_path, capsys):
     bad.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
     code, err = _query_exit_and_err(workdir, tmp_path, capsys, snapshot, bad)
     assert code == 1
-    assert "embedding must be finite" in err
+    assert err.startswith("error: queries line 1: invalid json (")
+
+
+def test_query_rejects_a_repeated_query_id(workdir, snapshot, tmp_path, capsys):
+    # Before, ranks.csv held two blocks for one id.
+    _, _, queries = _corpus_args(workdir)
+    lines = queries.read_text().splitlines()
+    bad = tmp_path / "queries.jsonl"
+    bad.write_text("\n".join([lines[0], lines[0]] + lines[1:]) + "\n")
+    code, err = _query_exit_and_err(workdir, tmp_path, capsys, snapshot, bad)
+    assert code == 1
+    assert err == "error: queries line 2: duplicate query id 'q00'\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_query_rejects_a_beta_mix_that_ranks_by_id(workdir, snapshot, tmp_path, capsys):
+    # Every norm ** 2000 underflows to 0: each score was 0.0 or -0.0, and the
+    # ranking the order of the ids.
+    agents, _, queries = _corpus_args(workdir)
+    conf = tmp_path / "mixed.conf"
+    conf.write_text("retrieval.beta_mix = 2000\n")
+    out = tmp_path / "r.csv"
+    code = main(["query", "--config", str(conf), "--strategy", "mixed", "--snapshot",
+                 str(snapshot), "--queries", str(queries), "--agents", str(agents),
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"error: query q00: beta_mix 2000\.0 takes the power factor of agent 'a\d+' to 0\.0; "
+        r"it must stay finite and above 0\n",
+        err,
+    ), err
+    assert not out.exists()
+
+
+_TOO_DEEP = "[" * 150_000 + "]" * 150_000
+
+
+def _cli_in_a_subprocess(*argv):
+    """(exit code, stderr) of the CLI run in its own process: a parser that
+    overflows the C stack ends that process, with exit code -11 or 139."""
+    code = "import sys; from trustprop.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=str(Path(trustprop.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stderr
+
+
+@pytest.mark.parametrize("which", ["agents", "edges", "queries", "snapshot"])
+def test_a_text_nested_past_the_bound_is_rejected_naming_its_file(
+    workdir, snapshot, tmp_path, which
+):
+    agents, edges, queries = _corpus_args(workdir)
+    paths = {"agents": agents, "edges": edges, "queries": queries, "snapshot": snapshot}
+    bad = tmp_path / paths[which].name
+    if which == "snapshot":
+        bad.write_text(_TOO_DEEP)
+        where = "snapshot"
+    else:
+        lines = paths[which].read_text().splitlines()
+        bad.write_text("\n".join(lines + [_TOO_DEEP]) + "\n")
+        where = f"{which} line {len(lines) + 1}"
+    paths[which] = bad
+    if which in ("agents", "edges"):
+        argv = ["propagate", "--agents", paths["agents"], "--edges", paths["edges"]]
+        out = tmp_path / "prop"
+    else:
+        argv = ["query", "--snapshot", paths["snapshot"], "--queries", paths["queries"],
+                "--agents", paths["agents"]]
+        out = tmp_path / "ranks.csv"
+    code, err = _cli_in_a_subprocess(*argv, "--out", out)
+    assert (code, err) == (1, f"error: {where}: invalid json (nested more than 10000 levels)\n")
+    assert not out.exists()
+
+
+def test_brackets_inside_a_string_do_not_nest(workdir, tmp_path):
+    # 30 000 "[" in a description: more than the bound, but text, not nesting.
+    agents, edges, _ = _corpus_args(workdir)
+    lines = agents.read_text().splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), "description": "[" * 30_000})
+    wide = tmp_path / "agents.jsonl"
+    wide.write_text("\n".join(lines) + "\n")
+    code, err = _cli_in_a_subprocess("propagate", "--agents", wide, "--edges", edges,
+                                     "--out", tmp_path / "prop")
+    assert (code, err) == (0, "")
+    assert (tmp_path / "prop" / "snapshot.json").exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -22,8 +22,10 @@ from trustprop.errors import DegenerateVectorError, ValidationError
 from trustprop.files import (
     CONFIG_DEFAULTS,
     SNAPSHOT_AGENT_FIELDS,
+    MAX_DEPTH,
     SNAPSHOT_FIELDS,
     _loads,
+    _nested_deeper,
     agents_from_jsonl,
     agents_to_jsonl,
     center_corpus,
@@ -274,11 +276,8 @@ _DEEP = "[" * 5000 + "]" * 5000
         (queries_from_jsonl, None, '"q"', "queries line 2: expected a JSON object, got str"),
         (agents_from_jsonl, _AGENT, _DEEP, "agents line 2: expected a JSON object, got list"),
         (edges_from_jsonl, _EDGE, _DEEP, "edges line 2: expected a JSON object, got list"),
-        # Rejected by orjson for the NaN, then too deep for json.loads.
-        (
-            edges_from_jsonl, _EDGE, "[" * 5000 + "NaN" + "]" * 5000,
-            "edges line 2: invalid json (maximum recursion depth exceeded",
-        ),
+        # Rejected by orjson for the NaN, as deep as it is.
+        (edges_from_jsonl, _EDGE, "[" * 5000 + "NaN" + "]" * 5000, "edges line 2: invalid json ("),
     ],
     ids=["agents_list", "edges_list", "queries_str", "agents_deep", "edges_deep", "deep_nan"],
 )
@@ -332,20 +331,20 @@ _QUERY = {"id": "q", "text": "t", "embedding": [1.0], "expected_domains": ["d"]}
          "exogenous must be a vector of numbers, not NoneType"),
         (edges_from_jsonl, "edges", _EDGE, {"content": ["0.0", "1.0"]},
          "content must be a vector of numbers, not str"),
-        (edges_from_jsonl, "edges", _EDGE, {"base_weight": 10**400},
-         "int too large to convert to float"),
+        (edges_from_jsonl, "edges", _EDGE, {"base_weight": 10**400}, "invalid json ("),
         (agents_from_jsonl, "agents", _AGENT, {}, "duplicate agent id 'a'"),
+        (queries_from_jsonl, "queries", _QUERY, {}, "duplicate query id 'q'"),
     ],
     ids=["query_embedding_str", "query_text_list", "query_text_int", "query_domains_str",
          "query_domains_int", "profile_strs", "teleport_bools", "exogenous_null",
-         "content_strs", "huge_base_weight", "duplicate_agent_id"],
+         "content_strs", "huge_base_weight", "duplicate_agent_id", "duplicate_query_id"],
 )
 def test_jsonl_field_types_are_checked(read, what, good, fields, message):
     first = json.dumps(good) + "\n"
     assert len(read(first)) == 1
     with pytest.raises(ValidationError) as info:
         read(first + json.dumps({**good, **fields}) + "\n")
-    assert str(info.value) == f"{what} line 2: {message}"
+    _assert_message(str(info.value), f"{what} line 2: {message}")
 
 
 @pytest.mark.parametrize("field", ["sender", "receiver"])
@@ -397,10 +396,9 @@ def _reference_read(text, what):
         if not line.strip():
             continue
         prefix = f"{what} line {lineno}: "
-        try:
-            rec = json.loads(line)
-        except ValueError as exc:
-            return f"{prefix}invalid json ({exc})"
+        rec = _reference_loads(line)
+        if rec is _REJECTED:
+            return f"{prefix}invalid json ("
         if not isinstance(rec, dict):
             return f"{prefix}expected a JSON object, got {type(rec).__name__}"
         missing = [f.key for f in fields if f.default is dataclasses.MISSING and f.key not in rec]
@@ -590,7 +588,7 @@ def test_table_readers_equal_the_per_line_reference(what, n, dim, seed, ops, blo
         if isinstance(expected, str):
             with pytest.raises(ValidationError) as info:
                 read(text)
-            assert str(info.value) == expected
+            _assert_message(str(info.value), expected)
             return
         table = read(text)
     assert len(table) == len(expected)
@@ -628,25 +626,58 @@ def _same(a, b):
     return a == b
 
 
-def _reference_loads(text, where):
-    """``json.loads``'s value, or its error as the reader reports it."""
+# What ``_reference_loads`` returns for a text the reader must reject.
+_REJECTED = object()
+
+
+def _writable(value):
+    """Whether ``_dumps`` could write ``value``: no NaN or infinity, and no
+    string, key or value, holding a lone surrogate."""
+    if isinstance(value, dict):
+        return all(map(_writable, value)) and all(map(_writable, value.values()))
+    if isinstance(value, list):
+        return all(map(_writable, value))
+    if isinstance(value, (int, float)):
+        try:
+            return math.isfinite(value)
+        except OverflowError:  # an int past the floats, whose literal reads as inf
+            return False
+    if isinstance(value, str):
+        return not any("\ud800" <= c <= "\udfff" for c in value)
+    return True
+
+
+def _reference_loads(text):
+    """``json.loads``'s value where ``_dumps`` could have written it, else
+    ``_REJECTED``: a text json.loads rejects, or whose value holds a NaN,
+    an infinity or a lone surrogate."""
     try:
-        return json.loads(text)
-    except ValueError as exc:
-        return ValidationError(f"{where}: invalid json ({exc})")
+        value = json.loads(text)
+    except (ValueError, RecursionError):
+        return _REJECTED
+    return value if _writable(value) else _REJECTED
+
+
+def _assert_message(got, expected):
+    """``got`` is ``expected``; an expected "invalid json (" is followed by
+    orjson's wording."""
+    if expected.endswith("invalid json ("):
+        assert got.startswith(expected) and got.endswith(")"), got
+    else:
+        assert got == expected
 
 
 def _assert_reads_as_json_loads(text):
-    expected = _reference_loads(text, "here")
-    if isinstance(expected, ValidationError):
+    expected = _reference_loads(text)
+    if expected is _REJECTED:
         with pytest.raises(ValidationError) as info:
             _loads(text, "here")
-        assert str(info.value) == str(expected)
+        assert str(info.value).startswith("here: invalid json (")
     else:
         assert _same(_loads(text, "here"), expected)
 
 
-# Lone surrogates (category Cs) included: orjson leaves them to json.
+# Lone surrogates (category Cs) included: the reader rejects them.
 _STRINGS = st.text(
     st.characters()
     | st.characters(categories=["Cs"])
@@ -667,7 +698,7 @@ _JSON_VALUES = st.recursive(
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(value=_JSON_VALUES, ensure_ascii=st.booleans(), indent=st.sampled_from([None, 2]))
 def test_reader_equals_json_loads(value, ensure_ascii, indent):
-    # NaN and infinities are written as bare tokens, which orjson leaves to json.
+    # NaN and infinities are written as bare tokens, which the reader rejects.
     _assert_reads_as_json_loads(json.dumps(value, ensure_ascii=ensure_ascii, indent=indent))
 
 
@@ -722,9 +753,40 @@ def test_reader_adversarial_lines_match_json_loads(text):
 
 
 def test_reader_reads_integers_beyond_64_bits_as_floats():
-    # The one known difference from json.loads, which gives an int.
+    # json.loads gives an int.
     assert _loads("18446744073709551616", "") == 2.0**64
     assert type(_loads("-9223372036854775809", "")) is float
+
+
+def _depth(value):
+    """How many arrays and objects ``value`` nests, one inside the next."""
+    depth, level = 0, [value]
+    while level := [v for v in level if isinstance(v, (list, dict))]:
+        depth += 1
+        level = [child for v in level for child in (v.values() if isinstance(v, dict) else v)]
+    return depth
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(value=_JSON_VALUES, ensure_ascii=st.booleans(), limit=st.integers(0, 4))
+@example(value={"[": ['"[{', "\\", ["]}\\\""]]}, ensure_ascii=True, limit=1)
+def test_depth_scan_counts_nesting_not_brackets_in_strings(value, ensure_ascii, limit):
+    text = json.dumps(value, ensure_ascii=ensure_ascii)
+    assert _nested_deeper(text, limit) == (_depth(value) > limit)
+
+
+@pytest.mark.parametrize("opener, inner, closer", [("[", "", "]"), ('{"a": ', "0", "}")])
+def test_reader_takes_max_depth_levels_and_rejects_one_more(opener, inner, closer):
+    def nested(depth):
+        return opener * depth + inner + closer * depth
+
+    for depth in (MAX_DEPTH - 1, MAX_DEPTH):
+        assert _depth(_loads(nested(depth), "here")) == depth
+    # Texts deep enough to overflow the C stack are tested in a subprocess,
+    # in tests/test_cli.py, so that a regression does not end the test run.
+    message = f"^here: invalid json \\(nested more than {MAX_DEPTH} levels\\)$"
+    with pytest.raises(ValidationError, match=message):
+        _loads(nested(MAX_DEPTH + 1), "here")
 
 
 # ---------------------------------------------------------------- centering
@@ -1074,7 +1136,7 @@ _SNAPSHOT = (
 )
 def test_snapshot_rejects_non_finite_values(old, new):
     snapshot_from_json(_SNAPSHOT)  # the unbroken snapshot loads
-    with pytest.raises(ValidationError, match="must be finite"):
+    with pytest.raises(ValidationError, match=r"^snapshot: invalid json \("):
         snapshot_from_json(_SNAPSHOT.replace(old, new, 1))
 
 

@@ -1,6 +1,7 @@
 """Tests for retrieval scoring, BM25, rank fusion, and precision@k."""
 
 import math
+import re
 import struct
 from collections import Counter
 
@@ -204,6 +205,43 @@ def test_mixed_and_rrf_reject_a_non_finite_or_negative_parameter(bad):
         rank(state, q, "mixed", beta_mix=bad)
     with pytest.raises(ValidationError, match="^rrf k must be finite and > 0$"):
         rrf_merge([[("a", 1.0)]], k=bad)
+
+
+@pytest.mark.parametrize(
+    "norms, beta_mix, variant, value",
+    [
+        ([0.003, 0.49], 2000.0, "power", "0.0"),  # gen-corpus norms: ranked by id before
+        ([0.5, 1e10], 100.0, "power", "inf"),
+        ([0.5, 10.0], 1e308, "log_damped", "inf"),
+    ],
+    ids=["power_underflow", "power_overflow", "log_damped_overflow"],
+)
+def test_mixed_rejects_a_beta_mix_whose_factor_leaves_the_floats(norms, beta_mix, variant, value):
+    # Every score would be 0 or inf, and the ranking the order of the ids.
+    lost = "a" if value == "0.0" else "b"
+    state = make_state([[n, 0.0] for n in norms] + [[0.0, 0.0]], ["a", "b", "zero"])
+    q = query(np.array([1.0, 0.0]))
+    message = "^" + re.escape(
+        f"beta_mix {beta_mix!r} takes the {variant} factor of agent '{lost}' to {value}; "
+        "it must stay finite and above 0"
+    ) + "$"
+    with pytest.raises(ValidationError, match=message):
+        score_mixed(state, q, beta_mix, variant)
+    with pytest.raises(ValidationError, match=message):
+        rank(state, q, "mixed", beta_mix=beta_mix, variant=variant)
+
+
+@pytest.mark.parametrize("variant", ["power", "log_damped"])
+def test_mixed_takes_a_large_beta_mix_that_every_factor_survives(variant):
+    # A zero row's power factor is 0 at any beta_mix; it scores 0 as before.
+    state = make_state([[0.5, 0.0], [0.25, 0.25], [0.0, 0.0]], ["a", "b", "zero"])
+    q = query(np.array([1.0, 0.0]))
+    got = score_mixed(state, q, 60.0, variant)
+    norms = np.linalg.norm(state.vectors, axis=1)
+    factor = norms**60.0 if variant == "power" else 1.0 + 60.0 * np.log1p(norms)
+    assert [aid for aid, _ in got] == ["a", "b", "zero"]
+    assert dict(got)["zero"] == 0.0 and 0.0 < dict(got)["b"] < dict(got)["a"]
+    assert dict(got)["a"] == factor[0]
 
 
 # ---------------------------------------------------------------- pipeline
@@ -598,12 +636,17 @@ def test_a_read_only_state_ranks_as_its_writeable_copy(case, beta_mix):
     kept, fresh = make_state(rows, ids), make_state(rows, ids)
     kept.vectors.flags.writeable = False
 
+    def mixed(state, variant):
+        try:
+            return _bits_of(score_mixed(state, q, beta_mix, variant))
+        except ValidationError as exc:  # a factor that overflows, as 1e306 ** 2.5
+            return str(exc)
+
     def lists(state):
         out = [score_dot(state, q), rank(state, q, "cosine")]
-        out += [score_mixed(state, q, beta_mix, v) for v in ("power", "log_damped")]
         if np.linalg.norm(q.embedding) > 0:
             out.append(pipeline_search(state, agents, q))
-        return [_bits_of(got) for got in out]
+        return [_bits_of(got) for got in out] + [mixed(state, v) for v in ("power", "log_damped")]
 
     with np.errstate(all="ignore"):
         want = lists(fresh)
