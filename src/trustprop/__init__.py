@@ -22,14 +22,13 @@ from .propagation import (
     warm_start,
 )
 from .retrieval import Query, pipeline_search, precision_at_k, score_dot, score_mixed
-from .vectorspace import CenteringModel, center_and_normalize, cosine, fit_centering
+from .vectorspace import center_and_normalize, cosine, fit_centering
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Agent",
     "AgentTable",
-    "CenteringModel",
     "ConfidenceGateConfig",
     "Corpus",
     "CorpusSpec",

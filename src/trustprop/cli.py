@@ -49,7 +49,7 @@ from .harness import (
 from .operators import OPERATOR_NAMES, OperatorKind
 from .propagation import run
 from .retrieval import STRATEGIES, precision_at_k, rank
-from .vectorspace import CenteringModel, center_and_normalize
+from .vectorspace import center_and_normalize
 
 logger = logging.getLogger(__name__)
 
@@ -128,13 +128,10 @@ def cmd_query(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
     queries = queries_from_jsonl(_read(args.queries))
     agents = agents_from_jsonl(_read(args.agents))
     strategy = args.strategy or cfg["retrieval.strategy"]
-    if mean.size:
-        # Move queries (and the pipeline's profiles) into the space that
-        # `propagate --center` fitted and propagated in.
-        model = CenteringModel(mean=mean, sample_count=0)
-        queries = [replace(q, embedding=center_and_normalize(model, q.embedding)) for q in queries]
-        if strategy == "pipeline" and len(agents):  # each row as a 1-D call gives it
-            agents = replace(agents, profile=center_and_normalize(model, agents.profile))
+    # A centered snapshot moves each query (and the pipeline's profiles) into
+    # the space that `propagate --center` fitted and propagated in.
+    if mean.size and strategy == "pipeline" and len(agents):  # each row as a 1-D call gives it
+        agents = replace(agents, profile=center_and_normalize(mean, agents.profile))
     beta_mix = cfg["retrieval.beta_mix"]
     variant = cfg["retrieval.variant"]
     k = cfg["retrieval.k"]
@@ -142,7 +139,9 @@ def cmd_query(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
     rows = [("query_id", "rank", "agent_id", "score")]
     summary = []
     for q in queries:
-        try:  # name the query that does not fit the snapshot or the agents
+        try:  # name the query that does not fit the snapshot, its mean or the agents
+            if mean.size:
+                q = replace(q, embedding=center_and_normalize(mean, q.embedding))
             ranked = rank(state, q, strategy, agents, beta_mix, variant)
             if q.expected_domains:
                 strict = precision_at_k(ranked, agents, q.expected_domains, k, "strict")

@@ -231,7 +231,10 @@ MAX_DEPTH = 10_000
 
 # A JSON string, whose brackets do not nest, or a bracket; single-character
 # alternatives, not a class, let the regex engine skip to the next candidate.
-_NESTING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|\[|\]|\{|\}', re.DOTALL)
+# An unterminated string runs to the end of the text, as JSON lexes it, and
+# orjson rejects the text; a required closing quote would rescan the rest of
+# the text from every later quote, in quadratic time.
+_NESTING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|\[|\]|\{|\}', re.DOTALL)
 _DEPTH_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
 
 
@@ -435,17 +438,17 @@ def center_corpus(
     """
     agents, edges = AgentTable.of(agents), EdgeTable.of(edges)
     contents = edges.content.rows
-    model = fit_centering([agents.profile, contents] + [q.embedding for q in queries])
+    mean = fit_centering([agents.profile, contents] + [q.embedding for q in queries])
 
     def unit(vectors: np.ndarray) -> np.ndarray:
-        return center_and_normalize(model, vectors) if len(vectors) else vectors
+        return center_and_normalize(mean, vectors) if len(vectors) else vectors
 
     def recenter_scaled(vectors: np.ndarray) -> np.ndarray:
         out = vectors.copy()
         norms = row_norms(out)
         nonzero = norms != 0.0
         if nonzero.any():
-            out[nonzero] = norms[nonzero, None] * center_and_normalize(model, out[nonzero])
+            out[nonzero] = norms[nonzero, None] * center_and_normalize(mean, out[nonzero])
         return out
 
     new_agents = replace(
@@ -456,7 +459,7 @@ def center_corpus(
     )
     new_edges = replace(edges, content=edges.content._replace(rows=unit(contents)))
     new_queries = [replace(q, embedding=unit(q.embedding)) for q in queries]
-    return new_agents, new_edges, new_queries, model.mean
+    return new_agents, new_edges, new_queries, mean
 
 
 # --- snapshots ----------------------------------------------------------------

@@ -26,6 +26,7 @@ an iteration at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,8 +60,8 @@ class KlGateConfig:
     def __post_init__(self) -> None:
         if self.form not in ("cosine_proxy", "softmax"):
             raise ValidationError(f"unknown kl gate form {self.form!r}")
-        if not self.lam >= 0:
-            raise ValidationError("lambda must be >= 0")
+        if not 0 <= self.lam < math.inf:
+            raise ValidationError("lambda must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,8 @@ class EntropyGateConfig:
     strength: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.strength >= 0:
-            raise ValidationError("strength must be >= 0")
+        if not 0 <= self.strength < math.inf:
+            raise ValidationError("strength must be finite and >= 0")
 
 
 @dataclass(frozen=True)

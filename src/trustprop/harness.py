@@ -33,7 +33,6 @@ from .propagation import (
 )
 from .retrieval import Query, RankedList, precision_at_k, rank, rank_scores, ranked
 from .vectorspace import (
-    CenteringModel,
     build_centroids,
     center_and_normalize,
     fit_centering,
@@ -161,8 +160,8 @@ class CorpusSpec:
         # Bounds are written "not (in range)" so that NaN fails them too.
         if not 0 <= self.exogenous_scale < math.inf:
             raise ValidationError("exogenous_scale must be finite and >= 0")
-        if not self.anisotropy >= 0:
-            raise ValidationError("anisotropy must be >= 0")
+        if not 0 <= self.anisotropy < math.inf:
+            raise ValidationError("anisotropy must be finite and >= 0")
 
     @property
     def actives(self) -> int:
@@ -202,7 +201,7 @@ class Corpus:
     edges: list[Edge]
     queries: list[Query]
     synth_centroids: dict[str, np.ndarray]
-    centering: CenteringModel
+    centering: np.ndarray  # the (E,) mean fit over the raw corpus
     offset: np.ndarray
 
     def malicious_ids(self) -> list[str]:
@@ -228,7 +227,7 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
     Generation order (separate RNG streams per phase): domain centroids,
     agent population, labeled edges, blind edges, exogenous draws, queries.
     The raw embedding cloud optionally shares an anisotropy offset; the
-    centering model is then fit over profiles + labeled contents and applied
+    centering mean is then fit over profiles + labeled contents and applied
     to everything, queries included.
     """
     centroids = build_centroids(DOMAINS, spec.embedding_dim, spec.seed)
@@ -299,19 +298,13 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
         u = rng_labeled.random()
         if specialist_idx and u >= SAME_DOMAIN_EDGE_PROB:
             s = int(rng_labeled.choice(specialist_idx))
-            shared = secondaries[s][0]
-            pool = [i for i in by_domain[shared] if i != s]
-            if pool:
-                r = _pick_receiver(rng_labeled, pool, s, HUB_RECEIVER_BOOST)
-            else:
-                shared = primaries[s]
-                r = _pick_receiver(rng_labeled, by_domain[shared], s, HUB_RECEIVER_BOOST)
+            # A specialist is never in its secondary domain's pool; an empty
+            # pool falls back to its primary domain.
+            shared = secondaries[s][0] if by_domain[secondaries[s][0]] else primaries[s]
         else:
-            d = pair_domains[int(rng_labeled.integers(0, len(pair_domains)))]
-            pool = by_domain[d]
-            s = int(rng_labeled.choice(pool))
-            r = _pick_receiver(rng_labeled, pool, s, HUB_RECEIVER_BOOST)
-            shared = d
+            shared = pair_domains[int(rng_labeled.integers(0, len(pair_domains)))]
+            s = int(rng_labeled.choice(by_domain[shared]))
+        r = _pick_receiver(rng_labeled, by_domain[shared], s, HUB_RECEIVER_BOOST)
         weight = float(rng_labeled.integers(1, 4))
         seed = int(rng_labeled.integers(0, _SEED_CAP))
         raw_content = synthetic_embedding(centroids, seed, {shared: 1.0}, CONTENT_NOISE)

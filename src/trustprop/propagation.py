@@ -72,6 +72,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import logging
+import math
 import os
 import threading
 from collections import deque
@@ -137,12 +138,12 @@ class PropagationConfig:
         # Bounds are written "not (in range)" so that NaN fails them too.
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must lie in (0, 1)")
-        if not self.epsilon > 0:
-            raise ValidationError("epsilon must be > 0")
+        if not 0 < self.epsilon < math.inf:
+            raise ValidationError("epsilon must be finite and > 0")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
-        if not self.beta >= 0:
-            raise ValidationError("beta must be >= 0")
+        if not 0 <= self.beta < math.inf:
+            raise ValidationError("beta must be finite and >= 0")
         if self.mode not in MODES:
             raise ValidationError(f"unknown mode {self.mode!r}")
         if self.top_k < 1:

@@ -167,44 +167,30 @@ def tokenize(text: str) -> list[str]:
 def bm25_scores(descriptions: Mapping[str, str], query_text: str) -> RankedList:
     """Okapi BM25 (k1=1.2, b=0.75) of the query against agent descriptions.
 
-    Agents whose description shares no term with the query are excluded
-    rather than listed at score zero.
+    Each description is tokenized once into a term-frequency ``Counter``:
+    its length, the document frequencies and its score are read from it.
+    A score sums its terms in query order, repeats included.  Agents whose
+    description shares no term with the query are excluded rather than
+    listed at score zero.
     """
     terms = tokenize(query_text)
     if not terms:
         raise ValidationError("query has no usable terms")
-    docs = {aid: tokenize(text) for aid, text in descriptions.items()}
-    n_docs = len(docs)
-    if n_docs == 0:
+    tfs = {aid: Counter(tokenize(text)) for aid, text in descriptions.items()}
+    if not tfs:
         return []
-    avgdl = sum(len(toks) for toks in docs.values()) / n_docs
-    # document frequency per query term
-    df = Counter()
-    for toks in docs.values():
-        seen = set(toks)
-        for t in set(terms):
-            if t in seen:
-                df[t] += 1
-    idf = {
-        t: math.log(1.0 + (n_docs - df[t] + 0.5) / (df[t] + 0.5))
-        for t in set(terms)
-        if df[t] > 0
-    }
+    avgdl = sum(tf.total() for tf in tfs.values()) / len(tfs)
+    vocab = set(terms)
+    df = Counter(t for tf in tfs.values() for t in tf.keys() & vocab)
+    idf = {t: math.log(1.0 + (len(tfs) - n + 0.5) / (n + 0.5)) for t, n in df.items()}
     scores: dict[str, float] = {}
-    for aid, toks in docs.items():
-        if not toks:
-            continue
-        tf = Counter(toks)
-        s = 0.0
-        overlap = False
-        for t in terms:
-            if t not in idf or tf[t] == 0:
-                continue
-            overlap = True
-            freq = tf[t]
-            denom = freq + BM25_K1 * (1.0 - BM25_B + BM25_B * len(toks) / avgdl)
-            s += idf[t] * freq * (BM25_K1 + 1.0) / denom
-        if overlap:
+    for aid, tf in tfs.items():
+        hits = [t for t in terms if t in tf]
+        if hits:
+            norm = BM25_K1 * (1.0 - BM25_B + BM25_B * tf.total() / avgdl)
+            s = 0.0
+            for t in hits:
+                s += idf[t] * tf[t] * (BM25_K1 + 1.0) / (tf[t] + norm)
             scores[aid] = s
     return rank_scores(scores)
 

@@ -18,7 +18,6 @@ per-vector computation and for the norm of one vector or of a matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -32,21 +31,9 @@ DEGENERATE_NORM = 1e-12
 UNIT_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class CenteringModel:
-    """Mean vector of a corpus snapshot, fit once and reused everywhere."""
-
-    mean: np.ndarray
-    sample_count: int
-
-    @property
-    def dim(self) -> int:
-        return int(self.mean.shape[0])
-
-
-def fit_centering(corpus: Iterable[np.ndarray]) -> CenteringModel:
-    """Fit a centering model (arithmetic mean) over a corpus of embeddings,
-    each given alone or in a (K, E) block; an empty block adds none.
+def fit_centering(corpus: Iterable[np.ndarray]) -> np.ndarray:
+    """The (E,) arithmetic mean of a corpus of embeddings, each given alone
+    or in a (K, E) block; an empty block adds none.
 
     The corpus must hold at least one embedding, all of one dim.
     """
@@ -62,8 +49,7 @@ def fit_centering(corpus: Iterable[np.ndarray]) -> CenteringModel:
             raise ValidationError(
                 f"dimension mismatch in centering corpus: {b.shape[1:]} != {width}"
             )
-    stacked = np.vstack(blocks)
-    return CenteringModel(mean=stacked.mean(axis=0), sample_count=len(stacked))
+    return np.vstack(blocks).mean(axis=0)
 
 
 def overflow_safe_norms(
@@ -117,20 +103,20 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
-def center_and_normalize(model: CenteringModel, v: np.ndarray) -> np.ndarray:
+def center_and_normalize(mean: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Subtract the corpus mean and rescale to unit length.
 
-    ``v`` is one vector of the model's dim or a (K, E) matrix, centered row
+    ``v`` is one vector of the mean's dim or a (K, E) matrix, centered row
     by row.  Raises DegenerateVectorError if a centered vector has no
     direction left (norm below 1e-12); silently emitting a zero would poison
     every cosine computed from it downstream.
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.shape[-1:] != model.mean.shape or v.ndim > 2:
+    if v.shape[-1:] != mean.shape or v.ndim > 2:
         raise ValidationError(
-            f"vector dim {v.shape} does not match centering model {model.mean.shape}"
+            f"vector dim {v.shape} does not match centering model {mean.shape}"
         )
-    shifted = np.atleast_2d(v) - model.mean
+    shifted = np.atleast_2d(v) - mean
     norms = row_norms(shifted)
     if (norms < DEGENERATE_NORM).any():
         raise DegenerateVectorError(

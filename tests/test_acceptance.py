@@ -406,8 +406,8 @@ def test_a13_centering_kills_mean_and_shared_offset():
             labels.append(domain)
     cloud = np.asarray(cloud)
 
-    model = fit_centering(cloud)
-    shifted = cloud - model.mean
+    mean = fit_centering(cloud)
+    shifted = cloud - mean
     assert float(np.linalg.norm(shifted.mean(axis=0))) <= 1e-9 * np.sqrt(dim)
 
     def mean_crosstalk(vectors):
@@ -419,7 +419,7 @@ def test_a13_centering_kills_mean_and_shared_offset():
         pairs = sims[np.triu_indices(len(DOMAINS), k=1)]
         return float(pairs.mean())
 
-    centered = np.array([center_and_normalize(model, v) for v in cloud])
+    centered = np.array([center_and_normalize(mean, v) for v in cloud])
     before = mean_crosstalk(cloud)
     after = mean_crosstalk(centered)
     assert after < before

@@ -29,7 +29,7 @@ from trustprop.files import (
 )
 from trustprop.harness import INJECTORS, CorpusSpec, run_flag_scenario
 from trustprop.retrieval import pipeline_search
-from trustprop.vectorspace import CenteringModel, center_and_normalize
+from trustprop.vectorspace import center_and_normalize
 
 SMALL_CONF = """
 corpus.n_agents = 20
@@ -937,13 +937,13 @@ def test_query_rejects_a_beta_mix_that_ranks_by_id(workdir, snapshot, tmp_path, 
 _TOO_DEEP = "[" * 150_000 + "]" * 150_000
 
 
-def _cli_in_a_subprocess(*argv):
+def _cli_in_a_subprocess(*argv, timeout=120):
     """(exit code, stderr) of the CLI run in its own process: a parser that
     overflows the C stack ends that process, with exit code -11 or 139."""
     code = "import sys; from trustprop.cli import main; sys.exit(main(sys.argv[1:]))"
     env = dict(os.environ, PYTHONPATH=str(Path(trustprop.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
     return done.returncode, done.stderr
 
 
@@ -971,6 +971,32 @@ def test_a_text_nested_past_the_bound_is_rejected_naming_its_file(
         out = tmp_path / "ranks.csv"
     code, err = _cli_in_a_subprocess(*argv, "--out", out)
     assert (code, err) == (1, f"error: {where}: invalid json (nested more than 10000 levels)\n")
+    assert not out.exists()
+
+
+# More than 10 000 openers, so the line is scanned, then a string of escaped
+# quotes that never closes: a scan that reads it again from every quote takes
+# quadratic time.
+_UNTERMINATED = "[]" * 10_001 + '"' + '\\"' * 50_000
+
+
+@pytest.mark.parametrize("which", ["agents", "edges", "snapshot"])
+def test_an_unterminated_string_is_scanned_once(workdir, snapshot, tmp_path, which):
+    agents, edges, queries = _corpus_args(workdir)
+    bad = tmp_path / f"{which}.txt"
+    if which == "snapshot":
+        bad.write_text(_UNTERMINATED)
+        argv = ["query", "--snapshot", bad, "--queries", queries, "--agents", agents]
+        where = "snapshot"
+    else:
+        lines = (agents if which == "agents" else edges).read_text().splitlines()
+        bad.write_text("\n".join(lines + [_UNTERMINATED]) + "\n")
+        files = {"agents": agents, "edges": edges, which: bad}
+        argv = ["propagate", "--agents", files["agents"], "--edges", files["edges"]]
+        where = f"{which} line {len(lines) + 1}"
+    out = tmp_path / "out"
+    code, err = _cli_in_a_subprocess(*argv, "--out", out, timeout=20)
+    assert code == 1 and err.startswith(f"error: {where}: invalid json ("), err
     assert not out.exists()
 
 
@@ -1121,19 +1147,52 @@ def test_query_centers_with_the_snapshot_mean(workdir, tmp_path, capsys):
 
     # The pipeline sees centered profiles as well as centered queries.
     state, _, mean = snapshot_from_json((out / "snapshot.json").read_text())
-    model = CenteringModel(mean=mean, sample_count=0)
     centered = [
-        replace(a, profile=center_and_normalize(model, a.profile))
+        replace(a, profile=center_and_normalize(mean, a.profile))
         for a in agents_from_jsonl(agents.read_text())
     ]
     q = queries_from_jsonl(queries.read_text())[0]
-    q = replace(q, embedding=center_and_normalize(model, q.embedding))
+    q = replace(q, embedding=center_and_normalize(mean, q.embedding))
     want = [
         f"{q.id},{pos},{aid},{score!r}"
         for pos, (aid, score) in enumerate(pipeline_search(state, centered, q), start=1)
     ]
     got = (tmp_path / "pipeline.csv").read_text().splitlines()[1 : 1 + len(want)]
     assert got == want
+
+
+@pytest.fixture(scope="module")
+def centered_snapshot(workdir):
+    agents, edges, _ = _corpus_args(workdir)
+    out = workdir / "prop_centered"
+    assert main([
+        "propagate", "--config", str(workdir / "small.conf"), "--agents", str(agents),
+        "--edges", str(edges), "--center", "--out", str(out),
+    ]) == 0
+    return out / "snapshot.json"
+
+
+@pytest.mark.parametrize("case", ["wrong_dim", "the_mean"])
+def test_a_query_the_snapshot_mean_cannot_center_is_named(
+    workdir, centered_snapshot, tmp_path, capsys, case
+):
+    # A query the mean cannot center is named, like any query that does not
+    # fit the snapshot.
+    _, _, queries = _corpus_args(workdir)
+    lines = queries.read_text().splitlines()
+    rec = json.loads(lines[3])
+    if case == "wrong_dim":
+        rec["embedding"] = rec["embedding"][:3]
+        message = "vector dim (3,) does not match centering model (64,)"
+    else:
+        rec["embedding"] = snapshot_from_json(centered_snapshot.read_text())[2].tolist()
+        message = "vector is degenerate after centering (norm < 1e-12)"
+    bad = tmp_path / "queries.jsonl"
+    bad.write_text("\n".join(lines[:3] + [json.dumps(rec)]) + "\n")
+    capsys.readouterr()
+    code, err = _query_exit_and_err(workdir, tmp_path, capsys, centered_snapshot, bad)
+    assert (code, err) == (1, f"error: query q03: {message}\n")
+    assert not (tmp_path / "r.csv").exists()
 
 
 # ---------------------------------------------------------------- attack

@@ -827,10 +827,10 @@ def _reference_center_corpus(agents, edges, queries):
     cloud = [a.profile for a in agents]
     cloud += [e.content for e in edges if e.content is not None]
     cloud += [q.embedding for q in queries]
-    model = fit_centering(cloud)
+    mean = fit_centering(cloud)
 
     def unit(v):
-        shifted = v - model.mean
+        shifted = v - mean
         norm = float(np.linalg.norm(shifted))
         if norm < DEGENERATE_NORM:
             raise DegenerateVectorError("degenerate")
@@ -844,7 +844,7 @@ def _reference_center_corpus(agents, edges, queries):
         [(unit(a.profile), scaled(a.teleport), scaled(a.exogenous)) for a in agents],
         [None if e.content is None else unit(e.content) for e in edges],
         [unit(q.embedding) for q in queries],
-        model.mean,
+        mean,
     )
 
 

@@ -1,7 +1,14 @@
 """Imports between trustprop modules only go down the layer order."""
 
 import ast
+import dataclasses
+import math
 from pathlib import Path
+
+import pytest
+
+from trustprop.errors import ValidationError
+from trustprop.files import corpus_spec, parse_config, propagation_config, weight_config
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "trustprop"
 
@@ -483,3 +490,31 @@ def test_cli_verbs_share_one_skeleton():
         and node.func.id == "load_config"
     }
     assert loaders == {"main"}
+
+
+def _config_records(record):
+    """``record`` and every config record nested in it."""
+    yield record
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _config_records(value)
+
+
+def test_every_config_float_must_be_finite():
+    # One rule for every float a config sets, in the records that take it
+    # from a library caller as well as from the config file: inf, -inf and
+    # NaN are rejected where the record is built.
+    cfg = parse_config("propagation.operator = hybrid")
+    roots = (propagation_config(cfg), weight_config(cfg), corpus_spec(cfg))
+    checked = []
+    for record in (r for root in roots for r in _config_records(root)):
+        for f in dataclasses.fields(record):
+            if "float" not in str(f.type):
+                continue
+            for bad in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ValidationError):
+                    dataclasses.replace(record, **{f.name: bad})
+            checked.append(f"{type(record).__name__}.{f.name}")
+    assert {"PropagationConfig.epsilon", "KlGateConfig.lam", "OperatorKind.hybrid_gamma",
+            "WeightConfig.payment_multiplier", "CorpusSpec.anisotropy"} <= set(checked)

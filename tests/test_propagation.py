@@ -140,6 +140,20 @@ def test_config_validation():
         PropagationConfig(mode="quantum")
 
 
+def test_an_infinite_kl_lambda_is_rejected_before_the_run():
+    # Two agents with one profile, joined by blind edges: every edge cosine
+    # is 1, and the gate exp(-lam * 0) would be NaN mid-iteration at lam = inf.
+    p = np.array([1.0, 0.0])
+    agents = [Agent(id=f"a{i}", primary_domain="d", profile=p, teleport=0.5 * p,
+                    exogenous=0.0 * p) for i in range(2)]
+    graph = normalize(agents, [Edge(sender="a0", receiver="a1", kind="blind"),
+                               Edge(sender="a1", receiver="a0", kind="blind")])
+    finite = KlGateConfig(enabled=True, lam=1e300)
+    assert run(graph, PropagationConfig(gates=GateStack(kl=finite))).converged
+    with pytest.raises(ValidationError, match="^lambda must be finite and >= 0$"):
+        KlGateConfig(enabled=True, lam=np.inf)
+
+
 def test_negative_stability_check():
     PropagationConfig(alpha=0.85, beta=0.15).check_negative_stability()  # 0.9775
     with pytest.raises(ValidationError):

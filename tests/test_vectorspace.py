@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from trustprop.errors import ValidationError
 from trustprop.vectorspace import (
     CENTROID_MAX_COSINE,
-    CenteringModel,
     DegenerateVectorError,
     build_centroids,
     center_and_normalize,
@@ -39,54 +38,53 @@ def _brute_force_mean(cloud):
 def test_fit_centering_matches_brute_force_mean():
     rng = np.random.default_rng(7)
     cloud = rng.normal(size=(40, 8))
-    model = fit_centering(cloud)
+    mean = fit_centering(cloud)
     oracle = _brute_force_mean(cloud)
-    assert model.sample_count == 40
-    assert model.dim == 8
-    np.testing.assert_allclose(model.mean, oracle, atol=1e-12)
+    assert mean.shape == (8,)
+    np.testing.assert_allclose(mean, oracle, atol=1e-12)
 
 
 def test_centered_cloud_has_negligible_mean():
     rng = np.random.default_rng(11)
     cloud = rng.normal(size=(64, 16)) + 3.0  # strong shared offset
-    model = fit_centering(cloud)
-    centered = np.array([center_and_normalize(model, v) for v in cloud])
+    mean = fit_centering(cloud)
+    centered = np.array([center_and_normalize(mean, v) for v in cloud])
     residual = np.linalg.norm(centered.mean(axis=0))
     # Directions are re-normalised so the mean is not exactly zero, but the
     # dominant shared component must be gone.
     assert residual < 0.5
-    shifted = cloud - model.mean
+    shifted = cloud - mean
     assert np.linalg.norm(shifted.mean(axis=0)) <= 1e-9 * math.sqrt(16)
 
 
 def test_center_and_normalize_returns_unit_vectors():
     rng = np.random.default_rng(3)
     cloud = rng.normal(size=(10, 6))
-    model = fit_centering(cloud)
+    mean = fit_centering(cloud)
     for v in cloud:
-        out = center_and_normalize(model, v)
+        out = center_and_normalize(mean, v)
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
 def test_center_and_normalize_rejects_degenerate_result():
-    model = CenteringModel(mean=np.array([1.0, 2.0]), sample_count=4)
+    mean = np.array([1.0, 2.0])
     with pytest.raises(DegenerateVectorError):
-        center_and_normalize(model, np.array([1.0, 2.0]))
+        center_and_normalize(mean, np.array([1.0, 2.0]))
     # A matrix is rejected if any one of its rows degenerates.
     with pytest.raises(DegenerateVectorError):
-        center_and_normalize(model, np.array([[3.0, 0.0], [1.0, 2.0]]))
+        center_and_normalize(mean, np.array([[3.0, 0.0], [1.0, 2.0]]))
 
 
 def test_center_and_normalize_rejects_mismatched_shapes():
-    model = CenteringModel(mean=np.array([1.0, 2.0]), sample_count=4)
+    mean = np.array([1.0, 2.0])
     for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((1, 2, 2)), np.float64(1.0)):
         with pytest.raises(ValidationError):
-            center_and_normalize(model, bad)
+            center_and_normalize(mean, bad)
 
 
-def _reference_center(model, v):
+def _reference_center(mean, v):
     """Per-vector centering: shift, then divide by the 1-D norm."""
-    shifted = v - model.mean
+    shifted = v - mean
     return shifted / float(np.linalg.norm(shifted))
 
 
@@ -95,13 +93,13 @@ def _reference_center(model, v):
 def test_center_and_normalize_matrix_equals_per_vector(seed, k, dim):
     rng = np.random.default_rng(seed)
     cloud = rng.standard_normal((k + 1, dim)) + 2.0
-    model = fit_centering(cloud)
-    batch = center_and_normalize(model, cloud[:k])
-    expected = np.array([_reference_center(model, v) for v in cloud[:k]])
+    mean = fit_centering(cloud)
+    batch = center_and_normalize(mean, cloud[:k])
+    expected = np.array([_reference_center(mean, v) for v in cloud[:k]])
     assert batch.shape == (k, dim)
     assert np.array_equal(batch, expected)
     for v, row in zip(cloud[:k], expected):
-        assert np.array_equal(center_and_normalize(model, v), row)
+        assert np.array_equal(center_and_normalize(mean, v), row)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
@@ -151,10 +149,10 @@ def test_fit_centering_over_blocks_equals_the_fit_over_their_rows(seed, sizes, d
         return
     # A single vector counts as a block of one.
     for corpus in (blocks, blocks[:1] + rows[len(blocks[0]):]):
-        model = fit_centering(corpus)
+        mean = fit_centering(corpus)
         reference = fit_centering(rows)
-        assert model.sample_count == reference.sample_count == len(rows)
-        assert model.mean.tobytes() == reference.mean.tobytes()
+        assert mean.shape == (dim,)
+        assert mean.tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize(
