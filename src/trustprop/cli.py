@@ -128,10 +128,18 @@ def cmd_query(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
     queries = queries_from_jsonl(_read(args.queries))
     agents = agents_from_jsonl(_read(args.agents))
     strategy = args.strategy or cfg["retrieval.strategy"]
-    # A centered snapshot moves each query (and the pipeline's profiles) into
-    # the space that `propagate --center` fitted and propagated in.
-    if mean.size and strategy == "pipeline" and len(agents):  # each row as a 1-D call gives it
-        agents = replace(agents, profile=center_and_normalize(mean, agents.profile))
+    if strategy == "pipeline" and len(agents):
+        # The pipeline scores each profile against a query as wide as the state.
+        width = state.vectors.shape[1]
+        if agents.profile.shape[1] != width:
+            raise ValidationError(
+                f"agents: profile width {agents.profile.shape[1]} does not match "
+                f"snapshot width {width}"
+            )
+        # A centered snapshot moves each query (and the pipeline's profiles)
+        # into the space that `propagate --center` fitted and propagated in.
+        if mean.size:  # each row as a 1-D call gives it
+            agents = replace(agents, profile=center_and_normalize(mean, agents.profile))
     beta_mix = cfg["retrieval.beta_mix"]
     variant = cfg["retrieval.variant"]
     k = cfg["retrieval.k"]
@@ -165,6 +173,11 @@ def cmd_query(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
 def cmd_attack(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
     scenario = args.scenario or cfg["attack.scenario"]
     spec, prop_cfg, weight_cfg = corpus_spec(cfg), propagation_config(cfg), weight_config(cfg)
+    # Both reports exist before anything is printed or written.  The flag defense,
+    # which refuses more corpora, runs first; it forces discrete mode, so check first.
+    require_continuous(prop_cfg)
+    flag = (run_flag_scenario(spec, cfg["attack.flag_severity"], prop_cfg, weight_cfg, scenario)
+            if args.flag_defense else None)
     report = run_scenario(spec, scenario, prop_cfg, weight_cfg, *_ranking(cfg))
     out = Path(args.out)
     _write(out / f"report_{scenario}.csv", csv_text(report.csv_rows()))
@@ -174,8 +187,7 @@ def cmd_attack(args: argparse.Namespace, cfg: dict[str, Any]) -> int:
         f"{report.p5_multilabel_baseline:.3f} -> {report.p5_multilabel_attacked:.3f}"
     )
     ok = report.converged_baseline and report.converged_attacked
-    if args.flag_defense:
-        flag = run_flag_scenario(spec, cfg["attack.flag_severity"], prop_cfg, weight_cfg, scenario)
+    if flag is not None:
         _write(out / "flag_defense.csv", csv_text(flag.csv_rows()))
         for aid in flag.flagged:
             print(f"flag defense: {aid} magnitude reduced "

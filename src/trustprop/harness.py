@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 from typing import Any
 
 import numpy as np
@@ -31,7 +31,7 @@ from .propagation import (
     run,
     self_alignment,
 )
-from .retrieval import Query, RankedList, precision_at_k, rank, rank_scores, ranked
+from .retrieval import Query, precision_at_k, rank, rank_scores, ranked
 from .vectorspace import (
     build_centroids,
     center_and_normalize,
@@ -590,12 +590,14 @@ def apply_flag_defense(
 # --- scenario running ---------------------------------------------------------
 
 
-def _injector(scenario: str | None) -> Callable[[Corpus], Corpus]:
-    """The injector named ``scenario``, or no attack for None; an unknown name
-    is a ValidationError, which a runner raises before it generates a corpus."""
+def _corpora(spec: CorpusSpec, scenario: str | None) -> tuple[Corpus, Corpus]:
+    """The corpus of ``spec`` and the same corpus under ``scenario``'s attack,
+    or itself for None.  An unknown name is refused before the corpus is
+    generated, and an attack the corpus cannot take before anything runs."""
     if scenario is not None and scenario not in INJECTORS:
         raise ValidationError(f"unknown scenario {scenario!r}")
-    return INJECTORS.get(scenario, lambda corpus: corpus)
+    corpus = generate_corpus(spec)
+    return corpus, corpus if scenario is None else INJECTORS[scenario](corpus)
 
 
 @dataclass
@@ -645,42 +647,21 @@ def magnitude_percentiles(state: ReputationState) -> dict[str, float]:
     return {aid: 100.0 * (pos + 1) / n for pos, (aid, _) in enumerate(order)}
 
 
-def rank_queries(
-    state: ReputationState,
-    corpus: Corpus,
-    strategy: str = "dot",
-    beta_mix: float = 0.5,
-    variant: str = "power",
-) -> dict[str, RankedList]:
-    """``retrieval.rank`` for every query of the corpus, keyed by query id."""
-    return {
-        q.id: rank(state, q, strategy, corpus.agents, beta_mix, variant)
-        for q in corpus.queries
-    }
-
-
-def mean_precision(
-    rankings: Mapping[str, RankedList],
-    corpus: Corpus,
-    mode: str,
-    k: int = 5,
-) -> float:
-    vals = [
-        precision_at_k(rankings[q.id], corpus.agents, q.expected_domains, k, mode)
-        for q in corpus.queries
-    ]
-    return float(np.mean(vals)) if vals else 0.0
-
-
 def mean_p5(
     state: ReputationState, corpus: Corpus, strategy: str = "dot", beta_mix: float = 0.5,
     variant: str = "power",
 ) -> tuple[float, float]:
     """(strict, multilabel) mean P@5 of ``state`` over the corpus's queries,
-    each query ranked as by ``rank_queries``."""
-    rankings = rank_queries(state, corpus, strategy, beta_mix, variant)
-    return (mean_precision(rankings, corpus, "strict"),
-            mean_precision(rankings, corpus, "multilabel"))
+    each ranked once by ``retrieval.rank``; (0.0, 0.0) for no queries."""
+    if not corpus.queries:
+        return 0.0, 0.0
+    rankings = [rank(state, q, strategy, corpus.agents, beta_mix, variant) for q in corpus.queries]
+    strict, multilabel = (
+        float(np.mean([precision_at_k(r, corpus.agents, q.expected_domains, 5, mode)
+                       for r, q in zip(rankings, corpus.queries)]))
+        for mode in ("strict", "multilabel")
+    )
+    return strict, multilabel
 
 
 def require_continuous(prop_cfg: PropagationConfig) -> None:
@@ -710,9 +691,8 @@ def run_scenario(
     ``strategy``, ``beta_mix`` and ``variant`` choose the ranking, as in
     ``retrieval.rank``.
     """
-    inject = _injector(scenario)
     require_continuous(prop_cfg)
-    corpus = generate_corpus(spec)
+    corpus, attacked = _corpora(spec, scenario)
     mal = corpus.malicious_ids()
 
     def side(c: Corpus, name: str) -> dict[str, Any]:
@@ -736,7 +716,7 @@ def run_scenario(
         scenario=scenario or "baseline",
         seed=spec.seed,
         **side(corpus, "baseline"),
-        **side(inject(corpus), "attacked"),
+        **side(attacked, "attacked"),
     )
 
 
@@ -794,16 +774,16 @@ def run_flag_scenario(
     *pre-attack* converged state; their reputations weight the flag edges.
     Compares the attacked run with and without the flags.
     """
-    inject = _injector(scenario)
-    corpus = generate_corpus(spec)
-    attacked = inject(corpus)
+    corpus, attacked = _corpora(spec, scenario)
+    mal = set(corpus.malicious_ids())
+    if not mal:
+        raise ValidationError("corpus has no malicious agents")
     cfg = replace(prop_cfg, mode="discrete", top_k=FLAG_DEFENSE_TOP_K)
 
     def _discrete_run(c: Corpus, reps=None) -> ReputationState:
         return run(normalize(c.agents, c.edges, weight_cfg, reps), cfg)
 
     base_state = _discrete_run(corpus)
-    mal = set(corpus.malicious_ids())
     by_magnitude = ranked(base_state.agent_ids, base_state.magnitudes())
     reporter_reps = dict([(aid, m) for aid, m in by_magnitude if aid not in mal][:3])
     reporters = list(reporter_reps)

@@ -735,9 +735,10 @@ def run(
     Inputs the config needs that the caller leaves out are built from the
     graph as the module docstring says: centroids, domain matrices with
     ``cfg.top_k`` and the flag matrix.  ``matrices`` without ``neg`` runs
-    positive edges only.  An ``initial`` state must hold the graph's agents
-    in order, one finite row each of the mode's width.  Given centroids
-    must be (D, E) over the graph's dim, finite, with no degenerate row.
+    positive edges only; continuous mode refuses either.  An ``initial``
+    state must hold the graph's agents in order, one finite row each of the
+    mode's width.  Given centroids must be (D, E) over the graph's dim,
+    finite, with no degenerate row.
 
     Non-convergence is reported through state.converged rather than raised,
     so callers can decide how loudly to fail.
@@ -747,6 +748,8 @@ def run(
         if cfg.mode != "discrete":
             raise ValidationError("negative edges run in discrete mode only")
         cfg.check_negative_stability()
+    if matrices is not None and cfg.mode != "discrete":
+        raise ValidationError("domain matrices run in discrete mode only")
     state = initial if initial is not None else init_state(graph, cfg, matrices)
     if state.mode != cfg.mode:
         raise ValidationError("initial state mode does not match config")

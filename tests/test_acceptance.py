@@ -25,8 +25,7 @@ from trustprop.harness import (
     apply_flag_defense,
     generate_corpus,
     magnitude_percentiles,
-    mean_precision,
-    rank_queries,
+    mean_p5,
     run_flag_scenario,
     run_scenario,
 )
@@ -335,8 +334,7 @@ def test_a11_strict_precision_improves_with_labeled_density(spec):
         for name, kind in operators.items():
             state = run(graph, PropagationConfig(operator=kind))
             assert state.converged, (name, labeled)
-            rankings = rank_queries(state, corpus, "dot")
-            precision[(name, labeled)] = mean_precision(rankings, corpus, "strict")
+            precision[(name, labeled)] = mean_p5(state, corpus)[0]
     for name in operators:
         assert precision[(name, 156)] >= precision[(name, 70)], (name, precision)
 

@@ -1195,6 +1195,29 @@ def test_a_query_the_snapshot_mean_cannot_center_is_named(
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("centered", [False, True], ids=["plain", "centered"])
+def test_pipeline_query_refuses_profiles_narrower_than_the_snapshot(
+    workdir, snapshot, centered_snapshot, tmp_path, capsys, centered
+):
+    # The pipeline reads each profile at the snapshot's width, so narrower
+    # profiles are refused, naming the agents file, before any centering.
+    agents, _, queries = _corpus_args(workdir)
+    recs = [json.loads(line) for line in agents.read_text().splitlines()]
+    for rec in recs:
+        rec.update(profile=[1.0, 0.0, 0.0], teleport=[0.3, 0.0, 0.0], exogenous=[0.0] * 3)
+    narrow = tmp_path / "agents.jsonl"
+    narrow.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+    capsys.readouterr()
+    code = main([
+        "query", "--snapshot", str(centered_snapshot if centered else snapshot),
+        "--queries", str(queries), "--agents", str(narrow), "--strategy", "pipeline",
+        "--out", str(tmp_path / "r.csv"),
+    ])
+    err = capsys.readouterr().err
+    assert (code, err) == (1, "error: agents: profile width 3 does not match snapshot width 64\n")
+    assert not (tmp_path / "r.csv").exists()
+
+
 # ---------------------------------------------------------------- attack
 
 
@@ -1274,6 +1297,51 @@ def test_attack_and_bench_reject_discrete_mode_before_running(
     assert main([verb, "--config", str(conf), "--out", str(out)]) == 1
     assert "propagation.mode = continuous" in capsys.readouterr().err
     assert not out.exists()
+
+
+NO_FINANCE_ACTIVES = "corpus.n_agents = 12\ncorpus.hubs = 5\ncorpus.dormant = 3\n"
+
+
+@pytest.mark.parametrize(
+    "conf, argv, message",
+    [
+        ("corpus.malicious = 0\n", ["--scenario", "cross_domain_sybil"],
+         "corpus has no malicious pair"),
+        ("corpus.malicious = 0\n", ["--scenario", "same_domain_sybil"],
+         "corpus has no malicious pair"),
+        ("corpus.malicious = 0\n", ["--scenario", "laundering"],
+         "corpus has no malicious agents"),
+        ("corpus.malicious = 0\n", ["--scenario", "vote_ring", "--flag-defense"],
+         "corpus has no malicious agents"),
+        ("corpus.hubs = 0\n", ["--scenario", "cross_domain_sybil"], "no foreign hubs to spam"),
+        ("corpus.hubs = 0\n", ["--scenario", "laundering"], "no hub to forward to"),
+        (NO_FINANCE_ACTIVES, ["--scenario", "same_domain_sybil"],
+         "no same-domain targets to spam"),
+        (NO_FINANCE_ACTIVES, ["--scenario", "laundering"], "no intermediary available"),
+        (NO_FINANCE_ACTIVES, ["--scenario", "vote_ring"],
+         "not enough same-domain agents for a ring"),
+    ],
+    ids=["no_malicious-cross_sybil", "no_malicious-same_sybil", "no_malicious-laundering",
+         "no_malicious-vote_ring_flags", "no_hubs-cross_sybil", "no_hubs-laundering",
+         "no_finance_actives-same_sybil", "no_finance_actives-laundering",
+         "no_finance_actives-vote_ring"],
+)
+def test_attack_a_corpus_cannot_take_is_refused_before_anything_runs(
+    tmp_path, capsys, monkeypatch, conf, argv, message
+):
+    # An attack the corpus cannot take, or flags with no one to flag, is found
+    # before the first propagation, and nothing is printed or written.
+    runs = []
+    real_run = trustprop.harness.run
+    monkeypatch.setattr("trustprop.harness.run",
+                        lambda *a, **k: runs.append("run") or real_run(*a, **k))
+    path = tmp_path / "attack.conf"
+    path.write_text(conf)
+    out = tmp_path / "attack"
+    assert main(["attack", "--config", str(path), *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+    assert runs == []
 
 
 # ---------------------------------------------------------------- bench

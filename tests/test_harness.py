@@ -35,12 +35,12 @@ from trustprop.harness import (
     format_table,
     generate_corpus,
     magnitude_percentiles,
-    rank_queries,
+    mean_p5,
     run_flag_scenario,
     run_scenario,
 )
 from trustprop.propagation import ReputationState, steady_state_bound
-from trustprop.retrieval import pipeline_search, score_mixed
+from trustprop.retrieval import pipeline_search, precision_at_k, score_mixed
 
 from conftest import assert_within_steady_bound
 
@@ -386,6 +386,9 @@ def test_apply_flag_defense_adds_verified_flags(corpus):
         assert e.severity == 0.9
     with pytest.raises(ValidationError):
         apply_flag_defense(corpus, ["a00"], severity=1.5)
+    benign = replace(corpus, agents=[a for a in corpus.agents if a.archetype != "malicious"])
+    with pytest.raises(ValidationError, match="^corpus has no malicious agents$"):
+        apply_flag_defense(benign, ["a00"], severity=0.9)
 
 
 def test_zero_severity_flags_change_nothing(corpus, graph):
@@ -408,18 +411,39 @@ def test_magnitude_percentiles_rank_with_ties_by_id():
     assert pct == {"a": 25.0, "b": 50.0, "c": 75.0, "d": 100.0}
 
 
-def test_rank_queries_rejects_unknown_strategy(corpus, baseline):
+def test_mean_p5_rejects_unknown_strategy(corpus, baseline):
     with pytest.raises(ValidationError):
-        rank_queries(baseline, corpus, strategy="oracle")
+        mean_p5(baseline, corpus, strategy="oracle")
 
 
-def test_rank_queries_passes_retrieval_settings_through(corpus, baseline):
-    got = rank_queries(baseline, corpus, "mixed", beta_mix=0.3, variant="log_damped")
-    for q in corpus.queries:
-        assert got[q.id] == score_mixed(baseline, q, 0.3, "log_damped")
-    piped = rank_queries(baseline, corpus, "pipeline")
-    q = corpus.queries[0]
-    assert piped[q.id] == pipeline_search(baseline, corpus.agents, q)
+def _means(rankings, corpus):
+    return tuple(
+        float(np.mean([precision_at_k(r, corpus.agents, q.expected_domains, 5, mode)
+                       for r, q in zip(rankings, corpus.queries)]))
+        for mode in ("strict", "multilabel")
+    )
+
+
+def test_mean_p5_passes_retrieval_settings_through(corpus, baseline, monkeypatch):
+    got = mean_p5(baseline, corpus, "mixed", beta_mix=0.3, variant="log_damped")
+    mixed = [score_mixed(baseline, q, 0.3, "log_damped") for q in corpus.queries]
+    assert got == _means(mixed, corpus)
+    piped = [pipeline_search(baseline, corpus.agents, q) for q in corpus.queries]
+    assert mean_p5(baseline, corpus, "pipeline") == _means(piped, corpus)
+
+    # On this corpus every mixed setting gives the same means, so the calls
+    # show that the settings reach the ranking, once per query.
+    calls = []
+    rank = harness.rank
+    monkeypatch.setattr(harness, "rank", lambda *args: calls.append(args) or rank(*args))
+    mean_p5(baseline, corpus, "mixed", beta_mix=0.3, variant="log_damped")
+    assert [(args[1].id, args[2:]) for args in calls] == [
+        (q.id, ("mixed", corpus.agents, 0.3, "log_damped")) for q in corpus.queries
+    ]
+
+
+def test_mean_p5_of_a_corpus_without_queries_is_zero(corpus, baseline):
+    assert mean_p5(baseline, replace(corpus, queries=[])) == (0.0, 0.0)
 
 
 def test_run_scenario_baseline_has_zero_deltas(spec):

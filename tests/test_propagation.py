@@ -668,6 +668,19 @@ def test_warm_start_rejects_mode_and_width_mismatch():
         warm_start(cont, g3, PropagationConfig())
 
 
+@pytest.mark.parametrize("entry", ["run", "warm_start"])
+def test_continuous_mode_refuses_given_domain_matrices(graph, baseline, entry):
+    # Continuous steps never read domain matrices, so given ones are refused
+    # as given flag matrices are, not dropped.
+    _, cents = centroids_from_agents(graph.agents)
+    mats = build_domain_matrices(graph, cents)
+    with pytest.raises(ValidationError, match="^domain matrices run in discrete mode only$"):
+        if entry == "run":
+            run(graph, PropagationConfig(), matrices=mats)
+        else:
+            warm_start(baseline, graph, PropagationConfig(), matrices=mats)
+
+
 # ------------------------------------------------ read-only states and what they keep
 
 
